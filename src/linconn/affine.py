@@ -18,7 +18,8 @@ import numpy as np
 from .expr import Expr, Var, ZERO, ONE, diff, simplify, substitute
 from .geometry import (
     BASE_COV, FIBER_COV, FIBER_VEC, CheckReport, TensorField, VectorFieldOnE,
-    _grid, _tensor, check_homogeneous, h_apply, linear_coeffs, residual_check,
+    _grid, _tensor, check_homogeneous, combine_reports, h_apply, linear_coeffs,
+    residual_check,
 )
 from .model import (
     BundleModel, ConnectionModel, ModelError, PointE, SectionModel,
@@ -218,11 +219,5 @@ def check_affine_structure(m: ConnectionModel, samples: Sequence[PointE],
     sub_iii = residual_check("restriction_consistency", m, comps_iii,
                              samples, tol)
 
-    subs = (sub_i, sub_ii, sub_iii)
-    max_res = max(s.max_residual for s in subs)
-    worst = max(subs, key=lambda s: s.max_residual).worst_point
-    return CheckReport(name="affine_structure",
-                       passed=all(s.passed for s in subs),
-                       max_residual=max_res, tolerance=tol,
-                       samples=len(samples), worst_point=worst,
-                       subreports=subs)
+    return combine_reports("affine_structure", (sub_i, sub_ii, sub_iii), tol,
+                           samples)

@@ -195,13 +195,35 @@ def _require_connection(doc: ModelDocument) -> ConnectionModel:
     return doc.connection
 
 
-def _load(path: str) -> tuple[ModelDocument, str]:
+def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"{what} needs comma-separated numbers, "
+                         f"got {text!r}") from None
+
+
+def _parse_directions(text: str, n: int) -> tuple[int, int]:
+    try:
+        i, j = (int(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"--holonomy needs two base directions such as "
+                         f"\"1,2\", got {text!r}") from None
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise UsageError(f"--holonomy directions must lie in 1..{n}, "
+                         f"got {text!r}")
+    return i, j
+
+
+def _load(args) -> ModelDocument:
+    """Read and parse the model file, keeping its text for the digest of
+    the JSON report."""
+    try:
+        with open(args.model, "r", encoding="utf-8") as handle:
+            args._model_text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read model file: {exc}") from exc
-    return load_model(text), text
+    return load_model(args._model_text)
 
 
 def _samples(m: ConnectionModel, args) -> list[PointE]:
@@ -271,7 +293,7 @@ def _print_report(report: dict, indent: str = ""):
 # ---------------------------------------------------------------------------
 
 def _cmd_info(args) -> tuple[list, str]:
-    doc, _ = _load(args.model)
+    doc = _load(args)
     bundle = doc.bundle
     info = {
         "type": "info",
@@ -316,7 +338,7 @@ _TENSOR_BUILDERS = {
 
 
 def _cmd_tensor(args) -> tuple[list, str]:
-    doc, _ = _load(args.model)
+    doc = _load(args)
     m = _require_connection(doc)
     at = _parse_point(doc, args.at, m) if args.at is not None else None
     name = args.name
@@ -430,7 +452,7 @@ def _cotangent_suite(doc: ModelDocument, m: ConnectionModel, args) -> list:
 
 
 def _cmd_check(args) -> tuple[list, str]:
-    doc, _ = _load(args.model)
+    doc = _load(args)
     m = _require_connection(doc)
     pts = _samples(m, args)
     kind = m.bundle.kind
@@ -510,7 +532,7 @@ def _cmd_check(args) -> tuple[list, str]:
 
 
 def _cmd_bianchi(args) -> tuple[list, str]:
-    doc, _ = _load(args.model)
+    doc = _load(args)
     m = _require_connection(doc)
     pts = _samples(m, args)
     reports = [_geometry.bianchi_check(m, pts, args.tol),
@@ -523,12 +545,12 @@ def _cmd_bianchi(args) -> tuple[list, str]:
 
 
 def _cmd_transport(args) -> tuple[list, str]:
-    doc, _ = _load(args.model)
+    doc = _load(args)
     m = _require_connection(doc)
     p0 = _parse_point(doc, getattr(args, "from"), m)
     results: list = []
     if args.holonomy:
-        i, j = (int(v) for v in args.holonomy.split(","))
+        i, j = _parse_directions(args.holonomy, m.n)
         defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, args.eps)
         R = _geometry.curvature(m)
         env = p0.env(m.bundle)
@@ -553,21 +575,23 @@ def _cmd_transport(args) -> tuple[list, str]:
     X = _parse_exprs(args.field, "--field")
     size = m.k + 1 if m.bundle.kind in ("affine", "jet") else m.k
     if args.fiber:
-        b0 = tuple(float(v) for v in args.fiber.split(","))
+        b0 = _parse_floats(args.fiber, "--fiber")
     else:
         b0 = tuple(1.0 if idx == 0 else 0.0 for idx in range(size))
     spec = _transport.CurveSpec(start=p0, t_span=args.time, step=args.step,
                                 field=X)
-    flow = _transport.horizontal_flow(m, X, p0, args.time, args.step)
     result = _transport.parallel_transport(m, spec, b0)
+    # The transport integrates the horizontal flow jointly; its base and
+    # fiber slots are the flow's own.
+    flow_final = result.trajectory[-1][1]
     payload = {
         "type": "transport",
         "from": {"base": list(p0.base), "fiber": list(p0.fiber)},
         "time": args.time,
         "step": args.step,
-        "flow_final": {"base": list(flow.final.base),
-                       "fiber": list(flow.final.fiber)},
-        "flow_status": flow.status,
+        "flow_final": {"base": list(flow_final.base),
+                       "fiber": list(flow_final.fiber)},
+        "flow_status": result.status,
         "transported": list(result.final_fiber),
         "status": result.status,
         "steps": result.steps,
@@ -584,7 +608,8 @@ def _cmd_transport(args) -> tuple[list, str]:
         payload["oracle_relative_gap"] = max(gaps)
     results.append(payload)
     if not args.json:
-        print(f"flow final: {flow.final.base} {flow.final.fiber} [{flow.status}]")
+        print(f"flow final: {flow_final.base} {flow_final.fiber} "
+              f"[{result.status}]")
         print(f"transported vector: {result.final_fiber}")
         if args.oracle:
             print(f"oracle: {tuple(payload['oracle'])} "
@@ -593,7 +618,7 @@ def _cmd_transport(args) -> tuple[list, str]:
 
 
 def _cmd_sode(args) -> tuple[list, str]:
-    doc, _ = _load(args.model)
+    doc = _load(args)
     if doc.sode is None:
         raise UsageError("this model has no [sode] section")
     s = doc.sode
@@ -641,7 +666,7 @@ def _cmd_sode(args) -> tuple[list, str]:
                 print(f"  {v}: {to_string(f)}")
     if args.flow:
         did_something = True
-        state0 = tuple(float(v) for v in args.flow.split(","))
+        state0 = _parse_floats(args.flow, "--flow")
         flow = _transport.sode_flow(s, state0, args.time, args.step)
         final = flow.points[-1]
         results.append({
@@ -676,16 +701,15 @@ def _cmd_hj(args) -> tuple[list, str]:
                             source=f"metric:{args.metric}")
         if ham.first_integrals is not None:
             doc.connection = _cotangent.integrable_connection(ham)
-        model_text = doc.source
+        args._model_text = doc.source
     else:
         if not args.model:
             raise UsageError("hj needs a model file or --metric")
-        doc, model_text = _load(args.model)
+        doc = _load(args)
         if doc.hamiltonian is None:
             raise UsageError("hj needs a model with a [hamiltonian] section "
                              "(or --metric)")
         ham = doc.hamiltonian
-    args._model_text = model_text
 
     results: list = []
     reports = []
@@ -819,16 +843,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        model_text = args._model_text
-        if model_text is None:
-            model_text = ""
-            if getattr(args, "model", None):
-                try:
-                    with open(args.model, "r", encoding="utf-8") as handle:
-                        model_text = handle.read()
-                except OSError:
-                    model_text = ""
-        doc = _document(args, model_text, results, status)
+        doc = _document(args, args._model_text or "", results, status)
         sys.stdout.write(emit_json(doc).decode("utf-8"))
         sys.stdout.flush()
     else:

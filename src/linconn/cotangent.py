@@ -24,7 +24,8 @@ from .expr import (
 )
 from .geometry import (
     BASE_COV, CheckReport, TensorField, VectorFieldOnE, _grid,
-    _tensor, curvature, evaluate_components, h_apply, residual_check,
+    _tensor, combine_reports, curvature, evaluate_components, h_apply,
+    residual_check,
 )
 from .model import (
     BundleModel, ConnectionModel, ModelError, PointE, sample_points,
@@ -263,14 +264,8 @@ def integrable_report(h: HamiltonianModel, m: ConnectionModel,
     comps_tor = {sigma.label(idx): e for idx, e in sigma.items() if e != ZERO}
     sub_tor = residual_check("torsion", m, comps_tor, samples, tol)
 
-    subs = (sub_inv, sub_fi, sub_dh, sub_tor)
-    max_res = max(s.max_residual for s in subs)
-    return CheckReport(name="integrable_structure",
-                       passed=all(s.passed for s in subs),
-                       max_residual=max_res, tolerance=tol,
-                       samples=len(samples),
-                       worst_point=max(subs, key=lambda s: s.max_residual).worst_point,
-                       subreports=subs)
+    return combine_reports("integrable_structure",
+                           (sub_inv, sub_fi, sub_dh, sub_tor), tol, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +329,7 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
         subs.append(residual_check("integral_section", connection, comps_int,
                                    samples, tol))
 
-    max_res = max(s.max_residual for s in subs)
-    return CheckReport(name="hamilton_jacobi",
-                       passed=all(s.passed for s in subs),
-                       max_residual=max_res, tolerance=tol,
-                       samples=len(samples),
-                       worst_point=max(subs, key=lambda s: s.max_residual).worst_point,
-                       subreports=tuple(subs))
+    return combine_reports("hamilton_jacobi", subs, tol, samples)
 
 
 def geodesic_model(g_inv: Sequence[Sequence[Expr]],

@@ -25,7 +25,8 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "EvalError",
     "parse", "evaluate", "diff", "simplify", "substitute", "variables",
-    "to_string", "compile_fn", "random_polynomial", "ZERO", "ONE",
+    "to_string", "compile_fn", "compile_vector", "random_polynomial",
+    "ZERO", "ONE",
 ]
 
 
@@ -807,6 +808,19 @@ def _emit(e: Expr, index: Mapping[str, int]) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
+    index = {name: i for i, name in enumerate(names)}
+    missing = frozenset().union(*map(variables, exprs)) - set(index)
+    if missing:
+        raise EvalError(f"unbound variables {sorted(missing)} in compiled expression")
+    parts = [_emit(e, index) for e in exprs]
+    body = "(" + "".join(p + ", " for p in parts) + ")" if vector else parts[0]
+    source = f"def _f(v):\n    return {body}\n"
+    namespace = {"_m": math}
+    exec(source, namespace)  # noqa: S102 - generated from a closed grammar
+    return namespace["_f"]
+
+
 def compile_fn(e: Expr, names: Sequence[str]) -> Callable[[Sequence[float]], float]:
     """Compile an expression into a callable of a positional value vector.
 
@@ -814,14 +828,14 @@ def compile_fn(e: Expr, names: Sequence[str]) -> Callable[[Sequence[float]], flo
     surface as ordinary Python exceptions; intended for trusted sampling
     loops where points stay inside the expression's domain.
     """
-    index = {name: i for i, name in enumerate(names)}
-    missing = variables(e) - set(index)
-    if missing:
-        raise EvalError(f"unbound variables {sorted(missing)} in compiled expression")
-    source = f"def _f(v):\n    return {_emit(e, index)}\n"
-    namespace = {"_m": math}
-    exec(source, namespace)  # noqa: S102 - generated from a closed grammar
-    return namespace["_f"]
+    return _compile((e,), names, vector=False)
+
+
+def compile_vector(exprs: Sequence[Expr],
+                   names: Sequence[str]) -> Callable[[Sequence[float]], tuple]:
+    """Compile several expressions into one callable returning the tuple of
+    their values, each computed exactly as `compile_fn` would."""
+    return _compile(tuple(exprs), names, vector=True)
 
 
 # ---------------------------------------------------------------------------

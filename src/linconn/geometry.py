@@ -34,7 +34,7 @@ __all__ = [
     "check_homogeneous", "check_basic", "flatness_check", "axioms_check",
     "bianchi_check", "tension_identities_check",
     "integral_section_residual", "pullback_connection_coeffs",
-    "evaluate_components", "residual_check",
+    "evaluate_components", "residual_check", "combine_reports",
 ]
 
 # Slot descriptors for tensor signatures.
@@ -387,6 +387,19 @@ def residual_check(name: str, m: ConnectionModel, comps: Mapping[str, Expr],
                        details=details, labels=dict(labels or {}))
 
 
+def combine_reports(name: str, subs: Sequence[CheckReport], tol: float,
+                    samples: Sequence[PointE],
+                    labels: Mapping | None = None) -> CheckReport:
+    """One report over sub-reports: it passes when all of them pass, and
+    its maximum residual and worst point are those of the first sub-report
+    with the largest residual."""
+    worst = max(subs, key=lambda s: s.max_residual)
+    return CheckReport(name=name, passed=all(s.passed for s in subs),
+                       max_residual=worst.max_residual, tolerance=tol,
+                       samples=len(samples), worst_point=worst.worst_point,
+                       subreports=tuple(subs), labels=dict(labels or {}))
+
+
 def _field_residuals(field_: TensorField) -> dict[str, Expr]:
     return {field_.label(idx): e for idx, e in field_.items() if e != ZERO}
 
@@ -544,12 +557,7 @@ def bianchi_check(m: ConnectionModel, samples: Sequence[PointE],
     subs.append(residual_check("bianchi_3_vertical_symmetry", m, comps3,
                                samples, tol))
 
-    max_res = max(sub.max_residual for sub in subs)
-    worst = max(subs, key=lambda s: s.max_residual).worst_point
-    return CheckReport(name="bianchi", passed=all(s.passed for s in subs),
-                       max_residual=max_res, tolerance=tol,
-                       samples=len(samples), worst_point=worst,
-                       subreports=tuple(subs))
+    return combine_reports("bianchi", subs, tol, samples)
 
 
 def tension_identities_check(m: ConnectionModel, samples: Sequence[PointE],
@@ -599,14 +607,7 @@ def tension_identities_check(m: ConnectionModel, samples: Sequence[PointE],
     sub_b = residual_check("tension_identity_horizontal", m, comps_b, samples,
                            tol, labels={} if n >= 2 else {"vacuous": True})
 
-    subs = (sub_a, sub_b)
-    max_res = max(s.max_residual for s in subs)
-    worst = max(subs, key=lambda s: s.max_residual).worst_point
-    return CheckReport(name="tension_identities",
-                       passed=all(s.passed for s in subs),
-                       max_residual=max_res, tolerance=tol,
-                       samples=len(samples), worst_point=worst,
-                       subreports=subs)
+    return combine_reports("tension_identities", (sub_a, sub_b), tol, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ import numpy as np
 
 from .expr import Const, Expr, Var, ZERO, diff, simplify, substitute, variables
 from .geometry import (
-    BASE_COV, FIBER_VEC, CheckReport, TensorField, _grid, _tensor, dh_field,
-    dv_field, hh_curvature, linear_coeffs, residual_check, tension,
-    vh_curvature,
+    BASE_COV, FIBER_VEC, CheckReport, TensorField, _grid, _tensor,
+    combine_reports, dh_field, dv_field, hh_curvature, linear_coeffs,
+    residual_check, tension, vh_curvature,
 )
 from .model import BundleModel, ConnectionModel, ModelError, PointE
 
@@ -238,14 +238,8 @@ def linearizability_report(s: SodeModel, samples: Sequence[PointE],
         label = LABEL_LINEAR_VELOCITIES
     else:
         label = LABEL_NONE
-    subs = (sub_flat, sub_tension, sub_phi)
-    max_res = max(sub.max_residual for sub in subs)
-    return CheckReport(
-        name="linearizability", passed=max_res <= tol,
-        max_residual=max_res,
-        tolerance=tol, samples=len(samples),
-        worst_point=max(subs, key=lambda r: r.max_residual).worst_point,
-        subreports=subs,
+    return combine_reports(
+        "linearizability", (sub_flat, sub_tension, sub_phi), tol, samples,
         labels={"classification": label, "flat": flat,
                 "tension_parallel": t_par, "jacobi_parallel": phi_par})
 
@@ -287,14 +281,8 @@ def decoupling_check(s: SodeModel, split: tuple[Sequence[int], Sequence[int]],
     submersive = sub_up.passed
     decoupled = submersive and sub_down.passed
     label = "decoupled" if decoupled else ("submersive" if submersive else "coupled")
-    max_res = max(sub_up.max_residual, sub_down.max_residual)
-    return CheckReport(
-        name="decoupling", passed=max_res <= tol,
-        max_residual=max_res,
-        tolerance=tol, samples=len(samples),
-        worst_point=(sub_up if sub_up.max_residual >= sub_down.max_residual
-                     else sub_down).worst_point,
-        subreports=(sub_up, sub_down),
+    return combine_reports(
+        "decoupling", (sub_up, sub_down), tol, samples,
         labels={"classification": label, "submersive": submersive,
                 "decoupled": decoupled,
                 "split": [list(first), list(second)]})

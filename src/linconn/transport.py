@@ -1,26 +1,49 @@
 """Numerical integration: horizontal flows, linearized parallel transport,
 the fiber-derivative transport oracle and holonomy probes.
 
-Fixed-step classical RK4 throughout; reproducibility and a clean
-convergence order beat adaptivity at this scale. Trajectories that leave
-a declared box are truncated with an explicit status, never extrapolated.
+Every integration runs through one core, `_rk4`. An entry point only
+describes its state layout: the names of the state slots and one
+right-hand-side expression per slot. The core compiles that tuple once
+and takes classical fixed-step RK4 steps; reproducibility and a clean
+convergence order beat adaptivity at this scale.
+
+Rules shared by every integration:
+
+- The step must be a positive finite number and the time span finite,
+  else `ModelError`. The core takes max(1, round(|T|/step)) equal steps
+  of T/steps, so a negative span integrates backwards.
+- A trajectory ends with a status. `ok`: it ran the full span.
+  `truncated:<t>`: it left a declared box. `excluded:<t>`: an
+  excluded-set predicate came within 1e-6 of zero at a step end, or
+  changed sign between two consecutive step ends (a step that jumped
+  over the locus). A stopped trajectory ends at the last state before
+  <t>; nothing is extrapolated.
+- A non-finite state, or a right-hand side undefined at a stage, raises
+  `ModelError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, ONE, ZERO, compile_fn, diff, variables
+from .expr import (
+    Expr, ONE, Var, ZERO, compile_vector, diff, substitute, variables,
+)
 from .model import ConnectionModel, ModelError, PointE
 
 __all__ = [
     "CurveSpec", "FlowResult", "TransportResult", "horizontal_flow",
     "parallel_transport", "transport_oracle", "holonomy_probe", "sode_flow",
 ]
+
+
+# Distance from an excluded-set predicate's zero at which a step end counts
+# as on the locus.
+_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,10 +60,7 @@ class CurveSpec:
     vertical: bool = False
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ModelError("step must be positive")
-        if not math.isfinite(self.t_span):
-            raise ModelError("time span must be finite")
+        _check_span(self.t_span, self.step)
         modes = sum((self.field is not None, self.curve is not None,
                      self.vertical))
         if modes != 1:
@@ -70,90 +90,98 @@ class TransportResult:
     status: str = "ok"
 
 
-def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, T: float,
-         step: float, guard: Callable[[np.ndarray, float], str] | None = None):
-    """Classical fixed-step RK4. Returns (times, states, status)."""
+def _check_span(T: float, step: float):
+    """The step and time rules shared by every integration."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ModelError(f"step must be a positive finite number, got {step!r}")
+    if not (math.isfinite(T) and math.isfinite(T / step)):
+        raise ModelError(f"time span must be finite and take finitely many "
+                         f"steps, got {T!r}")
+
+
+def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
+         T: float, step: float, excluded: Sequence[Expr] = (),
+         box: Mapping[str, tuple[float, float]] | None = None):
+    """The integrator core: classical fixed-step RK4 on the state whose
+    slots are `names`, with one right-hand-side expression per slot,
+    compiled once. Returns (times, states, status)."""
+    _check_span(T, step)
+    f = compile_vector(rhs, names)
+    predicates = compile_vector(excluded, names)
+    bounds = [(slot, box[name]) for slot, name in enumerate(names)
+              if box is not None and name in box]
     n_steps = max(1, int(round(abs(T) / step)))
     h = T / n_steps
+    y = np.array(y0, dtype=float)
     times = [0.0]
-    states = [y0.copy()]
-    y = y0.copy()
+    states = [y]
     t = 0.0
     status = "ok"
-    for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        if not np.all(np.isfinite(y)):
-            raise ModelError(f"non-finite state at t={t:.6g}")
-        if guard is not None:
-            verdict = guard(y, t)
-            if verdict:
-                status = verdict
+    try:
+        previous = predicates(y)
+        for _ in range(n_steps):
+            k1 = np.array(f(y))
+            k2 = np.array(f(y + 0.5 * h * k1))
+            k3 = np.array(f(y + 0.5 * h * k2))
+            k4 = np.array(f(y + h * k3))
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            if not np.all(np.isfinite(y)):
+                raise ModelError(f"non-finite state at t={t:.6g}")
+            # A predicate near zero, or one that changed sign since the last
+            # step end, means the step reached or jumped over the locus.
+            values = predicates(y)
+            if any(abs(p) < _MARGIN or p * q < 0.0
+                   for p, q in zip(values, previous)):
+                status = f"excluded:{t:.6g}"
                 break
-        times.append(t)
-        states.append(y.copy())
+            if any(not lo <= y[slot] <= hi for slot, (lo, hi) in bounds):
+                status = f"truncated:{t:.6g}"
+                break
+            previous = values
+            times.append(t)
+            states.append(y)
+    except (ArithmeticError, ValueError) as exc:
+        raise ModelError(f"right-hand side undefined near t={t:.6g}: "
+                         f"{exc}") from None
     return times, states, status
 
 
-def _compile_many(exprs: Sequence[Expr], names: Sequence[str]):
-    return [compile_fn(e, names) for e in exprs]
+def _fresh(taken: Sequence[str], stem: str, count: int) -> tuple[str, ...]:
+    """`count` state-slot names stem0, stem1, ... that avoid `taken`."""
+    names = tuple(f"{stem}{j}" for j in range(count))
+    if set(names) & set(taken):
+        return _fresh(taken, "_" + stem, count)
+    return names
 
 
-def _excluded_guard(m: ConnectionModel, box=None, margin: float = 1e-6):
-    bundle = m.bundle
-    predicates = _compile_many(m.excluded, bundle.coords) if m.excluded else []
-    intervals = None
-    if box is not None:
-        intervals = [box.get(name) for name in bundle.coords]
-
-    def guard(y: np.ndarray, t: float) -> str:
-        if predicates and any(abs(p(y)) < margin for p in predicates):
-            return f"excluded:{t:.6g}"
-        if intervals is not None:
-            for value, bounds in zip(y, intervals):
-                if bounds is not None and not (bounds[0] <= value <= bounds[1]):
-                    return f"truncated:{t:.6g}"
-        return ""
-
-    return guard
-
-
-def _flow_rhs(m: ConnectionModel, X: Sequence[Expr]):
-    """Right-hand side of the horizontal flow: xdot = X(x),
-    udot^A = -gamma[A][i](x, u) X^i(x)."""
-    bundle = m.bundle
-    if len(X) != bundle.n:
-        raise ModelError(f"base vector field needs {bundle.n} components")
+def _base_field(m: ConnectionModel, X: Sequence[Expr]) -> tuple[Expr, ...]:
+    if len(X) != m.n:
+        raise ModelError(f"base vector field needs {m.n} components")
     for comp in X:
-        extra = variables(comp) - set(bundle.base_coords)
+        extra = variables(comp) - set(m.bundle.base_coords)
         if extra:
             raise ModelError(f"base vector field uses non-base coordinate(s) "
                              f"{sorted(extra)}")
-    names = bundle.coords
-    x_fns = _compile_many(X, names)
-    gamma_fns = [[compile_fn(m.gamma[A][i], names) for i in range(bundle.n)]
-                 for A in range(bundle.k)]
+    return tuple(X)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        xdot = [fn(y) for fn in x_fns]
-        out[:bundle.n] = xdot
-        for A in range(bundle.k):
-            out[bundle.n + A] = -sum(gamma_fns[A][i](y) * xdot[i]
-                                     for i in range(bundle.n))
-        return out
 
-    return rhs
+def _lift(m: ConnectionModel, xdot: Sequence[Expr]) -> list[Expr]:
+    """Right-hand side of the horizontal lift of base velocities:
+    xdot^i, then udot^A = -sum_i Gamma[A][i] xdot^i."""
+    rows = list(xdot)
+    for A in range(m.k):
+        total: Expr = ZERO
+        for i in range(m.n):
+            total = total + m.gamma[A][i] * xdot[i]
+        rows.append(-total)
+    return rows
 
 
 def _point_from_state(m: ConnectionModel, y: np.ndarray) -> PointE:
-    n = m.bundle.n
+    n = m.n
     return PointE(base=tuple(float(v) for v in y[:n]),
-                  fiber=tuple(float(v) for v in y[n:n + m.bundle.k]))
+                  fiber=tuple(float(v) for v in y[n:n + m.k]))
 
 
 def horizontal_flow(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
@@ -162,47 +190,31 @@ def horizontal_flow(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
     """Integrate the horizontal lift of a base vector field. Along the
     resulting curve the fiber point is parallel for the nonlinear
     connection."""
-    y0 = np.array(p0.values(m.bundle), dtype=float)
-    guard = _excluded_guard(m, box)
-    times, states, status = _rk4(_flow_rhs(m, X), y0, T, step, guard)
+    times, states, status = _rk4(m.bundle.coords, _lift(m, _base_field(m, X)),
+                                 p0.values(m.bundle), T, step, m.excluded, box)
     return FlowResult(times=times,
                       points=[_point_from_state(m, y) for y in states],
                       steps=len(times) - 1, status=status)
 
 
-def _transport_coeffs(m: ConnectionModel):
-    """Transport coefficient functions and the transported-vector size.
+def _transport_coeffs(m: ConnectionModel) -> np.ndarray:
+    """Transport coefficients as an object grid [A][i][B] of expressions.
 
     Vector-like bundles transport k-vectors with the linearized
     coefficients. Affine and jet bundles transport extended (k+1)-vectors;
     the distinguished component has a zero row, so it stays constant.
     """
-    from .geometry import linear_coeffs
-
-    names = m.bundle.coords
     if m.bundle.kind in ("affine", "jet"):
         from .affine import affine_linearization
 
         lin = affine_linearization(m)
-        size = m.k + 1
-        rows: list[list[list]] = []
-        zero = compile_fn(ZERO, names)
-        for i in range(m.n):
-            matrix = [[zero for _ in range(size)] for _ in range(size)]
-            for A in range(m.k):
-                matrix[A + 1][0] = compile_fn(lin.coeffs_0[A, i], names)
-                for B in range(m.k):
-                    matrix[A + 1][B + 1] = compile_fn(lin.coeffs_lin[A, i, B], names)
-            rows.append(matrix)
-        return size, rows
-    lin = linear_coeffs(m)
-    size = m.k
-    rows = []
-    for i in range(m.n):
-        matrix = [[compile_fn(lin[A, i, B], names) for B in range(size)]
-                  for A in range(size)]
-        rows.append(matrix)
-    return size, rows
+        grid = np.full((m.k + 1, m.n, m.k + 1), ZERO, dtype=object)
+        grid[1:, :, 0] = lin.coeffs_0.components
+        grid[1:, :, 1:] = lin.coeffs_lin.components
+        return grid
+    from .geometry import linear_coeffs
+
+    return linear_coeffs(m).components
 
 
 def parallel_transport(m: ConnectionModel, curve: CurveSpec,
@@ -215,7 +227,8 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
     the identity on the fiber.
     """
     b0 = tuple(float(v) for v in b0)
-    size, coeff_rows = _transport_coeffs(m)
+    coeffs = _transport_coeffs(m)
+    size = coeffs.shape[0]
     if len(b0) != size:
         raise ModelError(f"transported vector needs {size} components, "
                          f"got {len(b0)}")
@@ -224,57 +237,37 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
                                trajectory=[(0.0, curve.start, b0)],
                                steps=0, status="ok")
 
-    bundle = m.bundle
-    n, k = bundle.n, bundle.k
-
+    coords = m.bundle.coords
+    b_names = _fresh(coords, "b", size)
     if curve.field is not None:
-        flow_rhs = _flow_rhs(m, curve.field)
-
-        def rhs(y: np.ndarray) -> np.ndarray:
-            out = np.empty_like(y)
-            state = y[:n + k]
-            out[:n + k] = flow_rhs(state)
-            xdot = out[:n]
-            b = y[n + k:]
-            for A in range(size):
-                out[n + k + A] = -sum(
-                    coeff_rows[i][A][B](state) * xdot[i] * b[B]
-                    for i in range(n) for B in range(size))
-            return out
+        xdot, param = _base_field(m, curve.field), ()
     else:
         # Explicit parameterized curve: track the parameter as an extra
-        # state so the compiled velocity expressions see it.
-        cdot = [diff(c, "t") for c in curve.curve]
-        cdot_fns = _compile_many(cdot, ("t",))
-        gamma_fns = [[compile_fn(m.gamma[A][i], bundle.coords)
-                      for i in range(n)] for A in range(k)]
-
-        def rhs(y: np.ndarray) -> np.ndarray:
-            out = np.empty_like(y)
-            tau = y[-1]
-            state = y[:n + k]
-            xdot = [fn((tau,)) for fn in cdot_fns]
-            out[:n] = xdot
-            for A in range(k):
-                out[n + A] = -sum(gamma_fns[A][i](state) * xdot[i]
-                                  for i in range(n))
-            b = y[n + k:n + k + size]
-            for A in range(size):
-                out[n + k + A] = -sum(
-                    coeff_rows[i][A][B](state) * xdot[i] * b[B]
-                    for i in range(n) for B in range(size))
-            out[-1] = 1.0
-            return out
-
-    y0 = list(curve.start.values(bundle)) + list(b0)
-    if curve.curve is not None:
-        y0.append(0.0)
-    guard = _excluded_guard(m)
-    times, states, status = _rk4(rhs, np.array(y0, dtype=float),
-                                 curve.t_span, curve.step,
-                                 lambda y, t: guard(y[:n + k], t))
+        # state slot, named apart from the coordinates, so the velocity
+        # expressions see it.
+        if len(curve.curve) != m.n:
+            raise ModelError(f"base curve needs {m.n} components")
+        for comp in curve.curve:
+            if variables(comp) - {"t"}:
+                raise ModelError("base curve components may use only the "
+                                 "parameter t")
+        param = _fresh(coords, "tau", 1)
+        xdot = tuple(substitute(diff(c, "t"), {"t": Var(param[0])})
+                     for c in curve.curve)
+    rows = _lift(m, xdot)
+    for A in range(size):
+        total: Expr = ZERO
+        for i in range(m.n):
+            for B in range(size):
+                total = total + coeffs[A, i, B] * xdot[i] * Var(b_names[B])
+        rows.append(-total)
+    times, states, status = _rk4(
+        coords + b_names + param, rows + [ONE] * len(param),
+        curve.start.values(m.bundle) + b0 + (0.0,) * len(param),
+        curve.t_span, curve.step, m.excluded)
+    n = len(coords)
     trajectory = [(t, _point_from_state(m, y),
-                   tuple(float(v) for v in y[n + k:n + k + size]))
+                   tuple(float(v) for v in y[n:n + size]))
                   for t, y in zip(times, states)]
     return TransportResult(final_fiber=trajectory[-1][2],
                            trajectory=trajectory,
@@ -348,26 +341,10 @@ def sode_flow(s, state0: Sequence[float], T: float, step: float) -> FlowResult:
     if len(state0) != len(names):
         raise ModelError(f"state needs {len(names)} components "
                          f"({', '.join(names)})")
-    force_fns = _compile_many(s.forces, names)
-    n_pos = len(s.base_coords)
-    n_vel = len(s.velocity_coords)
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        if s.autonomous:
-            out[:n_pos] = y[n_pos:]
-            for idx in range(n_vel):
-                out[n_pos + idx] = force_fns[idx](y)
-        else:
-            out[0] = 1.0
-            out[1:n_pos] = y[n_pos:]
-            for idx in range(n_vel):
-                out[n_pos + idx] = force_fns[idx](y)
-        return out
-
-    times, states, status = _rk4(rhs, np.array(state0, dtype=float), T, step)
-    n = n_pos
-
+    clock = () if s.autonomous else (ONE,)
+    rows = clock + tuple(Var(v) for v in s.velocity_coords) + s.forces
+    times, states, status = _rk4(names, rows, state0, T, step, s.excluded)
+    n = len(s.base_coords)
     points = [PointE(base=tuple(float(v) for v in y[:n]),
                      fiber=tuple(float(v) for v in y[n:]))
               for y in states]

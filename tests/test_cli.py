@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -53,6 +54,53 @@ def test_usage_error_exit_2():
 
     code, _, _ = run_cli("nonsense-verb")
     assert code == 2
+
+    m4 = str(MODELS / "m4.lc")
+    pair = str(MODELS / "oscillator_pair.lc")
+    for argv in (("transport", m4, "--holonomy", "1"),
+                 ("transport", m4, "--holonomy", "1,5"),
+                 ("transport", m4, "--holonomy", "0,1"),
+                 ("transport", m4, "--field", "1,0", "--fiber", "a,b"),
+                 ("sode", pair, "--flow", "a,b,c,d")):
+        code, out, err = run_cli(*argv, "--json")
+        assert code == 2, argv
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err, argv
+
+
+def test_bad_step_or_time_exit_2():
+    m4 = str(MODELS / "m4.lc")
+    pair = str(MODELS / "oscillator_pair.lc")
+    for argv in (("transport", m4, "--field", "1,0", "--step", "nan"),
+                 ("sode", pair, "--flow", "1,0,0,1", "--step", "nan"),
+                 ("sode", pair, "--flow", "1,0,0,1", "--time", "inf"),
+                 ("sode", pair, "--flow", "1,0,0,1", "--step", "-1")):
+        code, out, err = run_cli(*argv, "--json")
+        assert code == 2, argv
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err, argv
+
+
+def test_transport_reports_excluded_crossing():
+    argv = ("transport", str(MODELS / "potential_1d.lc"), "--field", "1",
+            "--from", "x1=0,p1=1", "--time", "2", "--json")
+    code, doc, _ = run_json(*argv)
+    assert code == 0
+    payload = doc["results"][0]
+    assert payload["status"].startswith("excluded:")
+    assert payload["flow_status"] == payload["status"]
+    assert abs(payload["transported"][0]) < 1e3
+    code, out, err = run_cli(*argv, "--oracle")
+    assert code == 2
+    assert "oracle flow stopped early: excluded" in err
+
+
+def test_model_digest_describes_the_analysed_text():
+    path = MODELS / "m4.lc"
+    _, doc, _ = run_json("info", str(path), "--json")
+    expected = hashlib.sha256(path.read_text(encoding="utf-8")
+                              .encode("utf-8")).hexdigest()
+    assert doc["model_digest"] == expected
 
 
 def test_check_failure_exit_1():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from linconn.expr import (
     Add, Call, Const, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
-    ZERO, compile_fn, diff, evaluate, parse, simplify, substitute, to_string,
-    variables,
+    ZERO, compile_fn, compile_vector, diff, evaluate, parse, simplify,
+    substitute, to_string, variables,
 )
 
 
@@ -167,6 +167,17 @@ def test_compile_fn_matches_evaluate():
     fn = compile_fn(e, ("x1", "u1"))
     env = {"x1": 0.8, "u1": -0.4}
     assert fn((0.8, -0.4)) == pytest.approx(evaluate(e, env), rel=1e-15)
+
+
+def test_compile_vector_matches_compile_fn_bit_for_bit():
+    names = ("x1", "u1")
+    exprs = [parse("x1^2*sin(u1) - exp(x1/4)"), parse("-(0 + u1*x1)"), ZERO]
+    point = np.array([0.8, -0.4])
+    fused = compile_vector(exprs, names)(point)
+    assert fused == tuple(compile_fn(e, names)(point) for e in exprs)
+    assert compile_vector((), names)(point) == ()
+    with pytest.raises(EvalError):
+        compile_vector([parse("x2")], names)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@ import pytest
 
 from linconn.expr import ONE, ZERO, evaluate, parse, random_polynomial, simplify
 from linconn.geometry import (
-    VectorFieldOnE, axioms_check, bianchi_check, check_basic,
-    check_homogeneous, covariant_derivative, curvature, flatness_check,
+    CheckReport, VectorFieldOnE, axioms_check, bianchi_check, check_basic,
+    check_homogeneous, combine_reports, covariant_derivative, curvature, flatness_check,
     h_apply, hh_curvature, hh_curvature_commutator,
     integral_section_residual, linear_coeffs, pullback_connection_coeffs,
     tension, tension_identities_check, vh_curvature,
 )
 from linconn.model import (
-    BundleModel, ConnectionModel, ModelError, SectionModel, sample_points,
+    BundleModel, ConnectionModel, ModelError, PointE, SectionModel,
+    sample_points,
 )
 
 from conftest import eval_or_zero
@@ -294,6 +295,27 @@ def test_bianchi_m4(m4_model):
     report = bianchi_check(m4_model, pts, 1e-8)
     assert report.passed
     assert len(report.subreports) == 3
+
+
+def test_combine_reports_takes_the_first_maximum():
+    pts = [PointE((float(i),), (0.0,)) for i in range(3)]
+
+    def sub(name, residual, point):
+        return CheckReport(name=name, passed=residual <= 1e-8,
+                           max_residual=residual, tolerance=1e-8,
+                           samples=3, worst_point=point)
+
+    subs = (sub("a", 0.0, pts[0]), sub("b", 2.0, pts[1]),
+            sub("c", 2.0, pts[2]))
+    report = combine_reports("all", subs, 1e-8, pts, labels={"x": 1})
+    assert report.worst_point == max(subs, key=lambda s: s.max_residual).worst_point
+    assert report.worst_point == pts[1]
+    assert report.max_residual == 2.0
+    assert not report.passed
+    assert report.samples == 3
+    assert report.subreports == subs
+    assert report.labels == {"x": 1}
+    assert combine_reports("none", subs[:1], 1e-8, pts).passed
 
 
 def test_bianchi_n1_first_identity_vacuous(quadratic_model):

@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linconn.expr import ONE, ZERO, evaluate, parse
 from linconn.geometry import curvature
-from linconn.model import BundleModel, ConnectionModel, ModelError, PointE
+from linconn.model import (
+    BundleModel, ConnectionModel, ModelError, PointE, load_model,
+)
 from linconn.sode import SodeModel
 from linconn.transport import (
     CurveSpec, holonomy_probe, horizontal_flow, parallel_transport,
@@ -13,6 +16,12 @@ from linconn.transport import (
 )
 
 from conftest import eval_or_zero
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
+
+def shipped(name):
+    return load_model((MODELS / f"{name}.lc").read_text()).connection
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +67,53 @@ def test_flow_reports_excluded_crossing():
     assert out.status.startswith("excluded")
 
 
+def test_flow_reports_a_step_that_jumps_over_the_locus():
+    # The step ends at x1 = 0.50 and 0.51 straddle the locus x1 = 0.505,
+    # and neither comes within the 1e-6 margin of it.
+    b = BundleModel("vector", ("x1",), ("u1",))
+    m = ConnectionModel(b, [[parse("u1^2")]], excluded=(parse("x1 - 0.505"),))
+    out = horizontal_flow(m, (ONE,), PointE((0.0,), (0.3,)), 2.0, 1e-2)
+    assert out.status == "excluded:0.51"
+    assert out.steps == 50
+    assert out.final.base[0] < 0.505
+
+
+def test_potential_flow_stops_where_it_crosses_p1_zero():
+    # p1^2 + x1^2 is conserved, so from (0, 1) the flow reaches p1 = 0 at
+    # x1 = 1; RK4 used to step over it and blow up to ~1e39.
+    m = shipped("potential_1d")
+    p0 = PointE((0.0,), (1.0,))
+    flow = horizontal_flow(m, (ONE,), p0, 2.0, 1e-3)
+    assert flow.status.startswith("excluded:")
+    assert 0.0 < flow.final.fiber[0] < 0.1
+    spec = CurveSpec(start=p0, t_span=2.0, step=1e-3, field=(ONE,))
+    assert parallel_transport(m, spec, (1.0,)).status == flow.status
+    with pytest.raises(ModelError, match="excluded"):
+        transport_oracle(m, (ONE,), p0, (1.0,), 2.0, 1e-3)
+
+
+@pytest.mark.parametrize("T, step", [
+    (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0),
+    (math.nan, 1e-3), (math.inf, 1e-3), (-math.inf, 1e-3), (1.0, 5e-324),
+])
+def test_step_and_time_rules(linear_model, T, step):
+    with pytest.raises(ModelError):
+        horizontal_flow(linear_model, (ONE,), PointE((0.0,), (1.0,)), T, step)
+    with pytest.raises(ModelError):
+        CurveSpec(start=PointE((0.0,), (1.0,)), t_span=T, step=step,
+                  field=(ONE,))
+    s = SodeModel(True, ("x1",), ("v1",), (parse("-x1"),))
+    with pytest.raises(ModelError):
+        sode_flow(s, (1.0, 0.0), T, step)
+
+
+def test_flow_leaving_the_coefficient_domain_is_a_model_error():
+    b = BundleModel("vector", ("x1",), ("u1",))
+    m = ConnectionModel(b, [[parse("sqrt(x1)*u1")]])
+    with pytest.raises(ModelError, match="right-hand side undefined"):
+        horizontal_flow(m, (ONE,), PointE((0.5,), (1.0,)), -1.0, 1e-3)
+
+
 def test_flow_rejects_fiber_dependent_field(linear_model):
     with pytest.raises(ModelError):
         horizontal_flow(linear_model, (parse("u1"),), PointE((0.0,), (1.0,)),
@@ -95,6 +151,55 @@ def test_transport_along_explicit_curve(linear_model):
                      curve=(parse("t"),))
     out = parallel_transport(linear_model, spec, (1.0,))
     assert out.final_fiber[0] == pytest.approx(math.exp(-0.5), abs=1e-8)
+
+
+def test_explicit_curve_parameter_does_not_shadow_coordinate_t():
+    # A jet bundle has a base coordinate named t; the curve parameter
+    # must stay a separate state slot.
+    b = BundleModel("jet", ("t", "x1"), ("v1",))
+    m = ConnectionModel(b, [[parse("t*v1"), parse("x1 + v1^2")]])
+    p0 = PointE((0.5, 0.3), (0.2,))
+    along_field = parallel_transport(
+        m, CurveSpec(start=p0, t_span=0.8, step=1e-3, field=(ONE, ONE)),
+        (1.0, 0.4))
+    along_curve = parallel_transport(
+        m, CurveSpec(start=p0, t_span=0.8, step=1e-3,
+                     curve=(parse("t"), parse("t"))), (1.0, 0.4))
+    assert along_curve.final_fiber == pytest.approx(along_field.final_fiber,
+                                                    abs=1e-12)
+    assert along_curve.trajectory[-1][1] == along_field.trajectory[-1][1]
+
+
+def test_state_slot_names_avoid_model_coordinates():
+    # Coordinates named like the transported-vector and curve-parameter
+    # slots must not alias them.
+    def transport(base, fiber, curve):
+        b = BundleModel("vector", base, fiber)
+        m = ConnectionModel(b, [[parse(f"{base[0]}*{fiber[0]}^2")]])
+        spec = CurveSpec(start=PointE((0.1,), (0.7,)), t_span=0.5,
+                         step=1e-3, curve=(parse(curve),))
+        return parallel_transport(m, spec, (1.0,)).final_fiber
+
+    reference = transport(("x1",), ("u1",), "t^2")
+    assert transport(("b0",), ("tau0",), "t^2") == reference
+    assert transport(("tau0",), ("b0",), "t^2") == reference
+
+
+@pytest.mark.parametrize("name, X, p0, T", [
+    ("m4", ("1", "x1"), PointE((0.1, -0.2), (0.8, 0.6)), 0.7),
+    ("potential_1d", ("1",), PointE((0.0,), (1.0,)), 0.5),
+    ("potential_1d", ("1",), PointE((0.0,), (1.0,)), 2.0),
+    ("linear", ("1",), PointE((0.0,), (1.0,)), 1.0),
+])
+def test_transport_carries_the_horizontal_flow_bit_for_bit(name, X, p0, T):
+    m = load_model((MODELS / f"{name}.lc").read_text()).connection
+    X = tuple(parse(c) for c in X)
+    flow = horizontal_flow(m, X, p0, T, 1e-3)
+    joint = parallel_transport(m, CurveSpec(start=p0, t_span=T, step=1e-3,
+                                            field=X), (1.0,) * m.k)
+    assert joint.trajectory[-1][1] == flow.final
+    assert joint.status == flow.status
+    assert joint.steps == flow.steps
 
 
 def test_transport_flow_composition(quadratic_model):
