@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -838,6 +839,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     args._model_text = None
     handler = _HANDLERS[args.verb]
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise UsageError(f"--tol must be a finite number >= 0, "
+                             f"got {args.tol!r}")
         results, status = handler(args)
     except (UsageError, ModelError, ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -223,12 +223,9 @@ def integrable_connection(h: HamiltonianModel) -> ConnectionModel:
 
 def _zero_on_probes(bundle: BundleModel, e: Expr, count: int = 25) -> bool:
     fn = compile_fn(e, bundle.coords)
-    rng = np.random.default_rng(20240917)
-    for _ in range(count):
-        vals = rng.uniform(0.3, 1.7, size=len(bundle.coords))
-        if abs(fn(vals)) > 1e-12:
-            return False
-    return True
+    probes = np.random.default_rng(20240917).uniform(
+        0.3, 1.7, size=(count, len(bundle.coords)))
+    return not any(abs(fn(vals)) > 1e-12 for vals in probes.tolist())
 
 
 def integrable_report(h: HamiltonianModel, m: ConnectionModel,

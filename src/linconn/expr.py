@@ -780,53 +780,68 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to fast callables (internal fast path for sampling loops)
+# Compilation to straight-line Python: the one numeric path besides evaluate
 # ---------------------------------------------------------------------------
-
-def _emit(e: Expr, index: Mapping[str, int]) -> str:
-    if isinstance(e, Const):
-        # Parenthesized so a leading minus never collides with the
-        # tighter-binding ** operator in the generated source.
-        return f"({e.value!r})"
-    if isinstance(e, Var):
-        return f"v[{index[e.name]}]"
-    if isinstance(e, Neg):
-        return f"(-{_emit(e.arg, index)})"
-    if isinstance(e, Add):
-        return f"({_emit(e.left, index)} + {_emit(e.right, index)})"
-    if isinstance(e, Sub):
-        return f"({_emit(e.left, index)} - {_emit(e.right, index)})"
-    if isinstance(e, Mul):
-        return f"({_emit(e.left, index)} * {_emit(e.right, index)})"
-    if isinstance(e, Div):
-        return f"({_emit(e.left, index)} / {_emit(e.right, index)})"
-    if isinstance(e, Pow):
-        return f"({_emit(e.left, index)} ** {_emit(e.right, index)})"
-    if isinstance(e, Call):
-        fn = "log" if e.fn == "ln" else e.fn
-        return f"_m.{fn}({_emit(e.arg, index)})"
-    raise TypeError(f"not an expression: {e!r}")
-
 
 def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
     index = {name: i for i, name in enumerate(names)}
-    missing = frozenset().union(*map(variables, exprs)) - set(index)
-    if missing:
-        raise EvalError(f"unbound variables {sorted(missing)} in compiled expression")
-    parts = [_emit(e, index) for e in exprs]
+    slots: dict[Expr, str] = {}
+    lines: list[str] = []
+
+    def emit(e: Expr) -> str:
+        # Straight-line code, one local per distinct subtree: no nesting
+        # limit applies, and a repeated subtree is computed once.
+        if isinstance(e, Const):
+            return f"({e.value!r})"
+        if e not in slots:
+            if isinstance(e, Var) and e.name not in index:
+                raise EvalError(f"unbound variable '{e.name}' in compiled expression")
+            if isinstance(e, Var):
+                code = f"v[{index[e.name]}]"
+            elif isinstance(e, Neg):
+                code = f"-{emit(e.arg)}"
+            elif isinstance(e, Call):
+                code = f"_{e.fn}({emit(e.arg)})"
+            elif isinstance(e, Pow):
+                code = f"_pow({emit(e.left)}, {emit(e.right)})"
+            else:
+                code = f"{emit(e.left)} {e.symbol} {emit(e.right)}"
+            slots[e] = f"t{len(slots)}"
+            lines.append(f"        {slots[e]} = {code}\n")
+        return slots[e]
+
+    parts = [emit(e) for e in exprs]
     body = "(" + "".join(p + ", " for p in parts) + ")" if vector else parts[0]
-    source = f"def _f(v):\n    return {body}\n"
-    namespace = {"_m": math}
+    source = ("def _f(v):\n    try:\n" + "".join(lines) + f"        return {body}\n"
+              "    except (ArithmeticError, ValueError) as exc:\n"
+              "        raise _fault(exprs, names, v, str(exc)) from None\n")
+    namespace = {f"_{fn}": impl for fn, impl in FUNCTIONS.items()}
+    namespace.update(_pow=math.pow, _fault=_fault, exprs=exprs, names=names)
     exec(source, namespace)  # noqa: S102 - generated from a closed grammar
     return namespace["_f"]
+
+
+def _fault(exprs: Sequence[Expr], names: Sequence[str],
+           values: Sequence[float], reason: str) -> EvalError:
+    """The EvalError of compiled `exprs` at the point `values`, naming the
+    faulting subexpression, else `reason` (such as a non-finite result)."""
+    env = dict(zip(names, values))
+    where = ", ".join(f"{name}={value:.6g}" for name, value in env.items())
+    try:
+        for e in exprs:
+            _eval(e, env)
+    except EvalError as err:
+        reason = str(err)
+    return EvalError(f"{reason} at {where}")
 
 
 def compile_fn(e: Expr, names: Sequence[str]) -> Callable[[Sequence[float]], float]:
     """Compile an expression into a callable of a positional value vector.
 
-    `names` fixes the coordinate ordering. Unlike `evaluate`, domain errors
-    surface as ordinary Python exceptions; intended for trusted sampling
-    loops where points stay inside the expression's domain.
+    `names` fixes the coordinate ordering. On plain floats it returns what
+    `evaluate` returns, and where `evaluate` meets a domain error it raises
+    `EvalError` naming the subexpression and the point. Only a sum or
+    product that overflows is not checked: it comes back as inf or nan.
     """
     return _compile((e,), names, vector=False)
 

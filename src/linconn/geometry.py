@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    Expr, Var, ZERO, compile_fn, diff, random_polynomial, simplify,
+    Expr, Var, ZERO, _fault, compile_fn, diff, random_polynomial, simplify,
     substitute,
 )
 from .model import ConnectionModel, ModelError, PointE, SectionModel
@@ -352,23 +352,24 @@ def evaluate_components(m: ConnectionModel,
     """Evaluate labeled expressions at sample points.
 
     Returns (max_residual, worst_point, details) where details lists the
-    per-component maxima in label order.
+    per-component maxima in label order. A domain error or a non-finite
+    value raises EvalError.
     """
     names = m.bundle.coords
-    compiled = [(label, compile_fn(e, names)) for label, e in comps.items()]
     vectors = [pt.values(m.bundle) for pt in samples]
     max_res = 0.0
     worst = samples[0] if samples else None
     details = []
-    for label, fn in compiled:
-        local = 0.0
-        for pt, vec in zip(samples, vectors):
-            value = abs(fn(vec))
-            if value > local:
-                local = value
-            if value > max_res:
-                max_res = value
-                worst = pt
+    for label, e in comps.items():
+        fn = compile_fn(e, names)
+        column = np.abs([fn(vec) for vec in vectors])
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise _fault((e,), names, vectors[int(np.argmin(finite))],
+                         f"non-finite value of {label}")
+        local = float(column.max(initial=0.0))
+        if local > max_res:
+            max_res, worst = local, samples[int(np.argmax(column))]
         details.append((label, local))
     return max_res, worst, tuple(details)
 

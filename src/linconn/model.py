@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    Expr, ParseError, parse, simplify, to_string, variables,
+    Expr, ParseError, compile_vector, parse, simplify, to_string, variables,
 )
 
 __all__ = [
@@ -486,7 +486,7 @@ def sample_points(m: ConnectionModel, count: int,
             raise ModelError(f"degenerate box for {name}: [{lo}, {hi}]")
         intervals.append((lo, hi))
     rng = np.random.default_rng(seed)
-    predicates = [(_compile_predicate(m, e)) for e in m.excluded]
+    predicates = compile_vector(m.excluded, bundle.coords)
     points: list[PointE] = []
     attempts = 0
     while len(points) < count:
@@ -495,14 +495,9 @@ def sample_points(m: ConnectionModel, count: int,
             raise ModelError("could not sample off the excluded set; "
                              "box too close to the singular locus")
         vals = [float(rng.uniform(lo, hi)) for lo, hi in intervals]
-        if any(abs(p(vals)) < margin for p in predicates):
+        if any(abs(p) < margin for p in predicates(vals)):
             continue
         points.append(PointE(base=tuple(vals[:bundle.n]),
                              fiber=tuple(vals[bundle.n:])))
     return points
 
-
-def _compile_predicate(m: ConnectionModel, e: Expr):
-    from .expr import compile_fn
-
-    return compile_fn(e, m.bundle.coords)

@@ -9,9 +9,10 @@ convergence order beat adaptivity at this scale.
 
 Rules shared by every integration:
 
-- The step must be a positive finite number and the time span finite,
-  else `ModelError`. The core takes max(1, round(|T|/step)) equal steps
-  of T/steps, so a negative span integrates backwards.
+- The step must be a positive finite number and the time span finite
+  and at most `_MAX_STEPS` steps long, else `ModelError`. The core takes
+  max(1, round(|T|/step)) equal steps of T/steps, so a negative span
+  integrates backwards.
 - A trajectory ends with a status. `ok`: it ran the full span.
   `truncated:<t>`: it left a declared box. `excluded:<t>`: an
   excluded-set predicate came within 1e-6 of zero at a step end, or
@@ -31,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    Expr, ONE, Var, ZERO, compile_vector, diff, substitute, variables,
+    EvalError, Expr, ONE, Var, ZERO, compile_vector, diff, substitute, variables,
 )
 from .model import ConnectionModel, ModelError, PointE
 
@@ -44,6 +45,10 @@ __all__ = [
 # Distance from an excluded-set predicate's zero at which a step end counts
 # as on the locus.
 _MARGIN = 1e-6
+
+# The most steps one integration may take: 100 times the longest flow
+# (1e5 steps) that the benchmark or the tests run.
+_MAX_STEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -94,9 +99,9 @@ def _check_span(T: float, step: float):
     """The step and time rules shared by every integration."""
     if not (math.isfinite(step) and step > 0.0):
         raise ModelError(f"step must be a positive finite number, got {step!r}")
-    if not (math.isfinite(T) and math.isfinite(T / step)):
-        raise ModelError(f"time span must be finite and take finitely many "
-                         f"steps, got {T!r}")
+    if not (math.isfinite(T) and abs(T) / step <= _MAX_STEPS):
+        raise ModelError(f"time span must be finite and take at most "
+                         f"{_MAX_STEPS} steps, got {T!r} at step {step!r}")
 
 
 def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
@@ -118,19 +123,20 @@ def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
     t = 0.0
     status = "ok"
     try:
-        previous = predicates(y)
+        # Plain floats: on numpy scalars a division by zero gives inf.
+        previous = predicates(y.tolist())
         for _ in range(n_steps):
-            k1 = np.array(f(y))
-            k2 = np.array(f(y + 0.5 * h * k1))
-            k3 = np.array(f(y + 0.5 * h * k2))
-            k4 = np.array(f(y + h * k3))
+            k1 = np.array(f(y.tolist()))
+            k2 = np.array(f((y + 0.5 * h * k1).tolist()))
+            k3 = np.array(f((y + 0.5 * h * k2).tolist()))
+            k4 = np.array(f((y + h * k3).tolist()))
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
             if not np.all(np.isfinite(y)):
                 raise ModelError(f"non-finite state at t={t:.6g}")
             # A predicate near zero, or one that changed sign since the last
             # step end, means the step reached or jumped over the locus.
-            values = predicates(y)
+            values = predicates(y.tolist())
             if any(abs(p) < _MARGIN or p * q < 0.0
                    for p, q in zip(values, previous)):
                 status = f"excluded:{t:.6g}"
@@ -141,7 +147,7 @@ def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
             previous = values
             times.append(t)
             states.append(y)
-    except (ArithmeticError, ValueError) as exc:
+    except EvalError as exc:
         raise ModelError(f"right-hand side undefined near t={t:.6g}: "
                          f"{exc}") from None
     return times, states, status
@@ -281,6 +287,9 @@ def transport_oracle(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
     derivative of the nonlinear horizontal flow with respect to the fiber
     initial condition, computed by finite differences of two (or three)
     independent flow integrations."""
+    if not (math.isfinite(fd_eps) and fd_eps > 0.0):
+        raise ModelError(f"fd_eps must be a positive finite number, "
+                         f"got {fd_eps!r}")
     b0 = np.array(b0, dtype=float)
     if len(b0) != m.bundle.k:
         raise ModelError(f"fiber vector needs {m.bundle.k} components")

@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from linconn.cli import COVERAGE, emit_json, run
 
@@ -61,7 +62,14 @@ def test_usage_error_exit_2():
                  ("transport", m4, "--holonomy", "1,5"),
                  ("transport", m4, "--holonomy", "0,1"),
                  ("transport", m4, "--field", "1,0", "--fiber", "a,b"),
-                 ("sode", pair, "--flow", "a,b,c,d")):
+                 ("sode", pair, "--flow", "a,b,c,d"),
+                 ("check", m4, "--tol", "nan"),
+                 ("check", m4, "--tol", "inf"),
+                 ("check", m4, "--tol", "-1e-8"),
+                 ("transport", m4, "--field", "1,0", "--oracle",
+                  "--fd-eps", "0"),
+                 ("transport", m4, "--field", "1,0", "--oracle",
+                  "--fd-eps", "nan")):
         code, out, err = run_cli(*argv, "--json")
         assert code == 2, argv
         assert out == ""
@@ -74,11 +82,41 @@ def test_bad_step_or_time_exit_2():
     for argv in (("transport", m4, "--field", "1,0", "--step", "nan"),
                  ("sode", pair, "--flow", "1,0,0,1", "--step", "nan"),
                  ("sode", pair, "--flow", "1,0,0,1", "--time", "inf"),
-                 ("sode", pair, "--flow", "1,0,0,1", "--step", "-1")):
+                 ("sode", pair, "--flow", "1,0,0,1", "--step", "-1"),
+                 ("transport", m4, "--field", "1,0", "--time", "1e6",
+                  "--step", "1e-300")):
         code, out, err = run_cli(*argv, "--json")
         assert code == 2, argv
         assert out == ""
         assert err.count("error:") == 1 and "Traceback" not in err, argv
+
+
+_LONG_SUM = "u1^2" + "".join(f" + {k / 1000:g}*x1*u1" for k in range(1, 259))
+
+
+@pytest.mark.parametrize("coefficient, fault", [
+    ("ln(x1)*u1^2", "ln of a non-positive number in 'ln(x1)' at x1="),
+    ("exp(exp(exp(40*u1)))", "domain error in exp in 'exp(exp(40*u1))' at x1="),
+    ("x1^0.5*u1^2", "invalid power in 'x1^0.5' at x1="),
+    ("exp(700*u1)*exp(700*u1)", "non-finite value of tension[1,1] at x1="),
+    (_LONG_SUM, None),
+], ids=["ln", "exp-tower", "half-power", "overflow", "259-term-sum"])
+def test_domain_faults_exit_2_and_long_sums_compile(tmp_path, coefficient,
+                                                     fault):
+    path = tmp_path / "model.lc"
+    path.write_text("[bundle]\nkind = vector\nbase = x1\nfiber = u1\n\n"
+                    f"[connection]\nGamma[1,1] = {coefficient}\n")
+    if fault is not None:
+        code, out, err = run_cli("check", str(path), "--json")
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert fault in err
+        return
+    for argv in (("check",), ("transport", "--field", "1")):
+        code, doc, _ = run_json(argv[0], str(path), *argv[1:], "--json")
+        assert code in (0, 1)
+        jsonschema.validate(doc, SCHEMA)
 
 
 def test_transport_reports_excluded_crossing():

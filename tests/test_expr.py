@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linconn.expr import (
-    Add, Call, Const, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
+    Add, Call, Const, Div, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
     ZERO, compile_fn, compile_vector, diff, evaluate, parse, simplify,
     substitute, to_string, variables,
 )
@@ -162,13 +162,6 @@ def test_variables():
     assert variables(parse("x1*sin(u2) + 3")) == frozenset({"x1", "u2"})
 
 
-def test_compile_fn_matches_evaluate():
-    e = parse("x1^2*sin(u1) - exp(x1/4)")
-    fn = compile_fn(e, ("x1", "u1"))
-    env = {"x1": 0.8, "u1": -0.4}
-    assert fn((0.8, -0.4)) == pytest.approx(evaluate(e, env), rel=1e-15)
-
-
 def test_compile_vector_matches_compile_fn_bit_for_bit():
     names = ("x1", "u1")
     exprs = [parse("x1^2*sin(u1) - exp(x1/4)"), parse("-(0 + u1*x1)"), ZERO]
@@ -220,6 +213,56 @@ def _combine(children):
 
 def expressions():
     return st.recursive(_leaf(), _combine, max_leaves=12)
+
+
+def _build_domain_op(args):
+    op, a, b = args
+    if op == "/":
+        return Div(a, b)
+    if op == "^0.5":
+        return Pow(a, Const(0.5))
+    return Call(op, a)
+
+
+def _domain_combine(children):
+    partial = st.tuples(st.sampled_from(["/", "^0.5", "ln", "sqrt"]),
+                        children, children).map(_build_domain_op)
+    return st.one_of(_combine(children), partial)
+
+
+def domain_expressions():
+    """`expressions()` plus the partial operations: ln, sqrt, / and ^0.5."""
+    return st.recursive(_leaf(), _domain_combine, max_leaves=12)
+
+
+def _points():
+    coordinate = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    return st.lists(st.fixed_dictionaries({n: coordinate for n in _NAMES}),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(domain_expressions(), _points())
+@example(parse("x1^2*sin(u1) - exp(x1/4)"),
+         [{"x1": 0.8, "x2": 0.0, "u1": -0.4, "u2": 0.0}])
+def test_compile_fn_matches_evaluate(e, points):
+    fn = compile_fn(e, _NAMES)
+    for env in points:
+        values = [env[n] for n in _NAMES]
+        try:
+            expected = evaluate(e, env)
+        except EvalError as err:
+            try:
+                got = fn(values)
+            except EvalError as fault:
+                assert str(fault).startswith(f"{err} at x1=")
+                continue
+            # Only a sum or product that overflows escapes the compiled
+            # checks, and evaluate reports it as a non-finite result.
+            assert not math.isfinite(got)
+            assert str(err).startswith("non-finite result")
+            continue
+        assert fn(values).hex() == expected.hex()
 
 
 def _env_points(rng, count=12):

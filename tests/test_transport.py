@@ -95,6 +95,7 @@ def test_potential_flow_stops_where_it_crosses_p1_zero():
 @pytest.mark.parametrize("T, step", [
     (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0),
     (math.nan, 1e-3), (math.inf, 1e-3), (-math.inf, 1e-3), (1.0, 5e-324),
+    (1e6, 1e-300),
 ])
 def test_step_and_time_rules(linear_model, T, step):
     with pytest.raises(ModelError):
