@@ -27,7 +27,7 @@ from .geometry import (
 from .affine import (
     HomogenizedModel, AffineLinearization,
     homogenize, affine_linearization, affine_covariant_derivative,
-    check_affine_structure,
+    check_homogenized, check_affine_structure,
 )
 from .sode import (
     SodeModel, sode_connection, jacobi_endomorphism,
@@ -38,7 +38,7 @@ from .cotangent import (
     HamiltonianModel, OneFormOnM, TransversalityError,
     torsion_form, dh, dv, hamiltonian_field, poisson, canonical_poisson,
     integrable_connection, integrable_report, hj_verify, geodesic_model,
-    cyclic_curvature_check,
+    cyclic_curvature_check, cotangent_checks,
 )
 from .transport import (
     CurveSpec, TransportResult, FlowResult,

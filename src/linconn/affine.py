@@ -29,7 +29,7 @@ from .model import (
 __all__ = [
     "HomogenizedModel", "AffineLinearization", "homogenize",
     "affine_linearization", "affine_covariant_derivative",
-    "check_affine_structure",
+    "check_homogenized", "check_affine_structure",
 ]
 
 _AFFINE_KINDS = ("affine", "jet")
@@ -159,6 +159,15 @@ def affine_covariant_derivative(m: ConnectionModel, U: VectorFieldOnE,
     return tuple(out)
 
 
+def check_homogenized(hom: HomogenizedModel, count: int, tol: float,
+                      seed: int = 0) -> CheckReport:
+    """Homogeneity check of the homogeneous extension on `count` seeded
+    points sampled with z0 in [0.5, 2], away from the excluded z0 = 0."""
+    box = {hom.z_coords[0]: (0.5, 2.0)}
+    samples = sample_points(hom.model, count, box=box, seed=seed)
+    return check_homogeneous(hom.model, samples, tol)
+
+
 def check_affine_structure(m: ConnectionModel, samples: Sequence[PointE],
                            tol: float, seed: int = 0) -> CheckReport:
     """Structural checks of the affine linearization.
@@ -189,12 +198,9 @@ def check_affine_structure(m: ConnectionModel, samples: Sequence[PointE],
     sub_i = residual_check("distinguished_section_parallel", m, comps_i,
                            samples, tol)
 
-    # (ii) homogeneity of the homogeneous extension, sampled off z0 = 0.
+    # (ii) homogeneity of the homogeneous extension.
     hom = homogenize(m)
-    box = {hom.z_coords[0]: (0.5, 2.0)}
-    z_samples = sample_points(hom.model, max(len(samples), 1), box=box,
-                              seed=seed)
-    sub_ii = check_homogeneous(hom.model, z_samples, tol)
+    sub_ii = check_homogenized(hom, max(len(samples), 1), tol, seed=seed)
     sub_ii.name = "homogenized_is_homogeneous"
 
     # (iii) restriction consistency: evaluate the homogenized linear

@@ -1,10 +1,13 @@
-"""Command-line surface.
+"""Command-line surface: it parses arguments, dispatches to the library
+and renders the results, with no mathematics of its own.
 
-Verbs: tensor, check, transport, sode, hj, bianchi, info. Output is a
-human-readable table or, with --json, a deterministic JSON document:
-fixed key order, floats printed with 17 significant digits, no
-timestamps. Exit codes: 0 success / all checks passed, 1 a check failed,
-2 usage or validation errors.
+Verbs: tensor, check, transport, sode, hj, bianchi, info. Each verb returns
+the result dicts of its JSON document and prints nothing. With --json the
+document is printed: fixed key order, floats with 17 significant digits,
+no timestamps. Otherwise `_print_result` renders each result dict as text,
+so a run that fails part-way prints no partial report. Exit codes: 0
+success / all checks passed, 1 a check failed, 2 usage or validation
+errors, including expressions nested too deeply to process.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ COVERAGE = {
     "affine.affine_linearization": "tensor",
     "affine.affine_covariant_derivative": "check",
     "affine.check_affine_structure": "check",
+    "affine.check_homogenized": "check",
     "sode.sode_connection": "sode",
     "sode.jacobi_endomorphism": "sode",
     "sode.nonautonomous_connection": "sode",
@@ -72,6 +76,7 @@ COVERAGE = {
     "cotangent.hj_verify": "hj",
     "cotangent.geodesic_model": "hj",
     "cotangent.cyclic_curvature_check": "check",
+    "cotangent.cotangent_checks": "check",
     "transport.horizontal_flow": "transport",
     "transport.parallel_transport": "transport",
     "transport.transport_oracle": "transport",
@@ -129,8 +134,7 @@ def _document(args, model_text: str, results: list, status: str) -> dict:
 # Small parsers for option payloads
 # ---------------------------------------------------------------------------
 
-def _parse_point(doc: ModelDocument, text: str | None,
-                 m: ConnectionModel) -> PointE:
+def _parse_point(text: str | None, m: ConnectionModel) -> PointE:
     bundle = m.bundle
     values: dict[str, float] = {}
     if text:
@@ -148,9 +152,7 @@ def _parse_point(doc: ModelDocument, text: str | None,
                 values[name] = float(raw)
             except ValueError:
                 raise UsageError(f"bad value for {name!r}: {raw!r}") from None
-    fiber_default = 0.0
-    if m.excluded:
-        fiber_default = 1.0
+    fiber_default = 1.0 if m.excluded else 0.0
     missing = [c for c in bundle.coords if c not in values]
     if missing:
         print(f"warning: coordinates {missing} not specified; base defaults "
@@ -232,7 +234,7 @@ def _samples(m: ConnectionModel, args) -> list[PointE]:
 
 
 # ---------------------------------------------------------------------------
-# Tensor rendering
+# Results and their text rendering
 # ---------------------------------------------------------------------------
 
 def _tensor_result(field, m: ConnectionModel, at: PointE | None) -> dict:
@@ -289,8 +291,49 @@ def _print_report(report: dict, indent: str = ""):
         _print_report(sub, indent + "  ")
 
 
+def _print_result(result: dict):
+    """Text rendering of one entry of the JSON document's `results`."""
+    kind = result["type"]
+    if kind in ("check", "classification"):
+        _print_report(result)
+    elif kind in ("tensor", "components"):
+        _print_tensor(result)
+    elif kind == "info":
+        print(f"kind={result['kind']} n={result['n']} k={result['k']}")
+        print("base:", ", ".join(result["base"]))
+        print("fiber:", ", ".join(result["fiber"]))
+        for A, row in enumerate(result.get("gamma", []), start=1):
+            for i, e in enumerate(row, start=1):
+                print(f"Gamma[{A},{i}] = {e}")
+        if result.get("excluded"):
+            print("excluded zero locus:", "; ".join(result["excluded"]))
+    elif kind == "holonomy":
+        i, j = result["directions"]
+        print(f"holonomy defect/eps^2 around ({i},{j}) at "
+              f"eps={result['eps']:g}:")
+        for A, (probe, symbolic) in enumerate(
+                zip(result["defect_over_eps2"], result["symbolic_curvature"]),
+                start=1):
+            print(f"  component {A}: probe={probe:.10g} "
+                  f"symbolic={symbolic:.10g}")
+    elif kind == "transport":
+        flow = result["flow_final"]
+        print(f"flow final: {tuple(flow['base'])} {tuple(flow['fiber'])} "
+              f"[{result['status']}]")
+        print(f"transported vector: {tuple(result['transported'])}")
+        if "oracle" in result:
+            print(f"oracle: {tuple(result['oracle'])} "
+                  f"relative gap {result['oracle_relative_gap']:.3e}")
+    elif kind == "homogeneous_sode":
+        print("homogeneous extension forces:")
+        for v, f in zip(result["velocities"], result["forces"]):
+            print(f"  {v}: {f}")
+    else:
+        print(f"flow final state: {result['final']}")
+
+
 # ---------------------------------------------------------------------------
-# Verbs
+# Verbs: each returns (results, status) and prints nothing
 # ---------------------------------------------------------------------------
 
 def _cmd_info(args) -> tuple[list, str]:
@@ -313,21 +356,20 @@ def _cmd_info(args) -> tuple[list, str]:
         info["gamma"] = [[to_string(e) for e in row]
                          for row in doc.connection.gamma]
         info["excluded"] = [to_string(e) for e in doc.connection.excluded]
-    if not args.json:
-        print(f"kind={bundle.kind} n={bundle.n} k={bundle.k}")
-        print("base:", ", ".join(bundle.base_coords))
-        print("fiber:", ", ".join(bundle.fiber_coords))
-        if doc.connection is not None:
-            for A, row in enumerate(doc.connection.gamma, start=1):
-                for i, e in enumerate(row, start=1):
-                    print(f"Gamma[{A},{i}] = {to_string(e)}")
-            if doc.connection.excluded:
-                print("excluded zero locus:",
-                      "; ".join(to_string(e) for e in doc.connection.excluded))
     return [info], "ok"
 
 
+def _gamma(m: ConnectionModel, name: str) -> _geometry.TensorField:
+    grid = np.empty((m.k, m.n), dtype=object)
+    for A, i in np.ndindex(m.k, m.n):
+        grid[A, i] = m.gamma[A][i]
+    return _geometry.TensorField(
+        name=name, signature=(_geometry.FIBER_VEC, _geometry.BASE_COV),
+        components=grid)
+
+
 _TENSOR_BUILDERS = {
+    "gamma": lambda m: _gamma(m, "gamma"),
     "linear-coeffs": _geometry.linear_coeffs,
     "tension": _geometry.tension,
     "curvature": _geometry.curvature,
@@ -335,130 +377,104 @@ _TENSOR_BUILDERS = {
     "hh-curvature": _geometry.hh_curvature,
     "hh-curvature-commutator": _geometry.hh_curvature_commutator,
     "torsion-form": _cotangent.torsion_form,
+    "affine-coeffs-0": lambda m: _affine.affine_linearization(m).coeffs_0,
+    "affine-coeffs-lin": lambda m: _affine.affine_linearization(m).coeffs_lin,
+}
+
+# Builders that need --section.
+_SECTION_BUILDERS = {
+    "integral-residual": _geometry.integral_section_residual,
+    "pullback-coeffs": _geometry.pullback_connection_coeffs,
 }
 
 
 def _cmd_tensor(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
-    at = _parse_point(doc, args.at, m) if args.at is not None else None
+    at = _parse_point(args.at, m) if args.at is not None else None
     name = args.name
-    if name == "gamma":
-        grid = np.empty((m.k, m.n), dtype=object)
-        for A in range(m.k):
-            for i in range(m.n):
-                grid[A, i] = m.gamma[A][i]
-        field = _geometry.TensorField(
-            name="gamma", signature=(_geometry.FIBER_VEC, _geometry.BASE_COV),
-            components=grid)
-        result = _tensor_result(field, m, at)
-    elif name in _TENSOR_BUILDERS:
+    if name in _TENSOR_BUILDERS:
         result = _tensor_result(_TENSOR_BUILDERS[name](m), m, at)
     elif name == "jacobi":
         if doc.sode is None:
             raise UsageError("--name jacobi needs a model with a [sode] section")
         result = _tensor_result(_sode.jacobi_endomorphism(doc.sode), m, at)
     elif name == "homogenized-gamma":
-        hom = _affine.homogenize(m)
-        grid = np.empty((hom.model.k, hom.model.n), dtype=object)
-        for A in range(hom.model.k):
-            for i in range(hom.model.n):
-                grid[A, i] = hom.model.gamma[A][i]
-        field = _geometry.TensorField(
-            name="homogenized_gamma",
-            signature=(_geometry.FIBER_VEC, _geometry.BASE_COV),
-            components=grid)
-        result = _tensor_result(field, hom.model, None)
-    elif name == "affine-coeffs-0":
-        result = _tensor_result(_affine.affine_linearization(m).coeffs_0, m, at)
-    elif name == "affine-coeffs-lin":
-        result = _tensor_result(_affine.affine_linearization(m).coeffs_lin, m, at)
-    elif name == "integral-residual":
+        hom = _affine.homogenize(m).model
+        result = _tensor_result(_gamma(hom, "homogenized_gamma"), hom, None)
+    elif name in _SECTION_BUILDERS:
         if not args.section:
-            raise UsageError("--name integral-residual needs --section")
+            raise UsageError(f"--name {name} needs --section")
         section = SectionModel(_parse_exprs(args.section, "--section"))
-        result = _tensor_result(_geometry.integral_section_residual(m, section), m, at)
-    elif name == "pullback-coeffs":
-        if not args.section:
-            raise UsageError("--name pullback-coeffs needs --section")
-        section = SectionModel(_parse_exprs(args.section, "--section"))
-        result = _tensor_result(_geometry.pullback_connection_coeffs(m, section), m, at)
+        result = _tensor_result(_SECTION_BUILDERS[name](m, section), m, at)
     elif name in ("dh", "dv", "hamiltonian-field"):
         if not args.function:
             raise UsageError(f"--name {name} needs --function")
         f = _parse_exprs(args.function, "--function")[0]
         if name == "dh":
-            comps = _cotangent.dh(m, f)
+            title, comps = "horizontal_differential", _cotangent.dh(m, f)
             labels = [f"dx^{i+1}" for i in range(m.n)]
-            result = _components_result("horizontal_differential", labels, comps, m, at)
         elif name == "dv":
-            comps = _cotangent.dv(m, f)
+            title, comps = "vertical_differential", _cotangent.dv(m, f)
             labels = [f"d/dx^{i+1}" for i in range(m.n)]
-            result = _components_result("vertical_differential", labels, comps, m, at)
         else:
             U = _cotangent.hamiltonian_field(m, f)
+            title, comps = "hamiltonian_field", U.horizontal + U.vertical
             labels = [f"H_{i+1}" for i in range(m.n)] + \
                      [f"V^{A+1}" for A in range(m.k)]
-            result = _components_result("hamiltonian_field", labels,
-                                        U.horizontal + U.vertical, m, at)
+        result = _components_result(title, labels, comps, m, at)
     else:
         raise UsageError(f"unknown tensor name {args.name!r}")
-    if not args.json:
-        _print_tensor(result)
     return [result], "ok"
 
 
-def _cotangent_suite(doc: ModelDocument, m: ConnectionModel, args) -> list:
-    reports = []
+def _checks(args, doc: ModelDocument, suites: Sequence[str]) -> tuple[list, str]:
+    """Run the named check suites on the model's connection; the library
+    rejects a model of the wrong kind with a ModelError."""
+    m = _require_connection(doc)
     pts = _samples(m, args)
-    sigma = _cotangent.torsion_form(m)
-    comps = {sigma.label(idx): e for idx, e in sigma.items() if e != ZERO}
-    reports.append(_geometry.residual_check("symmetric", m, comps, pts, args.tol))
-    symmetric = reports[-1].passed
-    if symmetric:
-        reports.append(_cotangent.cyclic_curvature_check(m, pts, args.tol))
-        # Poisson bracket through the split against the canonical bracket,
-        # and the horizontal/vertical decomposition of the differential.
-        rng = np.random.default_rng(args.seed)
-        from .expr import random_polynomial, simplify
-
-        comps_poisson = {}
-        comps_decomp = {}
-        for trial in range(4):
-            f = random_polynomial(m.bundle.coords, rng)
-            g = random_polynomial(m.bundle.coords, rng)
-            bracket = _cotangent.poisson(m, f, g)
-            canonical = _cotangent.canonical_poisson(m.bundle, f, g)
-            residual = simplify(bracket - canonical)
-            if residual != ZERO:
-                comps_poisson[f"poisson_vs_canonical[{trial}]"] = residual
-            U = _cotangent.hamiltonian_field(m, g)
-            pairing = ZERO
-            for i in range(m.n):
-                pairing = pairing + _cotangent.dh(m, f)[i] * U.horizontal[i]
-            for A in range(m.k):
-                pairing = pairing + _cotangent.dv(m, f)[A] * U.vertical[A]
-            direct = U.apply(m, f)
-            residual = simplify(pairing - direct)
-            if residual != ZERO:
-                comps_decomp[f"differential_decomposition[{trial}]"] = residual
-        reports.append(_geometry.residual_check(
-            "poisson_vs_canonical", m, comps_poisson, pts, args.tol))
-        reports.append(_geometry.residual_check(
-            "differential_decomposition", m, comps_decomp, pts, args.tol))
-    if doc.hamiltonian is not None and doc.hamiltonian.first_integrals:
-        reports.append(_cotangent.integrable_report(doc.hamiltonian, m, pts,
-                                                    args.tol))
-    return reports
+    tol = args.tol
+    reports: list = []
+    for suite in suites:
+        if suite == "homogeneous":
+            if m.bundle.kind in ("affine", "jet"):
+                reports.append(_affine.check_homogenized(
+                    _affine.homogenize(m), args.samples, tol, seed=args.seed))
+            else:
+                reports.append(_geometry.check_homogeneous(m, pts, tol))
+        elif suite == "basic":
+            if not args.section:
+                raise UsageError("--suite basic needs --section")
+            section = SectionModel(_parse_exprs(args.section, "--section"))
+            validate_section(m, section)
+            reports.append(_geometry.check_basic(m, section, pts, tol))
+        elif suite == "flat":
+            reports.append(_geometry.flatness_check(m, pts, tol))
+        elif suite == "axioms":
+            reports.append(_geometry.axioms_check(m, pts, tol, seed=args.seed))
+        elif suite == "bianchi":
+            reports.append(_geometry.bianchi_check(m, pts, tol))
+        elif suite == "tension-identities":
+            reports.append(_geometry.tension_identities_check(m, pts, tol))
+        elif suite == "affine":
+            reports.append(_affine.check_affine_structure(m, pts, tol,
+                                                          seed=args.seed))
+        elif suite == "cotangent":
+            reports.extend(_cotangent.cotangent_checks(
+                m, args.samples, tol, seed=args.seed, h=doc.hamiltonian))
+        elif suite == "sode":
+            if doc.sode is None or not doc.sode.autonomous:
+                raise UsageError("--suite sode needs an autonomous [sode] model")
+            reports.append(_sode.linearizability_report(doc.sode, pts, tol))
+        else:
+            raise UsageError(f"unknown suite {suite!r}")
+    results = [{"type": "check", **report.to_dict()} for report in reports]
+    return results, "pass" if all(r.passed for r in reports) else "fail"
 
 
 def _cmd_check(args) -> tuple[list, str]:
     doc = _load(args)
-    m = _require_connection(doc)
-    pts = _samples(m, args)
-    kind = m.bundle.kind
-    vector_like = kind in ("vector", "tangent", "cotangent")
-    reports: list = []
+    kind = doc.bundle.kind
     suites = [args.suite]
     if args.suite == "all":
         suites = ["homogeneous", "flat", "axioms", "bianchi",
@@ -471,85 +487,17 @@ def _cmd_check(args) -> tuple[list, str]:
             suites.append("sode")
         if args.section:
             suites.insert(0, "basic")
-
-    for suite in suites:
-        if suite == "homogeneous":
-            target = m if vector_like else None
-            if target is None:
-                hom = _affine.homogenize(m)
-                box = {hom.model.bundle.fiber_coords[0]: (0.5, 2.0)}
-                zpts = sample_points(hom.model, args.samples, box=box,
-                                     seed=args.seed)
-                reports.append(_geometry.check_homogeneous(hom.model, zpts,
-                                                           args.tol))
-            else:
-                reports.append(_geometry.check_homogeneous(m, pts, args.tol))
-        elif suite == "basic":
-            if not args.section:
-                raise UsageError("--suite basic needs --section")
-            section = SectionModel(_parse_exprs(args.section, "--section"))
-            validate_section(m, section)
-            reports.append(_geometry.check_basic(m, section, pts, args.tol))
-        elif suite == "flat":
-            if not vector_like:
-                raise UsageError("--suite flat needs a vector-like model")
-            reports.append(_geometry.flatness_check(m, pts, args.tol))
-        elif suite == "axioms":
-            if not vector_like:
-                raise UsageError("--suite axioms needs a vector-like model")
-            reports.append(_geometry.axioms_check(m, pts, args.tol,
-                                                  seed=args.seed))
-        elif suite == "bianchi":
-            if not vector_like:
-                raise UsageError("--suite bianchi needs a vector-like model")
-            reports.append(_geometry.bianchi_check(m, pts, args.tol))
-        elif suite == "tension-identities":
-            if not vector_like:
-                raise UsageError("--suite tension-identities needs a "
-                                 "vector-like model")
-            reports.append(_geometry.tension_identities_check(m, pts, args.tol))
-        elif suite == "affine":
-            if kind not in ("affine", "jet"):
-                raise UsageError("--suite affine needs an affine or jet model")
-            reports.append(_affine.check_affine_structure(m, pts, args.tol,
-                                                          seed=args.seed))
-        elif suite == "cotangent":
-            if kind != "cotangent":
-                raise UsageError("--suite cotangent needs a cotangent model")
-            reports.extend(_cotangent_suite(doc, m, args))
-        elif suite == "sode":
-            if doc.sode is None or not doc.sode.autonomous:
-                raise UsageError("--suite sode needs an autonomous [sode] model")
-            reports.append(_sode.linearizability_report(doc.sode, pts, args.tol))
-        else:
-            raise UsageError(f"unknown suite {suite!r}")
-
-    results = [{"type": "check", **report.to_dict()} for report in reports]
-    status = "pass" if all(r.passed for r in reports) else "fail"
-    if not args.json:
-        for report in results:
-            _print_report(report)
-    return results, status
+    return _checks(args, doc, suites)
 
 
 def _cmd_bianchi(args) -> tuple[list, str]:
-    doc = _load(args)
-    m = _require_connection(doc)
-    pts = _samples(m, args)
-    reports = [_geometry.bianchi_check(m, pts, args.tol),
-               _geometry.tension_identities_check(m, pts, args.tol)]
-    results = [{"type": "check", **r.to_dict()} for r in reports]
-    if not args.json:
-        for report in results:
-            _print_report(report)
-    return results, "pass" if all(r.passed for r in reports) else "fail"
+    return _checks(args, _load(args), ["bianchi", "tension-identities"])
 
 
 def _cmd_transport(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
-    p0 = _parse_point(doc, getattr(args, "from"), m)
-    results: list = []
+    p0 = _parse_point(getattr(args, "from"), m)
     if args.holonomy:
         i, j = _parse_directions(args.holonomy, m.n)
         defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, args.eps)
@@ -557,19 +505,13 @@ def _cmd_transport(args) -> tuple[list, str]:
         env = p0.env(m.bundle)
         symbolic = [0.0 if R[A, i - 1, j - 1] == ZERO
                     else evaluate(R[A, i - 1, j - 1], env) for A in range(m.k)]
-        results.append({
+        return [{
             "type": "holonomy",
             "directions": [i, j],
             "eps": args.eps,
             "defect_over_eps2": list(defect),
             "symbolic_curvature": symbolic,
-        })
-        if not args.json:
-            print(f"holonomy defect/eps^2 around ({i},{j}) at eps={args.eps:g}:")
-            for A in range(m.k):
-                print(f"  component {A + 1}: probe={defect[A]:.10g} "
-                      f"symbolic={symbolic[A]:.10g}")
-        return results, "ok"
+        }], "ok"
 
     if not args.field:
         raise UsageError("transport needs --field (or --holonomy)")
@@ -607,15 +549,7 @@ def _cmd_transport(args) -> tuple[list, str]:
                 for a, b in zip(result.final_fiber, oracle)]
         payload["oracle"] = list(oracle)
         payload["oracle_relative_gap"] = max(gaps)
-    results.append(payload)
-    if not args.json:
-        print(f"flow final: {flow_final.base} {flow_final.fiber} "
-              f"[{result.status}]")
-        print(f"transported vector: {result.final_fiber}")
-        if args.oracle:
-            print(f"oracle: {tuple(payload['oracle'])} "
-                  f"relative gap {payload['oracle_relative_gap']:.3e}")
-    return results, "ok"
+    return [payload], "ok"
 
 
 def _cmd_sode(args) -> tuple[list, str]:
@@ -625,33 +559,19 @@ def _cmd_sode(args) -> tuple[list, str]:
     s = doc.sode
     m = _require_connection(doc)
     results: list = []
-    status = "ok"
-    did_something = False
     if args.classify:
-        did_something = True
         if not s.autonomous:
             raise UsageError("--classify applies to autonomous models")
-        pts = _samples(m, args)
-        report = _sode.linearizability_report(s, pts, args.tol)
+        report = _sode.linearizability_report(s, _samples(m, args), args.tol)
         results.append({"type": "classification", **report.to_dict()})
-        if not args.json:
-            _print_report(results[-1])
     if args.split:
-        did_something = True
         split = _parse_split(args.split)
-        pts = _samples(m, args)
-        report = _sode.decoupling_check(s, split, pts, args.tol)
+        report = _sode.decoupling_check(s, split, _samples(m, args), args.tol)
         results.append({"type": "classification", **report.to_dict()})
-        if not args.json:
-            _print_report(results[-1])
     if args.jacobi:
-        did_something = True
-        at = _parse_point(doc, args.at, m) if args.at is not None else None
+        at = _parse_point(args.at, m) if args.at is not None else None
         results.append(_tensor_result(_sode.jacobi_endomorphism(s), m, at))
-        if not args.json:
-            _print_tensor(results[-1])
     if args.homogenize:
-        did_something = True
         if s.autonomous:
             raise UsageError("--homogenize applies to non-autonomous models")
         hom = _sode.homogeneous_sode(s)
@@ -661,12 +581,7 @@ def _cmd_sode(args) -> tuple[list, str]:
             "velocities": list(hom.velocity_coords),
             "forces": [to_string(f) for f in hom.forces],
         })
-        if not args.json:
-            print("homogeneous extension forces:")
-            for v, f in zip(hom.velocity_coords, hom.forces):
-                print(f"  {v}: {to_string(f)}")
     if args.flow:
-        did_something = True
         state0 = _parse_floats(args.flow, "--flow")
         flow = _transport.sode_flow(s, state0, args.time, args.step)
         final = flow.points[-1]
@@ -678,12 +593,10 @@ def _cmd_sode(args) -> tuple[list, str]:
             "final": list(final.base) + list(final.fiber),
             "status": flow.status,
         })
-        if not args.json:
-            print(f"flow final state: {results[-1]['final']}")
-    if not did_something:
+    if not results:
         raise UsageError("sode verb needs at least one of --classify, "
                          "--split, --jacobi, --homogenize, --flow")
-    return results, status
+    return results, "ok"
 
 
 def _cmd_hj(args) -> tuple[list, str]:
@@ -712,7 +625,6 @@ def _cmd_hj(args) -> tuple[list, str]:
                              "(or --metric)")
         ham = doc.hamiltonian
 
-    results: list = []
     reports = []
     sampler = doc.connection if doc.connection is not None else \
         ConnectionModel(ham.bundle,
@@ -727,10 +639,7 @@ def _cmd_hj(args) -> tuple[list, str]:
                                             connection=doc.connection))
     if not reports:
         raise UsageError("hj needs --alpha and/or a first-integral family")
-    results.extend({"type": "check", **r.to_dict()} for r in reports)
-    if not args.json:
-        for report in results:
-            _print_report(report)
+    results = [{"type": "check", **r.to_dict()} for r in reports]
     return results, "pass" if all(r.passed for r in reports) else "fail"
 
 
@@ -805,11 +714,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-3)
 
     p = sub.add_parser("hj", help="Hamilton-Jacobi verification")
-    p.add_argument("model", nargs="?", default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("model", nargs="?", default=None, help="model file path")
+    common(p, model=False)
     p.add_argument("--alpha", help="candidate 1-form components")
     p.add_argument("--metric", help="inverse metric as a JSON matrix")
     p.add_argument("--integrals", help="first integrals for --metric")
@@ -846,11 +752,17 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ModelError, ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: an expression is nested too deeply to process",
+              file=sys.stderr)
+        return 2
     if args.json:
         doc = _document(args, args._model_text or "", results, status)
         sys.stdout.write(emit_json(doc).decode("utf-8"))
         sys.stdout.flush()
     else:
+        for result in results:
+            _print_result(result)
         if status == "fail":
             print("status: FAIL")
     return 1 if status == "fail" else 0

@@ -19,12 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .expr import (
-    Const, Div, Expr, Var, ZERO, compile_fn, diff, simplify, substitute,
-    variables,
+    Const, Div, Expr, Var, ZERO, compile_fn, diff, random_polynomial,
+    simplify, substitute, variables,
 )
 from .geometry import (
-    BASE_COV, CheckReport, TensorField, VectorFieldOnE, _grid,
-    _tensor, combine_reports, curvature, evaluate_components, h_apply,
+    BASE_COV, CheckReport, TensorField, VectorFieldOnE, _field_residuals,
+    _grid, _tensor, combine_reports, curvature, evaluate_components, h_apply,
     residual_check,
 )
 from .model import (
@@ -36,7 +36,7 @@ __all__ = [
     "AsymmetricConnectionWarning", "torsion_form", "dh", "dv",
     "hamiltonian_field", "poisson", "canonical_poisson",
     "integrable_connection", "integrable_report", "hj_verify",
-    "geodesic_model", "cyclic_curvature_check",
+    "geodesic_model", "cyclic_curvature_check", "cotangent_checks",
 ]
 
 
@@ -115,8 +115,7 @@ def torsion_form(m: ConnectionModel) -> TensorField:
 def is_symmetric(m: ConnectionModel, probes: int = 16) -> bool:
     """Symmetry test: structural zero of the torsion form, falling back to
     evaluation on a small deterministic grid off the excluded set."""
-    sigma = torsion_form(m)
-    comps = {sigma.label(idx): e for idx, e in sigma.items() if e != ZERO}
+    comps = _field_residuals(torsion_form(m))
     if not comps:
         return True
     pts = sample_points(m, probes, seed=20240917)
@@ -257,9 +256,8 @@ def integrable_report(h: HamiltonianModel, m: ConnectionModel,
                 comps_dh[f"horizontal_differential[{idx};{i}]"] = e
     sub_dh = residual_check("defining_relations", m, comps_dh, samples, tol)
 
-    sigma = torsion_form(m)
-    comps_tor = {sigma.label(idx): e for idx, e in sigma.items() if e != ZERO}
-    sub_tor = residual_check("torsion", m, comps_tor, samples, tol)
+    sub_tor = residual_check("torsion", m, _field_residuals(torsion_form(m)),
+                             samples, tol)
 
     return combine_reports("integrable_structure",
                            (sub_inv, sub_fi, sub_dh, sub_tor), tol, samples)
@@ -377,3 +375,47 @@ def cyclic_curvature_check(m: ConnectionModel, samples: Sequence[PointE],
         if e != ZERO:
             comps[f"cyclic[{i+1},{j+1},{l+1}]"] = e
     return residual_check("cyclic_curvature", m, comps, samples, tol)
+
+
+def cotangent_checks(m: ConnectionModel, count: int, tol: float,
+                     seed: int = 0,
+                     h: HamiltonianModel | None = None) -> list[CheckReport]:
+    """The cotangent suite on `count` seeded sample points.
+
+    Symmetry of the connection (vanishing torsion form); for a symmetric
+    connection also the cyclic curvature identity, the Poisson bracket
+    through the split against the canonical bracket, and the decomposition
+    <dh f, U^h> + <dv f, U^v> = U(f) of the differential along Hamiltonian
+    fields U, both on four seeded pairs of random polynomials; with a
+    first-integral family `h`, its integrable-structure report.
+    """
+    _require_cotangent(m, "cotangent_checks")
+    pts = sample_points(m, count, seed=seed)
+    reports = [residual_check("symmetric", m, _field_residuals(torsion_form(m)),
+                              pts, tol)]
+    if reports[0].passed:
+        reports.append(cyclic_curvature_check(m, pts, tol))
+        rng = np.random.default_rng(seed)
+        comps_poisson: dict[str, Expr] = {}
+        comps_decomp: dict[str, Expr] = {}
+        for trial in range(4):
+            f = random_polynomial(m.bundle.coords, rng)
+            g = random_polynomial(m.bundle.coords, rng)
+            residual = simplify(poisson(m, f, g) -
+                                canonical_poisson(m.bundle, f, g))
+            if residual != ZERO:
+                comps_poisson[f"poisson_vs_canonical[{trial}]"] = residual
+            U = hamiltonian_field(m, g)
+            pairing: Expr = ZERO
+            for d, u in zip(dh(m, f) + dv(m, f), U.horizontal + U.vertical):
+                pairing = pairing + d * u
+            residual = simplify(pairing - U.apply(m, f))
+            if residual != ZERO:
+                comps_decomp[f"differential_decomposition[{trial}]"] = residual
+        reports.append(residual_check("poisson_vs_canonical", m, comps_poisson,
+                                      pts, tol))
+        reports.append(residual_check("differential_decomposition", m,
+                                      comps_decomp, pts, tol))
+    if h is not None and h.first_integrals:
+        reports.append(integrable_report(h, m, pts, tol))
+    return reports

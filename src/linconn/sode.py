@@ -15,8 +15,8 @@ import numpy as np
 
 from .expr import Const, Expr, Var, ZERO, diff, simplify, substitute, variables
 from .geometry import (
-    BASE_COV, FIBER_VEC, CheckReport, TensorField, _grid, _tensor,
-    combine_reports, dh_field, dv_field, hh_curvature, linear_coeffs,
+    BASE_COV, FIBER_VEC, CheckReport, TensorField, _field_residuals, _grid,
+    _tensor, combine_reports, dh_field, dv_field, hh_curvature, linear_coeffs,
     residual_check, tension, vh_curvature,
 )
 from .model import BundleModel, ConnectionModel, ModelError, PointE
@@ -217,8 +217,7 @@ def linearizability_report(s: SodeModel, samples: Sequence[PointE],
     lin = linear_coeffs(m)
     theta = vh_curvature(m)
     hh = hh_curvature(m)
-    flat_comps = {theta.label(idx): e for idx, e in theta.items() if e != ZERO}
-    flat_comps.update({hh.label(idx): e for idx, e in hh.items() if e != ZERO})
+    flat_comps = {**_field_residuals(theta), **_field_residuals(hh)}
     sub_flat = residual_check("flat", m, flat_comps, samples, tol)
 
     t = tension(m)

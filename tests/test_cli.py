@@ -119,6 +119,45 @@ def test_domain_faults_exit_2_and_long_sums_compile(tmp_path, coefficient,
         jsonschema.validate(doc, SCHEMA)
 
 
+_DEEP_SUM = "u1^2" + "".join(f" + {k / 1000:g}*x1*u1" for k in range(1, 1200))
+
+
+def test_too_deeply_nested_expression_exit_2(tmp_path):
+    path = tmp_path / "deep.lc"
+    path.write_text("[bundle]\nkind = vector\nbase = x1\nfiber = u1\n\n"
+                    f"[connection]\nGamma[1,1] = {_DEEP_SUM}\n")
+    for verb in ("info", "check"):
+        code, out, err = run_cli(verb, str(path))
+        assert code == 2, verb
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err, verb
+        assert "nested too deeply" in err
+
+
+def test_failing_verb_prints_no_partial_report():
+    code, out, err = run_cli("sode", str(MODELS / "oscillator.lc"),
+                             "--classify", "--homogenize", "--samples", "10")
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize("model, suite", [
+    ("m4", "affine"), ("m4", "cotangent"), ("affine_quadratic", "flat"),
+    ("affine_quadratic", "axioms"), ("jet_oscillator", "bianchi"),
+    ("jet_oscillator", "tension-identities"),
+    ("affine_quadratic", "cotangent"),
+])
+def test_wrong_kind_suite_exit_2(model, suite):
+    for json_flag in ((), ("--json",)):
+        code, out, err = run_cli("check", str(MODELS / f"{model}.lc"),
+                                 "--suite", suite, "--samples", "10",
+                                 *json_flag)
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+
 def test_transport_reports_excluded_crossing():
     argv = ("transport", str(MODELS / "potential_1d.lc"), "--field", "1",
             "--from", "x1=0,p1=1", "--time", "2", "--json")
@@ -293,14 +332,15 @@ def test_every_public_operation_mapped_to_a_verb():
                     "integral_section_residual",
                     "pullback_connection_coeffs"]),
         (affine, ["homogenize", "affine_linearization",
-                  "affine_covariant_derivative", "check_affine_structure"]),
+                  "affine_covariant_derivative", "check_homogenized",
+                  "check_affine_structure"]),
         (sode, ["sode_connection", "jacobi_endomorphism",
                 "nonautonomous_connection", "homogeneous_sode",
                 "linearizability_report", "decoupling_check"]),
         (cotangent, ["torsion_form", "dh", "dv", "hamiltonian_field",
                      "poisson", "canonical_poisson", "integrable_connection",
                      "integrable_report", "hj_verify", "geodesic_model",
-                     "cyclic_curvature_check"]),
+                     "cyclic_curvature_check", "cotangent_checks"]),
         (transport, ["horizontal_flow", "parallel_transport",
                      "transport_oracle", "holonomy_probe", "sode_flow"]),
     ]:
@@ -361,6 +401,46 @@ def test_check_cotangent_suite():
     names = [r["name"] for r in doc["results"]]
     assert "poisson_vs_canonical" in names
     assert "integrable_structure" in names
+
+
+def _library_results(reports):
+    return [json.loads(emit_json(r.to_dict())) for r in reports]
+
+
+def _cli_results_without_type(*argv):
+    code, doc, _ = run_json(*argv, "--json")
+    assert code == 0
+    return [{k: v for k, v in r.items() if k != "type"}
+            for r in doc["results"]]
+
+
+def test_cotangent_checks_is_the_cotangent_suite():
+    from linconn.cotangent import cotangent_checks
+    from linconn.model import load_model
+
+    path = MODELS / "potential_1d.lc"
+    doc = load_model(path.read_text(encoding="utf-8"))
+    reports = cotangent_checks(doc.connection, 30, 1e-8, seed=3,
+                               h=doc.hamiltonian)
+    assert [r.name for r in reports] == [
+        "symmetric", "cyclic_curvature", "poisson_vs_canonical",
+        "differential_decomposition", "integrable_structure"]
+    assert _library_results(reports) == _cli_results_without_type(
+        "check", str(path), "--suite", "cotangent", "--samples", "30",
+        "--seed", "3")
+
+
+def test_check_homogenized_is_the_affine_homogeneous_suite():
+    from linconn.affine import check_homogenized, homogenize
+    from linconn.model import load_model
+
+    path = MODELS / "affine_quadratic.lc"
+    doc = load_model(path.read_text(encoding="utf-8"))
+    report = check_homogenized(homogenize(doc.connection), 30, 1e-8, seed=3)
+    assert report.passed
+    assert _library_results([report]) == _cli_results_without_type(
+        "check", str(path), "--suite", "homogeneous", "--samples", "30",
+        "--seed", "3")
 
 
 def test_check_sode_suite():
