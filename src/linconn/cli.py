@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .expr import EvalError, Expr, ParseError, ZERO, evaluate, parse, to_string
+from .expr import (EvalError, Expr, ParseError, ZERO, _memo, evaluate,
+                   parse, to_string)
 from .model import (
     ConnectionModel, ModelDocument, ModelError, PointE, SectionModel,
     load_model, sample_points, validate_section,
@@ -559,14 +560,16 @@ def _cmd_sode(args) -> tuple[list, str]:
     s = doc.sode
     m = _require_connection(doc)
     results: list = []
+    if args.classify and not s.autonomous:
+        raise UsageError("--classify applies to autonomous models")
+    split = _parse_split(args.split) if args.split else None
+    # --classify and --split check the same seeded sample set.
+    pts = _samples(m, args) if args.classify or split else None
     if args.classify:
-        if not s.autonomous:
-            raise UsageError("--classify applies to autonomous models")
-        report = _sode.linearizability_report(s, _samples(m, args), args.tol)
+        report = _sode.linearizability_report(s, pts, args.tol)
         results.append({"type": "classification", **report.to_dict()})
-    if args.split:
-        split = _parse_split(args.split)
-        report = _sode.decoupling_check(s, split, _samples(m, args), args.tol)
+    if split:
+        report = _sode.decoupling_check(s, split, pts, args.tol)
         results.append({"type": "classification", **report.to_dict()})
     if args.jacobi:
         at = _parse_point(args.at, m) if args.at is not None else None
@@ -605,6 +608,10 @@ def _cmd_hj(args) -> tuple[list, str]:
             rows = json.loads(args.metric)
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad --metric payload: {exc}") from exc
+        if not (isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
+            raise UsageError(f"--metric needs a JSON list of rows such as "
+                             f"[[1,0],[0,1]], got {args.metric!r}")
         g_inv = [[parse(str(v)) for v in row] for row in rows]
         ham = _cotangent.geodesic_model(g_inv)
         if args.integrals:
@@ -756,6 +763,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print("error: an expression is nested too deeply to process",
               file=sys.stderr)
         return 2
+    finally:
+        _memo.clear()
     if args.json:
         doc = _document(args, args._model_text or "", results, status)
         sys.stdout.write(emit_json(doc).decode("utf-8"))

@@ -14,6 +14,11 @@ Grammar (see docs/grammar.md for the EBNF):
 
 Precedence: ^  >  unary minus  >  * /  >  + -.
 Supported functions: sin, cos, tan, exp, ln, sqrt.
+
+Memo policy: `simplify` and `diff` share one memo, keyed structurally by
+the expression (and, for `diff`, the variable); both are pure, so it never
+changes a result. It lives as long as the process, but `cli.run` empties
+it when it returns, so each CLI run starts and ends with it empty.
 """
 
 from __future__ import annotations
@@ -537,20 +542,19 @@ def variables(e: Expr) -> frozenset[str]:
 # Differentiation
 # ---------------------------------------------------------------------------
 
-_diff_cache: dict[tuple[Expr, str], Expr] = {}
+# The memo of `simplify` and `diff`; see the module docstring.
+_memo: dict = {}
 
 
 def diff(e: Expr, var: str) -> Expr:
     """Exact symbolic partial derivative with respect to `var`.
 
-    Results are simplified and memoized per (expression, variable) pair.
+    Results are simplified and memoized per (expression, variable) pair
+    (see the module docstring for the memo's scope).
     """
-    key = (e, var)
-    cached = _diff_cache.get(key)
-    if cached is not None:
-        return cached
-    result = simplify(_diff(e, var))
-    _diff_cache[key] = result
+    result = _memo.get((e, var))
+    if result is None:
+        result = _memo[(e, var)] = simplify(_diff(e, var))
     return result
 
 
@@ -659,10 +663,18 @@ def _simplify_sum(e: Expr) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Conservative simplification: constant folding, 0/1 absorption,
     identity rules and cancellation of structurally equal terms. The
-    result is semantically equal to the input on its domain."""
+    result is semantically equal to the input on its domain. Results are
+    memoized per expression (see the module docstring)."""
     if isinstance(e, (Const, Var)):
         return e
+    result = _memo.get(e)
+    if result is None:
+        result = _memo[e] = _simplify(e)
+    return result
 
+
+def _simplify(e: Expr) -> Expr:
+    """One node of `simplify`; children go back through `simplify`."""
     if isinstance(e, (Add, Sub)) or (isinstance(e, Neg) and isinstance(e.arg, (Add, Sub, Neg))):
         flat: list[tuple[float, Expr]] = []
         _add_terms(e, 1.0, flat)

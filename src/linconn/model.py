@@ -478,6 +478,8 @@ def sample_points(m: ConnectionModel, count: int,
     """
     if count < 1:
         raise ModelError("count must be >= 1")
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
     bundle = m.bundle
     intervals = []
     for name in bundle.coords:

@@ -321,8 +321,11 @@ def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
     As eps -> 0 this converges, with first order in eps, to the curvature
     component grid [.][i][j] at p0. The sign convention (leg order i then
     j) is calibrated once against the symbolic curvature in the test
-    suite and frozen.
+    suite and frozen. `eps` must be finite with a nonzero square.
     """
+    if not (math.isfinite(eps) and eps ** 2 > 0.0):
+        raise ModelError(f"holonomy eps must be finite with a nonzero "
+                         f"square, got {eps!r}")
     if m.bundle.n < 2:
         raise ModelError("holonomy probes need at least two base directions")
     if i == j:

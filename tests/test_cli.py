@@ -1,13 +1,16 @@
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import linconn.cli as cli
 from linconn.cli import COVERAGE, emit_json, run
+from linconn.expr import _memo
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "models"
@@ -69,7 +72,11 @@ def test_usage_error_exit_2():
                  ("transport", m4, "--field", "1,0", "--oracle",
                   "--fd-eps", "0"),
                  ("transport", m4, "--field", "1,0", "--oracle",
-                  "--fd-eps", "nan")):
+                  "--fd-eps", "nan"),
+                 ("transport", m4, "--holonomy", "1,2", "--eps", "1e-300"),
+                 ("check", m4, "--seed", "-1"),
+                 ("hj", "--metric", "[1]"),
+                 ("hj", "--metric", "5")):
         code, out, err = run_cli(*argv, "--json")
         assert code == 2, argv
         assert out == ""
@@ -132,6 +139,49 @@ def test_too_deeply_nested_expression_exit_2(tmp_path):
         assert out == ""
         assert err.count("error:") == 1 and "Traceback" not in err, verb
         assert "nested too deeply" in err
+
+
+def test_memo_is_empty_after_each_run():
+    argv = ("bianchi", str(MODELS / "m4.lc"), "--json")
+    first = run_cli(*argv)
+    assert not _memo
+    assert run_cli(*argv) == first
+    assert not _memo
+    # A run that fails after building tensors leaves it empty too.
+    code, _, _ = run_cli("sode", str(MODELS / "oscillator.lc"), "--classify",
+                         "--homogenize", "--samples", "10")
+    assert code == 2 and not _memo
+
+
+def test_deep_nest_of_shared_subtrees_stays_fast(tmp_path):
+    # Each level of sin(sin(...)) shares its argument with its derivative;
+    # without a memo the work doubles per level.
+    coefficient = "sin(" * 40 + "u1" + ")" * 40 + "*u1"
+    path = tmp_path / "nest.lc"
+    path.write_text("[bundle]\nkind = vector\nbase = x1\nfiber = u1\n\n"
+                    f"[connection]\nGamma[1,1] = {coefficient}\n")
+    start = time.monotonic()
+    code, out, err = run_cli("check", str(path), "--samples", "5")
+    assert time.monotonic() - start < 10
+    assert code == 1 and "status: FAIL" in out and err == ""
+
+
+def test_sode_classify_and_split_draw_one_sample_set(monkeypatch):
+    draws = []
+    sample_points = cli.sample_points
+
+    def counting(*args, **kwargs):
+        draws.append(args[1])
+        return sample_points(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_points", counting)
+    code, out, _ = run_cli("sode", str(MODELS / "oscillator_pair.lc"),
+                           "--classify", "--split", "1|2", "--json",
+                           "--samples", "50")
+    assert code == 0
+    assert draws == [50]
+    assert [r["name"] for r in json.loads(out)["results"]] == \
+        ["linearizability", "decoupling"]
 
 
 def test_failing_verb_prints_no_partial_report():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from linconn.expr import (
     Add, Call, Const, Div, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
-    ZERO, compile_fn, compile_vector, diff, evaluate, parse, simplify,
+    ZERO, _memo, compile_fn, compile_vector, diff, evaluate, parse, simplify,
     substitute, to_string, variables,
 )
 
@@ -332,3 +332,26 @@ def test_print_parse_roundtrip(e, seed):
         if a is None:
             continue
         assert evaluate(reparsed, env) == pytest.approx(a, rel=1e-12, abs=1e-12)
+
+
+def _subtrees(e):
+    """Proper subtrees of `e`, children before parents."""
+    for child in e.children():
+        yield from _subtrees(child)
+        yield child
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(expressions(), domain_expressions()), st.sampled_from(_NAMES))
+@example(parse("sin(sin(u1))*sin(u1) - sin(u1)"), "u1")
+def test_memo_does_not_change_results(e, var):
+    cold = []
+    for compute in (simplify, lambda x: diff(x, var)):
+        _memo.clear()
+        cold.append(to_string(compute(e)))
+    _memo.clear()
+    for sub in _subtrees(e):
+        for name in _NAMES:
+            diff(sub, name)
+        simplify(sub)
+    assert [to_string(simplify(e)), to_string(diff(e, var))] == cold

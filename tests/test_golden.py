@@ -1,0 +1,109 @@
+"""Golden byte identity: the sha256 of the deterministic --json stdout of
+fixed runs, pinned so that a change meant to make the program faster (or
+smaller) cannot change a single byte of a report unnoticed.
+
+The argv is echoed in the document, so the runs use relative paths from a
+fixed working directory: the repository root for the shipped models, and
+a temporary directory holding `synthetic_n3.lc` for the synthetic model.
+A digest changes only with an intended change of the report; update it in
+the same commit and say why.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from linconn.cli import run
+
+REPO = Path(__file__).resolve().parents[1]
+
+# The vector-like shipped models (kind vector, tangent or cotangent): the
+# ones both `check --suite all` and `bianchi` accept.
+GOLDEN = {
+    ("check", "flat"):
+        "ca49ec4222c1ba18682786e930be7490148f34fb8ab3ff7c894d32da17cf5da0",
+    ("bianchi", "flat"):
+        "6e911e0039c6b4ec979468861a0f1dfcb9a6beb21593a9b29ea1127fc296d04c",
+    ("check", "geodesic_const"):
+        "f4f43417ce88022ff19f5a23210819eaebea9c6f794a778233168e84e539ea14",
+    ("bianchi", "geodesic_const"):
+        "628911aa3b0fc1fa916ae4321dd9d0fde25718c491a9d0e0dde44196253f4d37",
+    ("check", "linear"):
+        "18f671790fcd1e22c957215f86fcb4bd3d8da105003a1151276a609b1de5bd40",
+    ("bianchi", "linear"):
+        "965a9f1ed01defb84d1680a9698627808b86f38c827660ca1d1e584953b06697",
+    ("check", "m4"):
+        "286b9ddfb7dd5e27da467accd886c78a271ef02c5c33937fe5a5c7419d561216",
+    ("bianchi", "m4"):
+        "4253dbc570a0b793b188ed3ab072691b5f265f976bd1b120cc063661689bcc5f",
+    ("check", "oscillator"):
+        "d77c23d0148d9b7405d5443608b8fc4883067ed64a0956e6783ced596608812b",
+    ("bianchi", "oscillator"):
+        "6bf1208525aa85a2e33a4715363283b1363c65a0702f1ba1b0d8e36ef83f66f8",
+    ("check", "oscillator_pair"):
+        "92d82a79a1408ade178b197d9bf7593f5a0a9568a8f71e4a483745fecb3e8303",
+    ("bianchi", "oscillator_pair"):
+        "87d939fcc83b23bacf4b6d5817cb902e79e2ddf9c7bfa757405cfb96e7a8ad68",
+    ("check", "potential_1d"):
+        "8c631bbc40f30fa1d4256d82fc4f0656fedb978c604b971092c2db962c2dbf13",
+    ("bianchi", "potential_1d"):
+        "2cc6332fc2b4b19c6768e145499a2f5a2a5c3299bd962dc66cf4772850f5b985",
+    ("check", "quadratic"):
+        "f512722eb353f940973c545c5177e337a15865a18b184b25b7e762bfc3560bfd",
+    ("bianchi", "quadratic"):
+        "170c07a7c26138bb1c643249d7a0730fcc62c07f9704545c82f072c4c56227e2",
+}
+
+# The n = k = 3 model of the benchmark's synthetic family (seed 1).
+SYNTHETIC_N3 = """\
+# Synthetic n = k = 3 vector model, seed 1.
+[bundle]
+kind = vector
+base = x1, x2, x3
+fiber = u1, u2, u3
+
+[connection]
+Gamma[1,1] = 0.53*u1*u2 - 0.6*sin(0.96*x1)*u2 + 0.64*x2^2
+Gamma[1,2] = 0.52*u2*u1 - 0.18*cos(0.67*x2)*u2 + 0.42*x3^2
+Gamma[1,3] = 0.56*u3*u3 - 0.36*exp(0.41*x3)*u2 + 0.17*x1^2
+Gamma[2,1] = 0.86*u2*u3 - 0.94*cos(0.7*x2)*u3 + 0.37*x3^2
+Gamma[2,2] = 0.66*u3*u2 - 0.82*exp(0.57*x3)*u3 + 0.28*x1^2
+Gamma[2,3] = 0.97*u1*u1 - 0.27*sin(0.77*x1)*u3 + 0.63*x2^2
+Gamma[3,1] = 0.9*u3*u1 - 0.79*exp(0.44*x3)*u1 + 0.8*x1^2
+Gamma[3,2] = 0.19*u1*u3 - 0.29*sin(0.65*x1)*u1 + 0.33*x2^2
+Gamma[3,3] = 0.48*u2*u2 - 0.11*cos(0.72*x2)*u1 + 0.35*x3^2
+"""
+
+SYNTHETIC_N3_BIANCHI = \
+    "b5923bfc03474468011bcf1d47d47ea2c57c7ad1f7ecd1830b2de993859fb492"
+
+ARGV = {
+    "check": ("--suite", "all", "--json", "--samples", "50"),
+    "bianchi": ("--json",),
+}
+
+
+def stdout_digest(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(list(argv))
+    assert code in (0, 1), err.getvalue()
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("verb, model", sorted(GOLDEN),
+                         ids=[f"{v}-{m}" for v, m in sorted(GOLDEN)])
+def test_shipped_model_report_bytes(monkeypatch, verb, model):
+    monkeypatch.chdir(REPO)
+    digest = stdout_digest(verb, f"models/{model}.lc", *ARGV[verb])
+    assert digest == GOLDEN[verb, model]
+
+
+def test_synthetic_n3_bianchi_report_bytes(monkeypatch, tmp_path):
+    (tmp_path / "synthetic_n3.lc").write_text(SYNTHETIC_N3)
+    monkeypatch.chdir(tmp_path)
+    digest = stdout_digest("bianchi", "synthetic_n3.lc", *ARGV["bianchi"])
+    assert digest == SYNTHETIC_N3_BIANCHI
