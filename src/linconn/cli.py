@@ -219,6 +219,17 @@ def _parse_directions(text: str, n: int) -> tuple[int, int]:
     return i, j
 
 
+def _metric_entry(value) -> Expr:
+    """One `hj --metric` entry: an expression string or a finite number
+    (JSON `true`, `null`, `NaN`, an overflowing literal or a list is none)."""
+    if isinstance(value, str):
+        return parse(value)
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return parse(str(value))
+    raise UsageError(f"--metric entries must be finite numbers or expression "
+                     f"strings, got {json.dumps(value)}")
+
+
 def _load(args) -> ModelDocument:
     """Read and parse the model file, keeping its text for the digest of
     the JSON report."""
@@ -525,16 +536,13 @@ def _cmd_transport(args) -> tuple[list, str]:
     spec = _transport.CurveSpec(start=p0, t_span=args.time, step=args.step,
                                 field=X)
     result = _transport.parallel_transport(m, spec, b0)
-    # The transport integrates the horizontal flow jointly; its base and
-    # fiber slots are the flow's own.
-    flow_final = result.trajectory[-1][1]
     payload = {
         "type": "transport",
         "from": {"base": list(p0.base), "fiber": list(p0.fiber)},
         "time": args.time,
         "step": args.step,
-        "flow_final": {"base": list(flow_final.base),
-                       "fiber": list(flow_final.fiber)},
+        "flow_final": {"base": list(result.final.base),
+                       "fiber": list(result.final.fiber)},
         "flow_status": result.status,
         "transported": list(result.final_fiber),
         "status": result.status,
@@ -587,13 +595,12 @@ def _cmd_sode(args) -> tuple[list, str]:
     if args.flow:
         state0 = _parse_floats(args.flow, "--flow")
         flow = _transport.sode_flow(s, state0, args.time, args.step)
-        final = flow.points[-1]
         results.append({
             "type": "flow",
             "state0": list(state0),
             "time": args.time,
             "step": args.step,
-            "final": list(final.base) + list(final.fiber),
+            "final": list(flow.final.base) + list(flow.final.fiber),
             "status": flow.status,
         })
     if not results:
@@ -612,7 +619,7 @@ def _cmd_hj(args) -> tuple[list, str]:
                 and all(isinstance(row, list) for row in rows)):
             raise UsageError(f"--metric needs a JSON list of rows such as "
                              f"[[1,0],[0,1]], got {args.metric!r}")
-        g_inv = [[parse(str(v)) for v in row] for row in rows]
+        g_inv = [[_metric_entry(v) for v in row] for row in rows]
         ham = _cotangent.geodesic_model(g_inv)
         if args.integrals:
             integrals = _parse_exprs(args.integrals, "--integrals")

@@ -4,8 +4,10 @@ the fiber-derivative transport oracle and holonomy probes.
 Every integration runs through one core, `_rk4`. An entry point only
 describes its state layout: the names of the state slots and one
 right-hand-side expression per slot. The core compiles that tuple once
-and takes classical fixed-step RK4 steps; reproducibility and a clean
-convergence order beat adaptivity at this scale.
+and takes classical fixed-step RK4 steps on a list of plain floats;
+reproducibility and a clean convergence order beat adaptivity at this
+scale. A flow returns its end state, the number of steps it took and its
+status, and keeps nothing per step.
 
 Rules shared by every integration:
 
@@ -13,11 +15,11 @@ Rules shared by every integration:
   and at most `_MAX_STEPS` steps long, else `ModelError`. The core takes
   max(1, round(|T|/step)) equal steps of T/steps, so a negative span
   integrates backwards.
-- A trajectory ends with a status. `ok`: it ran the full span.
+- A flow ends with a status. `ok`: it ran the full span.
   `truncated:<t>`: it left a declared box. `excluded:<t>`: an
   excluded-set predicate came within 1e-6 of zero at a step end, or
   changed sign between two consecutive step ends (a step that jumped
-  over the locus). A stopped trajectory ends at the last state before
+  over the locus). A stopped flow ends at the last state before
   <t>; nothing is extrapolated.
 - A non-finite state, or a right-hand side undefined at a stage, raises
   `ModelError`.
@@ -75,22 +77,20 @@ class CurveSpec:
 
 @dataclass
 class FlowResult:
-    """A trajectory in the total space."""
+    """The end of a flow in the total space."""
 
-    times: list[float]
-    points: list[PointE]
+    final: PointE
     steps: int
     status: str = "ok"    # ok | truncated:<t> | excluded:<t>
-
-    @property
-    def final(self) -> PointE:
-        return self.points[-1]
 
 
 @dataclass
 class TransportResult:
+    """The end of a transport: the point the joint horizontal flow reached
+    and the transported vector there."""
+
+    final: PointE
     final_fiber: tuple[float, ...]
-    trajectory: list[tuple[float, PointE, tuple[float, ...]]]
     steps: int
     status: str = "ok"
 
@@ -109,7 +109,8 @@ def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
          box: Mapping[str, tuple[float, float]] | None = None):
     """The integrator core: classical fixed-step RK4 on the state whose
     slots are `names`, with one right-hand-side expression per slot,
-    compiled once. Returns (times, states, status)."""
+    compiled once. Returns (final_state, steps, status): the last state
+    kept, as a list of floats, and the number of steps that reached it."""
     _check_span(T, step)
     f = compile_vector(rhs, names)
     predicates = compile_vector(excluded, names)
@@ -117,40 +118,42 @@ def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
               if box is not None and name in box]
     n_steps = max(1, int(round(abs(T) / step)))
     h = T / n_steps
-    y = np.array(y0, dtype=float)
-    times = [0.0]
-    states = [y]
+    half, sixth = 0.5 * h, h / 6.0
+    # Plain floats: on numpy scalars a division by zero gives inf. The
+    # stage and update sums keep one association order; another order
+    # changes the last bits of every flow and so the report bytes.
+    y = [float(v) for v in y0]
+    steps = 0
     t = 0.0
     status = "ok"
     try:
-        # Plain floats: on numpy scalars a division by zero gives inf.
-        previous = predicates(y.tolist())
+        previous = predicates(y)
         for _ in range(n_steps):
-            k1 = np.array(f(y.tolist()))
-            k2 = np.array(f((y + 0.5 * h * k1).tolist()))
-            k3 = np.array(f((y + 0.5 * h * k2).tolist()))
-            k4 = np.array(f((y + h * k3).tolist()))
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = f(y)
+            k2 = f([a + half * k for a, k in zip(y, k1)])
+            k3 = f([a + half * k for a, k in zip(y, k2)])
+            k4 = f([a + h * k for a, k in zip(y, k3)])
+            new = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+                   for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
             t += h
-            if not np.all(np.isfinite(y)):
+            if not all(map(math.isfinite, new)):
                 raise ModelError(f"non-finite state at t={t:.6g}")
             # A predicate near zero, or one that changed sign since the last
             # step end, means the step reached or jumped over the locus.
-            values = predicates(y.tolist())
+            values = predicates(new)
             if any(abs(p) < _MARGIN or p * q < 0.0
                    for p, q in zip(values, previous)):
                 status = f"excluded:{t:.6g}"
                 break
-            if any(not lo <= y[slot] <= hi for slot, (lo, hi) in bounds):
+            if any(not lo <= new[slot] <= hi for slot, (lo, hi) in bounds):
                 status = f"truncated:{t:.6g}"
                 break
-            previous = values
-            times.append(t)
-            states.append(y)
+            y, previous = new, values
+            steps += 1
     except EvalError as exc:
         raise ModelError(f"right-hand side undefined near t={t:.6g}: "
                          f"{exc}") from None
-    return times, states, status
+    return y, steps, status
 
 
 def _fresh(taken: Sequence[str], stem: str, count: int) -> tuple[str, ...]:
@@ -184,23 +187,16 @@ def _lift(m: ConnectionModel, xdot: Sequence[Expr]) -> list[Expr]:
     return rows
 
 
-def _point_from_state(m: ConnectionModel, y: np.ndarray) -> PointE:
-    n = m.n
-    return PointE(base=tuple(float(v) for v in y[:n]),
-                  fiber=tuple(float(v) for v in y[n:n + m.k]))
-
-
 def horizontal_flow(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
                     T: float, step: float,
                     box: Mapping[str, tuple[float, float]] | None = None) -> FlowResult:
     """Integrate the horizontal lift of a base vector field. Along the
     resulting curve the fiber point is parallel for the nonlinear
     connection."""
-    times, states, status = _rk4(m.bundle.coords, _lift(m, _base_field(m, X)),
-                                 p0.values(m.bundle), T, step, m.excluded, box)
-    return FlowResult(times=times,
-                      points=[_point_from_state(m, y) for y in states],
-                      steps=len(times) - 1, status=status)
+    y, steps, status = _rk4(m.bundle.coords, _lift(m, _base_field(m, X)),
+                            p0.values(m.bundle), T, step, m.excluded, box)
+    return FlowResult(final=PointE(base=tuple(y[:m.n]), fiber=tuple(y[m.n:])),
+                      steps=steps, status=status)
 
 
 def _transport_coeffs(m: ConnectionModel) -> np.ndarray:
@@ -239,9 +235,7 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
         raise ModelError(f"transported vector needs {size} components, "
                          f"got {len(b0)}")
     if curve.vertical:
-        return TransportResult(final_fiber=b0,
-                               trajectory=[(0.0, curve.start, b0)],
-                               steps=0, status="ok")
+        return TransportResult(final=curve.start, final_fiber=b0, steps=0)
 
     coords = m.bundle.coords
     b_names = _fresh(coords, "b", size)
@@ -267,17 +261,14 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
             for B in range(size):
                 total = total + coeffs[A, i, B] * xdot[i] * Var(b_names[B])
         rows.append(-total)
-    times, states, status = _rk4(
+    y, steps, status = _rk4(
         coords + b_names + param, rows + [ONE] * len(param),
         curve.start.values(m.bundle) + b0 + (0.0,) * len(param),
         curve.t_span, curve.step, m.excluded)
     n = len(coords)
-    trajectory = [(t, _point_from_state(m, y),
-                   tuple(float(v) for v in y[n:n + size]))
-                  for t, y in zip(times, states)]
-    return TransportResult(final_fiber=trajectory[-1][2],
-                           trajectory=trajectory,
-                           steps=len(times) - 1, status=status)
+    return TransportResult(
+        final=PointE(base=tuple(y[:m.n]), fiber=tuple(y[m.n:n])),
+        final_fiber=tuple(y[n:n + size]), steps=steps, status=status)
 
 
 def transport_oracle(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
@@ -290,26 +281,23 @@ def transport_oracle(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
     if not (math.isfinite(fd_eps) and fd_eps > 0.0):
         raise ModelError(f"fd_eps must be a positive finite number, "
                          f"got {fd_eps!r}")
-    b0 = np.array(b0, dtype=float)
+    b0 = [float(v) for v in b0]
     if len(b0) != m.bundle.k:
         raise ModelError(f"fiber vector needs {m.bundle.k} components")
-    fiber0 = np.array(p0.fiber, dtype=float)
 
-    def flow_fiber(fiber: np.ndarray) -> np.ndarray:
+    def flow_fiber(fiber) -> tuple[float, ...]:
         start = PointE(base=p0.base, fiber=tuple(fiber))
         result = horizontal_flow(m, X, start, T, step)
         if result.status != "ok":
             raise ModelError(f"oracle flow stopped early: {result.status}")
-        return np.array(result.final.fiber, dtype=float)
+        return result.final.fiber
 
-    plus = flow_fiber(fiber0 + fd_eps * b0)
+    plus = flow_fiber(u + fd_eps * b for u, b in zip(p0.fiber, b0))
     if central:
-        minus = flow_fiber(fiber0 - fd_eps * b0)
-        derivative = (plus - minus) / (2.0 * fd_eps)
-    else:
-        base_val = flow_fiber(fiber0)
-        derivative = (plus - base_val) / fd_eps
-    return tuple(float(v) for v in derivative)
+        minus = flow_fiber(u - fd_eps * b for u, b in zip(p0.fiber, b0))
+        return tuple((p - q) / (2.0 * fd_eps) for p, q in zip(plus, minus))
+    base_val = flow_fiber(p0.fiber)
+    return tuple((p - q) / fd_eps for p, q in zip(plus, base_val))
 
 
 def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
@@ -321,11 +309,15 @@ def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
     As eps -> 0 this converges, with first order in eps, to the curvature
     component grid [.][i][j] at p0. The sign convention (leg order i then
     j) is calibrated once against the symbolic curvature in the test
-    suite and frozen. `eps` must be finite with a nonzero square.
+    suite and frozen. `eps^2` must exceed the rounding unit of the start
+    coordinates, or the defect is lost in rounding and the probe reads 0.
     """
-    if not (math.isfinite(eps) and eps ** 2 > 0.0):
-        raise ModelError(f"holonomy eps must be finite with a nonzero "
-                         f"square, got {eps!r}")
+    # From about 1.34e154 on, eps^2 overflows.
+    unit = math.ulp(max(1.0, *(abs(v) for v in p0.base + p0.fiber)))
+    if not (abs(eps) < 1e154 and eps ** 2 > unit):
+        raise ModelError(f"holonomy eps^2 must be finite and exceed the "
+                         f"rounding unit {unit:.3g} of the start point, "
+                         f"got eps={eps!r}")
     if m.bundle.n < 2:
         raise ModelError("holonomy probes need at least two base directions")
     if i == j:
@@ -341,8 +333,7 @@ def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
         if result.status != "ok":
             raise ModelError(f"holonomy leg stopped early: {result.status}")
         current = result.final
-    defect = np.array(current.fiber) - np.array(p0.fiber)
-    return tuple(float(v) / eps ** 2 for v in defect)
+    return tuple((a - b) / eps ** 2 for a, b in zip(current.fiber, p0.fiber))
 
 
 def sode_flow(s, state0: Sequence[float], T: float, step: float) -> FlowResult:
@@ -355,10 +346,7 @@ def sode_flow(s, state0: Sequence[float], T: float, step: float) -> FlowResult:
                          f"({', '.join(names)})")
     clock = () if s.autonomous else (ONE,)
     rows = clock + tuple(Var(v) for v in s.velocity_coords) + s.forces
-    times, states, status = _rk4(names, rows, state0, T, step, s.excluded)
+    y, steps, status = _rk4(names, rows, state0, T, step, s.excluded)
     n = len(s.base_coords)
-    points = [PointE(base=tuple(float(v) for v in y[:n]),
-                     fiber=tuple(float(v) for v in y[n:]))
-              for y in states]
-    return FlowResult(times=times, points=points, steps=len(times) - 1,
-                      status=status)
+    return FlowResult(final=PointE(base=tuple(y[:n]), fiber=tuple(y[n:])),
+                      steps=steps, status=status)

@@ -76,11 +76,21 @@ def test_usage_error_exit_2():
                  ("transport", m4, "--holonomy", "1,2", "--eps", "1e-300"),
                  ("check", m4, "--seed", "-1"),
                  ("hj", "--metric", "[1]"),
-                 ("hj", "--metric", "5")):
+                 ("hj", "--metric", "5"),
+                 *(("transport", m4, "--holonomy", "1,2", "--eps", eps,
+                    "--from", "x1=0.3,x2=0.2,u1=1,u2=1")
+                   for eps in ("1e-8", "1e-9", "1e-100", "1e-160", "1e200")),
+                 *(("hj", "--metric", metric, "--alpha", "0")
+                   for metric in ("[[true]]", "[[null]]", "[[1e400]]",
+                                  "[[NaN]]", "[[[1]]]"))):
         code, out, err = run_cli(*argv, "--json")
         assert code == 2, argv
         assert out == ""
         assert err.count("error:") == 1 and "Traceback" not in err, argv
+
+    # A bad --metric entry is named, not read as a variable named True.
+    _, _, err = run_cli("hj", "--metric", "[[1,0],[0,true]]", "--alpha", "0")
+    assert "got true" in err
 
 
 def test_bad_step_or_time_exit_2():

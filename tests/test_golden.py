@@ -80,6 +80,36 @@ Gamma[3,3] = 0.48*u2*u2 - 0.11*cos(0.72*x2)*u1 + 0.35*x3^2
 SYNTHETIC_N3_BIANCHI = \
     "b5923bfc03474468011bcf1d47d47ea2c57c7ad1f7ecd1830b2de993859fb492"
 
+# The integrators: RK4 flows, the transport oracle, a holonomy probe and
+# second-order flows, including an affine and a jet transport and a flow
+# that stops at the excluded locus (`excluded:1.001`).
+M4_FROM = "x1=0.3,x2=0.2,u1=1,u2=1"
+INTEGRATOR_GOLDEN = {
+    ("transport", "models/m4.lc", "--field", "x2,1", "--from", M4_FROM,
+     "--oracle"):
+        "9a52f761ace77228534cf0ae51269049daf7009c684b37ccd51b207c58d18cd7",
+    ("transport", "models/linear.lc", "--field", "1", "--oracle",
+     "--central", "--time", "-1"):
+        "de8af38aa83612361b8bceb53fae71418ba5d05798d0daf42ad06d468cf5287a",
+    ("transport", "models/affine_quadratic.lc", "--field", "1", "--fiber",
+     "1,0.2", "--from", "x1=0.2,y1=0.3"):
+        "5133e2df68652940bad2b565940c480f3096e57f7bd6bc23c3781b9d61e3399a",
+    ("transport", "models/jet_oscillator.lc", "--field", "1,1", "--fiber",
+     "1,0.5"):
+        "5e0959b8d10e34731d91e6a939e7b7236ad822b4622a4f3f89acecfdffeec2a5",
+    ("transport", "models/potential_1d.lc", "--field", "1", "--from",
+     "x1=0,p1=1", "--time", "2"):
+        "3b139dc3826d6b12a54c9d84da93fdf9c00f66963ff6106b98e1fac35d294501",
+    ("transport", "models/m4.lc", "--holonomy", "1,2", "--eps", "0.01",
+     "--from", M4_FROM):
+        "fdcdb0743b270ce3ea5ff6cc996b5b7df6340d3c712bf0f5c752f897110454d2",
+    ("sode", "models/oscillator_pair.lc", "--flow", "1,0,0,1"):
+        "a6a304f1fbaf76e6777ad5ec91472ee8dd19d8ca1d98a91c82ac1e70044c3792",
+    ("sode", "models/jet_oscillator.lc", "--flow", "0,1,0", "--step",
+     "1e-3"):
+        "74ad53d73891533b8088f5d4f519e5ea91659d068b574b13454bc11fe96f1ea1",
+}
+
 ARGV = {
     "check": ("--suite", "all", "--json", "--samples", "50"),
     "bianchi": ("--json",),
@@ -107,3 +137,11 @@ def test_synthetic_n3_bianchi_report_bytes(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     digest = stdout_digest("bianchi", "synthetic_n3.lc", *ARGV["bianchi"])
     assert digest == SYNTHETIC_N3_BIANCHI
+
+
+@pytest.mark.parametrize("argv", sorted(INTEGRATOR_GOLDEN),
+                         ids=[" ".join(a[:2] + a[2:4]) for a in
+                              sorted(INTEGRATOR_GOLDEN)])
+def test_integrator_report_bytes(monkeypatch, argv):
+    monkeypatch.chdir(REPO)
+    assert stdout_digest(*argv, "--json") == INTEGRATOR_GOLDEN[argv]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,7 @@ def test_explicit_curve_parameter_does_not_shadow_coordinate_t():
                      curve=(parse("t"), parse("t"))), (1.0, 0.4))
     assert along_curve.final_fiber == pytest.approx(along_field.final_fiber,
                                                     abs=1e-12)
-    assert along_curve.trajectory[-1][1] == along_field.trajectory[-1][1]
+    assert along_curve.final == along_field.final
 
 
 def test_state_slot_names_avoid_model_coordinates():
@@ -198,7 +199,7 @@ def test_transport_carries_the_horizontal_flow_bit_for_bit(name, X, p0, T):
     flow = horizontal_flow(m, X, p0, T, 1e-3)
     joint = parallel_transport(m, CurveSpec(start=p0, t_span=T, step=1e-3,
                                             field=X), (1.0,) * m.k)
-    assert joint.trajectory[-1][1] == flow.final
+    assert joint.final == flow.final
     assert joint.status == flow.status
     assert joint.steps == flow.steps
 
@@ -276,14 +277,16 @@ def test_central_differences_tighten_oracle(m4_model):
 # ---------------------------------------------------------------------------
 
 def test_affine_transport_preserves_weight():
+    # The weight stays 1 along the path: checked at the end of flows over
+    # a quarter, half, three quarters and all of the span.
     b = BundleModel("affine", ("x1",), ("y1",))
     m = ConnectionModel(b, [[parse("y1^2 + sin(x1)")]])
-    spec = CurveSpec(start=PointE((0.0,), (0.4,)), t_span=1.0, step=1e-3,
-                     field=(ONE,))
-    out = parallel_transport(m, spec, (1.0, 0.2))
-    assert abs(out.final_fiber[0] - 1.0) <= 1e-10
-    weights = [b_[0] for _, _, b_ in out.trajectory]
-    assert max(abs(w - 1.0) for w in weights) <= 1e-10
+    for span in (0.25, 0.5, 0.75, 1.0):
+        spec = CurveSpec(start=PointE((0.0,), (0.4,)), t_span=span,
+                         step=1e-3, field=(ONE,))
+        out = parallel_transport(m, spec, (1.0, 0.2))
+        assert out.status == "ok"
+        assert abs(out.final_fiber[0] - 1.0) <= 1e-10, span
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +330,25 @@ def test_holonomy_convergence_on_m4(m4_model):
     assert errors[2] / symbolic.max() < 0.005
 
 
+@pytest.mark.parametrize("eps, fiber", [
+    (1e-8, (1.0, 1.0)),
+    (1e-100, (1.0, 1.0)),
+    (1e200, (1.0, 1.0)),
+    (1e-6, (1e4, 1.0)),
+])
+def test_holonomy_refuses_eps_lost_in_rounding(m4_model, eps, fiber):
+    # Below the rounding unit of the start coordinates the defect is lost
+    # and the probe would read 0 against a nonzero curvature.
+    with pytest.raises(ModelError, match="rounding unit"):
+        holonomy_probe(m4_model, PointE((0.3, 0.2), fiber), 0, 1, eps)
+
+
+def test_holonomy_accepts_eps_above_rounding(m4_model):
+    defect = holonomy_probe(m4_model, PointE((0.3, 0.2), (1.0, 1.0)), 0, 1,
+                            1e-6)
+    assert defect[0] == pytest.approx(1.2, rel=1e-2)
+
+
 def test_holonomy_needs_two_directions(quadratic_model):
     with pytest.raises(ModelError):
         holonomy_probe(quadratic_model, PointE((0.0,), (1.0,)), 0, 0, 1e-2)
@@ -339,7 +361,7 @@ def test_holonomy_needs_two_directions(quadratic_model):
 def test_sode_flow_harmonic_oscillator():
     s = SodeModel(True, ("x1",), ("v1",), (parse("-x1"),))
     out = sode_flow(s, (1.0, 0.0), math.pi / 2, 1e-4)
-    x, v = out.points[-1].base[0], out.points[-1].fiber[0]
+    x, v = out.final.base[0], out.final.fiber[0]
     assert x == pytest.approx(0.0, abs=1e-6)
     assert v == pytest.approx(-1.0, abs=1e-6)
 
@@ -347,25 +369,40 @@ def test_sode_flow_harmonic_oscillator():
 def test_sode_flow_free_particle():
     s = SodeModel(True, ("x1",), ("v1",), (ZERO,))
     out = sode_flow(s, (0.25, 0.5), 2.0, 1e-2)
-    assert out.points[-1].base[0] == pytest.approx(1.25)
-    assert out.points[-1].fiber[0] == pytest.approx(0.5)
+    assert out.final.base[0] == pytest.approx(1.25)
+    assert out.final.fiber[0] == pytest.approx(0.5)
 
 
 def test_sode_flow_energy_conservation():
+    # Energy is conserved along the path: checked at the end of flows over
+    # a quarter, half, three quarters and all of the span.
     s = SodeModel(True, ("x1",), ("v1",), (parse("-x1"),))
-    out = sode_flow(s, (1.0, 0.0), 10.0, 1e-3)
-    drift = 0.0
-    for p in out.points:
+    for span in (2.5, 5.0, 7.5, 10.0):
+        p = sode_flow(s, (1.0, 0.0), span, 1e-3).final
         energy = 0.5 * (p.base[0] ** 2 + p.fiber[0] ** 2)
-        drift = max(drift, abs(energy - 0.5))
-    assert drift <= 1e-8
+        assert abs(energy - 0.5) <= 1e-8, span
+
+
+def test_sode_flow_memory_does_not_grow_with_steps():
+    # A flow keeps only its current state: 10,000 steps stay well under
+    # the ~4 MB that one stored state per step would take.
+    s = SodeModel(True, ("x1", "x2"), ("v1", "v2"),
+                  (parse("-x1"), parse("-x2")))
+    tracemalloc.start()
+    try:
+        out = sode_flow(s, (1.0, 0.0, 0.0, 1.0), 1.0, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.steps == 10_000
+    assert peak < 1_000_000
 
 
 def test_sode_flow_nonautonomous_state_layout():
     s = SodeModel(False, ("t", "x1"), ("v1",), (parse("-x1 + 0*t"),))
     out = sode_flow(s, (0.0, 1.0, 0.0), math.pi / 2, 1e-4)
-    t, x = out.points[-1].base
-    v = out.points[-1].fiber[0]
+    t, x = out.final.base
+    v = out.final.fiber[0]
     assert t == pytest.approx(math.pi / 2)
     assert x == pytest.approx(0.0, abs=1e-6)
     assert v == pytest.approx(-1.0, abs=1e-6)
