@@ -797,15 +797,19 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
 def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
     index = {name: i for i, name in enumerate(names)}
-    slots: dict[Expr, str] = {}
+    # Locals are shared by generated code, not by Expr equality: Const(-0.0)
+    # equals Const(0.0), yet the two can give results of different sign.
+    slots: dict[str, str] = {}
+    visited: dict[int, str] = {}
     lines: list[str] = []
 
     def emit(e: Expr) -> str:
-        # Straight-line code, one local per distinct subtree: no nesting
+        # Straight-line code, one local per distinct computation: no nesting
         # limit applies, and a repeated subtree is computed once.
         if isinstance(e, Const):
             return f"({e.value!r})"
-        if e not in slots:
+        slot = visited.get(id(e))
+        if slot is None:
             if isinstance(e, Var) and e.name not in index:
                 raise EvalError(f"unbound variable '{e.name}' in compiled expression")
             if isinstance(e, Var):
@@ -818,9 +822,12 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
                 code = f"_pow({emit(e.left)}, {emit(e.right)})"
             else:
                 code = f"{emit(e.left)} {e.symbol} {emit(e.right)}"
-            slots[e] = f"t{len(slots)}"
-            lines.append(f"        {slots[e]} = {code}\n")
-        return slots[e]
+            slot = slots.get(code)
+            if slot is None:
+                slot = slots[code] = f"t{len(slots)}"
+                lines.append(f"        {slot} = {code}\n")
+            visited[id(e)] = slot
+        return slot
 
     parts = [emit(e) for e in exprs]
     body = "(" + "".join(p + ", " for p in parts) + ")" if vector else parts[0]

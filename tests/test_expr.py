@@ -245,6 +245,9 @@ def _points():
 @given(domain_expressions(), _points())
 @example(parse("x1^2*sin(u1) - exp(x1/4)"),
          [{"x1": 0.8, "x2": 0.0, "u1": -0.4, "u2": 0.0}])
+# Equal trees whose zero constants differ in sign: -0.0 + 0.0 is 0.0.
+@example(Add(Sub(Const(-0.0), Const(0.0)), Sub(Const(0.0), Const(0.0))),
+         [{"x1": 0.0, "x2": 0.0, "u1": 0.0, "u2": 0.0}])
 def test_compile_fn_matches_evaluate(e, points):
     fn = compile_fn(e, _NAMES)
     for env in points:
