@@ -135,7 +135,7 @@ def _document(args, model_text: str, results: list, status: str) -> dict:
 # Small parsers for option payloads
 # ---------------------------------------------------------------------------
 
-def _parse_point(text: str | None, m: ConnectionModel) -> PointE:
+def _parse_point(text: str | None, m: ConnectionModel, flag: str) -> PointE:
     bundle = m.bundle
     values: dict[str, float] = {}
     if text:
@@ -153,6 +153,9 @@ def _parse_point(text: str | None, m: ConnectionModel) -> PointE:
                 values[name] = float(raw)
             except ValueError:
                 raise UsageError(f"bad value for {name!r}: {raw!r}") from None
+            if not math.isfinite(values[name]):
+                raise UsageError(f"{flag} coordinate {name!r} must be a finite "
+                                 f"number, got {raw.strip()!r}")
     fiber_default = 1.0 if m.excluded else 0.0
     missing = [c for c in bundle.coords if c not in values]
     if missing:
@@ -201,10 +204,13 @@ def _require_connection(doc: ModelDocument) -> ConnectionModel:
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
+        values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise UsageError(f"{what} needs comma-separated numbers, "
                          f"got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{what} needs finite numbers, got {text!r}")
+    return values
 
 
 def _parse_directions(text: str, n: int) -> tuple[int, int]:
@@ -403,7 +409,7 @@ _SECTION_BUILDERS = {
 def _cmd_tensor(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
-    at = _parse_point(args.at, m) if args.at is not None else None
+    at = _parse_point(args.at, m, "--at") if args.at is not None else None
     name = args.name
     if name in _TENSOR_BUILDERS:
         result = _tensor_result(_TENSOR_BUILDERS[name](m), m, at)
@@ -509,7 +515,7 @@ def _cmd_bianchi(args) -> tuple[list, str]:
 def _cmd_transport(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
-    p0 = _parse_point(getattr(args, "from"), m)
+    p0 = _parse_point(getattr(args, "from"), m, "--from")
     if args.holonomy:
         i, j = _parse_directions(args.holonomy, m.n)
         defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, args.eps)
@@ -580,7 +586,7 @@ def _cmd_sode(args) -> tuple[list, str]:
         report = _sode.decoupling_check(s, split, pts, args.tol)
         results.append({"type": "classification", **report.to_dict()})
     if args.jacobi:
-        at = _parse_point(args.at, m) if args.at is not None else None
+        at = _parse_point(args.at, m, "--at") if args.at is not None else None
         results.append(_tensor_result(_sode.jacobi_endomorphism(s), m, at))
     if args.homogenize:
         if s.autonomous:

@@ -19,6 +19,16 @@ Memo policy: `simplify` and `diff` share one memo, keyed structurally by
 the expression (and, for `diff`, the variable); both are pure, so it never
 changes a result. It lives as long as the process, but `cli.run` empties
 it when it returns, so each CLI run starts and ends with it empty.
+
+Numeric paths: `evaluate` walks the tree. Everything else runs from one
+straight-line plan of a tuple of expressions, one step per distinct
+computation, with two back ends. `compile_fn` and `compile_vector` render
+it as Python source for calls at one point at a time (the RK4 core, the
+scalar fallback). `_columns` runs it over numpy columns of many points:
+`+ - * /` and negation as column operations, which round each element as
+Python floats do, and powers and functions as `math` calls mapped over
+the column. Any fault in a column hands the points to the scalar path, so
+both back ends give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -792,44 +802,87 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to straight-line Python: the one numeric path besides evaluate
+# Straight-line plans: the one numeric path besides evaluate
 # ---------------------------------------------------------------------------
 
-def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
+# Rows of samples a column runner takes at a time.
+_CHUNK = 2048
+
+
+def _plan(exprs: Sequence[Expr], names: Sequence[str]):
+    """One straight-line plan computing `exprs` from a vector of `names`.
+
+    Returns `(steps, frees, outputs)`. Step k computes slot k and is a
+    tuple `(op, *args)`: `op` is "var" (its arg is the coordinate index),
+    "neg", one of "+ - * /", "^" or a function name; each arg is a slot
+    (an int) or a constant (the `repr` of its float). `frees[k]` lists the
+    slots whose last use is step k. An output is a slot or a constant.
+    Equal steps are shared. Keying constants by `repr` keeps -0.0 apart
+    from 0.0, which are equal as floats and as `Const`, yet can give
+    results of different sign.
+    """
     index = {name: i for i, name in enumerate(names)}
-    # Locals are shared by generated code, not by Expr equality: Const(-0.0)
-    # equals Const(0.0), yet the two can give results of different sign.
-    slots: dict[str, str] = {}
-    visited: dict[int, str] = {}
-    lines: list[str] = []
+    slots: dict[tuple, int] = {}
+    seen: dict[int, int] = {}
+    outputs = tuple(_plan_ref(e, index, slots, seen) for e in exprs)
+    steps = list(slots)
+    last: dict[int, int] = {}
+    for k, step in enumerate(steps):
+        if step[0] != "var":
+            last.update((a, k) for a in step[1:] if type(a) is int)
+    for ref in outputs:
+        last.pop(ref, None)
+    frees: list[tuple[int, ...]] = [()] * len(steps)
+    for slot, k in last.items():
+        frees[k] += (slot,)
+    return steps, frees, outputs
 
-    def emit(e: Expr) -> str:
-        # Straight-line code, one local per distinct computation: no nesting
-        # limit applies, and a repeated subtree is computed once.
-        if isinstance(e, Const):
-            return f"({e.value!r})"
-        slot = visited.get(id(e))
-        if slot is None:
-            if isinstance(e, Var) and e.name not in index:
-                raise EvalError(f"unbound variable '{e.name}' in compiled expression")
-            if isinstance(e, Var):
-                code = f"v[{index[e.name]}]"
-            elif isinstance(e, Neg):
-                code = f"-{emit(e.arg)}"
-            elif isinstance(e, Call):
-                code = f"_{e.fn}({emit(e.arg)})"
-            elif isinstance(e, Pow):
-                code = f"_pow({emit(e.left)}, {emit(e.right)})"
-            else:
-                code = f"{emit(e.left)} {e.symbol} {emit(e.right)}"
-            slot = slots.get(code)
-            if slot is None:
-                slot = slots[code] = f"t{len(slots)}"
-                lines.append(f"        {slot} = {code}\n")
-            visited[id(e)] = slot
-        return slot
 
-    parts = [emit(e) for e in exprs]
+def _plan_ref(e: Expr, index, slots, seen):
+    """The slot or constant of `e` in the plan under construction; a
+    module-level function, so that no closure cycle outlives the build."""
+    if isinstance(e, Const):
+        return repr(e.value)
+    ref = seen.get(id(e))
+    if ref is not None:
+        return ref
+    if isinstance(e, Var):
+        if e.name not in index:
+            raise EvalError(f"unbound variable '{e.name}' in compiled expression")
+        step = ("var", index[e.name])
+    elif isinstance(e, Neg):
+        step = ("neg", _plan_ref(e.arg, index, slots, seen))
+    elif isinstance(e, Call):
+        step = (e.fn, _plan_ref(e.arg, index, slots, seen))
+    else:
+        step = (e.symbol, _plan_ref(e.left, index, slots, seen),
+                _plan_ref(e.right, index, slots, seen))
+    ref = slots.setdefault(step, len(slots))
+    seen[id(e)] = ref
+    return ref
+
+
+def _text(ref) -> str:
+    return f"t{ref}" if type(ref) is int else f"({ref})"
+
+
+def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
+    """Render the plan of `exprs` as one Python function of a value vector."""
+    steps, _, outputs = _plan(exprs, names)
+    lines = []
+    for slot, (op, *args) in enumerate(steps):
+        if op == "var":
+            code = f"v[{args[0]}]"
+        elif op == "neg":
+            code = f"-{_text(args[0])}"
+        elif op == "^":
+            code = f"_pow({_text(args[0])}, {_text(args[1])})"
+        elif op in FUNCTIONS:
+            code = f"_{op}({_text(args[0])})"
+        else:
+            code = f"{_text(args[0])} {op} {_text(args[1])}"
+        lines.append(f"        t{slot} = {code}\n")
+    parts = [_text(ref) for ref in outputs]
     body = "(" + "".join(p + ", " for p in parts) + ")" if vector else parts[0]
     source = ("def _f(v):\n    try:\n" + "".join(lines) + f"        return {body}\n"
               "    except (ArithmeticError, ValueError) as exc:\n"
@@ -838,6 +891,60 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
     namespace.update(_pow=math.pow, _fault=_fault, exprs=exprs, names=names)
     exec(source, namespace)  # noqa: S102 - generated from a closed grammar
     return namespace["_f"]
+
+
+def _columns(plan, block):
+    """The plan's outputs as float64 columns over the rows of `block` (one
+    point per row), or None where the scalar path must decide.
+
+    `+ - * /` and negation run as numpy column operations, which round
+    each element exactly as Python floats do. Powers and functions map
+    `math.pow` and `FUNCTIONS` over the column. Any floating-point
+    exception but underflow, any error of a mapped function and any
+    non-finite input or constant step give None. So every column holds
+    finite values only, and equals the scalar code row by row.
+    """
+    import numpy as np
+    steps, frees, outputs = plan
+    rows = len(block)
+    vals: list = [None] * len(steps)
+    try:
+        coords = np.ascontiguousarray(np.asarray(block, dtype=float).T)
+        if not np.isfinite(coords).all():
+            return None
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for slot, (op, *args) in enumerate(steps):
+                if op == "var":
+                    vals[slot] = coords[args[0]]
+                    continue
+                a = [vals[x] if type(x) is int else float(x) for x in args]
+                if op == "neg":
+                    val = -a[0]
+                elif op == "+":
+                    val = a[0] + a[1]
+                elif op == "-":
+                    val = a[0] - a[1]
+                elif op == "*":
+                    val = a[0] * a[1]
+                elif op == "/":
+                    val = a[0] / a[1]
+                else:
+                    fn = math.pow if op == "^" else FUNCTIONS[op]
+                    if all(type(x) is float for x in a):
+                        val = fn(*a)
+                    else:
+                        lists = [x.tolist() if type(x) is not float else [x] * rows
+                                 for x in a]
+                        val = np.fromiter(map(fn, *lists), float, rows)
+                if type(val) is float and not math.isfinite(val):
+                    return None
+                vals[slot] = val
+                for free in frees[slot]:
+                    vals[free] = None
+    except (ArithmeticError, ValueError):
+        return None
+    out = [vals[r] if type(r) is int else float(r) for r in outputs]
+    return [np.full(rows, x) if type(x) is float else x for x in out]
 
 
 def _fault(exprs: Sequence[Expr], names: Sequence[str],

@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    Expr, Var, ZERO, _fault, compile_fn, diff, random_polynomial, simplify,
-    substitute,
+    _CHUNK, Expr, ExprError, Var, ZERO, _columns, _compile, _fault, _plan, diff,
+    random_polynomial, simplify, substitute,
 )
 from .model import ConnectionModel, ModelError, PointE, SectionModel
 
@@ -354,24 +354,64 @@ def evaluate_components(m: ConnectionModel,
     Returns (max_residual, worst_point, details) where details lists the
     per-component maxima in label order. A domain error or a non-finite
     value raises EvalError.
+
+    All components run as one plan over columns of samples. Where that
+    meets any fault, the scalar path decides, label by label and sample by
+    sample, so the values and the first error are those of a per-point
+    evaluation.
     """
     names = m.bundle.coords
-    vectors = [pt.values(m.bundle) for pt in samples]
+    # PointE.values without a method call per point.
+    vectors = [(*pt.base, *pt.fiber) for pt in samples]
+    maxima = _column_maxima(tuple(comps.values()), names, vectors)
+    if maxima is None:
+        maxima = [_scalar_maximum(label, e, names, vectors)
+                  for label, e in comps.items()]
     max_res = 0.0
     worst = samples[0] if samples else None
     details = []
-    for label, e in comps.items():
-        fn = compile_fn(e, names)
-        column = np.abs([fn(vec) for vec in vectors])
-        finite = np.isfinite(column)
-        if not finite.all():
-            raise _fault((e,), names, vectors[int(np.argmin(finite))],
-                         f"non-finite value of {label}")
-        local = float(column.max(initial=0.0))
+    for label, (local, where) in zip(comps, maxima):
         if local > max_res:
-            max_res, worst = local, samples[int(np.argmax(column))]
+            max_res, worst = local, samples[where]
         details.append((label, local))
     return max_res, worst, tuple(details)
+
+
+def _column_maxima(exprs: Sequence[Expr], names: Sequence[str],
+                   vectors: Sequence[Sequence[float]]):
+    """Per expression, its largest absolute value over `vectors` and the
+    first index that reaches it; None where the scalar path must decide."""
+    try:
+        plan = _plan(exprs, names)
+    except ExprError:  # an unbound variable: report it in label order
+        return None
+    if set(map(len, vectors)) - {len(names)}:
+        return None
+    block = np.fromiter(itertools.chain.from_iterable(vectors), float,
+                        len(vectors) * len(names)).reshape(-1, len(names))
+    maxima = [(0.0, 0)] * len(exprs)
+    for start in range(0, len(block), _CHUNK):
+        columns = _columns(plan, block[start:start + _CHUNK])
+        if columns is None:
+            return None
+        for k, column in enumerate(columns):
+            column = np.abs(column)
+            where = int(column.argmax())
+            if column[where] > maxima[k][0]:
+                maxima[k] = (float(column[where]), start + where)
+    return maxima
+
+
+def _scalar_maximum(label: str, e: Expr, names: Sequence[str],
+                    vectors: Sequence[Sequence[float]]):
+    fn = _compile((e,), names, vector=False)
+    column = np.abs([fn(vec) for vec in vectors])
+    finite = np.isfinite(column)
+    if not finite.all():
+        raise _fault((e,), names, vectors[int(np.argmin(finite))],
+                     f"non-finite value of {label}")
+    where = int(np.argmax(column)) if len(column) else 0
+    return float(column.max(initial=0.0)), where
 
 
 def residual_check(name: str, m: ConnectionModel, comps: Mapping[str, Expr],

@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    Expr, ParseError, compile_vector, parse, simplify, to_string, variables,
+    _CHUNK, Expr, ParseError, _columns, _plan, compile_vector, parse, simplify,
+    to_string, variables,
 )
 
 __all__ = [
@@ -487,19 +488,42 @@ def sample_points(m: ConnectionModel, count: int,
         if not (hi > lo):
             raise ModelError(f"degenerate box for {name}: [{lo}, {hi}]")
         intervals.append((lo, hi))
+    lows, highs = np.array(intervals).T
     rng = np.random.default_rng(seed)
-    predicates = compile_vector(m.excluded, bundle.coords)
+    plan = _plan(m.excluded, bundle.coords)
+    limit = 1000 * count
     points: list[PointE] = []
     attempts = 0
     while len(points) < count:
-        attempts += 1
-        if attempts > 1000 * count:
+        if attempts == limit:
             raise ModelError("could not sample off the excluded set; "
                              "box too close to the singular locus")
-        vals = [float(rng.uniform(lo, hi)) for lo, hi in intervals]
-        if any(abs(p) < margin for p in predicates(vals)):
-            continue
-        points.append(PointE(base=tuple(vals[:bundle.n]),
-                             fiber=tuple(vals[bundle.n:])))
+        # One block of the same stream that one draw per coordinate gives.
+        block = rng.uniform(lows, highs,
+                            size=(min(_CHUNK, limit - attempts), len(intervals)))
+        attempts += len(block)
+        kept = _off_excluded(m, plan, block, margin, count - len(points))
+        points += map(PointE, map(tuple, kept[:, :bundle.n].tolist()),
+                      map(tuple, kept[:, bundle.n:].tolist()))
     return points
 
+
+def _off_excluded(m: ConnectionModel, plan, block, margin: float, need: int):
+    """The first `need` rows of `block` where no excluded-set predicate is
+    within `margin` of zero. If the plan's columns fault, the compiled
+    predicates decide row by row, so no row after the last one taken is
+    evaluated."""
+    columns = _columns(plan, block)
+    if columns is None:
+        predicates = compile_vector(m.excluded, m.bundle.coords)
+        taken: list[int] = []
+        for row, vals in enumerate(block.tolist()):
+            if len(taken) == need:
+                break
+            if not any(abs(p) < margin for p in predicates(vals)):
+                taken.append(row)
+        return block[taken]
+    near = np.zeros(len(block), dtype=bool)
+    for column in columns:
+        near |= np.abs(column) < margin
+    return block[~near][:need]

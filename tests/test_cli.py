@@ -82,7 +82,14 @@ def test_usage_error_exit_2():
                    for eps in ("1e-8", "1e-9", "1e-100", "1e-160", "1e200")),
                  *(("hj", "--metric", metric, "--alpha", "0")
                    for metric in ("[[true]]", "[[null]]", "[[1e400]]",
-                                  "[[NaN]]", "[[[1]]]"))):
+                                  "[[NaN]]", "[[[1]]]")),
+                 ("transport", m4, "--field", "1,0",
+                  "--from", "x1=nan,x2=0,u1=1,u2=1"),
+                 ("transport", m4, "--holonomy", "1,2",
+                  "--from", "x1=inf,x2=0,u1=1,u2=1"),
+                 ("tensor", m4, "--name", "curvature", "--at", "u2=-inf"),
+                 ("transport", m4, "--field", "1,0", "--fiber", "1,nan"),
+                 ("sode", pair, "--flow", "1,0,inf,1")):
         code, out, err = run_cli(*argv, "--json")
         assert code == 2, argv
         assert out == ""
@@ -91,6 +98,13 @@ def test_usage_error_exit_2():
     # A bad --metric entry is named, not read as a variable named True.
     _, _, err = run_cli("hj", "--metric", "[[1,0],[0,true]]", "--alpha", "0")
     assert "got true" in err
+    # A non-finite start point is blamed on its flag and coordinate, not
+    # on the flow or on --eps.
+    _, _, err = run_cli("transport", m4, "--holonomy", "1,2",
+                        "--from", "x1=inf,x2=0,u1=1,u2=1")
+    assert "--from coordinate 'x1'" in err
+    _, _, err = run_cli("sode", pair, "--flow", "1,0,inf,1")
+    assert "--flow needs finite numbers" in err
 
 
 def test_bad_step_or_time_exit_2():

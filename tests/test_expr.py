@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from linconn.expr import (
     Add, Call, Const, Div, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
-    ZERO, _memo, compile_fn, compile_vector, diff, evaluate, parse, simplify,
-    substitute, to_string, variables,
+    ONE, ZERO, _columns, _memo, _plan, compile_fn, compile_vector, diff, evaluate,
+    parse, simplify, substitute, to_string, variables,
 )
 
 
@@ -266,6 +266,47 @@ def test_compile_fn_matches_evaluate(e, points):
             assert str(err).startswith("non-finite result")
             continue
         assert fn(values).hex() == expected.hex()
+
+
+_SIGNED_ZEROS = Add(Sub(Const(-0.0), Const(0.0)), Sub(Const(0.0), Const(0.0)))
+# exp(600)^2 overflows to inf, and 1/inf is 0.0: finite, yet only the
+# scalar path may produce it.
+_OVERFLOW_THEN_FINITE = parse("1/(exp(400*u1)*exp(400*u1))")
+
+
+def _rows():
+    coordinate = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    return st.lists(st.tuples(*[coordinate] * len(_NAMES)), min_size=1,
+                    max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(expressions(), domain_expressions()), _rows())
+@example(_SIGNED_ZEROS, [(0.0, 0.0, 0.0, 0.0)])
+@example(_OVERFLOW_THEN_FINITE, [(0.0, 0.0, 1.5, 0.0)])
+def test_columns_match_compile_fn_or_fall_back(e, rows):
+    # Several outputs of one plan, sharing e, plus a signed-zero constant.
+    exprs = (e, Neg(e), Const(-0.0))
+    columns = _columns(_plan(exprs, _NAMES), np.array(rows))
+    if columns is None:
+        return  # the scalar path decides
+    for out, column in zip(exprs, columns):
+        fn = compile_fn(out, _NAMES)
+        assert [fn(row).hex() for row in rows] == \
+            [float(v).hex() for v in column]
+
+
+def test_columns_hand_an_intermediate_overflow_to_the_scalar_path():
+    rows = [(0.0, 0.0, 1.5, 0.0)]
+    assert _columns(_plan((_OVERFLOW_THEN_FINITE,), _NAMES), rows) is None
+    assert compile_fn(_OVERFLOW_THEN_FINITE, _NAMES)(rows[0]) == 0.0
+    # Non-finite inputs and non-finite constant steps fall back too.
+    nan_row = [(float("nan"), 0.0, 0.0, 0.0)]
+    assert _columns(_plan((parse("x1"),), _NAMES), nan_row) is None
+    huge = Mul(Const(1e200), Const(1e200))
+    assert _columns(_plan((Div(ONE, huge),), _NAMES), rows) is None
+    (column,) = _columns(_plan((_SIGNED_ZEROS,), _NAMES), rows)
+    assert column[0].hex() == compile_fn(_SIGNED_ZEROS, _NAMES)(rows[0]).hex()
 
 
 def _env_points(rng, count=12):

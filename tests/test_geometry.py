@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
 
-from linconn.expr import ONE, ZERO, evaluate, parse, random_polynomial, simplify
+from linconn.expr import (
+    ONE, ZERO, EvalError, compile_fn, evaluate, parse, random_polynomial,
+    simplify,
+)
 from linconn.geometry import (
     CheckReport, VectorFieldOnE, axioms_check, bianchi_check, check_basic,
-    check_homogeneous, combine_reports, covariant_derivative, curvature, flatness_check,
+    check_homogeneous, combine_reports, covariant_derivative, curvature,
+    evaluate_components, flatness_check,
     h_apply, hh_curvature, hh_curvature_commutator,
     integral_section_residual, linear_coeffs, pullback_connection_coeffs,
     tension, tension_identities_check, vh_curvature,
@@ -408,3 +413,56 @@ def test_leibniz_and_tensoriality_random_data(m4_model, rng):
             right = evaluate(u_f, env) * evaluate(sigma[A], env) + \
                 evaluate(f, env) * evaluate(d_sigma[A], env)
             assert left == pytest.approx(right, rel=1e-9, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Sample evaluation
+# ---------------------------------------------------------------------------
+
+def _per_point(m, comps, samples):
+    """evaluate_components as one compiled call per component and point:
+    the reference the column evaluation must reproduce."""
+    names = m.bundle.coords
+    vectors = [pt.values(m.bundle) for pt in samples]
+    max_res, worst, details = 0.0, samples[0], []
+    for label, e in comps.items():
+        fn = compile_fn(e, names)
+        column = np.abs([fn(vec) for vec in vectors])
+        assert np.isfinite(column).all()
+        local = float(column.max(initial=0.0))
+        if local > max_res:
+            max_res, worst = local, samples[int(np.argmax(column))]
+        details.append((label, local))
+    return max_res, worst, tuple(details)
+
+
+def test_evaluate_components_matches_per_point_evaluation(m4_model):
+    # 5,000 samples span three column chunks. A constant keeps its first
+    # point as the worst; the largest residual lies in a later chunk.
+    samples = sample_points(m4_model, 5000, seed=61)
+    R = curvature(m4_model)
+    comps = {R.label(idx): e for idx, e in R.items()}
+    comps.update(zero=ZERO, negzero=parse("x1*0 - 0"),
+                 power=parse("(x1^2 + 1)^0.5*sin(u2) - exp(x2)/3"),
+                 late=parse("10*x1*u2"))
+    for case in ({"tie": parse("u1^2*0 + 1")}, comps):
+        expected = _per_point(m4_model, case, samples)
+        assert evaluate_components(m4_model, case, samples) == expected
+    assert samples.index(expected[1]) >= 2048
+
+
+def test_evaluate_components_reports_faults_in_label_order(m4_model):
+    samples = [PointE(base=(0.5, 0.2), fiber=(0.1, 0.3)),
+               PointE(base=(-0.5, 0.2), fiber=(0.1, 0.3))]
+    # The first label faults only at the second point; the second label
+    # has an unbound variable and the third faults at the first point.
+    comps = {"a": parse("ln(x1)"), "b": parse("zz"), "c": parse("1/(x2 - 0.2)")}
+    with pytest.raises(EvalError, match=r"ln of a non-positive number .* at x1=-0.5"):
+        evaluate_components(m4_model, comps, samples)
+    del comps["a"]
+    with pytest.raises(EvalError, match="unbound variable 'zz'"):
+        evaluate_components(m4_model, comps, samples)
+    # exp(600)^2 overflows though 1/that is finite: the scalar path gives 0.
+    big = {"d": parse("u1 + 1/(exp(400*(x1 + 1))*exp(400*(x1 + 1)))")}
+    assert evaluate_components(m4_model, big, samples) == \
+        _per_point(m4_model, big, samples)

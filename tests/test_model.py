@@ -1,10 +1,15 @@
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from linconn.expr import evaluate, parse
+from linconn.expr import EvalError, compile_vector, evaluate, parse
 from linconn.model import (
     BundleModel, ModelError, PointE, SectionModel,
     dump_model, load_model, sample_points, validate_section,
 )
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 MINIMAL = """
 [bundle]
@@ -186,6 +191,75 @@ def test_sampling_errors(m4_model):
         sample_points(m4_model, 0)
     with pytest.raises(ModelError):
         sample_points(m4_model, 3, box={"x1": (1.0, 1.0)})
+
+
+def _scalar_sample(m, count, box=None, seed=0, margin=0.1):
+    """The sampler as one draw per coordinate and one compiled predicate
+    call per point: the reference the block sampler must reproduce."""
+    intervals = [(box or {}).get(name, (-1.0, 1.0)) for name in m.bundle.coords]
+    rng = np.random.default_rng(seed)
+    predicates = compile_vector(m.excluded, m.bundle.coords)
+    points = []
+    attempts = 0
+    while len(points) < count:
+        attempts += 1
+        if attempts > 1000 * count:
+            raise ModelError("could not sample off the excluded set; "
+                             "box too close to the singular locus")
+        vals = [float(rng.uniform(lo, hi)) for lo, hi in intervals]
+        if any(abs(p) < margin for p in predicates(vals)):
+            continue
+        points.append(PointE(base=tuple(vals[:m.bundle.n]),
+                             fiber=tuple(vals[m.bundle.n:])))
+    return points
+
+
+def _outcome(sample, *args, **kwargs):
+    try:
+        return sample(*args, **kwargs)
+    except (EvalError, ModelError) as err:
+        return type(err), str(err)
+
+
+def _excluding(predicate):
+    return load_model(MINIMAL.replace("fiber = u1", f"fiber = u1\nexclude = "
+                                      f"\"{predicate}=0\"")).connection
+
+
+@pytest.mark.parametrize("count", [1, 7, 20000])
+@pytest.mark.parametrize("case", ["potential_1d", "boxed", "overflowing"])
+def test_block_sampler_matches_scalar_stream(case, count, m4_model):
+    if case == "potential_1d":
+        # Rejects every draw with |p1| < 0.1.
+        text = (MODELS / "potential_1d.lc").read_text()
+        m, box = load_model(text).connection, None
+    elif case == "boxed":
+        m, box = m4_model, {"x1": (0.5, 2.0), "u2": (-3.0, -1.0)}
+    else:
+        # The predicate overflows for x1 > 0.51, so those blocks go to the
+        # scalar path, which takes them: inf is not near zero.
+        m, box = _excluding("exp(700*x1)*exp(700*x1)"), None
+    got = sample_points(m, count, box=box, seed=11)
+    assert got == _scalar_sample(m, count, box=box, seed=11)
+    assert all(type(v) is float for pt in got for v in pt.base + pt.fiber)
+
+
+def test_block_sampler_faults_where_scalar_stream_does():
+    # ln(x1) faults at the first draw with x1 <= 0, but only if that draw
+    # is reached before `count` points are taken.
+    m = _excluding("ln(x1)")
+    cases = [(count, seed) for count in (1, 2, 3) for seed in range(8)]
+    outcomes = [_outcome(sample_points, m, count, seed=seed)
+                for count, seed in cases]
+    assert outcomes == [_outcome(_scalar_sample, m, count, seed=seed)
+                        for count, seed in cases]
+    assert {type(o) for o in outcomes} == {list, tuple}
+
+
+def test_sampling_gives_up_off_a_box_inside_the_margin():
+    m = _excluding("x1")
+    with pytest.raises(ModelError, match="could not sample off the excluded set"):
+        sample_points(m, 3, box={"x1": (-0.05, 0.05)})
 
 
 def test_point_env(m4_model):
