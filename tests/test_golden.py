@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from linconn.cli import run
+from linconn.expr import parse
+from linconn.transport import _rk4
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -103,11 +105,29 @@ INTEGRATOR_GOLDEN = {
     ("transport", "models/m4.lc", "--holonomy", "1,2", "--eps", "0.01",
      "--from", M4_FROM):
         "fdcdb0743b270ce3ea5ff6cc996b5b7df6340d3c712bf0f5c752f897110454d2",
+    # A coordinate started at -0.0 keeps its sign along a backward flow.
+    ("transport", "models/m4.lc", "--field", "0,1", "--from",
+     "x1=-0.0,x2=0.2,u1=1,u2=1", "--time", "-0.5"):
+        "98d44d9dcd9c1a8afe818a94f7e930eadeffd60541afa362074c4c4de5f27e87",
     ("sode", "models/oscillator_pair.lc", "--flow", "1,0,0,1"):
         "a6a304f1fbaf76e6777ad5ec91472ee8dd19d8ca1d98a91c82ac1e70044c3792",
     ("sode", "models/jet_oscillator.lc", "--flow", "0,1,0", "--step",
      "1e-3"):
         "74ad53d73891533b8088f5d4f519e5ea91659d068b574b13454bc11fe96f1ea1",
+}
+
+# One-slot flows through the integrator core itself, the smallest state it
+# steps, one per way a flow ends: (rhs, x0, T, step, excluded, box) ->
+# (float.hex of the final x, steps, status).
+RK4_GOLDEN = {
+    ("x^2", 1.0, 0.5, 1e-3, (), None):
+        ("0x1.ffffffffff926p+0", 500, "ok"),
+    ("-x", -0.0, -1.0, 1e-2, (), None):
+        ("-0x0.0p+0", 100, "ok"),
+    ("x", 1.0, 0.3, 1e-3, ("x - 1.2",), None):
+        ("0x1.3319ea72880c0p+0", 182, "excluded:0.183"),
+    ("sin(x) + 1", 0.25, 2.0, 1e-3, (), (0.0, 1.5)):
+        ("0x1.7fd4c81c5fb7ep+0", 741, "truncated:0.742"),
 }
 
 ARGV = {
@@ -145,3 +165,13 @@ def test_synthetic_n3_bianchi_report_bytes(monkeypatch, tmp_path):
 def test_integrator_report_bytes(monkeypatch, argv):
     monkeypatch.chdir(REPO)
     assert stdout_digest(*argv, "--json") == INTEGRATOR_GOLDEN[argv]
+
+
+@pytest.mark.parametrize("case", sorted(RK4_GOLDEN, key=repr),
+                         ids=[c[0] for c in sorted(RK4_GOLDEN, key=repr)])
+def test_one_slot_flow_bits(case):
+    rhs, x0, T, step, excluded, box = case
+    y, steps, status = _rk4(("x",), (parse(rhs),), (x0,), T, step,
+                            tuple(parse(e) for e in excluded),
+                            None if box is None else {"x": box})
+    assert (y[0].hex(), steps, status) == RK4_GOLDEN[case]

@@ -1,10 +1,13 @@
+import io
 import math
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linconn.cli import run
 from linconn.expr import ONE, ZERO, evaluate, parse
 from linconn.geometry import curvature
 from linconn.model import (
@@ -114,6 +117,46 @@ def test_flow_leaving_the_coefficient_domain_is_a_model_error():
     m = ConnectionModel(b, [[parse("sqrt(x1)*u1")]])
     with pytest.raises(ModelError, match="right-hand side undefined"):
         horizontal_flow(m, (ONE,), PointE((0.5,), (1.0,)), -1.0, 1e-3)
+
+
+@pytest.mark.parametrize("coefficient, excluded, x1, T, step, message", [
+    ("sqrt(x1)*u1", (), 0.5, -1.0, 1e-3,
+     "right-hand side undefined near t=-0.499: sqrt of a negative number "
+     "in 'sqrt(x1)' at x1=-4.3715e-16, u1=1.2658"),
+    ("-u1^2", (), 0.0, 3.0, 1e-2,
+     "right-hand side undefined near t=1.02: invalid power in 'u1^2' at "
+     "x1=1.02, u1=4.77518e+173"),
+    # A predicate faults at a step end, and so names the time after it.
+    ("u1", ("ln(x1)",), 0.5, -1.0, 1e-3,
+     "right-hand side undefined near t=-0.5: ln of a non-positive number "
+     "in 'ln(x1)' at x1=-4.3715e-16, u1=1.64872"),
+    ("u1", ("ln(x1)",), -1.0, 1.0, 1e-3,
+     "right-hand side undefined near t=0: ln of a non-positive number in "
+     "'ln(x1)' at x1=-1, u1=1"),
+])
+def test_flow_fault_messages(coefficient, excluded, x1, T, step, message):
+    b = BundleModel("vector", ("x1",), ("u1",))
+    m = ConnectionModel(b, [[parse(coefficient)]],
+                        excluded=tuple(parse(e) for e in excluded))
+    with pytest.raises(ModelError) as info:
+        horizontal_flow(m, (ONE,), PointE((x1,), (1.0,)), T, step)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--field", "1,x1", "--fiber", "1e308,1e308"),
+     "error: non-finite state at t=0.775"),
+    (("--field", "1/x1,1", "--from", "x1=0,x2=0.2,u1=1,u2=1"),
+     "error: right-hand side undefined near t=0: division by zero in "
+     "'1/x1' at x1=0, x2=0.2, u1=1, u2=1, b0=1, b1=0"),
+])
+def test_transport_fault_exits_2_with_one_error_line(argv, message):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["transport", str(MODELS / "m4.lc"), *argv])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().splitlines()[-1] == message
 
 
 def test_flow_rejects_fiber_dependent_field(linear_model):
