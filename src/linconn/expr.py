@@ -862,35 +862,57 @@ def _plan_ref(e: Expr, index, slots, seen):
     return ref
 
 
-def _text(ref) -> str:
-    return f"t{ref}" if type(ref) is int else f"({ref})"
+def _render(plan, inputs: Sequence[str], prefix: str):
+    """Render `plan` as straight-line Python: the statements that compute
+    each step into the local `{prefix}{slot}`, reading coordinate i as the
+    text `inputs[i]`, and the text of each output. Every generated function
+    (`compile_fn`, `compile_vector`, the RK4 kernel) is built from these
+    lines, so all of them compute a step with the same operations."""
+    steps, _, outputs = plan
+    text: dict[int, str] = {}
+
+    def ref(r) -> str:
+        return text[r] if type(r) is int else f"({r})"
+
+    lines = []
+    for slot, (op, *args) in enumerate(steps):
+        if op == "var":
+            text[slot] = inputs[args[0]]
+            continue
+        a = [ref(x) for x in args]
+        if op == "neg":
+            code = f"-{a[0]}"
+        elif op == "^":
+            code = f"_pow({a[0]}, {a[1]})"
+        elif op in FUNCTIONS:
+            code = f"_{op}({a[0]})"
+        else:
+            code = f"{a[0]} {op} {a[1]}"
+        text[slot] = f"{prefix}{slot}"
+        lines.append(f"{prefix}{slot} = {code}")
+    return lines, [ref(r) for r in outputs]
+
+
+def _define(source: str, **names):
+    """Execute generated `source`, which defines `_f` over `names` and the
+    plan's functions (`_pow`, `_sin`, ...), and return `_f`."""
+    namespace = {f"_{fn}": impl for fn, impl in FUNCTIONS.items()}
+    namespace.update(_pow=math.pow, **names)
+    exec(source, namespace)  # noqa: S102 - generated from a closed grammar
+    return namespace["_f"]
 
 
 def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
     """Render the plan of `exprs` as one Python function of a value vector."""
-    steps, _, outputs = _plan(exprs, names)
-    lines = []
-    for slot, (op, *args) in enumerate(steps):
-        if op == "var":
-            code = f"v[{args[0]}]"
-        elif op == "neg":
-            code = f"-{_text(args[0])}"
-        elif op == "^":
-            code = f"_pow({_text(args[0])}, {_text(args[1])})"
-        elif op in FUNCTIONS:
-            code = f"_{op}({_text(args[0])})"
-        else:
-            code = f"{_text(args[0])} {op} {_text(args[1])}"
-        lines.append(f"        t{slot} = {code}\n")
-    parts = [_text(ref) for ref in outputs]
+    lines, parts = _render(_plan(exprs, names),
+                           [f"v[{i}]" for i in range(len(names))], "t")
     body = "(" + "".join(p + ", " for p in parts) + ")" if vector else parts[0]
-    source = ("def _f(v):\n    try:\n" + "".join(lines) + f"        return {body}\n"
+    source = ("def _f(v):\n    try:\n"
+              + "".join(f"        {line}\n" for line in lines)
+              + f"        return {body}\n"
               "    except (ArithmeticError, ValueError) as exc:\n"
               "        raise _fault(exprs, names, v, str(exc)) from None\n")
-    namespace = {f"_{fn}": impl for fn, impl in FUNCTIONS.items()}
-    namespace.update(_pow=math.pow, _fault=_fault, exprs=exprs, names=names)
-    exec(source, namespace)  # noqa: S102 - generated from a closed grammar
-    return namespace["_f"]
+    return _define(source, _fault=_fault, exprs=exprs, names=names)
 
 
 def _columns(plan, block):

@@ -3,11 +3,14 @@ the fiber-derivative transport oracle and holonomy probes.
 
 Every integration runs through one core, `_rk4`. An entry point only
 describes its state layout: the names of the state slots and one
-right-hand-side expression per slot. The core compiles that tuple once
-and takes classical fixed-step RK4 steps on a list of plain floats;
-reproducibility and a clean convergence order beat adaptivity at this
-scale. A flow returns its end state, the number of steps it took and its
-status, and keeps nothing per step.
+right-hand-side expression per slot. The core generates the whole
+classical fixed-step RK4 loop as one Python function on plain floats
+(`_kernel`), with the state slots as locals and each stage rendered from
+the same plan as `compile_vector`; reproducibility and a clean
+convergence order beat adaptivity at this scale. A flow returns its end
+state, the number of steps it took and its status, and keeps nothing per
+step. A faulting step is taken once more stage by stage (`_replay`),
+which names the subexpression and the point.
 
 Rules shared by every integration:
 
@@ -34,7 +37,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, ONE, Var, ZERO, compile_vector, diff, substitute, variables,
+    EvalError, Expr, ONE, Var, ZERO, _define, _plan, _render, compile_vector,
+    diff, substitute, variables,
 )
 from .model import ConnectionModel, ModelError, PointE
 
@@ -57,7 +61,8 @@ _MAX_STEPS = 10 ** 7
 class CurveSpec:
     """A base curve for transport: either flow-generated by a base vector
     field, an explicit parameterized curve c(t), or a vertical (fiber-only)
-    curve along which transport is trivial."""
+    curve along which transport is trivial. A transport along it stops,
+    `truncated`, where a coordinate named in `box` leaves its bounds."""
 
     start: PointE
     t_span: float
@@ -65,6 +70,7 @@ class CurveSpec:
     field: tuple[Expr, ...] | None = None      # base vector field X(x)
     curve: tuple[Expr, ...] | None = None      # parameterized c(t), parameter "t"
     vertical: bool = False
+    box: Mapping[str, tuple[float, float]] | None = None
 
     def __post_init__(self):
         _check_span(self.t_span, self.step)
@@ -108,52 +114,128 @@ def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
          T: float, step: float, excluded: Sequence[Expr] = (),
          box: Mapping[str, tuple[float, float]] | None = None):
     """The integrator core: classical fixed-step RK4 on the state whose
-    slots are `names`, with one right-hand-side expression per slot,
-    compiled once. Returns (final_state, steps, status): the last state
-    kept, as a list of floats, and the number of steps that reached it."""
+    slots are `names`, with one right-hand-side expression per slot, run
+    as one generated kernel (`_kernel`). Returns (final_state, steps,
+    status): the last state kept, as a list of floats, and the number of
+    steps that reached it."""
     _check_span(T, step)
-    f = compile_vector(rhs, names)
-    predicates = compile_vector(excluded, names)
     bounds = [(slot, box[name]) for slot, name in enumerate(names)
               if box is not None and name in box]
     n_steps = max(1, int(round(abs(T) / step)))
     h = T / n_steps
+    kernel = _kernel(names, rhs, excluded, [slot for slot, _ in bounds])
+    # Plain floats: on numpy scalars a division by zero gives inf.
+    y, steps, t, status = kernel([float(v) for v in y0], n_steps, h, 0.5 * h,
+                                 h / 6.0, [v for _, lo_hi in bounds for v in lo_hi])
+    if status is None:
+        _replay(names, rhs, excluded, y, t, h)
+    if status != "ok":
+        status = f"{status}:{t:.6g}"
+    return y, steps, status
+
+
+def _kernel(names: Sequence[str], rhs: Sequence[Expr],
+            excluded: Sequence[Expr], bounded: Sequence[int]):
+    """Generate the whole fixed-step loop of `_rk4` as one function
+    `(y, n_steps, h, half, sixth, bounds) -> (state, steps, t, status)`.
+
+    The state slots are locals, and each of the four stages is the plan of
+    `rhs` rendered inline on that stage's input. Each step computes, in
+    this order, `y + half*k1`, `y + half*k2`, `y + h*k3` and
+    `y + sixth*(((k1 + 2k2) + 2k3) + k4)`; another association changes the
+    last bits of every flow. A step end is checked as the rules above say:
+    every slot finite, then the excluded-set predicates, then the box
+    `bounds` (lo, hi pairs of the slots `bounded`). `t` is summed step by
+    step. The status is "ok", "excluded" or "truncated", the last two with
+    the state before the step and the time after it. On a fault (an
+    arithmetic or domain error anywhere in a step, or a non-finite state)
+    the status is None, with the state and time at the start of the
+    faulting step, for `_replay` to explain.
+    """
+    count = len(names)
+    rhs_plan, test_plan = _plan(rhs, names), _plan(excluded, names)
+    state = [f"s{i}" for i in range(count)]
+    new = [f"n{i}" for i in range(count)]
+    previous = [f"w{j}" for j in range(len(excluded))]
+    limits = [f"{end}{j}" for j in range(len(bounded)) for end in ("lo", "hi")]
+    keep = f"[{', '.join(state)}]"
+
+    step, inputs, ks = [], state, []
+    for k, scale in enumerate(("half", "half", "h", None), 1):
+        lines, out = _render(rhs_plan, inputs, f"t{k}_")
+        step += lines
+        ks.append(out)
+        if scale:
+            inputs = [f"x{k}_{i}" for i in range(count)]
+            step += [f"{x} = {s} + {scale} * {c}"
+                     for x, s, c in zip(inputs, state, out)]
+    step += [f"{n} = {s} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
+             for n, s, a, b, c, d in zip(new, state, *ks)]
+    step += [f"if not ({' and '.join(f'_isfinite({n})' for n in new)}):",
+             f"    return {keep}, steps, t, None"]
+    tests, tested = _render(test_plan, new, "p")
+    step += tests
+    start, started = _render(test_plan, state, "p")
+    start += [f"{w} = {p}" for w, p in zip(previous, started)]
+
+    code = [f"{', '.join(state)}, = y"]
+    if limits:
+        code.append(f"{', '.join(limits)}, = bounds")
+    code.append("t = 0.0")
+    if excluded:
+        code += ["try:", *_indent(start),
+                 "except (ArithmeticError, ValueError):",
+                 "    return y, 0, t, None"]
+    loop = ["try:", *_indent(step),
+            "except (ArithmeticError, ValueError):",
+            f"    return {keep}, steps, t, None",
+            "t += h"]
+    if excluded:
+        near = " or ".join(f"abs({p}) < {_MARGIN!r} or {p} * {w} < 0.0"
+                           for p, w in zip(tested, previous))
+        loop += [f"if {near}:", f"    return {keep}, steps, t, 'excluded'"]
+    if bounded:
+        inside = " and ".join(f"lo{j} <= {new[slot]} <= hi{j}"
+                              for j, slot in enumerate(bounded))
+        loop += [f"if not ({inside}):",
+                 f"    return {keep}, steps, t, 'truncated'"]
+    loop += [f"{a} = {b}" for a, b in zip(state + previous, new + tested)]
+    code += ["for steps in range(n_steps):", *_indent(loop),
+             f"return {keep}, n_steps, t, 'ok'"]
+    source = ("def _f(y, n_steps, h, half, sixth, bounds):\n"
+              + "".join(f"    {line}\n" for line in code))
+    return _define(source, _isfinite=math.isfinite)
+
+
+def _indent(lines: Sequence[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _replay(names: Sequence[str], rhs: Sequence[Expr],
+            excluded: Sequence[Expr], y: list, t: float, h: float):
+    """Raise the ModelError of the step from state `y` at time `t` that
+    the kernel stopped in, by taking it once more stage by stage through
+    `compile_vector`, which names the faulting subexpression and point."""
+    f = compile_vector(rhs, names)
+    predicates = compile_vector(excluded, names)
     half, sixth = 0.5 * h, h / 6.0
-    # Plain floats: on numpy scalars a division by zero gives inf. The
-    # stage and update sums keep one association order; another order
-    # changes the last bits of every flow and so the report bytes.
-    y = [float(v) for v in y0]
-    steps = 0
-    t = 0.0
-    status = "ok"
     try:
-        previous = predicates(y)
-        for _ in range(n_steps):
-            k1 = f(y)
-            k2 = f([a + half * k for a, k in zip(y, k1)])
-            k3 = f([a + half * k for a, k in zip(y, k2)])
-            k4 = f([a + h * k for a, k in zip(y, k3)])
-            new = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-                   for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-            t += h
-            if not all(map(math.isfinite, new)):
-                raise ModelError(f"non-finite state at t={t:.6g}")
-            # A predicate near zero, or one that changed sign since the last
-            # step end, means the step reached or jumped over the locus.
-            values = predicates(new)
-            if any(abs(p) < _MARGIN or p * q < 0.0
-                   for p, q in zip(values, previous)):
-                status = f"excluded:{t:.6g}"
-                break
-            if any(not lo <= new[slot] <= hi for slot, (lo, hi) in bounds):
-                status = f"truncated:{t:.6g}"
-                break
-            y, previous = new, values
-            steps += 1
+        predicates(y)
+        k1 = f(y)
+        k2 = f([a + half * k for a, k in zip(y, k1)])
+        k3 = f([a + half * k for a, k in zip(y, k2)])
+        k4 = f([a + h * k for a, k in zip(y, k3)])
+        new = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+               for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        t += h
+        if not all(map(math.isfinite, new)):
+            raise ModelError(f"non-finite state at t={t:.6g}")
+        predicates(new)
     except EvalError as exc:
         raise ModelError(f"right-hand side undefined near t={t:.6g}: "
                          f"{exc}") from None
-    return y, steps, status
+    raise RuntimeError(f"RK4 kernel stopped at t={t:.6g} on a step that "
+                       f"replays without a fault")
 
 
 def _fresh(taken: Sequence[str], stem: str, count: int) -> tuple[str, ...]:
@@ -264,7 +346,7 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
     y, steps, status = _rk4(
         coords + b_names + param, rows + [ONE] * len(param),
         curve.start.values(m.bundle) + b0 + (0.0,) * len(param),
-        curve.t_span, curve.step, m.excluded)
+        curve.t_span, curve.step, m.excluded, curve.box)
     n = len(coords)
     return TransportResult(
         final=PointE(base=tuple(y[:m.n]), fiber=tuple(y[m.n:n])),
@@ -284,6 +366,13 @@ def transport_oracle(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
     b0 = [float(v) for v in b0]
     if len(b0) != m.bundle.k:
         raise ModelError(f"fiber vector needs {m.bundle.k} components")
+    plus = tuple(u + fd_eps * b for u, b in zip(p0.fiber, b0))
+    minus = tuple(u - fd_eps * b for u, b in zip(p0.fiber, b0))
+    # A perturbation lost in rounding differences a flow with itself, and
+    # the oracle would read 0 whatever the transport is.
+    if any(b0) and p0.fiber in ((plus, minus) if central else (plus,)):
+        raise ModelError(f"fd_eps={fd_eps!r} is lost in the rounding of the "
+                         f"start fiber: fd_eps*b leaves it unchanged")
 
     def flow_fiber(fiber) -> tuple[float, ...]:
         start = PointE(base=p0.base, fiber=tuple(fiber))
@@ -292,9 +381,9 @@ def transport_oracle(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
             raise ModelError(f"oracle flow stopped early: {result.status}")
         return result.final.fiber
 
-    plus = flow_fiber(u + fd_eps * b for u, b in zip(p0.fiber, b0))
+    plus = flow_fiber(plus)
     if central:
-        minus = flow_fiber(u - fd_eps * b for u, b in zip(p0.fiber, b0))
+        minus = flow_fiber(minus)
         return tuple((p - q) / (2.0 * fd_eps) for p, q in zip(plus, minus))
     base_val = flow_fiber(p0.fiber)
     return tuple((p - q) / fd_eps for p, q in zip(plus, base_val))
@@ -309,8 +398,10 @@ def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
     As eps -> 0 this converges, with first order in eps, to the curvature
     component grid [.][i][j] at p0. The sign convention (leg order i then
     j) is calibrated once against the symbolic curvature in the test
-    suite and frozen. `eps^2` must exceed the rounding unit of the start
-    coordinates, or the defect is lost in rounding and the probe reads 0.
+    suite and frozen; a negative eps runs the same rectangle mirrored
+    and converges to the same limit. `eps^2` must exceed the rounding unit
+    of the start coordinates, or the defect is lost in rounding and the
+    probe reads 0. The legs step at `step`, by default |eps|/50.
     """
     # From about 1.34e154 on, eps^2 overflows.
     unit = math.ulp(max(1.0, *(abs(v) for v in p0.base + p0.fiber)))
@@ -323,7 +414,7 @@ def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
     if i == j:
         raise ModelError("holonomy probe needs two distinct base directions")
     if step is None:
-        step = eps / 50.0
+        step = abs(eps) / 50.0
     legs = [(i, eps), (j, eps), (i, -eps), (j, -eps)]
     current = p0
     for direction, span in legs:

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -6,20 +7,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linconn.cli import run
-from linconn.expr import ONE, ZERO, evaluate, parse
+from linconn.expr import (
+    EvalError, ONE, Var, ZERO, compile_vector, evaluate, parse, substitute,
+)
 from linconn.geometry import curvature
 from linconn.model import (
     BundleModel, ConnectionModel, ModelError, PointE, load_model,
 )
 from linconn.sode import SodeModel
 from linconn.transport import (
-    CurveSpec, holonomy_probe, horizontal_flow, parallel_transport,
+    CurveSpec, _rk4, holonomy_probe, horizontal_flow, parallel_transport,
     sode_flow, transport_oracle,
 )
 
 from conftest import eval_or_zero
+from test_expr import domain_expressions, expressions
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -159,6 +164,108 @@ def test_transport_fault_exits_2_with_one_error_line(argv, message):
     assert err.getvalue().splitlines()[-1] == message
 
 
+def _stage_by_stage(names, rhs, y0, T, step, excluded=(), box=None):
+    """The reference integrator: the per-stage loop on `compile_vector`
+    that the generated kernel replaced, step for step and message for
+    message."""
+    f = compile_vector(rhs, names)
+    predicates = compile_vector(excluded, names)
+    bounds = [(slot, box[name]) for slot, name in enumerate(names)
+              if box is not None and name in box]
+    n_steps = max(1, int(round(abs(T) / step)))
+    h = T / n_steps
+    half, sixth = 0.5 * h, h / 6.0
+    y = [float(v) for v in y0]
+    steps = 0
+    t = 0.0
+    status = "ok"
+    try:
+        previous = predicates(y)
+        for _ in range(n_steps):
+            k1 = f(y)
+            k2 = f([a + half * k for a, k in zip(y, k1)])
+            k3 = f([a + half * k for a, k in zip(y, k2)])
+            k4 = f([a + h * k for a, k in zip(y, k3)])
+            new = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+                   for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+            t += h
+            if not all(map(math.isfinite, new)):
+                raise ModelError(f"non-finite state at t={t:.6g}")
+            values = predicates(new)
+            if any(abs(p) < 1e-6 or p * q < 0.0
+                   for p, q in zip(values, previous)):
+                status = f"excluded:{t:.6g}"
+                break
+            if any(not lo <= new[slot] <= hi for slot, (lo, hi) in bounds):
+                status = f"truncated:{t:.6g}"
+                break
+            y, previous = new, values
+            steps += 1
+    except EvalError as exc:
+        raise ModelError(f"right-hand side undefined near t={t:.6g}: "
+                         f"{exc}") from None
+    return y, steps, status
+
+
+def _outcome(integrate, *args):
+    try:
+        y, steps, status = integrate(*args)
+    except ModelError as exc:
+        return str(exc)
+    return [v.hex() for v in y], steps, status
+
+
+_SLOTS = ("x1", "x2", "u1", "u2")
+_RIGHT_HAND_SIDES = st.one_of(expressions(), domain_expressions())
+_PREDICATES = domain_expressions()
+
+
+@st.composite
+def _flows(draw):
+    """A flow on 1-4 slots: right-hand sides, with or without partial
+    operations, over the slots; a signed span; up to two excluded-set
+    predicates and a box on some slots."""
+    count = draw(st.integers(1, 4))
+    names = _SLOTS[:count]
+    # The strategies draw over all four names; fold them onto the slots.
+    fold = {name: Var(names[i % count]) for i, name in enumerate(_SLOTS)}
+
+    rhs = tuple(substitute(draw(_RIGHT_HAND_SIDES), fold) for _ in names)
+    coordinate = st.floats(-2.0, 2.0, allow_nan=False)
+    y0 = tuple(draw(coordinate) for _ in names)
+    T = draw(st.floats(-1.5, 1.5, allow_nan=False))
+    step = max(abs(T), 1e-3) / draw(st.integers(1, 40))
+    excluded = tuple(substitute(e, fold)
+                     for e in draw(st.lists(_PREDICATES, max_size=2)))
+    box = {}
+    for name in draw(st.lists(st.sampled_from(names), unique=True)):
+        lo = draw(st.floats(-3.0, 1.0, allow_nan=False))
+        box[name] = (lo, lo + draw(st.floats(0.0, 4.0, allow_nan=False)))
+    return names, rhs, y0, T, step, excluded, box or None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flows())
+@example((("x1",), (parse("-x1"),), (-0.0,), -1.0, 1e-2, (), None))
+@example((("x1", "u1"), (ONE, parse("u1^2")), (0.0, 1.0), 3.0, 1e-2,
+          (parse("x1 - 0.505"),), {"u1": (-1.0, 1e300)}))
+@example((("x1", "u1"), (ONE, parse("sqrt(x1)*u1")), (0.5, 1.0), -1.0, 1e-3,
+          (), None))
+@example((("x1", "u1"), (ONE, parse("u1")), (-1.0, 1.0), 1.0, 1e-3,
+          (parse("ln(x1)"),), None))
+@example((("x1",), (parse("x1*x1*x1"),), (10.0,), 1.0, 1e-2, (), None))
+# A step end inside the margin, with no sign change: (0.0005)^2 < 1e-6.
+@example((("x1",), (ONE,), (0.0005,), 1.0, 1e-2, (parse("(x1 - 0.5)^2"),),
+          None))
+# A start on the locus: no product with the start value is below zero,
+# so only the crossing back, at t = 2, is a sign change.
+@example((("x1",), (ONE,), (0.0,), 1.0, 0.1, (parse("x1"),), None))
+@example((("x1", "u1"), (parse("u1"), parse("-1")), (0.0, 1.0), 3.0, 0.3,
+          (parse("x1"),), None))
+def test_kernel_matches_the_stage_by_stage_loop(flow):
+    assert _outcome(_rk4, *flow) == _outcome(_stage_by_stage, *flow)
+
+
 def test_flow_rejects_fiber_dependent_field(linear_model):
     with pytest.raises(ModelError):
         horizontal_flow(linear_model, (parse("u1"),), PointE((0.0,), (1.0,)),
@@ -247,6 +354,19 @@ def test_transport_carries_the_horizontal_flow_bit_for_bit(name, X, p0, T):
     assert joint.steps == flow.steps
 
 
+@pytest.mark.parametrize("box", [{"x1": (-1.0, 0.35)},
+                                 {"u1": (0.0, 1.5), "x2": (-1.0, 1.0)}])
+def test_transport_stops_at_the_box_where_the_flow_does(m4_model, box):
+    p0 = PointE((0.1, -0.2), (0.8, 0.6))
+    X = (ONE, parse("x1"))
+    flow = horizontal_flow(m4_model, X, p0, 2.0, 1e-3, box=box)
+    joint = parallel_transport(m4_model, CurveSpec(
+        start=p0, t_span=2.0, step=1e-3, field=X, box=box), (1.0, 0.0))
+    assert flow.status.startswith("truncated:")
+    assert (joint.status, joint.steps) == (flow.status, flow.steps)
+    assert joint.final == flow.final
+
+
 def test_transport_flow_composition(quadratic_model):
     # psi_{s} o psi_{t} = psi_{s+t} along a fixed field.
     p0 = PointE((0.0,), (1.0,))
@@ -313,6 +433,36 @@ def test_central_differences_tighten_oracle(m4_model):
                   for a, b in zip(method.final_fiber, central))
     assert gap_fwd <= 1e-4
     assert gap_cen <= 1e-6
+
+
+@pytest.mark.parametrize("fd_eps, central", [
+    (1e-17, False), (1e-17, True), (1e-300, False),
+])
+def test_oracle_refuses_fd_eps_lost_in_rounding(m4_model, fd_eps, central):
+    p0 = PointE((0.3, 0.2), (1.0, 1.0))
+    with pytest.raises(ModelError, match="lost in the rounding"):
+        transport_oracle(m4_model, (ONE, parse("x1")), p0, (1.0, 1.0), 0.5,
+                         1e-3, fd_eps=fd_eps, central=central)
+
+
+def test_oracle_of_the_zero_vector_is_zero(m4_model):
+    # A zero vector is not perturbed at all, so nothing is lost.
+    oracle = transport_oracle(m4_model, (ONE, parse("x1")),
+                              PointE((0.3, 0.2), (1.0, 1.0)), (0.0, 0.0), 0.5,
+                              1e-3)
+    assert oracle == (0.0, 0.0)
+
+
+def test_oracle_refusal_exits_2_with_one_error_line():
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["transport", str(MODELS / "m4.lc"), "--from",
+                    "x1=0.3,x2=0.2,u1=1,u2=1", "--field", "1,x1", "--oracle",
+                    "--fd-eps", "1e-17"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == (
+        "error: fd_eps=1e-17 is lost in the rounding of the start fiber: "
+        "fd_eps*b leaves it unchanged\n")
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +540,31 @@ def test_holonomy_accepts_eps_above_rounding(m4_model):
     defect = holonomy_probe(m4_model, PointE((0.3, 0.2), (1.0, 1.0)), 0, 1,
                             1e-6)
     assert defect[0] == pytest.approx(1.2, rel=1e-2)
+
+
+def test_holonomy_with_negative_eps_converges_to_the_curvature(m4_model):
+    p0 = PointE((0.3, 0.2), (1.0, 1.0))
+    defect = holonomy_probe(m4_model, p0, 0, 1, -1e-2)
+    assert defect == pytest.approx((1.2, 0.8), rel=3e-2)
+    assert defect == holonomy_probe(m4_model, p0, 0, 1, -1e-2, 2e-4)
+
+
+def _holonomy_cli(*extra):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run(["transport", str(MODELS / "m4.lc"), "--holonomy", "1,2",
+                    "--from", "x1=0.3,x2=0.2,u1=1,u2=1", "--json", *extra])
+    assert code == 0
+    return json.loads(out.getvalue())["results"][0]["defect_over_eps2"]
+
+
+def test_holonomy_cli_takes_step_and_negative_eps(m4_model):
+    p0 = PointE((0.3, 0.2), (1.0, 1.0))
+    assert _holonomy_cli("--step", "5e-3") == \
+        list(holonomy_probe(m4_model, p0, 0, 1, 1e-2, 5e-3))
+    assert _holonomy_cli("--step", "5e-3") != _holonomy_cli()
+    assert _holonomy_cli("--eps", "-0.01") == \
+        list(holonomy_probe(m4_model, p0, 0, 1, -1e-2))
 
 
 def test_holonomy_needs_two_directions(quadratic_model):
