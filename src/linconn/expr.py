@@ -904,8 +904,11 @@ def _define(source: str, **names):
 
 def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
     """Render the plan of `exprs` as one Python function of a value vector."""
-    lines, parts = _render(_plan(exprs, names),
-                           [f"v[{i}]" for i in range(len(names))], "t")
+    plan = _plan(exprs, names)
+    # Each coordinate the plan reads is loaded from `v` once, into a local.
+    used = sorted({args[0] for op, *args in plan[0] if op == "var"})
+    lines, parts = _render(plan, [f"v{i}" for i in range(len(names))], "t")
+    lines = [f"v{i} = v[{i}]" for i in used] + lines
     body = "(" + "".join(p + ", " for p in parts) + ")" if vector else parts[0]
     source = ("def _f(v):\n    try:\n"
               + "".join(f"        {line}\n" for line in lines)

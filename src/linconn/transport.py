@@ -119,14 +119,14 @@ def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
     status): the last state kept, as a list of floats, and the number of
     steps that reached it."""
     _check_span(T, step)
-    bounds = [(slot, box[name]) for slot, name in enumerate(names)
-              if box is not None and name in box]
+    bounded = [slot for slot, name in enumerate(names)
+               if box is not None and name in box]
     n_steps = max(1, int(round(abs(T) / step)))
     h = T / n_steps
-    kernel = _kernel(names, rhs, excluded, [slot for slot, _ in bounds])
+    kernel = _kernel(names, rhs, excluded, bounded)
     # Plain floats: on numpy scalars a division by zero gives inf.
     y, steps, t, status = kernel([float(v) for v in y0], n_steps, h, 0.5 * h,
-                                 h / 6.0, [v for _, lo_hi in bounds for v in lo_hi])
+                                 h / 6.0, [box[names[slot]] for slot in bounded])
     if status is None:
         _replay(names, rhs, excluded, y, t, h)
     if status != "ok":
@@ -145,7 +145,7 @@ def _kernel(names: Sequence[str], rhs: Sequence[Expr],
     `y + sixth*(((k1 + 2k2) + 2k3) + k4)`; another association changes the
     last bits of every flow. A step end is checked as the rules above say:
     every slot finite, then the excluded-set predicates, then the box
-    `bounds` (lo, hi pairs of the slots `bounded`). `t` is summed step by
+    `bounds`, one (lo, hi) pair per slot in `bounded`. `t` is summed step by
     step. The status is "ok", "excluded" or "truncated", the last two with
     the state before the step and the time after it. On a fault (an
     arithmetic or domain error anywhere in a step, or a non-finite state)
@@ -157,7 +157,6 @@ def _kernel(names: Sequence[str], rhs: Sequence[Expr],
     state = [f"s{i}" for i in range(count)]
     new = [f"n{i}" for i in range(count)]
     previous = [f"w{j}" for j in range(len(excluded))]
-    limits = [f"{end}{j}" for j in range(len(bounded)) for end in ("lo", "hi")]
     keep = f"[{', '.join(state)}]"
 
     step, inputs, ks = [], state, []
@@ -179,8 +178,9 @@ def _kernel(names: Sequence[str], rhs: Sequence[Expr],
     start += [f"{w} = {p}" for w, p in zip(previous, started)]
 
     code = [f"{', '.join(state)}, = y"]
-    if limits:
-        code.append(f"{', '.join(limits)}, = bounds")
+    if bounded:
+        code.append(", ".join(f"(lo{j}, hi{j})" for j in range(len(bounded)))
+                    + ", = bounds")
     code.append("t = 0.0")
     if excluded:
         code += ["try:", *_indent(start),
