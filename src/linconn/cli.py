@@ -518,8 +518,7 @@ def _cmd_transport(args) -> tuple[list, str]:
     p0 = _parse_point(getattr(args, "from"), m, "--from")
     if args.holonomy:
         i, j = _parse_directions(args.holonomy, m.n)
-        defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, args.eps,
-                                           args.step)
+        defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, args.eps)
         R = _geometry.curvature(m)
         env = p0.env(m.bundle)
         symbolic = [0.0 if R[A, i - 1, j - 1] == ZERO
@@ -540,15 +539,14 @@ def _cmd_transport(args) -> tuple[list, str]:
         b0 = _parse_floats(args.fiber, "--fiber")
     else:
         b0 = tuple(1.0 if idx == 0 else 0.0 for idx in range(size))
-    step = 1e-3 if args.step is None else args.step
-    spec = _transport.CurveSpec(start=p0, t_span=args.time, step=step,
+    spec = _transport.CurveSpec(start=p0, t_span=args.time, step=args.step,
                                 field=X)
     result = _transport.parallel_transport(m, spec, b0)
     payload = {
         "type": "transport",
         "from": {"base": list(p0.base), "fiber": list(p0.fiber)},
         "time": args.time,
-        "step": step,
+        "step": args.step,
         "flow_final": {"base": list(result.final.base),
                        "fiber": list(result.final.fiber)},
         "flow_status": result.status,
@@ -560,7 +558,7 @@ def _cmd_transport(args) -> tuple[list, str]:
         if m.bundle.kind in ("affine", "jet"):
             raise UsageError("--oracle applies to vector-like models")
         oracle = _transport.transport_oracle(m, X, p0, b0, args.time,
-                                             step, fd_eps=args.fd_eps,
+                                             args.step, fd_eps=args.fd_eps,
                                              central=args.central)
         gaps = [abs(a - b) / max(1.0, abs(b))
                 for a, b in zip(result.final_fiber, oracle)]
@@ -715,8 +713,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="start point, e.g. \"x1=0,u1=1\"")
     p.add_argument("--fiber", help="transported vector components")
     p.add_argument("--time", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=None,
-                   help="RK4 step (default 1e-3; |eps|/50 for --holonomy)")
+    p.add_argument("--step", type=float, default=1e-3,
+                   help="RK4 step of a --field transport; the --holonomy "
+                        "legs step at |eps|/50")
     p.add_argument("--oracle", action="store_true",
                    help="compare against the fiber-derivative oracle")
     p.add_argument("--fd-eps", type=float, default=1e-5)

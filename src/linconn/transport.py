@@ -61,8 +61,7 @@ _MAX_STEPS = 10 ** 7
 class CurveSpec:
     """A base curve for transport: either flow-generated by a base vector
     field, an explicit parameterized curve c(t), or a vertical (fiber-only)
-    curve along which transport is trivial. A transport along it stops,
-    `truncated`, where a coordinate named in `box` leaves its bounds."""
+    curve along which transport is trivial."""
 
     start: PointE
     t_span: float
@@ -70,7 +69,6 @@ class CurveSpec:
     field: tuple[Expr, ...] | None = None      # base vector field X(x)
     curve: tuple[Expr, ...] | None = None      # parameterized c(t), parameter "t"
     vertical: bool = False
-    box: Mapping[str, tuple[float, float]] | None = None
 
     def __post_init__(self):
         _check_span(self.t_span, self.step)
@@ -346,7 +344,7 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
     y, steps, status = _rk4(
         coords + b_names + param, rows + [ONE] * len(param),
         curve.start.values(m.bundle) + b0 + (0.0,) * len(param),
-        curve.t_span, curve.step, m.excluded, curve.box)
+        curve.t_span, curve.step, m.excluded)
     n = len(coords)
     return TransportResult(
         final=PointE(base=tuple(y[:m.n]), fiber=tuple(y[m.n:n])),
