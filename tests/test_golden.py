@@ -130,6 +130,26 @@ RK4_GOLDEN = {
         ("0x1.7fd4c81c5fb7ep+0", 741, "truncated:0.742"),
 }
 
+# Sampled reports of the other verbs and kinds: the affine and jet suites,
+# `hj` and `sode --classify --split`, and 2,100-sample checks whose draw
+# spans two 2,048-row sampler blocks (on `potential_1d`, rows near its
+# excluded set p1 = 0 are rejected).
+SAMPLED_GOLDEN = {
+    ("check", "models/affine_quadratic.lc", "--suite", "all"):
+        "a797e72ca660abed45a545d45027f174b7764bbeea8b84e96c528fb7a1f3cbd8",
+    ("check", "models/jet_oscillator.lc", "--suite", "all"):
+        "b71a1aa06afda55b85e21531af713871f6cd6a446f9813fdd98f1b00c568afae",
+    ("hj", "models/geodesic_const.lc"):
+        "564931a2f5b98ad2aa89d5e10e3dbe99313cb6421277475100d1a881a38c9b72",
+    ("sode", "models/oscillator_pair.lc", "--classify", "--split", "1|2"):
+        "9c22ca975c4eb65710a25096b394e9d1cc0f2f671890373c3818c026940bc3af",
+    ("check", "models/m4.lc", "--suite", "all", "--samples", "2100"):
+        "599b549d646fa2969fe72a6ade1a01bd88319e7b640da557eddf1872d0782602",
+    ("check", "models/potential_1d.lc", "--suite", "all", "--samples",
+     "2100"):
+        "b2287d5b9f59cbc121b698f673d2b2839f30f8bf26edb18d8068e8582cd98a7b",
+}
+
 ARGV = {
     "check": ("--suite", "all", "--json", "--samples", "50"),
     "bianchi": ("--json",),
@@ -165,6 +185,13 @@ def test_synthetic_n3_bianchi_report_bytes(monkeypatch, tmp_path):
 def test_integrator_report_bytes(monkeypatch, argv):
     monkeypatch.chdir(REPO)
     assert stdout_digest(*argv, "--json") == INTEGRATOR_GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(SAMPLED_GOLDEN),
+                         ids=[" ".join(a) for a in sorted(SAMPLED_GOLDEN)])
+def test_sampled_report_bytes(monkeypatch, argv):
+    monkeypatch.chdir(REPO)
+    assert stdout_digest(*argv, "--json") == SAMPLED_GOLDEN[argv]
 
 
 @pytest.mark.parametrize("case", sorted(RK4_GOLDEN, key=repr),
