@@ -22,8 +22,7 @@ from .geometry import (
     residual_check,
 )
 from .model import (
-    BundleModel, ConnectionModel, ModelError, PointE, SectionModel,
-    sample_points,
+    BundleModel, ConnectionModel, ModelError, SectionModel, sample_points,
 )
 
 __all__ = [
@@ -168,7 +167,7 @@ def check_homogenized(hom: HomogenizedModel, count: int, tol: float,
     return check_homogeneous(hom.model, samples, tol)
 
 
-def check_affine_structure(m: ConnectionModel, samples: Sequence[PointE],
+def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
                            tol: float, seed: int = 0) -> CheckReport:
     """Structural checks of the affine linearization.
 

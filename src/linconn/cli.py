@@ -247,10 +247,6 @@ def _load(args) -> ModelDocument:
     return load_model(args._model_text)
 
 
-def _samples(m: ConnectionModel, args) -> list[PointE]:
-    return sample_points(m, args.samples, seed=args.seed)
-
-
 # ---------------------------------------------------------------------------
 # Results and their text rendering
 # ---------------------------------------------------------------------------
@@ -450,7 +446,7 @@ def _checks(args, doc: ModelDocument, suites: Sequence[str]) -> tuple[list, str]
     """Run the named check suites on the model's connection; the library
     rejects a model of the wrong kind with a ModelError."""
     m = _require_connection(doc)
-    pts = _samples(m, args)
+    pts = sample_points(m, args.samples, seed=args.seed)
     tol = args.tol
     reports: list = []
     for suite in suites:
@@ -578,7 +574,8 @@ def _cmd_sode(args) -> tuple[list, str]:
         raise UsageError("--classify applies to autonomous models")
     split = _parse_split(args.split) if args.split else None
     # --classify and --split check the same seeded sample set.
-    pts = _samples(m, args) if args.classify or split else None
+    pts = sample_points(m, args.samples, seed=args.seed) \
+        if args.classify or split else None
     if args.classify:
         report = _sode.linearizability_report(s, pts, args.tol)
         results.append({"type": "classification", **report.to_dict()})

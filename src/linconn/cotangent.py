@@ -27,9 +27,7 @@ from .geometry import (
     _grid, _tensor, combine_reports, curvature, evaluate_components, h_apply,
     residual_check,
 )
-from .model import (
-    BundleModel, ConnectionModel, ModelError, PointE, sample_points,
-)
+from .model import BundleModel, ConnectionModel, ModelError, sample_points
 
 __all__ = [
     "HamiltonianModel", "OneFormOnM", "TransversalityError",
@@ -228,7 +226,7 @@ def _zero_on_probes(bundle: BundleModel, e: Expr, count: int = 25) -> bool:
 
 
 def integrable_report(h: HamiltonianModel, m: ConnectionModel,
-                      samples: Sequence[PointE], tol: float) -> CheckReport:
+                      samples: np.ndarray, tol: float) -> CheckReport:
     """Diagnostics for a connection built from first integrals: canonical
     involution of the family, the first-integral property against H, the
     defining horizontal-differential residuals and the torsion."""
@@ -268,7 +266,7 @@ def integrable_report(h: HamiltonianModel, m: ConnectionModel,
 # ---------------------------------------------------------------------------
 
 def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
-              samples: Sequence[PointE], tol: float,
+              samples: np.ndarray, tol: float,
               connection: ConnectionModel | None = None) -> CheckReport:
     """Verify a candidate Hamilton-Jacobi solution.
 
@@ -357,7 +355,7 @@ def geodesic_model(g_inv: Sequence[Sequence[Expr]],
     return HamiltonianModel(bundle=bundle, H=simplify(H))
 
 
-def cyclic_curvature_check(m: ConnectionModel, samples: Sequence[PointE],
+def cyclic_curvature_check(m: ConnectionModel, samples: np.ndarray,
                            tol: float) -> CheckReport:
     """For symmetric connections the curvature satisfies the cyclic
     identity sum_cyc <R(X,Y), Z> = 0 on coordinate frames."""

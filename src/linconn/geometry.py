@@ -348,12 +348,14 @@ def dv_field(m: ConnectionModel, field_: TensorField, d: int) -> np.ndarray:
 
 def evaluate_components(m: ConnectionModel,
                         comps: Mapping[str, Expr],
-                        samples: Sequence[PointE]):
-    """Evaluate labeled expressions at sample points.
+                        samples: np.ndarray):
+    """Evaluate labeled expressions at sample points: a float array with
+    one point per row in `bundle.coords` order, as `sample_points` draws.
 
     Returns (max_residual, worst_point, details) where details lists the
-    per-component maxima in label order. A domain error or a non-finite
-    value raises EvalError.
+    per-component maxima in label order, and worst_point is the `PointE`
+    of the first row that reaches the maximum. A domain error or a
+    non-finite value raises EvalError.
 
     All components run as one plan over columns of samples. Where that
     meets any fault, the scalar path decides, label by label and sample by
@@ -361,37 +363,35 @@ def evaluate_components(m: ConnectionModel,
     evaluation.
     """
     names = m.bundle.coords
-    # PointE.values without a method call per point.
-    vectors = [(*pt.base, *pt.fiber) for pt in samples]
-    maxima = _column_maxima(tuple(comps.values()), names, vectors)
+    maxima = _column_maxima(tuple(comps.values()), names, samples)
     if maxima is None:
-        maxima = [_scalar_maximum(label, e, names, vectors)
+        rows = samples.tolist()
+        maxima = [_scalar_maximum(label, e, names, rows)
                   for label, e in comps.items()]
-    max_res = 0.0
-    worst = samples[0] if samples else None
+    max_res, worst_row = 0.0, 0
     details = []
     for label, (local, where) in zip(comps, maxima):
         if local > max_res:
-            max_res, worst = local, samples[where]
+            max_res, worst_row = local, where
         details.append((label, local))
+    worst = None
+    if len(samples):
+        row = samples[worst_row].tolist()
+        worst = PointE(base=tuple(row[:m.n]), fiber=tuple(row[m.n:]))
     return max_res, worst, tuple(details)
 
 
 def _column_maxima(exprs: Sequence[Expr], names: Sequence[str],
-                   vectors: Sequence[Sequence[float]]):
-    """Per expression, its largest absolute value over `vectors` and the
-    first index that reaches it; None where the scalar path must decide."""
+                   samples: np.ndarray):
+    """Per expression, its largest absolute value over `samples` and the
+    first row that reaches it; None where the scalar path must decide."""
     try:
         plan = _plan(exprs, names)
     except ExprError:  # an unbound variable: report it in label order
         return None
-    if set(map(len, vectors)) - {len(names)}:
-        return None
-    block = np.fromiter(itertools.chain.from_iterable(vectors), float,
-                        len(vectors) * len(names)).reshape(-1, len(names))
     maxima = [(0.0, 0)] * len(exprs)
-    for start in range(0, len(block), _CHUNK):
-        columns = _columns(plan, block[start:start + _CHUNK])
+    for start in range(0, len(samples), _CHUNK):
+        columns = _columns(plan, samples[start:start + _CHUNK])
         if columns is None:
             return None
         for k, column in enumerate(columns):
@@ -403,19 +403,19 @@ def _column_maxima(exprs: Sequence[Expr], names: Sequence[str],
 
 
 def _scalar_maximum(label: str, e: Expr, names: Sequence[str],
-                    vectors: Sequence[Sequence[float]]):
+                    rows: Sequence[Sequence[float]]):
     fn = _compile((e,), names, vector=False)
-    column = np.abs([fn(vec) for vec in vectors])
+    column = np.abs([fn(vec) for vec in rows])
     finite = np.isfinite(column)
     if not finite.all():
-        raise _fault((e,), names, vectors[int(np.argmin(finite))],
+        raise _fault((e,), names, rows[int(np.argmin(finite))],
                      f"non-finite value of {label}")
     where = int(np.argmax(column)) if len(column) else 0
     return float(column.max(initial=0.0)), where
 
 
 def residual_check(name: str, m: ConnectionModel, comps: Mapping[str, Expr],
-                   samples: Sequence[PointE], tol: float,
+                   samples: np.ndarray, tol: float,
                    labels: Mapping | None = None) -> CheckReport:
     """Build a CheckReport from labeled residual expressions."""
     if not comps:
@@ -429,7 +429,7 @@ def residual_check(name: str, m: ConnectionModel, comps: Mapping[str, Expr],
 
 
 def combine_reports(name: str, subs: Sequence[CheckReport], tol: float,
-                    samples: Sequence[PointE],
+                    samples: np.ndarray,
                     labels: Mapping | None = None) -> CheckReport:
     """One report over sub-reports: it passes when all of them pass, and
     its maximum residual and worst point are those of the first sub-report
@@ -449,7 +449,7 @@ def _field_residuals(field_: TensorField) -> dict[str, Expr]:
 # Checks
 # ---------------------------------------------------------------------------
 
-def check_homogeneous(m: ConnectionModel, samples: Sequence[PointE],
+def check_homogeneous(m: ConnectionModel, samples: np.ndarray,
                       tol: float) -> CheckReport:
     """Homogeneity check: the connection is homogeneous iff the tension
     vanishes. Also reports whether the linearized coefficients are
@@ -469,7 +469,7 @@ def check_homogeneous(m: ConnectionModel, samples: Sequence[PointE],
 
 
 def check_basic(m: ConnectionModel, sigma: SectionModel,
-                samples: Sequence[PointE], tol: float) -> CheckReport:
+                samples: np.ndarray, tol: float) -> CheckReport:
     """A section is basic iff its covariant derivative along every vertical
     direction vanishes, i.e. all fiber partials of its components."""
     comps: dict[str, Expr] = {}
@@ -481,7 +481,7 @@ def check_basic(m: ConnectionModel, sigma: SectionModel,
     return residual_check("basic", m, comps, samples, tol)
 
 
-def flatness_check(m: ConnectionModel, samples: Sequence[PointE],
+def flatness_check(m: ConnectionModel, samples: np.ndarray,
                    tol: float) -> CheckReport:
     """Sampled flatness certificate: both curvature blocks of the linear
     connection below tolerance on the sample set."""
@@ -493,7 +493,7 @@ def flatness_check(m: ConnectionModel, samples: Sequence[PointE],
     return report
 
 
-def axioms_check(m: ConnectionModel, samples: Sequence[PointE], tol: float,
+def axioms_check(m: ConnectionModel, samples: np.ndarray, tol: float,
                  seed: int = 0) -> CheckReport:
     """Leibniz rule and function-linearity of the covariant derivative,
     exercised on seeded random polynomial data."""
@@ -526,7 +526,7 @@ def axioms_check(m: ConnectionModel, samples: Sequence[PointE], tol: float,
     return residual_check("covariant_derivative_axioms", m, comps, samples, tol)
 
 
-def bianchi_check(m: ConnectionModel, samples: Sequence[PointE],
+def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                   tol: float) -> CheckReport:
     """The three differential identities tying the curvature blocks
     together, written with the coordinate-flat auxiliary connection on
@@ -601,7 +601,7 @@ def bianchi_check(m: ConnectionModel, samples: Sequence[PointE],
     return combine_reports("bianchi", subs, tol, samples)
 
 
-def tension_identities_check(m: ConnectionModel, samples: Sequence[PointE],
+def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
                              tol: float) -> CheckReport:
     """Differential identities satisfied by the tension.
 

@@ -470,12 +470,14 @@ def validate_section(m: ConnectionModel, s: SectionModel,
 
 def sample_points(m: ConnectionModel, count: int,
                   box: Mapping[str, tuple[float, float]] | None = None,
-                  seed: int = 0, margin: float = 0.1) -> list[PointE]:
+                  seed: int = 0, margin: float = 0.1) -> np.ndarray:
     """Deterministic sample of points avoiding the declared excluded set.
 
-    `box` maps coordinate names to intervals; unspecified coordinates use
-    [-1, 1]. Points where any excluded-set predicate is within `margin`
-    of zero are rejected and redrawn.
+    A sample set is one float64 array of shape (count, n + k): one point
+    per row, coordinates in `bundle.coords` order. `box` maps coordinate
+    names to intervals; unspecified coordinates use [-1, 1]. Points where
+    any excluded-set predicate is within `margin` of zero are rejected and
+    redrawn.
     """
     if count < 1:
         raise ModelError("count must be >= 1")
@@ -492,9 +494,9 @@ def sample_points(m: ConnectionModel, count: int,
     rng = np.random.default_rng(seed)
     plan = _plan(m.excluded, bundle.coords)
     limit = 1000 * count
-    points: list[PointE] = []
-    attempts = 0
-    while len(points) < count:
+    blocks: list[np.ndarray] = []
+    taken = attempts = 0
+    while taken < count:
         if attempts == limit:
             raise ModelError("could not sample off the excluded set; "
                              "box too close to the singular locus")
@@ -502,10 +504,9 @@ def sample_points(m: ConnectionModel, count: int,
         block = rng.uniform(lows, highs,
                             size=(min(_CHUNK, limit - attempts), len(intervals)))
         attempts += len(block)
-        kept = _off_excluded(m, plan, block, margin, count - len(points))
-        points += map(PointE, map(tuple, kept[:, :bundle.n].tolist()),
-                      map(tuple, kept[:, bundle.n:].tolist()))
-    return points
+        blocks.append(_off_excluded(m, plan, block, margin, count - taken))
+        taken += len(blocks[-1])
+    return np.concatenate(blocks)
 
 
 def _off_excluded(m: ConnectionModel, plan, block, margin: float, need: int):

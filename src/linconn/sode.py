@@ -19,7 +19,7 @@ from .geometry import (
     _tensor, combine_reports, dh_field, dv_field, hh_curvature, linear_coeffs,
     residual_check, tension, vh_curvature,
 )
-from .model import BundleModel, ConnectionModel, ModelError, PointE
+from .model import BundleModel, ConnectionModel, ModelError
 
 __all__ = [
     "SodeModel", "sode_connection", "jacobi_endomorphism",
@@ -201,7 +201,7 @@ LABEL_CONSTANT_A = "linear-in-velocities-constant-A"
 LABEL_LINEAR_ALL = "linear-in-all-variables"
 
 
-def linearizability_report(s: SodeModel, samples: Sequence[PointE],
+def linearizability_report(s: SodeModel, samples: np.ndarray,
                            tol: float) -> CheckReport:
     """Sampled linearizability certificate for an autonomous field.
 
@@ -244,7 +244,7 @@ def linearizability_report(s: SodeModel, samples: Sequence[PointE],
 
 
 def decoupling_check(s: SodeModel, split: tuple[Sequence[int], Sequence[int]],
-                     samples: Sequence[PointE], tol: float) -> CheckReport:
+                     samples: np.ndarray, tol: float) -> CheckReport:
     """Block-vanishing conditions for a candidate coordinate split
     (1-based index groups).
 

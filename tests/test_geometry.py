@@ -198,8 +198,8 @@ def test_hh_block_two_routes_agree(m4_model):
     direct = hh_curvature(m4_model)
     via_commutator = hh_curvature_commutator(m4_model)
     pts = sample_points(m4_model, 100, seed=4)
-    for p in pts:
-        env = p.env(m4_model.bundle)
+    for vals in pts.tolist():
+        env = dict(zip(m4_model.bundle.coords, vals))
         for idx, e in direct.items():
             assert eval_or_zero(e, env) == pytest.approx(
                 eval_or_zero(via_commutator[idx], env), abs=1e-9)
@@ -406,8 +406,8 @@ def test_leibniz_and_tensoriality_random_data(m4_model, rng):
     f_sigma = tuple(simplify(f * s) for s in sigma)
     lhs = covariant_derivative(m4_model, U, f_sigma)
     u_f = U.apply(m4_model, f)
-    for p in pts:
-        env = p.env(m4_model.bundle)
+    for vals in pts.tolist():
+        env = dict(zip(names, vals))
         for A in range(2):
             left = evaluate(lhs[A], env)
             right = evaluate(u_f, env) * evaluate(sigma[A], env) + \
@@ -420,20 +420,22 @@ def test_leibniz_and_tensoriality_random_data(m4_model, rng):
 # ---------------------------------------------------------------------------
 
 def _per_point(m, comps, samples):
-    """evaluate_components as one compiled call per component and point:
-    the reference the column evaluation must reproduce."""
+    """evaluate_components as one compiled call per component and row:
+    the reference the column evaluation must reproduce, and the index of
+    its worst row."""
     names = m.bundle.coords
-    vectors = [pt.values(m.bundle) for pt in samples]
-    max_res, worst, details = 0.0, samples[0], []
+    rows = samples.tolist()
+    max_res, where, details = 0.0, 0, []
     for label, e in comps.items():
         fn = compile_fn(e, names)
-        column = np.abs([fn(vec) for vec in vectors])
+        column = np.abs([fn(vec) for vec in rows])
         assert np.isfinite(column).all()
         local = float(column.max(initial=0.0))
         if local > max_res:
-            max_res, worst = local, samples[int(np.argmax(column))]
+            max_res, where = local, int(np.argmax(column))
         details.append((label, local))
-    return max_res, worst, tuple(details)
+    worst = PointE(tuple(rows[where][:m.n]), tuple(rows[where][m.n:]))
+    return (max_res, worst, tuple(details)), where
 
 
 def test_evaluate_components_matches_per_point_evaluation(m4_model):
@@ -446,14 +448,24 @@ def test_evaluate_components_matches_per_point_evaluation(m4_model):
                  power=parse("(x1^2 + 1)^0.5*sin(u2) - exp(x2)/3"),
                  late=parse("10*x1*u2"))
     for case in ({"tie": parse("u1^2*0 + 1")}, comps):
-        expected = _per_point(m4_model, case, samples)
+        expected, where = _per_point(m4_model, case, samples)
         assert evaluate_components(m4_model, case, samples) == expected
-    assert samples.index(expected[1]) >= 2048
+    assert where >= 2048
+
+
+def test_evaluate_components_worst_point_is_the_first_worst_row(m4_model):
+    # |x1^2| peaks at rows 1 and 3; the report names row 1.
+    samples = np.array([[0.1, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0],
+                        [0.2, 0.0, 0.0, 0.0], [-0.5, 1.0, 2.0, 3.0]])
+    max_res, worst, details = evaluate_components(
+        m4_model, {"sq": parse("x1^2")}, samples)
+    assert (max_res, details) == (0.25, (("sq", 0.25),))
+    assert worst == PointE(base=(0.5, 0.0), fiber=(0.0, 0.0))
+    assert all(type(v) is float for v in worst.base + worst.fiber)
 
 
 def test_evaluate_components_reports_faults_in_label_order(m4_model):
-    samples = [PointE(base=(0.5, 0.2), fiber=(0.1, 0.3)),
-               PointE(base=(-0.5, 0.2), fiber=(0.1, 0.3))]
+    samples = np.array([[0.5, 0.2, 0.1, 0.3], [-0.5, 0.2, 0.1, 0.3]])
     # The first label faults only at the second point; the second label
     # has an unbound variable and the third faults at the first point.
     comps = {"a": parse("ln(x1)"), "b": parse("zz"), "c": parse("1/(x2 - 0.2)")}
@@ -465,4 +477,4 @@ def test_evaluate_components_reports_faults_in_label_order(m4_model):
     # exp(600)^2 overflows though 1/that is finite: the scalar path gives 0.
     big = {"d": parse("u1 + 1/(exp(400*(x1 + 1))*exp(400*(x1 + 1)))")}
     assert evaluate_components(m4_model, big, samples) == \
-        _per_point(m4_model, big, samples)
+        _per_point(m4_model, big, samples)[0]

@@ -110,7 +110,7 @@ Gamma[1,1] = 1/u1
     doc = load_model(text)
     assert len(doc.connection.excluded) == 1
     pts = sample_points(doc.connection, 50, seed=7)
-    assert all(abs(p.fiber[0]) >= 0.1 for p in pts)
+    assert all(abs(u1) >= 0.1 for _, u1 in pts.tolist())
 
 
 def test_roundtrip_serialization(m4_model):
@@ -120,8 +120,8 @@ def test_roundtrip_serialization(m4_model):
     text = dump_model(doc)
     doc2 = load_model(text)
     pts = sample_points(m4_model, 100, seed=5)
-    for p in pts:
-        env = p.env(m4_model.bundle)
+    for vals in pts.tolist():
+        env = dict(zip(m4_model.bundle.coords, vals))
         for A in range(2):
             for i in range(2):
                 assert evaluate(m4_model.gamma[A][i], env) == pytest.approx(
@@ -179,11 +179,22 @@ def test_validate_section(quadratic_model):
 
 
 def test_sampling_determinism(m4_model):
-    a = sample_points(m4_model, 3, seed=7)
-    b = sample_points(m4_model, 3, seed=7)
+    a = sample_points(m4_model, 3, seed=7).tolist()
+    b = sample_points(m4_model, 3, seed=7).tolist()
     assert a == b
-    c = sample_points(m4_model, 3, seed=8)
+    c = sample_points(m4_model, 3, seed=8).tolist()
     assert a != c
+
+
+def test_sample_set_is_one_float_array(m4_model):
+    # Disjoint intervals show which coordinate each column holds.
+    box = {"x1": (10.0, 11.0), "x2": (20.0, 21.0), "u1": (30.0, 31.0),
+           "u2": (40.0, 41.0)}
+    pts = sample_points(m4_model, 5, box=box, seed=3)
+    assert pts.dtype == np.float64 and pts.shape == (5, 4)
+    for column, name in enumerate(m4_model.bundle.coords):
+        lo, hi = box[name]
+        assert ((lo <= pts[:, column]) & (pts[:, column] < hi)).all()
 
 
 def test_sampling_errors(m4_model):
@@ -195,7 +206,8 @@ def test_sampling_errors(m4_model):
 
 def _scalar_sample(m, count, box=None, seed=0, margin=0.1):
     """The sampler as one draw per coordinate and one compiled predicate
-    call per point: the reference the block sampler must reproduce."""
+    call per point: the reference the block sampler must reproduce, as a
+    list of rows."""
     intervals = [(box or {}).get(name, (-1.0, 1.0)) for name in m.bundle.coords]
     rng = np.random.default_rng(seed)
     predicates = compile_vector(m.excluded, m.bundle.coords)
@@ -209,8 +221,7 @@ def _scalar_sample(m, count, box=None, seed=0, margin=0.1):
         vals = [float(rng.uniform(lo, hi)) for lo, hi in intervals]
         if any(abs(p) < margin for p in predicates(vals)):
             continue
-        points.append(PointE(base=tuple(vals[:m.bundle.n]),
-                             fiber=tuple(vals[m.bundle.n:])))
+        points.append(vals)
     return points
 
 
@@ -219,6 +230,10 @@ def _outcome(sample, *args, **kwargs):
         return sample(*args, **kwargs)
     except (EvalError, ModelError) as err:
         return type(err), str(err)
+
+
+def _drawn_rows(*args, **kwargs):
+    return sample_points(*args, **kwargs).tolist()
 
 
 def _excluding(predicate):
@@ -240,8 +255,8 @@ def test_block_sampler_matches_scalar_stream(case, count, m4_model):
         # scalar path, which takes them: inf is not near zero.
         m, box = _excluding("exp(700*x1)*exp(700*x1)"), None
     got = sample_points(m, count, box=box, seed=11)
-    assert got == _scalar_sample(m, count, box=box, seed=11)
-    assert all(type(v) is float for pt in got for v in pt.base + pt.fiber)
+    assert got.tolist() == _scalar_sample(m, count, box=box, seed=11)
+    assert got.dtype == np.float64 and got.shape == (count, len(m.bundle.coords))
 
 
 def test_block_sampler_faults_where_scalar_stream_does():
@@ -249,7 +264,7 @@ def test_block_sampler_faults_where_scalar_stream_does():
     # is reached before `count` points are taken.
     m = _excluding("ln(x1)")
     cases = [(count, seed) for count in (1, 2, 3) for seed in range(8)]
-    outcomes = [_outcome(sample_points, m, count, seed=seed)
+    outcomes = [_outcome(_drawn_rows, m, count, seed=seed)
                 for count, seed in cases]
     assert outcomes == [_outcome(_scalar_sample, m, count, seed=seed)
                         for count, seed in cases]
