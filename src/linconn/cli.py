@@ -424,7 +424,10 @@ def _cmd_tensor(args) -> tuple[list, str]:
     elif name in ("dh", "dv", "hamiltonian-field"):
         if not args.function:
             raise UsageError(f"--name {name} needs --function")
-        f = _parse_exprs(args.function, "--function")[0]
+        f, *rest = _parse_exprs(args.function, "--function")
+        if rest:
+            raise UsageError(f"--function has {1 + len(rest)} expressions, "
+                             "expected 1")
         if name == "dh":
             title, comps = "horizontal_differential", _cotangent.dh(m, f)
             labels = [f"dx^{i+1}" for i in range(m.n)]

@@ -568,6 +568,15 @@ def test_tensor_cotangent_differentials():
     assert code == 0
 
 
+@pytest.mark.parametrize("name", ["dh", "dv", "hamiltonian-field"])
+def test_tensor_function_takes_one_expression(name):
+    code, out, err = run_cli("tensor", str(MODELS / "potential_1d.lc"),
+                             "--name", name, "--function", "p1^2/2, x1")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "--function has 2 expressions, expected 1" in err
+
+
 def test_hj_failure_exit_1():
     code, doc, _ = run_json("hj", str(MODELS / "geodesic_const.lc"),
                             "--alpha", "x1,0", "--samples", "20", "--json")
