@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, Var, ZERO, ONE, diff, simplify, substitute
+from .expr import Expr, Var, ZERO, ONE, diff, is_zero, simplify, substitute
 from .geometry import (
     BASE_COV, FIBER_COV, FIBER_VEC, CheckReport, TensorField, VectorFieldOnE,
     _grid, _tensor, check_homogeneous, combine_reports, h_apply, linear_coeffs,
@@ -193,7 +193,7 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
     )
     derivative = affine_covariant_derivative(m, U, sigma)
     residual0 = simplify(derivative[0] - U.apply(m, sigma[0]))
-    comps_i = {} if residual0 == ZERO else {"distinguished_component": residual0}
+    comps_i = {} if is_zero(residual0) else {"distinguished_component": residual0}
     sub_i = residual_check("distinguished_section_parallel", m, comps_i,
                            samples, tol)
 
@@ -214,12 +214,12 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
         for i in range(m.n):
             e = simplify(substitute(ext_lin[A + 1, i, 0], restrict) -
                          direct.coeffs_0[A, i])
-            if e != ZERO:
+            if not is_zero(e):
                 comps_iii[f"restriction_c0[{A+1},{i+1}]"] = e
             for B in range(m.k):
                 e = simplify(substitute(ext_lin[A + 1, i, B + 1], restrict) -
                              direct.coeffs_lin[A, i, B])
-                if e != ZERO:
+                if not is_zero(e):
                     comps_iii[f"restriction_lin[{A+1},{i+1},{B+1}]"] = e
     sub_iii = residual_check("restriction_consistency", m, comps_iii,
                              samples, tol)

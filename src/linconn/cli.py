@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .expr import (EvalError, Expr, ParseError, ZERO, _memo, evaluate,
-                   parse, to_string)
+                   is_zero, parse, to_string)
 from .model import (
     ConnectionModel, ModelDocument, ModelError, PointE, SectionModel,
     load_model, sample_points, validate_section,
@@ -257,7 +257,7 @@ def _tensor_result(field, m: ConnectionModel, at: PointE | None) -> dict:
     for idx, e in field.items():
         row = {"index": [i + 1 for i in idx], "expr": to_string(e)}
         if env is not None:
-            row["value"] = 0.0 if e == ZERO else evaluate(e, env)
+            row["value"] = 0.0 if is_zero(e) else evaluate(e, env)
         entries.append(row)
     return {
         "type": "tensor",
@@ -275,7 +275,7 @@ def _components_result(name: str, labels: Sequence[str], exprs: Sequence[Expr],
     for label, e in zip(labels, exprs):
         row = {"component": label, "expr": to_string(e)}
         if env is not None:
-            row["value"] = 0.0 if e == ZERO else evaluate(e, env)
+            row["value"] = 0.0 if is_zero(e) else evaluate(e, env)
         entries.append(row)
     return {"type": "components", "name": name,
             "frame": {"horizontal": "H_i", "vertical": "V_A"},
@@ -283,7 +283,10 @@ def _components_result(name: str, labels: Sequence[str], exprs: Sequence[Expr],
 
 
 def _print_tensor(result: dict):
-    print(f"{result['name']}  (slots: {', '.join(result.get('signature', []))})")
+    header = result["name"]
+    if "signature" in result:
+        header += f"  (slots: {', '.join(result['signature'])})"
+    print(header)
     for row in result["entries"]:
         if "index" in row:
             label = "[" + ",".join(str(i) for i in row["index"]) + "]"
@@ -520,7 +523,7 @@ def _cmd_transport(args) -> tuple[list, str]:
         defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, args.eps)
         R = _geometry.curvature(m)
         env = p0.env(m.bundle)
-        symbolic = [0.0 if R[A, i - 1, j - 1] == ZERO
+        symbolic = [0.0 if is_zero(R[A, i - 1, j - 1])
                     else evaluate(R[A, i - 1, j - 1], env) for A in range(m.k)]
         return [{
             "type": "holonomy",

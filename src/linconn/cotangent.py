@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .expr import (
-    Const, Div, Expr, Var, ZERO, compile_fn, diff, random_polynomial,
-    simplify, substitute, variables,
+    Const, Div, Expr, Var, ZERO, compile_fn, diff, is_zero,
+    random_polynomial, simplify, substitute, variables,
 )
 from .geometry import (
     BASE_COV, CheckReport, TensorField, VectorFieldOnE, _field_residuals,
@@ -204,7 +204,7 @@ def integrable_connection(h: HamiltonianModel) -> ConnectionModel:
     n = bundle.n
     M = [[diff(f, p) for p in bundle.fiber_coords] for f in h.first_integrals]
     det = _det(M)
-    if det == ZERO or _zero_on_probes(bundle, det):
+    if is_zero(det) or _zero_on_probes(bundle, det):
         raise TransversalityError(
             "transversality failure: det[df_k/dp_j] vanishes identically")
     grid = _grid((n, n))  # grid[j][i] stores G(i,j), the gamma layout
@@ -236,21 +236,21 @@ def integrable_report(h: HamiltonianModel, m: ConnectionModel,
     for (a, fa), (b, fb) in itertools.combinations(
             enumerate(h.first_integrals, start=1), 2):
         e = canonical_poisson(h.bundle, fa, fb)
-        if e != ZERO:
+        if not is_zero(e):
             comps_inv[f"involution[{a},{b}]"] = e
     sub_inv = residual_check("involution", m, comps_inv, samples, tol)
 
     comps_fi: dict[str, Expr] = {}
     for idx, f in enumerate(h.first_integrals, start=1):
         e = canonical_poisson(h.bundle, h.H, f)
-        if e != ZERO:
+        if not is_zero(e):
             comps_fi[f"first_integral[{idx}]"] = e
     sub_fi = residual_check("first_integrals_of_H", m, comps_fi, samples, tol)
 
     comps_dh: dict[str, Expr] = {}
     for idx, f in enumerate(h.first_integrals, start=1):
         for i, e in enumerate(dh(m, f), start=1):
-            if e != ZERO:
+            if not is_zero(e):
                 comps_dh[f"horizontal_differential[{idx};{i}]"] = e
     sub_dh = residual_check("defining_relations", m, comps_dh, samples, tol)
 
@@ -294,7 +294,7 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
         for j in range(i + 1, bundle.n):
             e = simplify(diff(alpha.components[i], bundle.base_coords[j]) -
                          diff(alpha.components[j], bundle.base_coords[i]))
-            if e != ZERO:
+            if not is_zero(e):
                 comps_closed[f"closedness[{i+1},{j+1}]"] = e
     sub_closed = residual_check("closedness", helper, comps_closed, samples,
                                 tol, labels={} if bundle.n > 1 else
@@ -306,7 +306,7 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
     comps_level: dict[str, Expr] = {}
     for i, x in enumerate(bundle.base_coords, start=1):
         e = diff(h_on_graph, x)
-        if e != ZERO:
+        if not is_zero(e):
             comps_level[f"level[{i}]"] = e
     sub_level = residual_check("level", helper, comps_level, samples, tol)
 
@@ -317,7 +317,7 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
             for j in range(bundle.n):
                 e = simplify(diff(alpha.components[j], bundle.base_coords[i]) +
                              substitute(_g(connection, i, j), bindings))
-                if e != ZERO:
+                if not is_zero(e):
                     comps_int[f"integral_section[{i+1},{j+1}]"] = e
         subs.append(residual_check("integral_section", connection, comps_int,
                                    samples, tol))
@@ -336,7 +336,7 @@ def geodesic_model(g_inv: Sequence[Sequence[Expr]],
         raise ModelError("inverse metric must be square")
     for i in range(n):
         for j in range(i + 1, n):
-            if simplify(rows[i][j] - rows[j][i]) != ZERO:
+            if not is_zero(simplify(rows[i][j] - rows[j][i])):
                 raise ModelError("inverse metric must be symmetric")
     base = tuple(base_coords) if base_coords else tuple(f"x{i+1}" for i in range(n))
     fiber = tuple(fiber_coords) if fiber_coords else tuple(f"p{i+1}" for i in range(n))
@@ -370,7 +370,7 @@ def cyclic_curvature_check(m: ConnectionModel, samples: np.ndarray,
         for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
             e = e + R[c, a, b]
         e = simplify(e)
-        if e != ZERO:
+        if not is_zero(e):
             comps[f"cyclic[{i+1},{j+1},{l+1}]"] = e
     return residual_check("cyclic_curvature", m, comps, samples, tol)
 
@@ -401,14 +401,14 @@ def cotangent_checks(m: ConnectionModel, count: int, tol: float,
             g = random_polynomial(m.bundle.coords, rng)
             residual = simplify(poisson(m, f, g) -
                                 canonical_poisson(m.bundle, f, g))
-            if residual != ZERO:
+            if not is_zero(residual):
                 comps_poisson[f"poisson_vs_canonical[{trial}]"] = residual
             U = hamiltonian_field(m, g)
             pairing: Expr = ZERO
             for d, u in zip(dh(m, f) + dv(m, f), U.horizontal + U.vertical):
                 pairing = pairing + d * u
             residual = simplify(pairing - U.apply(m, f))
-            if residual != ZERO:
+            if not is_zero(residual):
                 comps_decomp[f"differential_decomposition[{trial}]"] = residual
         reports.append(residual_check("poisson_vs_canonical", m, comps_poisson,
                                       pts, tol))

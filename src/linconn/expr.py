@@ -15,10 +15,22 @@ Grammar (see docs/grammar.md for the EBNF):
 Precedence: ^  >  unary minus  >  * /  >  + -.
 Supported functions: sin, cos, tan, exp, ln, sqrt.
 
-Memo policy: `simplify` and `diff` share one memo, keyed structurally by
-the expression (and, for `diff`, the variable); both are pure, so it never
-changes a result. It lives as long as the process, but `cli.run` empties
-it when it returns, so each CLI run starts and ends with it empty.
+Nodes are hash-consed: each constructor looks the node's key, its class
+and fields, up in one table, `_nodes`, and returns the node already there,
+so structurally equal trees are one object. `==` and `hash` are those of
+object identity: `a == b` exactly when `a is b`. The key of a `Const`
+carries the sign bit of its value, so `Const(-0.0)` is not `Const(0.0)`:
+the two can give results of different sign. `is_zero` accepts both. The
+table lives as long as the process and is never emptied, since a caller
+may still hold any node and rely on its identity. A node's hash is its
+address, which changes from run to run: never let the iteration order of
+a set of nodes, or of a dict keyed by them, reach output.
+
+Memo policy: `simplify` and `diff` share one memo, keyed by the node (and,
+for `diff`, the variable); both are pure, so it never changes a result.
+`transport` keeps its generated RK4 kernels there too. It lives as long as
+the process, but `cli.run` empties it when it returns, so each CLI run
+starts and ends with it empty.
 
 Numeric paths: `evaluate` walks the tree. Everything else runs from one
 straight-line plan of a tuple of expressions, one step per distinct
@@ -41,7 +53,7 @@ __all__ = [
     "ExprError", "ParseError", "EvalError",
     "parse", "evaluate", "diff", "simplify", "substitute", "variables",
     "to_string", "compile_fn", "compile_vector", "random_polynomial",
-    "ZERO", "ONE",
+    "ZERO", "ONE", "is_zero",
 ]
 
 
@@ -82,10 +94,15 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 }
 
 
-class Expr:
-    """Immutable expression tree node."""
+# Every node ever built, by its key; see the module docstring.
+_nodes: dict = {}
 
-    __slots__ = ("_hash",)
+
+class Expr:
+    """Immutable expression tree node, interned: structurally equal trees
+    are one object, so `==` and `hash` are those of object identity."""
+
+    __slots__ = ()
     precedence = _P_ATOM
 
     def children(self) -> tuple["Expr", ...]:
@@ -130,24 +147,6 @@ class Expr:
     def __neg__(self):
         return Neg(self)
 
-    # -- structural identity ---------------------------------------------
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return False
-        return self._key() == other._key()
-
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((type(self).__name__, self._key()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __str__(self):
         return to_string(self)
 
@@ -155,28 +154,42 @@ class Expr:
         return f"<{type(self).__name__} {to_string(self)}>"
 
 
+# Each constructor looks its key up in `_nodes` and builds a node only on
+# a miss. `__getnewargs__` gives the constructor's arguments back, so that
+# `copy` and `pickle` rebuild a node through the table too.
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: float):
+    def __new__(cls, value: float):
         value = float(value)
-        if not math.isfinite(value):
-            raise ValueError("constants must be finite reals")
-        object.__setattr__(self, "value", value)
+        key = (cls, value, math.copysign(1.0, value))
+        node = _nodes.get(key)
+        if node is None:
+            if not math.isfinite(value):
+                raise ValueError("constants must be finite reals")
+            node = _nodes[key] = object.__new__(cls)
+            node.value = value
+        return node
 
-    def _key(self):
+    def __getnewargs__(self):
         return (self.value,)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        if not name or not _is_identifier(name):
-            raise ValueError(f"invalid variable name {name!r}")
-        object.__setattr__(self, "name", name)
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _nodes.get(key)
+        if node is None:
+            if not name or not _is_identifier(name):
+                raise ValueError(f"invalid variable name {name!r}")
+            node = _nodes[key] = object.__new__(cls)
+            node.name = name
+        return node
 
-    def _key(self):
+    def __getnewargs__(self):
         return (self.name,)
 
 
@@ -184,13 +197,18 @@ class Neg(Expr):
     __slots__ = ("arg",)
     precedence = _P_NEG
 
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
+    def __new__(cls, arg: Expr):
+        key = (cls, arg)
+        node = _nodes.get(key)
+        if node is None:
+            node = _nodes[key] = object.__new__(cls)
+            node.arg = arg
+        return node
 
-    def children(self):
+    def __getnewargs__(self):
         return (self.arg,)
 
-    def _key(self):
+    def children(self):
         return (self.arg,)
 
 
@@ -198,14 +216,19 @@ class _Binary(Expr):
     __slots__ = ("left", "right")
     symbol = "?"
 
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __new__(cls, left: Expr, right: Expr):
+        key = (cls, left, right)
+        node = _nodes.get(key)
+        if node is None:
+            node = _nodes[key] = object.__new__(cls)
+            node.left = left
+            node.right = right
+        return node
 
-    def children(self):
+    def __getnewargs__(self):
         return (self.left, self.right)
 
-    def _key(self):
+    def children(self):
         return (self.left, self.right)
 
 
@@ -242,21 +265,32 @@ class Pow(_Binary):
 class Call(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: Expr):
-        if fn not in FUNCTIONS:
-            raise ValueError(f"unknown function {fn!r}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
+    def __new__(cls, fn: str, arg: Expr):
+        key = (cls, fn, arg)
+        node = _nodes.get(key)
+        if node is None:
+            if fn not in FUNCTIONS:
+                raise ValueError(f"unknown function {fn!r}")
+            node = _nodes[key] = object.__new__(cls)
+            node.fn = fn
+            node.arg = arg
+        return node
+
+    def __getnewargs__(self):
+        return (self.fn, self.arg)
 
     def children(self):
         return (self.arg,)
 
-    def _key(self):
-        return (self.fn, self.arg)
-
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+
+
+def is_zero(e: Expr) -> bool:
+    """Whether `e` is the constant zero, of either sign: the structural
+    zero test of the tensor builders and checks."""
+    return isinstance(e, Const) and e.value == 0.0
 
 
 def _is_identifier(name: str) -> bool:
@@ -658,11 +692,11 @@ def _simplify_sum(e: Expr) -> Expr:
             const += sign * term.value
         else:
             terms.append((sign, term))
-    # Cancel structurally equal terms of opposite sign.
+    # Cancel equal terms (one node) of opposite sign.
     kept: list[tuple[float, Expr]] = []
     for sign, term in terms:
         for idx, (s2, t2) in enumerate(kept):
-            if s2 == -sign and t2 == term:
+            if s2 == -sign and t2 is term:
                 del kept[idx]
                 break
         else:
@@ -672,7 +706,7 @@ def _simplify_sum(e: Expr) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Conservative simplification: constant folding, 0/1 absorption,
-    identity rules and cancellation of structurally equal terms. The
+    identity rules and cancellation of equal terms. The
     result is semantically equal to the input on its domain. Results are
     memoized per expression (see the module docstring)."""
     if isinstance(e, (Const, Var)):
@@ -721,9 +755,9 @@ def _simplify(e: Expr) -> Expr:
         if isinstance(right, Const):
             return simplify(Mul(right, left))
         # Cancellation: (a/b)*b -> a, b*(a/b) -> a
-        if isinstance(left, Div) and left.right == right:
+        if isinstance(left, Div) and left.right is right:
             return left.left
-        if isinstance(right, Div) and right.right == left:
+        if isinstance(right, Div) and right.right is left:
             return right.left
         return Mul(left, right)
 
@@ -736,13 +770,13 @@ def _simplify(e: Expr) -> Expr:
             return ZERO
         if _is_const(right, 1.0):
             return left
-        if left == right:
+        if left is right:
             return ONE
         # (a*b)/b -> a, (b*a)/b -> a
         if isinstance(left, Mul):
-            if left.right == right:
+            if left.right is right:
                 return left.left
-            if left.left == right:
+            if left.left is right:
                 return left.right
             # (c1*e)/c2 -> (c1/c2)*e
             if isinstance(left.left, Const) and isinstance(right, Const) and right.value != 0.0:
@@ -818,12 +852,12 @@ def _plan(exprs: Sequence[Expr], names: Sequence[str]):
     (an int) or a constant (the `repr` of its float). `frees[k]` lists the
     slots whose last use is step k. An output is a slot or a constant.
     Equal steps are shared. Keying constants by `repr` keeps -0.0 apart
-    from 0.0, which are equal as floats and as `Const`, yet can give
-    results of different sign.
+    from 0.0, which are equal as floats yet can give results of different
+    sign.
     """
     index = {name: i for i, name in enumerate(names)}
     slots: dict[tuple, int] = {}
-    seen: dict[int, int] = {}
+    seen: dict[Expr, int] = {}
     outputs = tuple(_plan_ref(e, index, slots, seen) for e in exprs)
     steps = list(slots)
     last: dict[int, int] = {}
@@ -843,7 +877,7 @@ def _plan_ref(e: Expr, index, slots, seen):
     module-level function, so that no closure cycle outlives the build."""
     if isinstance(e, Const):
         return repr(e.value)
-    ref = seen.get(id(e))
+    ref = seen.get(e)
     if ref is not None:
         return ref
     if isinstance(e, Var):
@@ -858,7 +892,7 @@ def _plan_ref(e: Expr, index, slots, seen):
         step = (e.symbol, _plan_ref(e.left, index, slots, seen),
                 _plan_ref(e.right, index, slots, seen))
     ref = slots.setdefault(step, len(slots))
-    seen[id(e)] = ref
+    seen[e] = ref
     return ref
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .expr import (
     _CHUNK, Expr, ExprError, Var, ZERO, _columns, _compile, _fault, _plan, diff,
-    random_polynomial, simplify, substitute,
+    is_zero, random_polynomial, simplify, substitute,
 )
 from .model import ConnectionModel, ModelError, PointE, SectionModel
 
@@ -154,7 +154,7 @@ def h_apply(m: ConnectionModel, e: Expr, i: int) -> Expr:
     out: Expr = diff(e, bundle.base_coords[i])
     for A, u in enumerate(bundle.fiber_coords):
         d = diff(e, u)
-        if d != ZERO:
+        if not is_zero(d):
             out = out - m.gamma[A][i] * d
     return simplify(out)
 
@@ -442,7 +442,7 @@ def combine_reports(name: str, subs: Sequence[CheckReport], tol: float,
 
 
 def _field_residuals(field_: TensorField) -> dict[str, Expr]:
-    return {field_.label(idx): e for idx, e in field_.items() if e != ZERO}
+    return {field_.label(idx): e for idx, e in field_.items() if not is_zero(e)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +476,7 @@ def check_basic(m: ConnectionModel, sigma: SectionModel,
     for A, comp in enumerate(sigma.components):
         for B, u in enumerate(m.bundle.fiber_coords):
             e = diff(comp, u)
-            if e != ZERO:
+            if not is_zero(e):
                 comps[f"d(sigma[{A + 1}])/d{u}"] = e
     return residual_check("basic", m, comps, samples, tol)
 
@@ -512,7 +512,7 @@ def axioms_check(m: ConnectionModel, samples: np.ndarray, tol: float,
     comps: dict[str, Expr] = {}
     for A in range(m.k):
         e = simplify(lhs_leibniz[A] - (u_of_f * sigma[A] + f * d_sigma[A]))
-        if e != ZERO:
+        if not is_zero(e):
             comps[f"leibniz[{A + 1}]"] = e
     fU = VectorFieldOnE(
         horizontal=tuple(simplify(f * c) for c in U.horizontal),
@@ -521,7 +521,7 @@ def axioms_check(m: ConnectionModel, samples: np.ndarray, tol: float,
     lhs_tensorial = covariant_derivative(m, fU, sigma)
     for A in range(m.k):
         e = simplify(lhs_tensorial[A] - f * d_sigma[A])
-        if e != ZERO:
+        if not is_zero(e):
             comps[f"tensoriality[{A + 1}]"] = e
     return residual_check("covariant_derivative_axioms", m, comps, samples, tol)
 
@@ -563,7 +563,7 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                         for C in range(k):
                             e = e - theta[B, a, A, C] * R[C, b, c]
                     e = simplify(e)
-                    if e != ZERO:
+                    if not is_zero(e):
                         comps1[f"cyclic[{i+1},{j+1},{l+1};{A+1},{B+1}]"] = e
     subs.append(residual_check("bianchi_1_cyclic", m, comps1, samples, tol,
                                labels={} if n >= 2 else {"vacuous": True}))
@@ -580,7 +580,7 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                         e = simplify(dv_hh[B, i, j, A] -
                                      (dh_theta[i][B, j, A, D] -
                                       dh_theta[j][B, i, A, D]))
-                        if e != ZERO:
+                        if not is_zero(e):
                             comps2[f"vertical_of_hh[{B+1},{i+1},{j+1},{A+1};{D+1}]"] = e
     subs.append(residual_check("bianchi_2_mixed", m, comps2, samples, tol))
 
@@ -593,7 +593,7 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                     for D in range(B + 1, k):
                         e = simplify(diff(theta[C, i, A, B], fiber[D]) -
                                      diff(theta[C, i, A, D], fiber[B]))
-                        if e != ZERO:
+                        if not is_zero(e):
                             comps3[f"third_fiber_symmetry[{C+1},{i+1},{A+1};{B+1},{D+1}]"] = e
     subs.append(residual_check("bianchi_3_vertical_symmetry", m, comps3,
                                samples, tol))
@@ -629,7 +629,7 @@ def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
                 for B in range(k):
                     e = e + Var(fiber[B]) * theta[A, i, B, D]
                 e = simplify(e)
-                if e != ZERO:
+                if not is_zero(e):
                     comps_a[f"vertical_of_tension[{A+1},{i+1};{D+1}]"] = e
     sub_a = residual_check("tension_identity_vertical", m, comps_a, samples, tol)
 
@@ -643,7 +643,7 @@ def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
                     for B in range(k):
                         e = e + hh[A, i, j, B] * Var(fiber[B])
                     e = simplify(e)
-                    if e != ZERO:
+                    if not is_zero(e):
                         comps_b[f"horizontal_of_tension[{A+1};{i+1},{j+1}]"] = e
     sub_b = residual_check("tension_identity_horizontal", m, comps_b, samples,
                            tol, labels={} if n >= 2 else {"vacuous": True})

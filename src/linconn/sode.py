@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Const, Expr, Var, ZERO, diff, simplify, substitute, variables
+from .expr import (Const, Expr, Var, ZERO, diff, is_zero, simplify, substitute,
+                   variables)
 from .geometry import (
     BASE_COV, FIBER_VEC, CheckReport, TensorField, _field_residuals, _grid,
     _tensor, combine_reports, dh_field, dv_field, hh_curvature, linear_coeffs,
@@ -184,13 +185,13 @@ def _parallel_residuals(m: ConnectionModel, lin, field_: TensorField) -> dict[st
         grid = dh_field(m, lin, field_, i, base_corr=True)
         for idx in np.ndindex(*grid.shape):
             e = grid[idx]
-            if e != ZERO:
+            if not is_zero(e):
                 comps[f"dh_{i + 1}({field_.label(idx)})"] = e
     for d in range(m.k):
         grid = dv_field(m, field_, d)
         for idx in np.ndindex(*grid.shape):
             e = grid[idx]
-            if e != ZERO:
+            if not is_zero(e):
                 comps[f"dv_{d + 1}({field_.label(idx)})"] = e
     return comps
 
@@ -268,10 +269,10 @@ def decoupling_check(s: SodeModel, split: tuple[Sequence[int], Sequence[int]],
         for i in rows:
             for a in cols:
                 e = m.gamma[i - 1][offset + a - 1]
-                if e != ZERO:
+                if not is_zero(e):
                     comps[f"gamma[{i},{a}]"] = e
                 e = phi[i - 1, a - 1]
-                if e != ZERO:
+                if not is_zero(e):
                     comps[f"jacobi[{i},{a}]"] = e
         return residual_check(tag, m, comps, samples, tol)
 

@@ -37,8 +37,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    EvalError, Expr, ONE, Var, ZERO, _define, _plan, _render, compile_vector,
-    diff, substitute, variables,
+    EvalError, Expr, ONE, Var, ZERO, _define, _memo, _plan, _render,
+    compile_vector, diff, substitute, variables,
 )
 from .model import ConnectionModel, ModelError, PointE
 
@@ -113,15 +113,19 @@ def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
          box: Mapping[str, tuple[float, float]] | None = None):
     """The integrator core: classical fixed-step RK4 on the state whose
     slots are `names`, with one right-hand-side expression per slot, run
-    as one generated kernel (`_kernel`). Returns (final_state, steps,
-    status): the last state kept, as a list of floats, and the number of
-    steps that reached it."""
+    as one generated kernel (`_kernel`), built once per distinct flow and
+    kept in the expression memo. Returns (final_state, steps, status): the
+    last state kept, as a list of floats, and the number of steps that
+    reached it."""
     _check_span(T, step)
     bounded = [slot for slot, name in enumerate(names)
                if box is not None and name in box]
     n_steps = max(1, int(round(abs(T) / step)))
     h = T / n_steps
-    kernel = _kernel(names, rhs, excluded, bounded)
+    key = (tuple(names), tuple(rhs), tuple(excluded), tuple(bounded))
+    kernel = _memo.get(key)
+    if kernel is None:
+        kernel = _memo[key] = _kernel(names, rhs, excluded, bounded)
     # Plain floats: on numpy scalars a division by zero gives inf.
     y, steps, t, status = kernel([float(v) for v in y0], n_steps, h, 0.5 * h,
                                  h / 6.0, [box[names[slot]] for slot in bounded])

@@ -577,6 +577,26 @@ def test_tensor_function_takes_one_expression(name):
     assert "--function has 2 expressions, expected 1" in err
 
 
+@pytest.mark.parametrize("name, header", [
+    ("hamiltonian-field", "hamiltonian_field\n"),
+    ("dh", "horizontal_differential\n"),
+    ("dv", "vertical_differential\n"),
+])
+def test_components_text_has_no_slot_list(name, header):
+    code, out, _ = run_cli("tensor", str(MODELS / "potential_1d.lc"),
+                           "--name", name, "--function", "p1^2/2")
+    assert code == 0
+    assert out.startswith(header) and "slots" not in out
+
+
+def test_tensor_text_names_its_slots():
+    code, out, _ = run_cli("tensor", str(MODELS / "quadratic.lc"),
+                           "--name", "tension")
+    assert code == 0
+    assert out.splitlines()[0] == \
+        "tension  (slots: fiber-vector, base-covector)"
+
+
 def test_hj_failure_exit_1():
     code, doc, _ = run_json("hj", str(MODELS / "geodesic_const.lc"),
                             "--alpha", "x1,0", "--samples", "20", "--json")

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from linconn.expr import (
     Add, Call, Const, Div, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
     ONE, ZERO, _columns, _memo, _plan, compile_fn, compile_vector, diff, evaluate,
-    parse, simplify, substitute, to_string, variables,
+    is_zero, parse, simplify, substitute, to_string, variables,
 )
 
 
@@ -49,6 +51,14 @@ def test_parse_error_offset():
         parse("x1 x2")
     with pytest.raises(ParseError):
         parse("(x1")
+
+
+def test_signed_zero_constants_are_two_nodes():
+    assert Const(0) is Const(0.0) is ZERO
+    assert Const(-0.0) is Const(-0.0)
+    assert Const(0.0) is not Const(-0.0)
+    assert is_zero(ZERO) and is_zero(Const(-0.0))
+    assert not any(map(is_zero, (ONE, Const(1e-300), Var("x1"), Neg(ZERO))))
 
 
 def test_constants_reject_nonfinite():
@@ -147,6 +157,15 @@ def test_simplify_examples():
     assert simplify(parse("0^3")) == ZERO
     assert to_string(simplify(parse("(2*p1)/2"))) == "p1"
     assert to_string(simplify(Mul(parse("x1/p1"), parse("p1")))) == "x1"
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_memo_keeps_signed_zeros_apart(first):
+    # -(-0.0) is 0.0 and -(0.0) is -0.0, whichever the memo saw first.
+    _memo.clear()
+    for value in (first, -first, first):
+        got = simplify(Neg(Const(value))).value
+        assert math.copysign(1.0, got) == -math.copysign(1.0, value)
 
 
 def test_substitute_examples():
@@ -383,6 +402,28 @@ def _subtrees(e):
     for child in e.children():
         yield from _subtrees(child)
         yield child
+
+
+def _rebuilt(e):
+    """`e` built again bottom-up from its fields."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.name)
+    if isinstance(e, Neg):
+        return Neg(_rebuilt(e.arg))
+    if isinstance(e, Call):
+        return Call(e.fn, _rebuilt(e.arg))
+    return type(e)(_rebuilt(e.left), _rebuilt(e.right))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(expressions(), domain_expressions()))
+@example(_SIGNED_ZEROS)
+def test_equal_trees_are_one_node(e):
+    assert _rebuilt(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from linconn.affine import homogenize
-from linconn.expr import ZERO, compile_fn, evaluate, parse, random_polynomial
+from linconn.expr import (ZERO, compile_fn, evaluate, is_zero, parse,
+                          random_polynomial)
 from linconn.geometry import curvature
 from linconn.model import ModelError, sample_points
 from linconn.sode import (
@@ -92,7 +93,7 @@ def test_nonautonomous_connection_examples():
     assert evaluate(m.gamma[0][1], env) == pytest.approx(0.5)
 
     m = nonautonomous_connection(nonauto("0"))
-    assert all(e == ZERO for row in m.gamma for e in row)
+    assert all(is_zero(e) for row in m.gamma for e in row)
 
 
 def test_homogeneous_sode_forces():

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import linconn.transport as transport
 from linconn.cli import run
 from linconn.expr import (
-    EvalError, ONE, Var, ZERO, compile_vector, evaluate, parse, substitute,
+    EvalError, ONE, Var, ZERO, _memo, compile_vector, evaluate, parse,
+    substitute,
 )
 from linconn.geometry import curvature
 from linconn.model import (
@@ -555,6 +557,27 @@ def test_holonomy_cli_legs_step_at_eps_over_50(m4_model):
     p0 = PointE((0.3, 0.2), (1.0, 1.0))
     assert _holonomy_cli("--step", "5e-3") == _holonomy_cli() == \
         list(holonomy_probe(m4_model, p0, 0, 1, 1e-2, 2e-4))
+
+
+def test_one_kernel_per_distinct_flow(m4_model, monkeypatch):
+    builds = []
+    build = transport._kernel
+    monkeypatch.setattr(transport, "_kernel",
+                        lambda *args: builds.append(args) or build(*args))
+    p0 = PointE((0.3, 0.2), (1.0, 1.0))
+    X = (ONE, parse("x1"))
+    counts = []
+    for probe in (
+            lambda: holonomy_probe(m4_model, p0, 0, 1, 1e-2),
+            lambda: transport_oracle(m4_model, X, p0, (1.0, 0.5), 0.1, 1e-3),
+            lambda: transport_oracle(m4_model, X, p0, (1.0, 0.5), 0.1, 1e-3,
+                                     central=True)):
+        _memo.clear()
+        builds.clear()
+        probe()
+        counts.append(len(builds))
+    # Four holonomy legs along e_1 and e_2; two or three oracle flows of X.
+    assert counts == [2, 1, 1]
 
 
 def test_holonomy_needs_two_directions(quadratic_model):
