@@ -15,6 +15,17 @@ Grammar (see docs/grammar.md for the EBNF):
 Precedence: ^  >  unary minus  >  * /  >  + -.
 Supported functions: sin, cos, tan, exp, ln, sqrt.
 
+Depth: the parser is the only recursive code, and it nests as deep as the
+source text does (about 195 parentheses); deeper text is a `ParseError`
+with an offset, and so is a literal that overflows a float. Every walker
+over trees (`variables`, `to_string`, evaluation, `substitute`, `diff`,
+`simplify` and the plan builder) is one per-node rule run by `_postorder`,
+an explicit-stack post-order traversal that skips nodes already done, so
+a tree of any depth, such as a sum of thousands of terms, is walked.
+`simplify` takes a sum in one pass: its children are its flattened terms,
+and its rule splices, folds, cancels and rebuilds them once. A constant
+fold whose value is not finite is left undone.
+
 Nodes are hash-consed: each constructor looks the node's key, its class
 and fields, up in one table, `_nodes`, and returns the node already there,
 so structurally equal trees are one object. `==` and `hash` are those of
@@ -26,13 +37,15 @@ may still hold any node and rely on its identity. A node's hash is its
 address, which changes from run to run: never let the iteration order of
 a set of nodes, or of a dict keyed by them, reach output.
 
-Memo policy: `simplify` and `diff` share one memo, keyed by the node (and,
-for `diff`, the variable); both are pure, so it never changes a result.
+Memo policy: `simplify` and `diff` share one memo: `simplify` keys it by
+the node, and `diff` keeps one dict per variable in it, keyed by the
+variable's name; both are pure, so it never changes a result.
 `transport` keeps its generated RK4 kernels there too. It lives as long as
 the process, but `cli.run` empties it when it returns, so each CLI run
 starts and ends with it empty.
 
-Numeric paths: `evaluate` walks the tree. Everything else runs from one
+Numeric paths: `evaluate` walks the tree, checking a quotient's
+denominator before it evaluates the numerator. Everything else runs from one
 straight-line plan of a tuple of expressions, one step per distinct
 computation, with two back ends. `compile_fn` and `compile_vector` render
 it as Python source for calls at one point at a time (the RK4 core, the
@@ -421,6 +434,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, offset = self.advance()
         if kind == _TOK_NUM:
+            if not math.isfinite(float(value)):
+                raise ParseError("number out of range", offset)
             return Const(float(value))
         if kind == _TOK_IDENT:
             nkind, nvalue, _ = self.peek()
@@ -453,7 +468,41 @@ def parse(text: str) -> Expr:
     """Parse a string into an expression tree."""
     if not text or not text.strip():
         raise ParseError("empty expression", 0, expected="an expression")
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # Recursive descent nests as deep as the text does.
+        raise ParseError("expression nested too deeply",
+                         parser.peek()[2]) from None
+
+
+# ---------------------------------------------------------------------------
+# Traversal: every walker below is one per-node rule over this order
+# ---------------------------------------------------------------------------
+
+def _postorder(root, done, rule, kids=None):
+    """Set `done[node] = rule(node, done)` for each node under `root` not
+    yet in `done`, after the nodes `kids(node)` (by default its children)
+    lists for it, as a memoized recursion would, and return `done[root]`.
+    An explicit stack stands in for the recursion: no depth limit."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+        elif node in done:
+            continue
+        else:
+            below = node.children() if kids is None else kids(node)
+            if below:
+                stack += (node, None)
+                for kid in reversed(below):
+                    if kid not in done:
+                        stack.append(kid)
+                continue
+        done[node] = rule(node, done)
+    return done[root]
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +525,11 @@ def _prec(e: Expr) -> int:
 
 def to_string(e: Expr) -> str:
     """Print an expression. The output re-parses to an equivalent tree."""
+    return _postorder(e, {}, _text)
+
+
+def _text(e: Expr, text: Mapping[Expr, str]) -> str:
+    """One node of `to_string`, its children's text already in `text`."""
     if isinstance(e, Const):
         if e.value < 0:
             return "-" + _fmt_const(-e.value)
@@ -483,23 +537,23 @@ def to_string(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        inner = to_string(e.arg)
+        inner = text[e.arg]
         if _prec(e.arg) <= _P_NEG:
             inner = f"({inner})"
         return "-" + inner
     if isinstance(e, Call):
-        return f"{e.fn}({to_string(e.arg)})"
+        return f"{e.fn}({text[e.arg]})"
     if isinstance(e, Pow):
-        left = to_string(e.left)
-        right = to_string(e.right)
+        left = text[e.left]
+        right = text[e.right]
         if _prec(e.left) <= _P_POW:
             left = f"({left})"
         if _prec(e.right) < _P_POW:
             right = f"({right})"
         return f"{left}^{right}"
     if isinstance(e, _Binary):
-        left = to_string(e.left)
-        right = to_string(e.right)
+        left = text[e.left]
+        right = text[e.right]
         if _prec(e.left) < e.precedence:
             left = f"({left})"
         # Parenthesize same-precedence right children so the printed text
@@ -528,39 +582,52 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 
 
 def _eval(e: Expr, env: Mapping[str, float]) -> float:
+    return _postorder(e, {}, lambda node, value: _eval_node(node, value, env),
+                      _eval_kids)
+
+
+def _eval_kids(e):
+    # A quotient's denominator is checked, by the step `(e,)`, before its
+    # numerator is evaluated.
+    if type(e) is Div:
+        return (e.right, (e,), e.left)
+    return () if type(e) is tuple else e.children()
+
+
+def _eval_node(e, value: Mapping, env: Mapping[str, float]):
+    """One step of `_eval`, the values of its children already in `value`."""
+    if type(e) is tuple:
+        if value[e[0].right] == 0.0:
+            raise EvalError("division by zero", e[0])
+        return None
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         try:
-            value = env[e.name]
+            x = env[e.name]
         except KeyError:
             raise EvalError(f"unbound variable '{e.name}'") from None
-        if not math.isfinite(value):
+        if not math.isfinite(x):
             raise EvalError(f"non-finite binding for '{e.name}'")
-        return value
+        return x
     if isinstance(e, Neg):
-        return -_eval(e.arg, env)
+        return -value[e.arg]
     if isinstance(e, Add):
-        return _eval(e.left, env) + _eval(e.right, env)
+        return value[e.left] + value[e.right]
     if isinstance(e, Sub):
-        return _eval(e.left, env) - _eval(e.right, env)
+        return value[e.left] - value[e.right]
     if isinstance(e, Mul):
-        return _eval(e.left, env) * _eval(e.right, env)
+        return value[e.left] * value[e.right]
     if isinstance(e, Div):
-        denom = _eval(e.right, env)
-        if denom == 0.0:
-            raise EvalError("division by zero", e)
-        return _eval(e.left, env) / denom
+        return value[e.left] / value[e.right]
     if isinstance(e, Pow):
-        base = _eval(e.left, env)
-        exponent = _eval(e.right, env)
         try:
-            result = math.pow(base, exponent)
+            result = math.pow(value[e.left], value[e.right])
         except (ValueError, OverflowError):
             raise EvalError("invalid power", e) from None
         return result
     if isinstance(e, Call):
-        arg = _eval(e.arg, env)
+        arg = value[e.arg]
         if e.fn == "ln" and arg <= 0.0:
             raise EvalError("ln of a non-positive number", e)
         if e.fn == "sqrt" and arg < 0.0:
@@ -574,12 +641,9 @@ def _eval(e: Expr, env: Mapping[str, float]) -> float:
 
 def variables(e: Expr) -> frozenset[str]:
     """Free variable names of an expression."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    out: frozenset[str] = frozenset()
-    for child in e.children():
-        out |= variables(child)
-    return out
+    seen: dict[Expr, None] = {}
+    _postorder(e, seen, lambda node, done: None)
+    return frozenset(node.name for node in seen if isinstance(node, Var))
 
 
 # ---------------------------------------------------------------------------
@@ -596,39 +660,41 @@ def diff(e: Expr, var: str) -> Expr:
     Results are simplified and memoized per (expression, variable) pair
     (see the module docstring for the memo's scope).
     """
-    result = _memo.get((e, var))
+    memo = _memo.setdefault(var, {})
+    result = memo.get(e)
     if result is None:
-        result = _memo[(e, var)] = simplify(_diff(e, var))
+        result = _postorder(e, memo, lambda node, d: simplify(_diff(node, var, d)))
     return result
 
 
-def _diff(e: Expr, var: str) -> Expr:
+def _diff(e: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
+    """One node of `diff`, the derivatives of its children already in `d`."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
     if isinstance(e, Neg):
-        return Neg(diff(e.arg, var))
+        return Neg(d[e.arg])
     if isinstance(e, Add):
-        return Add(diff(e.left, var), diff(e.right, var))
+        return Add(d[e.left], d[e.right])
     if isinstance(e, Sub):
-        return Sub(diff(e.left, var), diff(e.right, var))
+        return Sub(d[e.left], d[e.right])
     if isinstance(e, Mul):
-        return Add(Mul(diff(e.left, var), e.right), Mul(e.left, diff(e.right, var)))
+        return Add(Mul(d[e.left], e.right), Mul(e.left, d[e.right]))
     if isinstance(e, Div):
-        return Div(Sub(Mul(diff(e.left, var), e.right), Mul(e.left, diff(e.right, var))),
+        return Div(Sub(Mul(d[e.left], e.right), Mul(e.left, d[e.right])),
                    Pow(e.right, Const(2.0)))
     if isinstance(e, Pow):
         base, exponent = e.left, e.right
         if isinstance(exponent, Const):
             # d(u^c) = c * u^(c-1) * u'
             return Mul(Mul(exponent, Pow(base, Const(exponent.value - 1.0))),
-                       diff(base, var))
+                       d[base])
         # General case via u^v = exp(v ln u); valid for positive base.
-        return Mul(e, Add(Mul(diff(exponent, var), Call("ln", base)),
-                          Mul(exponent, Div(diff(base, var), base))))
+        return Mul(e, Add(Mul(d[exponent], Call("ln", base)),
+                          Mul(exponent, Div(d[base], base))))
     if isinstance(e, Call):
-        inner = diff(e.arg, var)
+        inner = d[e.arg]
         if e.fn == "sin":
             outer = Call("cos", e.arg)
         elif e.fn == "cos":
@@ -657,18 +723,31 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
     return value is None or e.value == value
 
 
-def _add_terms(e: Expr, sign: float, out: list[tuple[float, Expr]]):
-    """Flatten nested +/-/Neg into a signed term list."""
-    if isinstance(e, Add):
-        _add_terms(e.left, sign, out)
-        _add_terms(e.right, sign, out)
-    elif isinstance(e, Sub):
-        _add_terms(e.left, sign, out)
-        _add_terms(e.right, -sign, out)
-    elif isinstance(e, Neg):
-        _add_terms(e.arg, -sign, out)
-    else:
-        out.append((sign, e))
+_SUMS = (Add, Sub, Neg)
+
+
+def _add_terms(e: Expr, simplified: Mapping | None = None
+               ) -> list[tuple[float, Expr]]:
+    """Flatten nested +/-/Neg into a signed term list, left to right. With
+    `simplified`, each term is replaced by its entry there, which is
+    flattened in turn."""
+    out, stack = [], [(1.0, e, simplified)]
+    while stack:
+        sign, e, memo = stack.pop()
+        cls = type(e)
+        if cls is Add:
+            stack += ((sign, e.right, memo), (sign, e.left, memo))
+        elif cls is Sub:
+            stack += ((-sign, e.right, memo), (sign, e.left, memo))
+        elif cls is Neg:
+            stack.append((-sign, e.arg, memo))
+        elif memo is None:
+            out.append((sign, e))
+        elif type(memo[e]) in _SUMS:
+            stack.append((sign, memo[e], None))
+        else:
+            out.append((sign, memo[e]))
+    return out
 
 
 def _rebuild_sum(terms: list[tuple[float, Expr]], const: float) -> Expr:
@@ -682,9 +761,20 @@ def _rebuild_sum(terms: list[tuple[float, Expr]], const: float) -> Expr:
     return node
 
 
-def _simplify_sum(e: Expr) -> Expr:
-    raw: list[tuple[float, Expr]] = []
-    _add_terms(e, 1.0, raw)
+def _simplify_kids(e: Expr):
+    """The children of `e` for `simplify`: a sum's are its flattened terms."""
+    cls = type(e)
+    if cls is Add or cls is Sub or (cls is Neg and type(e.arg) in _SUMS):
+        return [term for _, term in _add_terms(e)]
+    return e.children()
+
+
+def _simplify_sum(e: Expr, memo: Mapping[Expr, Expr]) -> Expr:
+    """A sum in one pass. Each simplified term that is itself a sum or a
+    negation is spliced in with its sign. Constants fold into one if their
+    total is finite. An equal term of opposite sign cancels the earliest one
+    kept. The rest is rebuilt once, in order."""
+    raw = _add_terms(e, memo)
     const = 0.0
     terms: list[tuple[float, Expr]] = []
     for sign, term in raw:
@@ -692,16 +782,18 @@ def _simplify_sum(e: Expr) -> Expr:
             const += sign * term.value
         else:
             terms.append((sign, term))
-    # Cancel equal terms (one node) of opposite sign.
-    kept: list[tuple[float, Expr]] = []
-    for sign, term in terms:
-        for idx, (s2, t2) in enumerate(kept):
-            if s2 == -sign and t2 is term:
-                del kept[idx]
-                break
+    if not math.isfinite(const):
+        const, terms = 0.0, raw
+    kept: dict[int, tuple[float, Expr]] = {}
+    waiting: dict[tuple[float, Expr], list[int]] = {}
+    for i, item in enumerate(terms):
+        match = waiting.get((-item[0], item[1]))
+        if match:
+            del kept[match.pop(0)]
         else:
-            kept.append((sign, term))
-    return _rebuild_sum(kept, const)
+            kept[i] = item
+            waiting.setdefault(item, []).append(i)
+    return _rebuild_sum(list(kept.values()), const)
 
 
 def simplify(e: Expr) -> Expr:
@@ -713,32 +805,34 @@ def simplify(e: Expr) -> Expr:
         return e
     result = _memo.get(e)
     if result is None:
-        result = _memo[e] = _simplify(e)
+        result = _postorder(e, _memo, _simplify, _simplify_kids)
     return result
 
 
-def _simplify(e: Expr) -> Expr:
-    """One node of `simplify`; children go back through `simplify`."""
-    if isinstance(e, (Add, Sub)) or (isinstance(e, Neg) and isinstance(e.arg, (Add, Sub, Neg))):
-        flat: list[tuple[float, Expr]] = []
-        _add_terms(e, 1.0, flat)
-        rebuilt: list[tuple[float, Expr]] = [(s, simplify(t)) for s, t in flat]
-        total = _rebuild_sum(rebuilt, 0.0) if rebuilt else ZERO
-        return _simplify_sum(total)
+def _simplify(e: Expr, memo: Mapping[Expr, Expr]) -> Expr:
+    """One node of `simplify`, its children already simplified in `memo`.
+    A rule that builds a new node simplifies it through `simplify`."""
+    cls = type(e)
+    if cls is Add or cls is Sub or (cls is Neg and type(e.arg) in _SUMS):
+        return _simplify_sum(e, memo)
+    if cls is Const or cls is Var:
+        return e
 
     if isinstance(e, Neg):
-        arg = simplify(e.arg)
+        arg = memo[e.arg]
         if isinstance(arg, Const):
             return Const(-arg.value)
         if isinstance(arg, Neg):
             return arg.arg
         return Neg(arg)
 
+    # A fold of constants whose value is not finite is left undone.
     if isinstance(e, Mul):
-        left = simplify(e.left)
-        right = simplify(e.right)
+        left = memo[e.left]
+        right = memo[e.right]
         if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value * right.value)
+            value = left.value * right.value
+            return Const(value) if math.isfinite(value) else Mul(left, right)
         if _is_const(left, 0.0) or _is_const(right, 0.0):
             return ZERO
         if _is_const(left, 1.0):
@@ -750,7 +844,8 @@ def _simplify(e: Expr) -> Expr:
         if _is_const(right, -1.0):
             return simplify(Neg(left))
         # Constant coefficient collection: c1*(c2*e) -> (c1*c2)*e
-        if isinstance(left, Const) and isinstance(right, Mul) and isinstance(right.left, Const):
+        if isinstance(left, Const) and isinstance(right, Mul) and isinstance(right.left, Const) \
+                and math.isfinite(left.value * right.left.value):
             return simplify(Mul(Const(left.value * right.left.value), right.right))
         if isinstance(right, Const):
             return simplify(Mul(right, left))
@@ -762,9 +857,10 @@ def _simplify(e: Expr) -> Expr:
         return Mul(left, right)
 
     if isinstance(e, Div):
-        left = simplify(e.left)
-        right = simplify(e.right)
-        if isinstance(left, Const) and isinstance(right, Const) and right.value != 0.0:
+        left = memo[e.left]
+        right = memo[e.right]
+        if isinstance(left, Const) and isinstance(right, Const) and right.value != 0.0 \
+                and math.isfinite(left.value / right.value):
             return Const(left.value / right.value)
         if _is_const(left, 0.0):
             return ZERO
@@ -779,13 +875,14 @@ def _simplify(e: Expr) -> Expr:
             if left.left is right:
                 return left.right
             # (c1*e)/c2 -> (c1/c2)*e
-            if isinstance(left.left, Const) and isinstance(right, Const) and right.value != 0.0:
+            if isinstance(left.left, Const) and isinstance(right, Const) and right.value != 0.0 \
+                    and math.isfinite(left.left.value / right.value):
                 return simplify(Mul(Const(left.left.value / right.value), left.right))
         return Div(left, right)
 
     if isinstance(e, Pow):
-        base = simplify(e.left)
-        exponent = simplify(e.right)
+        base = memo[e.left]
+        exponent = memo[e.right]
         if isinstance(exponent, Const):
             if exponent.value == 1.0:
                 return base
@@ -803,7 +900,7 @@ def _simplify(e: Expr) -> Expr:
         return Pow(base, exponent)
 
     if isinstance(e, Call):
-        arg = simplify(e.arg)
+        arg = memo[e.arg]
         if isinstance(arg, Const):
             try:
                 return Const(FUNCTIONS[e.fn](arg.value))
@@ -822,16 +919,21 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of variables by expressions.
 
     Inserted trees are not re-substituted into."""
+    return _postorder(e, {}, lambda node, new: _substituted(node, new, bindings))
+
+
+def _substituted(e: Expr, new: Mapping[Expr, Expr], bindings) -> Expr:
+    """One node of `substitute`, its children's results already in `new`."""
     if isinstance(e, Const):
         return e
     if isinstance(e, Var):
         return bindings.get(e.name, e)
     if isinstance(e, Neg):
-        return Neg(substitute(e.arg, bindings))
+        return Neg(new[e.arg])
     if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, bindings))
+        return Call(e.fn, new[e.arg])
     if isinstance(e, _Binary):
-        return type(e)(substitute(e.left, bindings), substitute(e.right, bindings))
+        return type(e)(new[e.left], new[e.right])
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -857,8 +959,9 @@ def _plan(exprs: Sequence[Expr], names: Sequence[str]):
     """
     index = {name: i for i, name in enumerate(names)}
     slots: dict[tuple, int] = {}
-    seen: dict[Expr, int] = {}
-    outputs = tuple(_plan_ref(e, index, slots, seen) for e in exprs)
+    refs: dict = {}
+    outputs = tuple(_postorder(e, refs, lambda node, refs: _plan_ref(node, index, slots, refs))
+                    for e in exprs)
     steps = list(slots)
     last: dict[int, int] = {}
     for k, step in enumerate(steps):
@@ -872,28 +975,22 @@ def _plan(exprs: Sequence[Expr], names: Sequence[str]):
     return steps, frees, outputs
 
 
-def _plan_ref(e: Expr, index, slots, seen):
-    """The slot or constant of `e` in the plan under construction; a
-    module-level function, so that no closure cycle outlives the build."""
+def _plan_ref(e: Expr, index, slots, refs):
+    """The slot or constant of `e` in the plan under construction, those of
+    its children already in `refs`."""
     if isinstance(e, Const):
         return repr(e.value)
-    ref = seen.get(e)
-    if ref is not None:
-        return ref
     if isinstance(e, Var):
         if e.name not in index:
             raise EvalError(f"unbound variable '{e.name}' in compiled expression")
         step = ("var", index[e.name])
     elif isinstance(e, Neg):
-        step = ("neg", _plan_ref(e.arg, index, slots, seen))
+        step = ("neg", refs[e.arg])
     elif isinstance(e, Call):
-        step = (e.fn, _plan_ref(e.arg, index, slots, seen))
+        step = (e.fn, refs[e.arg])
     else:
-        step = (e.symbol, _plan_ref(e.left, index, slots, seen),
-                _plan_ref(e.right, index, slots, seen))
-    ref = slots.setdefault(step, len(slots))
-    seen[e] = ref
-    return ref
+        step = (e.symbol, refs[e.left], refs[e.right])
+    return slots.setdefault(step, len(slots))
 
 
 def _render(plan, inputs: Sequence[str], prefix: str):

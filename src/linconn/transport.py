@@ -38,13 +38,15 @@ import numpy as np
 
 from .expr import (
     EvalError, Expr, ONE, Var, ZERO, _define, _memo, _plan, _render,
-    compile_vector, diff, substitute, variables,
+    compile_vector, diff, evaluate, is_zero, substitute, variables,
 )
+from .geometry import curvature
 from .model import ConnectionModel, ModelError, PointE
 
 __all__ = [
     "CurveSpec", "FlowResult", "TransportResult", "horizontal_flow",
-    "parallel_transport", "transport_oracle", "holonomy_probe", "sode_flow",
+    "parallel_transport", "transport_oracle", "relative_gap", "holonomy_probe",
+    "holonomy_curvature", "sode_flow",
 ]
 
 
@@ -391,6 +393,13 @@ def transport_oracle(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
     return tuple((p - q) / fd_eps for p, q in zip(plus, base_val))
 
 
+def relative_gap(values: Sequence[float], reference: Sequence[float]) -> float:
+    """The largest gap |a - b| / max(1, |b|) between `values` and the
+    `reference` (such as a transport and its oracle), component by
+    component."""
+    return max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(values, reference))
+
+
 def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
                    eps: float, step: float | None = None) -> tuple[float, ...]:
     """Transport the fiber point around the coordinate rectangle
@@ -427,6 +436,16 @@ def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
             raise ModelError(f"holonomy leg stopped early: {result.status}")
         current = result.final
     return tuple((a - b) / eps ** 2 for a, b in zip(current.fiber, p0.fiber))
+
+
+def holonomy_curvature(m: ConnectionModel, p0: PointE, i: int,
+                       j: int) -> tuple[float, ...]:
+    """The symbolic curvature components R[A, i, j] at p0, A = 0 .. k-1:
+    the limit of `holonomy_probe(m, p0, i, j, eps)` as eps -> 0."""
+    R = curvature(m)
+    env = p0.env(m.bundle)
+    return tuple(0.0 if is_zero(R[A, i, j]) else evaluate(R[A, i, j], env)
+                 for A in range(m.k))
 
 
 def sode_flow(s, state0: Sequence[float], T: float, step: float) -> FlowResult:

@@ -153,16 +153,73 @@ def test_domain_faults_exit_2_and_long_sums_compile(tmp_path, coefficient,
 _DEEP_SUM = "u1^2" + "".join(f" + {k / 1000:g}*x1*u1" for k in range(1, 1200))
 
 
-def test_too_deeply_nested_expression_exit_2(tmp_path):
-    path = tmp_path / "deep.lc"
+_DEEP_CHAIN = "u1*u1" + "*x1" * 5000
+
+_DEEP_VERBS = (
+    ("info",),
+    ("check", "--samples", "5"),
+    ("bianchi",),
+    ("transport", "--from", "x1=0.5,u1=0.5", "--field", "1", "--time", "0.1",
+     "--step", "0.01"),
+)
+
+
+def _one_coefficient_model(tmp_path, coefficient):
+    path = tmp_path / "model.lc"
     path.write_text("[bundle]\nkind = vector\nbase = x1\nfiber = u1\n\n"
-                    f"[connection]\nGamma[1,1] = {_DEEP_SUM}\n")
-    for verb in ("info", "check"):
-        code, out, err = run_cli(verb, str(path))
-        assert code == 2, verb
-        assert out == ""
-        assert err.count("error:") == 1 and "Traceback" not in err, verb
-        assert "nested too deeply" in err
+                    f"[connection]\nGamma[1,1] = {coefficient}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("coefficient", [_DEEP_SUM, _DEEP_CHAIN],
+                         ids=["sum-of-1200-terms", "product-of-depth-5000"])
+def test_deep_expressions_run_every_verb(tmp_path, coefficient):
+    # No expression walker recurses, so a tree's depth is no limit.
+    path = _one_coefficient_model(tmp_path, coefficient)
+    for verb, *rest in _DEEP_VERBS:
+        code, out, err = run_cli(verb, path, *rest, "--json")
+        assert code in (0, 1) and err == "", verb
+        jsonschema.validate(json.loads(out), SCHEMA)
+
+
+def test_parentheses_nested_beyond_the_parser_exit_2(tmp_path):
+    # The recursive-descent parser nests as deep as the text does.
+    path = _one_coefficient_model(tmp_path, "(" * 300 + "u1" + ")" * 300)
+    code, out, err = run_cli("info", path)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "nested too deeply at offset" in err
+
+
+def test_nonfinite_literal_is_a_parse_error(tmp_path):
+    path = _one_coefficient_model(tmp_path, "1e400*u1^2")
+    runs = [
+        ("info", path),
+        ("check", str(MODELS / "quadratic.lc"), "--suite", "basic",
+         "--section", "1e400", "--samples", "5"),
+        ("transport", str(MODELS / "m4.lc"), "--from",
+         "x1=0,x2=0,u1=1,u2=1", "--field", "1e400,0"),
+    ]
+    for argv in runs:
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "", argv[0]
+        assert err.count("error:") == 1 and "number out of range" in err
+
+
+@pytest.mark.parametrize("coefficient", [
+    "(1/1e-320)*u1",        # a quotient of constants that overflows
+    "1e308*u1 + 1e308*u1",  # a sum of constants that overflows
+    "1e308*10*x1*u1^2",     # a product of constants that overflows
+])
+def test_overflowing_constant_folds_report_nonfinite_values(tmp_path,
+                                                           coefficient):
+    # simplify keeps a fold whose value is not finite unfolded, so the
+    # sampled check names the non-finite value and the point.
+    path = _one_coefficient_model(tmp_path, coefficient)
+    code, out, err = run_cli("check", path, "--samples", "5", "--json")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "non-finite value of " in err and " at x1=" in err
 
 
 def test_memo_is_empty_after_each_run():
@@ -416,7 +473,8 @@ def test_every_public_operation_mapped_to_a_verb():
                      "integrable_report", "hj_verify", "geodesic_model",
                      "cyclic_curvature_check", "cotangent_checks"]),
         (transport, ["horizontal_flow", "parallel_transport",
-                     "transport_oracle", "holonomy_probe", "sode_flow"]),
+                     "transport_oracle", "relative_gap", "holonomy_probe",
+                     "holonomy_curvature", "sode_flow"]),
     ]:
         for name in names:
             assert hasattr(module, name), f"missing operation {name}"

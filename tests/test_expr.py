@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import pickle
 
 import numpy as np
@@ -111,6 +112,49 @@ def test_eval_division_by_zero_names_subexpression():
     with pytest.raises(EvalError) as err:
         evaluate(parse("x1/u1"), {"x1": 1.0, "u1": 0.0})
     assert "x1/u1" in str(err.value)
+
+
+def test_eval_checks_a_denominator_before_its_numerator():
+    # The numerator's own fault comes later than the zero denominator.
+    with pytest.raises(EvalError) as err:
+        evaluate(parse("ln(x1 - 2)/(x1 - x1)"), {"x1": 1.0})
+    assert str(err.value) == "division by zero in 'ln(x1 - 2)/(x1 - x1)'"
+
+
+def test_parse_refuses_a_nonfinite_literal():
+    with pytest.raises(ParseError) as err:
+        parse("x1 + 1e400")
+    assert err.value.offset == 5 and "number out of range" in str(err.value)
+
+
+def test_parse_maps_deep_nesting_to_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse("(" * 2000 + "u1" + ")" * 2000)
+    assert "nested too deeply" in str(err.value)
+
+
+def _deep_trees():
+    chain = parse("u1*u1" + "*x1" * 5000)
+    total = parse(" + ".join(f"{k}*x1*u1" for k in range(1, 1200)))
+    negs = calls = Var("u1")
+    for _ in range(5000):
+        negs = Neg(negs)
+        calls = Call("sin", calls)
+    return chain, total, negs, calls
+
+
+@pytest.mark.parametrize("e", _deep_trees(),
+                         ids=["product", "sum", "negations", "calls"])
+def test_walkers_take_any_depth(e):
+    env = {"x1": 0.5, "u1": 0.25}
+    assert variables(e) <= {"x1", "u1"}
+    assert to_string(e)
+    value = evaluate(e, env)
+    assert evaluate(simplify(e), env) == pytest.approx(value, rel=1e-9)
+    assert compile_fn(e, ("x1", "u1"))((0.5, 0.25)) == value
+    moved = substitute(e, {"x1": Const(0.5)})
+    assert evaluate(moved, {"u1": 0.25}) == value
+    evaluate(diff(e, "u1"), env)
 
 
 def test_eval_identity():
@@ -440,3 +484,55 @@ def test_memo_does_not_change_results(e, var):
             diff(sub, name)
         simplify(sub)
     assert [to_string(simplify(e)), to_string(diff(e, var))] == cold
+
+
+def _sympy(e, sp):
+    """`e` as a SymPy expression."""
+    if isinstance(e, Const):
+        return sp.Float(e.value)
+    if isinstance(e, Var):
+        return sp.Symbol(e.name)
+    if isinstance(e, Neg):
+        return -_sympy(e.arg, sp)
+    if isinstance(e, Call):
+        fn = {"ln": sp.log}.get(e.fn) or getattr(sp, e.fn)
+        return fn(_sympy(e.arg, sp))
+    op = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv, "^": operator.pow}[e.symbol]
+    return op(_sympy(e.left, sp), _sympy(e.right, sp))
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
+
+
+def test_diff_and_simplify_agree_with_sympy():
+    # An oracle independent of this module: SymPy's own derivative and the
+    # unsimplified input, compared in value where both are finite.
+    sp = pytest.importorskip("sympy")
+    symbols = [sp.Symbol(name) for name in _NAMES]
+
+    def value_of(f, env):
+        try:
+            got = float(f(*(env[name] for name in _NAMES)))
+        except (ArithmeticError, ValueError, TypeError):
+            return None
+        return got if math.isfinite(got) else None
+
+    @settings(max_examples=60, deadline=None)
+    @given(expressions(), st.sampled_from(_NAMES),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def check(e, var, seed):
+        exact = _sympy(e, sp)
+        ref = sp.lambdify(symbols, exact, "math")
+        ref_d = sp.lambdify(symbols, sp.diff(exact, sp.Symbol(var)), "math")
+        s, d = simplify(e), diff(e, var)
+        for env in _env_points(np.random.default_rng(seed), count=5):
+            want, got = value_of(ref, env), _try_eval(s, env)
+            if want is not None and got is not None:
+                assert _close(got, want)
+            want, got = value_of(ref_d, env), _try_eval(d, env)
+            if want is not None and got is not None:
+                assert _close(got, want)
+
+    check()

@@ -21,8 +21,8 @@ from linconn.model import (
 )
 from linconn.sode import SodeModel
 from linconn.transport import (
-    CurveSpec, _rk4, holonomy_probe, horizontal_flow, parallel_transport,
-    sode_flow, transport_oracle,
+    CurveSpec, _rk4, holonomy_curvature, holonomy_probe, horizontal_flow,
+    parallel_transport, relative_gap, sode_flow, transport_oracle,
 )
 
 from conftest import eval_or_zero
@@ -510,6 +510,21 @@ def test_holonomy_convergence_on_m4(m4_model):
     assert order01 >= 0.9 and order12 >= 0.9
     assert errors[1] / symbolic.max() < 0.05
     assert errors[2] / symbolic.max() < 0.005
+
+
+def test_holonomy_curvature_is_the_limit_of_the_probe(m4_model):
+    p0 = PointE((0.0, 0.0), (1.0, 1.0))
+    env = p0.env(m4_model.bundle)
+    R = curvature(m4_model)
+    symbolic = holonomy_curvature(m4_model, p0, 0, 1)
+    assert symbolic == tuple(eval_or_zero(R[A, 0, 1], env) for A in range(2))
+    defect = holonomy_probe(m4_model, p0, 0, 1, 1e-3)
+    assert relative_gap(defect, symbolic) < 0.005
+
+
+def test_relative_gap_is_relative_to_the_reference_above_one():
+    assert relative_gap((0.5, 10.5), (0.0, 10.0)) == 0.5
+    assert relative_gap((2.0, 11.0), (1.0, 10.0)) == 1.0
 
 
 @pytest.mark.parametrize("eps, fiber", [
