@@ -18,8 +18,8 @@ import numpy as np
 from .expr import Expr, Var, ZERO, ONE, diff, is_zero, simplify, substitute
 from .geometry import (
     BASE_COV, FIBER_COV, FIBER_VEC, CheckReport, TensorField, VectorFieldOnE,
-    _grid, _tensor, check_homogeneous, combine_reports, h_apply, linear_coeffs,
-    residual_check,
+    _fiber_derivative, _tensor, check_homogeneous, combine_reports, h_apply,
+    linear_coeffs, residual_check,
 )
 from .model import (
     BundleModel, ConnectionModel, ModelError, SectionModel, sample_points,
@@ -100,24 +100,19 @@ def affine_linearization(m: ConnectionModel) -> AffineLinearization:
     """Linearization computed directly on the affine model (not through
     homogenization): the fiber-linear part and its complement."""
     _require_affine(m, "affine_linearization")
-    k, n = m.k, m.n
-    fiber = m.bundle.fiber_coords
-    lin = _grid((k, n, k))
-    aff = _grid((k, n))
-    for A in range(k):
-        for i in range(n):
-            derivs = [diff(m.gamma[A][i], fiber[B]) for B in range(k)]
-            for B in range(k):
-                lin[A, i, B] = derivs[B]
-            e: Expr = m.gamma[A][i]
-            for B in range(k):
-                e = e - Var(fiber[B]) * derivs[B]
-            aff[A, i] = simplify(e)
+    lin = _tensor("affine_coeffs_lin", (FIBER_VEC, BASE_COV, FIBER_COV),
+                  (m.k, m.n, m.k), _fiber_derivative(m))
+
+    def rule_0(A: int, i: int) -> Expr:
+        e: Expr = m.gamma[A][i]
+        for B, y in enumerate(m.bundle.fiber_coords):
+            e = e - Var(y) * lin[A, i, B]
+        return simplify(e)
+
     return AffineLinearization(
-        coeffs_0=_tensor("affine_coeffs_0", (FIBER_VEC, BASE_COV), aff),
-        coeffs_lin=_tensor("affine_coeffs_lin",
-                           (FIBER_VEC, BASE_COV, FIBER_COV), lin),
-    )
+        coeffs_0=_tensor("affine_coeffs_0", (FIBER_VEC, BASE_COV), (m.k, m.n),
+                         rule_0),
+        coeffs_lin=lin)
 
 
 def affine_covariant_derivative(m: ConnectionModel, U: VectorFieldOnE,

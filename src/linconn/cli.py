@@ -20,8 +20,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .expr import (EvalError, Expr, ParseError, ZERO, _memo, evaluate,
                    is_zero, parse, to_string)
@@ -380,12 +378,8 @@ def _cmd_info(args) -> tuple[list, str]:
 
 
 def _gamma(m: ConnectionModel, name: str) -> _geometry.TensorField:
-    grid = np.empty((m.k, m.n), dtype=object)
-    for A, i in np.ndindex(m.k, m.n):
-        grid[A, i] = m.gamma[A][i]
-    return _geometry.TensorField(
-        name=name, signature=(_geometry.FIBER_VEC, _geometry.BASE_COV),
-        components=grid)
+    return _geometry._tensor(name, (_geometry.FIBER_VEC, _geometry.BASE_COV),
+                             (m.k, m.n), lambda A, i: m.gamma[A][i])
 
 
 _TENSOR_BUILDERS = {

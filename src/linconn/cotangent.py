@@ -24,7 +24,7 @@ from .expr import (
 )
 from .geometry import (
     BASE_COV, CheckReport, TensorField, VectorFieldOnE, _field_residuals,
-    _grid, _tensor, combine_reports, curvature, evaluate_components, h_apply,
+    _tensor, combine_reports, curvature, evaluate_components, h_apply,
     residual_check,
 )
 from .model import BundleModel, ConnectionModel, ModelError, sample_points
@@ -94,20 +94,20 @@ def _g(m: ConnectionModel, i: int, j: int) -> Expr:
 
 
 def torsion_form(m: ConnectionModel) -> TensorField:
-    """Antisymmetric part of the coefficient matrix, grid [i][j] =
+    """Antisymmetric part of the coefficient matrix, [i][j] =
     (G(i,j) - G(j,i))/2; identically zero iff the connection is
     symmetric (Lagrangian horizontal subbundle)."""
     _require_cotangent(m, "torsion_form")
-    n = m.n
     half = Const(0.5)
-    grid = _grid((n, n))
-    for i in range(n):
-        grid[i, i] = ZERO
-        for j in range(i + 1, n):
-            e = simplify(half * (_g(m, i, j) - _g(m, j, i)))
-            grid[i, j] = e
-            grid[j, i] = simplify(-e)
-    return _tensor("torsion_form", (BASE_COV, BASE_COV), grid)
+
+    def rule(i: int, j: int) -> Expr:
+        if i == j:
+            return ZERO
+        if i > j:
+            return simplify(-rule(j, i))
+        return simplify(half * (_g(m, i, j) - _g(m, j, i)))
+
+    return _tensor("torsion_form", (BASE_COV, BASE_COV), (m.n, m.n), rule)
 
 
 def is_symmetric(m: ConnectionModel, probes: int = 16) -> bool:
@@ -207,14 +207,14 @@ def integrable_connection(h: HamiltonianModel) -> ConnectionModel:
     if is_zero(det) or _zero_on_probes(bundle, det):
         raise TransversalityError(
             "transversality failure: det[df_k/dp_j] vanishes identically")
-    grid = _grid((n, n))  # grid[j][i] stores G(i,j), the gamma layout
-    for i, x in enumerate(bundle.base_coords):
-        rhs = [diff(f, x) for f in h.first_integrals]
-        for j in range(n):
-            replaced = [[rhs[r] if c == j else M[r][c] for c in range(n)]
-                        for r in range(n)]
-            grid[j, i] = simplify(Div(_det(replaced), det))
-    gamma = [[grid[j, i] for i in range(n)] for j in range(n)]
+
+    def coefficient(i: int, j: int) -> Expr:  # G(i,j)
+        x = bundle.base_coords[i]
+        replaced = [[diff(f, x) if c == j else row[c] for c in range(n)]
+                    for f, row in zip(h.first_integrals, M)]
+        return simplify(Div(_det(replaced), det))
+
+    gamma = [[coefficient(i, j) for i in range(n)] for j in range(n)]
     return ConnectionModel(bundle, gamma, excluded=(det,))
 
 

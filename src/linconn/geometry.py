@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,38 +48,36 @@ _VECTOR_LIKE = ("vector", "tangent", "cotangent")
 
 @dataclass(frozen=True)
 class TensorField:
-    """Grid of component expressions with a variance signature."""
+    """Component expressions with a variance signature: `components` maps
+    every index tuple of `shape`, in row-major order, to its expression."""
 
     name: str
     signature: tuple[str, ...]
-    components: np.ndarray  # object ndarray of Expr
+    shape: tuple[int, ...]
+    components: dict[tuple[int, ...], Expr]
 
     def __post_init__(self):
-        if self.components.ndim != len(self.signature):
+        if len(self.shape) != len(self.signature):
             raise ValueError("component rank does not match the signature")
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.components.shape
-
-    def __getitem__(self, idx) -> Expr:
+    def __getitem__(self, idx: tuple[int, ...]) -> Expr:
         return self.components[idx]
 
     def items(self) -> Iterable[tuple[tuple[int, ...], Expr]]:
-        for idx in np.ndindex(*self.components.shape):
-            yield idx, self.components[idx]
+        return self.components.items()
 
     def label(self, idx: tuple[int, ...]) -> str:
         inner = ",".join(str(i + 1) for i in idx)
         return f"{self.name}[{inner}]"
 
 
-def _grid(shape: tuple[int, ...]) -> np.ndarray:
-    return np.empty(shape, dtype=object)
-
-
-def _tensor(name: str, signature: tuple[str, ...], grid: np.ndarray) -> TensorField:
-    return TensorField(name=name, signature=signature, components=grid)
+def _tensor(name: str, signature: tuple[str, ...], shape: tuple[int, ...],
+            rule: Callable[..., Expr]) -> TensorField:
+    """The tensor whose component at each index of `shape` is `rule(*idx)`,
+    built in row-major order."""
+    indices = itertools.product(*map(range, shape))
+    return TensorField(name, signature, shape,
+                       {idx: rule(*idx) for idx in indices})
 
 
 @dataclass(frozen=True)
@@ -159,17 +157,19 @@ def h_apply(m: ConnectionModel, e: Expr, i: int) -> Expr:
     return simplify(out)
 
 
+def _fiber_derivative(m: ConnectionModel) -> Callable[[int, int, int], Expr]:
+    """The rule [A][i][B] = d(gamma[A][i])/du^B of the linearized
+    coefficients, shared with the affine linearization."""
+    fiber = m.bundle.fiber_coords
+    return lambda A, i, B: diff(m.gamma[A][i], fiber[B])
+
+
 def linear_coeffs(m: ConnectionModel) -> TensorField:
     """Coefficients of the induced linear connection: the fiber derivative
-    of the coefficient matrix, grid [A][i][B]."""
+    of the coefficient matrix, [A][i][B]."""
     _require_vector_like(m, "linear_coeffs")
-    k, n = m.k, m.n
-    grid = _grid((k, n, k))
-    for A in range(k):
-        for i in range(n):
-            for B in range(k):
-                grid[A, i, B] = diff(m.gamma[A][i], m.bundle.fiber_coords[B])
-    return _tensor("linear_coeffs", (FIBER_VEC, BASE_COV, FIBER_COV), grid)
+    return _tensor("linear_coeffs", (FIBER_VEC, BASE_COV, FIBER_COV),
+                   (m.k, m.n, m.k), _fiber_derivative(m))
 
 
 def covariant_derivative(m: ConnectionModel, U: VectorFieldOnE,
@@ -202,69 +202,58 @@ def covariant_derivative(m: ConnectionModel, U: VectorFieldOnE,
 
 
 def tension(m: ConnectionModel) -> TensorField:
-    """Tension tensor, grid [A][i]: the failure of degree-1 homogeneity,
+    """Tension tensor [A][i]: the failure of degree-1 homogeneity,
     gamma[A][i] - sum_B d(gamma[A][i])/du^B u^B."""
     _require_vector_like(m, "tension")
     lin = linear_coeffs(m)
-    grid = _grid((m.k, m.n))
-    for A in range(m.k):
-        for i in range(m.n):
-            e: Expr = m.gamma[A][i]
-            for B, u in enumerate(m.bundle.fiber_coords):
-                e = e - lin[A, i, B] * Var(u)
-            grid[A, i] = simplify(e)
-    return _tensor("tension", (FIBER_VEC, BASE_COV), grid)
+
+    def rule(A: int, i: int) -> Expr:
+        e: Expr = m.gamma[A][i]
+        for B, u in enumerate(m.bundle.fiber_coords):
+            e = e - lin[A, i, B] * Var(u)
+        return simplify(e)
+
+    return _tensor("tension", (FIBER_VEC, BASE_COV), (m.k, m.n), rule)
 
 
 def curvature(m: ConnectionModel) -> TensorField:
-    """Curvature of the nonlinear connection, grid [A][i][j]:
+    """Curvature of the nonlinear connection [A][i][j]:
     H_j(gamma[A][i]) - H_i(gamma[A][j]); antisymmetric in i, j."""
-    k, n = m.k, m.n
-    grid = _grid((k, n, n))
-    for A in range(k):
-        for i in range(n):
-            grid[A, i, i] = ZERO
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = simplify(h_apply(m, m.gamma[A][i], j) -
-                             h_apply(m, m.gamma[A][j], i))
-                grid[A, i, j] = e
-                grid[A, j, i] = simplify(-e)
-    return _tensor("curvature", (FIBER_VEC, BASE_COV, BASE_COV), grid)
+    def rule(A: int, i: int, j: int) -> Expr:
+        if i == j:
+            return ZERO
+        if i > j:
+            return simplify(-rule(A, j, i))
+        return simplify(h_apply(m, m.gamma[A][i], j) -
+                        h_apply(m, m.gamma[A][j], i))
+
+    return _tensor("curvature", (FIBER_VEC, BASE_COV, BASE_COV),
+                   (m.k, m.n, m.n), rule)
 
 
 def vh_curvature(m: ConnectionModel) -> TensorField:
     """Vertical-horizontal curvature block of the linear connection,
-    grid [C][i][A][B] = d^2 gamma[C][i] / du^A du^B; symmetric in A, B.
+    [C][i][A][B] = d^2 gamma[C][i] / du^A du^B; symmetric in A, B.
     Vanishing characterizes pullbacks of linear connections."""
     _require_vector_like(m, "vh_curvature")
-    k, n = m.k, m.n
     fiber = m.bundle.fiber_coords
-    grid = _grid((k, n, k, k))
-    for C in range(k):
-        for i in range(n):
-            first = [diff(m.gamma[C][i], fiber[A]) for A in range(k)]
-            for A in range(k):
-                for B in range(k):
-                    grid[C, i, A, B] = diff(first[A], fiber[B])
-    return _tensor("vh_curvature", (FIBER_VEC, BASE_COV, FIBER_COV, FIBER_COV), grid)
+    return _tensor(
+        "vh_curvature", (FIBER_VEC, BASE_COV, FIBER_COV, FIBER_COV),
+        (m.k, m.n, m.k, m.k),
+        lambda C, i, A, B: diff(diff(m.gamma[C][i], fiber[A]), fiber[B]))
 
 
 def hh_curvature(m: ConnectionModel) -> TensorField:
-    """Horizontal-horizontal curvature block, grid [B][i][j][A]:
+    """Horizontal-horizontal curvature block [B][i][j][A]:
     minus the fiber derivative of the nonlinear curvature,
     -d(R[B][i][j])/du^A; antisymmetric in i, j."""
     _require_vector_like(m, "hh_curvature")
     R = curvature(m)
-    k, n = m.k, m.n
     fiber = m.bundle.fiber_coords
-    grid = _grid((k, n, n, k))
-    for B in range(k):
-        for i in range(n):
-            for j in range(n):
-                for A in range(k):
-                    grid[B, i, j, A] = simplify(-diff(R[B, i, j], fiber[A]))
-    return _tensor("hh_curvature", (FIBER_VEC, BASE_COV, BASE_COV, FIBER_COV), grid)
+    return _tensor(
+        "hh_curvature", (FIBER_VEC, BASE_COV, BASE_COV, FIBER_COV),
+        (m.k, m.n, m.n, m.k),
+        lambda B, i, j, A: simplify(-diff(R[B, i, j], fiber[A])))
 
 
 def hh_curvature_commutator(m: ConnectionModel) -> TensorField:
@@ -279,19 +268,17 @@ def hh_curvature_commutator(m: ConnectionModel) -> TensorField:
     """
     _require_vector_like(m, "hh_curvature_commutator")
     lin = linear_coeffs(m)
-    k, n = m.k, m.n
-    grid = _grid((k, n, n, k))
-    for B in range(k):
-        for i in range(n):
-            for j in range(n):
-                for A in range(k):
-                    e: Expr = h_apply(m, lin[B, j, A], i) - h_apply(m, lin[B, i, A], j)
-                    for C in range(k):
-                        e = e + lin[B, i, C] * lin[C, j, A]
-                        e = e - lin[B, j, C] * lin[C, i, A]
-                    grid[B, i, j, A] = simplify(e)
+
+    def rule(B: int, i: int, j: int, A: int) -> Expr:
+        e: Expr = h_apply(m, lin[B, j, A], i) - h_apply(m, lin[B, i, A], j)
+        for C in range(m.k):
+            e = e + lin[B, i, C] * lin[C, j, A]
+            e = e - lin[B, j, C] * lin[C, i, A]
+        return simplify(e)
+
     return _tensor("hh_curvature_commutator",
-                   (FIBER_VEC, BASE_COV, BASE_COV, FIBER_COV), grid)
+                   (FIBER_VEC, BASE_COV, BASE_COV, FIBER_COV),
+                   (m.k, m.n, m.n, m.k), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +286,9 @@ def hh_curvature_commutator(m: ConnectionModel) -> TensorField:
 # ---------------------------------------------------------------------------
 
 def dh_field(m: ConnectionModel, lin: TensorField, field_: TensorField,
-             i: int, base_corr: bool = False) -> np.ndarray:
-    """Horizontal covariant derivative of a tensor field along direction i.
+             i: int, base_corr: bool = False) -> TensorField:
+    """Horizontal covariant derivative of a tensor field along direction i,
+    with the field's signature and shape.
 
     Fiber-vector slots pick up +coeff corrections, fiber-covector slots
     -coeff. Base slots are corrected the same way only when `base_corr`
@@ -308,42 +296,38 @@ def dh_field(m: ConnectionModel, lin: TensorField, field_: TensorField,
     linearization itself); otherwise the coordinate-flat auxiliary
     connection leaves them untouched.
     """
-    comps = field_.components
-    out = _grid(comps.shape)
-    for idx in np.ndindex(*comps.shape):
-        e: Expr = h_apply(m, comps[idx], i)
+    def rule(*idx: int) -> Expr:
+        e: Expr = h_apply(m, field_[idx], i)
         for slot, kind in enumerate(field_.signature):
             corrected = kind in (FIBER_VEC, FIBER_COV) or \
                 (base_corr and kind in (BASE_VEC, BASE_COV))
             if not corrected:
                 continue
             c = idx[slot]
-            size = comps.shape[slot]
             up = kind in (FIBER_VEC, BASE_VEC)
-            for C in range(size):
+            for C in range(field_.shape[slot]):
                 swapped = idx[:slot] + (C,) + idx[slot + 1:]
                 if up:
-                    e = e + lin[c, i, C] * comps[swapped]
+                    e = e + lin[c, i, C] * field_[swapped]
                 else:
-                    e = e - lin[C, i, c] * comps[swapped]
-        out[idx] = simplify(e)
-    return out
+                    e = e - lin[C, i, c] * field_[swapped]
+        return simplify(e)
+
+    return _tensor(f"dh_{i + 1}({field_.name})", field_.signature,
+                   field_.shape, rule)
 
 
-def dv_field(m: ConnectionModel, field_: TensorField, d: int) -> np.ndarray:
-    """Vertical covariant derivative: a plain fiber partial, since basic
-    frames are parallel along vertical directions for any compatible
-    auxiliary connection."""
-    comps = field_.components
-    out = _grid(comps.shape)
+def dv_field(m: ConnectionModel, field_: TensorField, d: int) -> TensorField:
+    """Vertical covariant derivative, with the field's signature and shape:
+    a plain fiber partial, since basic frames are parallel along vertical
+    directions for any compatible auxiliary connection."""
     u = m.bundle.fiber_coords[d]
-    for idx in np.ndindex(*comps.shape):
-        out[idx] = diff(comps[idx], u)
-    return out
+    return _tensor(f"dv_{d + 1}({field_.name})", field_.signature,
+                   field_.shape, lambda *idx: diff(field_[idx], u))
 
 
 # ---------------------------------------------------------------------------
-# Numeric evaluation of component grids
+# Numeric evaluation of labeled components
 # ---------------------------------------------------------------------------
 
 def evaluate_components(m: ConnectionModel,
@@ -657,7 +641,7 @@ def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
 
 def integral_section_residual(m: ConnectionModel,
                               alpha: SectionModel) -> TensorField:
-    """Residual of the integral-section equation, grid [A][i]:
+    """Residual of the integral-section equation [A][i]:
     d(alpha^A)/dx^i + gamma[A][i](x, alpha(x))."""
     from .model import validate_section
 
@@ -667,18 +651,17 @@ def integral_section_residual(m: ConnectionModel,
                          "(components in base coordinates only)")
     bindings = {u: alpha.components[B]
                 for B, u in enumerate(m.bundle.fiber_coords)}
-    grid = _grid((m.k, m.n))
-    for A in range(m.k):
-        for i, x in enumerate(m.bundle.base_coords):
-            grid[A, i] = simplify(diff(alpha.components[A], x) +
-                                  substitute(m.gamma[A][i], bindings))
-    return _tensor("integral_section_residual", (FIBER_VEC, BASE_COV), grid)
+    base = m.bundle.base_coords
+    return _tensor(
+        "integral_section_residual", (FIBER_VEC, BASE_COV), (m.k, m.n),
+        lambda A, i: simplify(diff(alpha.components[A], base[i]) +
+                              substitute(m.gamma[A][i], bindings)))
 
 
 def pullback_connection_coeffs(m: ConnectionModel,
                                alpha: SectionModel) -> TensorField:
     """Linearized coefficients restricted to the graph of a basic section,
-    grid [A][i][B] of expressions on the base."""
+    [A][i][B], expressions on the base."""
     from .model import validate_section
 
     info = validate_section(m, alpha)
@@ -687,9 +670,6 @@ def pullback_connection_coeffs(m: ConnectionModel,
     lin = linear_coeffs(m)
     bindings = {u: alpha.components[B]
                 for B, u in enumerate(m.bundle.fiber_coords)}
-    grid = _grid((m.k, m.n, m.k))
-    for A in range(m.k):
-        for i in range(m.n):
-            for B in range(m.k):
-                grid[A, i, B] = simplify(substitute(lin[A, i, B], bindings))
-    return _tensor("pullback_coeffs", (FIBER_VEC, BASE_COV, FIBER_COV), grid)
+    return _tensor("pullback_coeffs", (FIBER_VEC, BASE_COV, FIBER_COV),
+                   lin.shape,
+                   lambda A, i, B: simplify(substitute(lin[A, i, B], bindings)))

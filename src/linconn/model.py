@@ -155,6 +155,8 @@ class ModelDocument:
 
     Exactly one of the connection-defining sections was present; for a
     Hamiltonian section without first integrals the connection is None.
+    `excluded` holds the predicates the file declared, which `dump_model`
+    writes back; the connection's own `excluded` may add derived ones.
     """
 
     bundle: BundleModel
@@ -162,6 +164,7 @@ class ModelDocument:
     sode: object = None          # SodeModel, when a forces section is present
     hamiltonian: object = None   # HamiltonianModel, for cotangent models
     source: str = ""
+    excluded: tuple[Expr, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +239,7 @@ def load_model(text: str) -> ModelDocument:
         raise ModelError(
             "one of [connection], [sode] or [hamiltonian] is required")
 
-    doc = ModelDocument(bundle=bundle, source=text)
+    doc = ModelDocument(bundle=bundle, source=text, excluded=excluded)
     name = defining[0]
     if name == "connection":
         doc.connection = _parse_connection(bundle, excluded, sections["connection"])
@@ -253,7 +256,11 @@ def _parse_bundle(entries) -> tuple[BundleModel, tuple[Expr, ...]]:
     base: tuple[str, ...] | None = None
     fiber: tuple[str, ...] | None = None
     excluded: tuple[Expr, ...] = ()
+    seen: set[str] = set()
     for lineno, key, value in entries:
+        if key in seen:
+            raise ModelError(f"duplicate bundle key {key!r}", lineno)
+        seen.add(key)
         if key == "kind":
             kind = value
             if kind not in KINDS:
@@ -411,9 +418,8 @@ def dump_model(doc: ModelDocument) -> str:
              f"kind = {bundle.kind}",
              "base = " + ", ".join(bundle.base_coords),
              "fiber = " + ", ".join(bundle.fiber_coords)]
-    if doc.connection is not None and doc.connection.excluded:
-        preds = " and ".join(to_string(e) for e in doc.connection.excluded)
-        lines.append(f'exclude = "{preds}=0"' if "=" not in preds else f'exclude = "{preds}"')
+    for e in doc.excluded:
+        lines.append(f'exclude = "{to_string(e)}=0"')
     if doc.sode is not None:
         lines.append("")
         lines.append("[sode]")

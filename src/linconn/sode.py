@@ -16,8 +16,8 @@ import numpy as np
 from .expr import (Const, Expr, Var, ZERO, diff, is_zero, simplify, substitute,
                    variables)
 from .geometry import (
-    BASE_COV, FIBER_VEC, CheckReport, TensorField, _field_residuals, _grid,
-    _tensor, combine_reports, dh_field, dv_field, hh_curvature, linear_coeffs,
+    BASE_COV, FIBER_VEC, CheckReport, TensorField, _field_residuals, _tensor,
+    combine_reports, dh_field, dv_field, hh_curvature, linear_coeffs,
     residual_check, tension, vh_curvature,
 )
 from .model import BundleModel, ConnectionModel, ModelError
@@ -99,22 +99,22 @@ def sode_connection(s: SodeModel) -> ConnectionModel:
 
 
 def jacobi_endomorphism(s: SodeModel) -> TensorField:
-    """Jacobi endomorphism, grid [i][j]:
+    """Jacobi endomorphism [i][j]:
     -df^i/dx^j - sum_k c^i_k c^k_j - field(c^i_j), with c the induced
     connection coefficients and `field` the second-order vector field."""
     m = sode_connection(s) if s.autonomous else _velocity_connection(s)
     positions = s.base_coords if s.autonomous else s.base_coords[1:]
     n = s.n
-    grid = _grid((n, n))
-    for i in range(n):
-        for j in range(n):
-            e: Expr = -diff(s.forces[i], positions[j])
-            for k_ in range(n):
-                e = e - m.gamma[i][k_ if s.autonomous else 1 + k_] * \
-                    m.gamma[k_][j if s.autonomous else 1 + j]
-            e = e - s.field_apply(m.gamma[i][j if s.autonomous else 1 + j])
-            grid[i, j] = simplify(e)
-    return _tensor("jacobi", (FIBER_VEC, BASE_COV), grid)
+
+    def rule(i: int, j: int) -> Expr:
+        e: Expr = -diff(s.forces[i], positions[j])
+        for k_ in range(n):
+            e = e - m.gamma[i][k_ if s.autonomous else 1 + k_] * \
+                m.gamma[k_][j if s.autonomous else 1 + j]
+        e = e - s.field_apply(m.gamma[i][j if s.autonomous else 1 + j])
+        return simplify(e)
+
+    return _tensor("jacobi", (FIBER_VEC, BASE_COV), (n, n), rule)
 
 
 def _velocity_connection(s: SodeModel) -> ConnectionModel:
@@ -182,15 +182,11 @@ def _parallel_residuals(m: ConnectionModel, lin, field_: TensorField) -> dict[st
     on the tangent bundle)."""
     comps: dict[str, Expr] = {}
     for i in range(m.n):
-        grid = dh_field(m, lin, field_, i, base_corr=True)
-        for idx in np.ndindex(*grid.shape):
-            e = grid[idx]
+        for idx, e in dh_field(m, lin, field_, i, base_corr=True).items():
             if not is_zero(e):
                 comps[f"dh_{i + 1}({field_.label(idx)})"] = e
     for d in range(m.k):
-        grid = dv_field(m, field_, d)
-        for idx in np.ndindex(*grid.shape):
-            e = grid[idx]
+        for idx, e in dv_field(m, field_, d).items():
             if not is_zero(e):
                 comps[f"dv_{d + 1}({field_.label(idx)})"] = e
     return comps

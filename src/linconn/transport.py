@@ -34,13 +34,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .expr import (
     EvalError, Expr, ONE, Var, ZERO, _define, _memo, _plan, _render,
     compile_vector, diff, evaluate, is_zero, substitute, variables,
 )
-from .geometry import curvature
+from .affine import affine_linearization
+from .geometry import TensorField, _tensor, curvature, linear_coeffs
 from .model import ConnectionModel, ModelError, PointE
 
 __all__ = [
@@ -285,24 +284,26 @@ def horizontal_flow(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
                       steps=steps, status=status)
 
 
-def _transport_coeffs(m: ConnectionModel) -> np.ndarray:
-    """Transport coefficients as an object grid [A][i][B] of expressions.
+def _transport_coeffs(m: ConnectionModel) -> TensorField:
+    """Transport coefficients [A][i][B], a tensor of expressions.
 
     Vector-like bundles transport k-vectors with the linearized
     coefficients. Affine and jet bundles transport extended (k+1)-vectors;
     the distinguished component has a zero row, so it stays constant.
     """
-    if m.bundle.kind in ("affine", "jet"):
-        from .affine import affine_linearization
+    if m.bundle.kind not in ("affine", "jet"):
+        return linear_coeffs(m)
+    lin = affine_linearization(m)
 
-        lin = affine_linearization(m)
-        grid = np.full((m.k + 1, m.n, m.k + 1), ZERO, dtype=object)
-        grid[1:, :, 0] = lin.coeffs_0.components
-        grid[1:, :, 1:] = lin.coeffs_lin.components
-        return grid
-    from .geometry import linear_coeffs
+    def rule(A: int, i: int, B: int) -> Expr:
+        if A == 0:
+            return ZERO
+        if B == 0:
+            return lin.coeffs_0[A - 1, i]
+        return lin.coeffs_lin[A - 1, i, B - 1]
 
-    return linear_coeffs(m).components
+    return _tensor("transport_coeffs", lin.coeffs_lin.signature,
+                   (m.k + 1, m.n, m.k + 1), rule)
 
 
 def parallel_transport(m: ConnectionModel, curve: CurveSpec,
@@ -407,7 +408,7 @@ def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
     legs and return (u_final - u_initial)/eps^2.
 
     As eps -> 0 this converges, with first order in eps, to the curvature
-    component grid [.][i][j] at p0. The sign convention (leg order i then
+    components [.][i][j] at p0. The sign convention (leg order i then
     j) is calibrated once against the symbolic curvature in the test
     suite and frozen; a negative eps runs the same rectangle mirrored
     and converges to the same limit. `eps^2` must exceed the rounding unit

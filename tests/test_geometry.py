@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from linconn.expr import (
     simplify,
 )
 from linconn.geometry import (
-    CheckReport, VectorFieldOnE, axioms_check, bianchi_check, check_basic,
-    check_homogeneous, combine_reports, covariant_derivative, curvature,
-    evaluate_components, flatness_check,
+    CheckReport, TensorField, VectorFieldOnE, axioms_check, bianchi_check,
+    check_basic, check_homogeneous, combine_reports, covariant_derivative,
+    curvature, dh_field, dv_field, evaluate_components, flatness_check,
     h_apply, hh_curvature, hh_curvature_commutator,
     integral_section_residual, linear_coeffs, pullback_connection_coeffs,
     tension, tension_identities_check, vh_curvature,
@@ -19,6 +21,41 @@ from linconn.model import (
 )
 
 from conftest import eval_or_zero
+
+
+# ---------------------------------------------------------------------------
+# The tensor container
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("builder", [
+    linear_coeffs, tension, curvature, vh_curvature, hh_curvature,
+    hh_curvature_commutator])
+def test_items_cover_the_shape_in_row_major_order(builder, m4_model):
+    field_ = builder(m4_model)
+    assert len(field_.shape) == len(field_.signature)
+    indices = [idx for idx, _ in field_.items()]
+    assert indices == list(itertools.product(*map(range, field_.shape)))
+    assert all(field_[idx] is e for idx, e in field_.items())
+
+
+def test_tensor_rank_must_match_signature():
+    with pytest.raises(ValueError, match="rank"):
+        TensorField("t", ("fiber-vector",), (1, 1), {(0, 0): ZERO})
+
+
+@pytest.mark.parametrize("base_corr", [False, True])
+def test_dh_and_dv_fields_keep_signature_and_shape(base_corr, m4_model):
+    lin = linear_coeffs(m4_model)
+    for field_ in (tension(m4_model), hh_curvature(m4_model)):
+        derived = [dh_field(m4_model, lin, field_, i, base_corr=base_corr)
+                   for i in range(m4_model.n)]
+        derived += [dv_field(m4_model, field_, d) for d in range(m4_model.k)]
+        for out in derived:
+            assert isinstance(out, TensorField)
+            assert (out.signature, out.shape) == (field_.signature,
+                                                  field_.shape)
+            assert [idx for idx, _ in out.items()] == \
+                [idx for idx, _ in field_.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 
 from linconn.cli import run
 from linconn.expr import parse
+from linconn.model import load_model
 from linconn.transport import _rk4
 
 REPO = Path(__file__).resolve().parents[1]
@@ -150,6 +151,71 @@ SAMPLED_GOLDEN = {
         "b2287d5b9f59cbc121b698f673d2b2839f30f8bf26edb18d8068e8582cd98a7b",
 }
 
+# `tensor --name N` for every name the verb accepts, on every shipped model:
+# one digest per model over the exit code and --json stdout of each run, in
+# name order, so a name the model's kind rejects pins its exit code 2. The
+# section builders get a basic section, `dh`, `dv` and `hamiltonian-field`
+# a function (they run on cotangent models). The `--at` digest repeats the
+# runs with every coordinate given.
+TENSOR_NAMES = (
+    "affine-coeffs-0", "affine-coeffs-lin", "curvature", "dh", "dv", "gamma",
+    "hamiltonian-field", "hh-curvature", "hh-curvature-commutator",
+    "homogenized-gamma", "integral-residual", "jacobi", "linear-coeffs",
+    "pullback-coeffs", "tension", "torsion-form", "vh-curvature",
+)
+TENSOR_GOLDEN = {
+    "affine_quadratic":
+        "62fdc901df8042b99fc295a7fb52182131be60be261c09c26d95ae3e5dce7e6d",
+    "flat":
+        "3e29a0e34f43aff394b6ce22062ed251afbf48df1e12f77ff897e9ccc5903657",
+    "geodesic_const":
+        "ce709392111b566af6d7c557fe823362a2e168e45b4edc88755d5bac39141982",
+    "jet_oscillator":
+        "2398725bdecb1afee94a9eeba217abd3864a8023b880fc2b4d79c08c722ae5ba",
+    "linear":
+        "dda2ee8a8711f3d74218b570d1f179ea76760ca5376a035b028b0ad7f5345c3b",
+    "m4":
+        "dd1dfaebc95ea0de370ee15f319393505b8c851bfacb2ee32cf36e7f44f1b417",
+    "oscillator":
+        "080da15bab1cc697715fa29a6f23b4676a175cfaf95d8f8d2f7ed8ac378121b9",
+    "oscillator_pair":
+        "a53c8e2b52943e26d262fe439242f082adafbdccea9f1b7945aeddfe842a30be",
+    "potential_1d":
+        "480f2c728dd3a6eb2eb04bfc003884d8581d30b99a79bf3c333fa14802ea7a9d",
+    "quadratic":
+        "7a0d49991b8aa38c3addf7343054c2e3d21eae6fb2a5de29f3cb9110f87ce58a",
+}
+TENSOR_AT_GOLDEN = {
+    "affine_quadratic":
+        "356949918d2cf9c84faa4b51127c5c0577edae566776ab1cde5d5c0337a09517",
+    "flat":
+        "8db2257dca4cceb084b8bc988e04d9a1bff331b5e6ab5e050a76f593bfd3933f",
+    "geodesic_const":
+        "5e6483d04d7f276bb7fa3434f44a9ffce7a68e2602cf952d011edd182e6685a1",
+    "jet_oscillator":
+        "94739dc85b202d16ee6c27b23e131697b188e7dfa625a5da22be427f00ca7c27",
+    "linear":
+        "7fa706826277364b37a79e4cc813ef287db6b8514b44c32a20d64c08615e13f6",
+    "m4":
+        "c681e9969f0eac9dc326a6609f5390755a156df8d8d1029a933a77b9994e963d",
+    "oscillator":
+        "79b385a9e9767692d8986b3c564033e628b6a2da643e5f4804c3d8e90b3d8e04",
+    "oscillator_pair":
+        "3f9081f8b2d34f54b277a14a5fe7948de8fa2fd4ecefb1b4d433bfd5d6d1d41b",
+    "potential_1d":
+        "19a38a0ffc5bb5f687e582aec4216022033565b22262c930a3bdc06e72dd9cd0",
+    "quadratic":
+        "5583aaa78c400a9026312f3fa46dc9c0587e8e0decfa5d6352c6d8dd3937192a",
+}
+
+# The Jacobi endomorphism of both sode kinds, through the `sode` verb.
+JACOBI_GOLDEN = {
+    ("sode", "models/jet_oscillator.lc", "--jacobi", "--homogenize"):
+        "2407d9fc88897ed2c6778c7220bf6a206f3ccd5b3aaa6b89aaf4f2325193f8b6",
+    ("sode", "models/oscillator_pair.lc", "--jacobi"):
+        "60cdc3b112ca7ffdb424f041c86665cffdd3fac7a76741e7826807a708ee1c4c",
+}
+
 ARGV = {
     "check": ("--suite", "all", "--json", "--samples", "50"),
     "bianchi": ("--json",),
@@ -162,6 +228,34 @@ def stdout_digest(*argv):
         code = run(list(argv))
     assert code in (0, 1), err.getvalue()
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def tensor_runs_digest(model: str, at: bool) -> str:
+    """sha256 over the exit code and --json stdout of `tensor --name N`
+    for every name in TENSOR_NAMES on models/<model>.lc."""
+    bundle = load_model((REPO / "models" / f"{model}.lc").read_text()).bundle
+    base, fiber = bundle.base_coords, bundle.fiber_coords
+    extra = {
+        "--section": ",".join(f"{A + 2}*{base[A % len(base)]}^2 - 1"
+                              for A in range(bundle.k)),
+        "--function": f"{fiber[0]}^2*{base[0]} + sin({base[-1]})",
+    }
+    point = ",".join(f"{c}={v}" for c, v in zip(bundle.coords,
+                                                 (0.3, 0.5, 0.7, 0.9)))
+    digest = hashlib.sha256()
+    for name in TENSOR_NAMES:
+        argv = ["tensor", f"models/{model}.lc", "--name", name, "--json"]
+        if name in ("integral-residual", "pullback-coeffs"):
+            argv += ["--section", extra["--section"]]
+        if name in ("dh", "dv", "hamiltonian-field"):
+            argv += ["--function", extra["--function"]]
+        if at:
+            argv += ["--at", point]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = run(argv)
+        digest.update(f"{code}\n{out.getvalue()}".encode("utf-8"))
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("verb, model", sorted(GOLDEN),
@@ -202,3 +296,22 @@ def test_one_slot_flow_bits(case):
                             tuple(parse(e) for e in excluded),
                             None if box is None else {"x": box})
     assert (y[0].hex(), steps, status) == RK4_GOLDEN[case]
+
+
+@pytest.mark.parametrize("model", sorted(TENSOR_GOLDEN))
+def test_tensor_report_bytes(monkeypatch, model):
+    monkeypatch.chdir(REPO)
+    assert tensor_runs_digest(model, at=False) == TENSOR_GOLDEN[model]
+
+
+@pytest.mark.parametrize("model", sorted(TENSOR_AT_GOLDEN))
+def test_tensor_at_report_bytes(monkeypatch, model):
+    monkeypatch.chdir(REPO)
+    assert tensor_runs_digest(model, at=True) == TENSOR_AT_GOLDEN[model]
+
+
+@pytest.mark.parametrize("argv", sorted(JACOBI_GOLDEN),
+                         ids=[" ".join(a[1:]) for a in sorted(JACOBI_GOLDEN)])
+def test_jacobi_report_bytes(monkeypatch, argv):
+    monkeypatch.chdir(REPO)
+    assert stdout_digest(*argv, "--json") == JACOBI_GOLDEN[argv]

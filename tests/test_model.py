@@ -128,6 +128,38 @@ def test_roundtrip_serialization(m4_model):
                     evaluate(doc2.connection.gamma[A][i], env), abs=1e-12)
 
 
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.lc")),
+                         ids=lambda p: p.stem)
+def test_dump_is_a_fixed_point_on_shipped_models(path):
+    """load, dump, load, dump gives the same text: only the declared
+    excluded-set predicate is written, never the transversality
+    determinant a [hamiltonian] section derives."""
+    first = dump_model(load_model(path.read_text()))
+    assert dump_model(load_model(first)) == first
+
+
+def test_dump_writes_the_declared_exclude_once():
+    text = (MODELS / "potential_1d.lc").read_text()
+    dumped = dump_model(load_model(text))
+    assert [line for line in dumped.splitlines()
+            if line.startswith("exclude")] == ['exclude = "p1=0"']
+    assert "exclude" not in dump_model(
+        load_model((MODELS / "geodesic_const.lc").read_text()))
+
+
+@pytest.mark.parametrize("line", [
+    "kind = vector", "base = x2", "fiber = u2", 'exclude = "x1=0"'])
+def test_duplicate_bundle_key_rejected(line):
+    """A repeated key is an error on its line, never a silent overwrite."""
+    text = MINIMAL.replace("fiber = u1\n",
+                           "fiber = u1\nexclude = \"u1=0\"\n" + line + "\n")
+    with pytest.raises(ModelError) as err:
+        load_model(text)
+    key = line.split("=")[0].strip()
+    assert f"duplicate bundle key {key!r}" in str(err.value)
+    assert str(err.value).startswith("line 7: ")
+
+
 def test_sode_and_hamiltonian_sections():
     doc = load_model("""
 [bundle]

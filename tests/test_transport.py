@@ -471,6 +471,25 @@ def test_affine_transport_preserves_weight():
         assert abs(out.final_fiber[0] - 1.0) <= 1e-10, span
 
 
+def test_affine_transport_coeffs_have_a_zero_distinguished_row():
+    """The extended (k+1) coefficients: row 0 is zero, column 0 of the
+    other rows is coeffs_0 and the rest is coeffs_lin."""
+    from linconn.affine import affine_linearization
+
+    for name in ("affine_quadratic", "jet_oscillator"):
+        m = shipped(name)
+        coeffs = transport._transport_coeffs(m)
+        lin = affine_linearization(m)
+        assert coeffs.shape == (m.k + 1, m.n, m.k + 1)
+        for (A, i, B), e in coeffs.items():
+            if A == 0:
+                assert e is ZERO
+            elif B == 0:
+                assert e is lin.coeffs_0[A - 1, i]
+            else:
+                assert e is lin.coeffs_lin[A - 1, i, B - 1]
+
+
 # ---------------------------------------------------------------------------
 # Holonomy probes
 # ---------------------------------------------------------------------------
