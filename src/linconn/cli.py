@@ -14,15 +14,18 @@ deeper than the parser takes (about 195 parentheses) is a parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
 from . import __version__
-from .expr import (EvalError, Expr, ParseError, ZERO, _memo, evaluate,
-                   is_zero, parse, to_string)
+from .expr import (EvalError, Expr, ParseError, ZERO, _flat, _memo,
+                   evaluate, is_zero, parse, to_string)
 from .model import (
     ConnectionModel, ModelDocument, ModelError, PointE, SectionModel,
     load_model, sample_points, validate_section,
@@ -401,12 +404,25 @@ _SECTION_BUILDERS = {
     "pullback-coeffs": _geometry.pullback_connection_coeffs,
 }
 
+# Names that need --function.
+_FUNCTION_NAMES = ("dh", "dv", "hamiltonian-field")
+
 
 def _cmd_tensor(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
-    at = _parse_point(args.at, m, "--at") if args.at is not None else None
     name = args.name
+    if name not in (*_TENSOR_BUILDERS, *_SECTION_BUILDERS, *_FUNCTION_NAMES,
+                    "jacobi", "homogenized-gamma"):
+        raise UsageError(f"unknown tensor name {name!r}")
+    # The homogenized model has coordinates of its own, so --at names none.
+    for flag, value, applies in (
+            ("--section", args.section, name in _SECTION_BUILDERS),
+            ("--function", args.function, name in _FUNCTION_NAMES),
+            ("--at", args.at, name != "homogenized-gamma")):
+        if value is not None and not applies:
+            raise UsageError(f"{flag} does not apply to --name {name}")
+    at = _parse_point(args.at, m, "--at") if args.at is not None else None
     if name in _TENSOR_BUILDERS:
         result = _tensor_result(_TENSOR_BUILDERS[name](m), m, at)
     elif name == "jacobi":
@@ -421,7 +437,7 @@ def _cmd_tensor(args) -> tuple[list, str]:
             raise UsageError(f"--name {name} needs --section")
         section = SectionModel(_parse_exprs(args.section, "--section"))
         result = _tensor_result(_SECTION_BUILDERS[name](m, section), m, at)
-    elif name in ("dh", "dv", "hamiltonian-field"):
+    else:
         if not args.function:
             raise UsageError(f"--name {name} needs --function")
         f, *rest = _parse_exprs(args.function, "--function")
@@ -440,8 +456,6 @@ def _cmd_tensor(args) -> tuple[list, str]:
             labels = [f"H_{i+1}" for i in range(m.n)] + \
                      [f"V^{A+1}" for A in range(m.k)]
         result = _components_result(title, labels, comps, m, at)
-    else:
-        raise UsageError(f"unknown tensor name {args.name!r}")
     return [result], "ok"
 
 
@@ -772,15 +786,29 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     finally:
         _memo.clear()
-    if args.json:
-        doc = _document(args, args._model_text or "", results, status)
-        sys.stdout.write(emit_json(doc).decode("utf-8"))
+        _flat.clear()
+    try:
+        if args.json:
+            doc = _document(args, args._model_text or "", results, status)
+            text = emit_json(doc).decode("utf-8")
+            # In pieces the stream buffers whole: a single larger write
+            # that a closing reader cuts short is dropped without an error.
+            for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+                sys.stdout.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
+        else:
+            for result in results:
+                _print_result(result)
+            if status == "fail":
+                print("status: FAIL")
         sys.stdout.flush()
-    else:
-        for result in results:
-            _print_result(result)
-        if status == "fail":
-            print("status: FAIL")
+    except BrokenPipeError:
+        # What is still buffered goes to os.devnull, so that the flush at
+        # exit cannot fail a second time.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return 2
     return 1 if status == "fail" else 0
 
 

@@ -23,8 +23,11 @@ over trees (`variables`, `to_string`, evaluation, `substitute`, `diff`,
 an explicit-stack post-order traversal that skips nodes already done, so
 a tree of any depth, such as a sum of thousands of terms, is walked.
 `simplify` takes a sum in one pass: its children are its flattened terms,
-and its rule splices, folds, cancels and rebuilds them once. A constant
-fold whose value is not finite is left undone.
+and its rule splices, folds, cancels and rebuilds them once. `diff`, like
+`simplify`, takes a sum as one node: its children are the operands of its
+chain of `+`/`-` nodes, and their signed derivatives are folded, cancelled
+and rebuilt once. A constant fold whose value is not finite is left
+undone.
 
 Nodes are hash-consed: each constructor looks the node's key, its class
 and fields, up in one table, `_nodes`, and returns the node already there,
@@ -663,7 +666,52 @@ def diff(e: Expr, var: str) -> Expr:
     memo = _memo.setdefault(var, {})
     result = memo.get(e)
     if result is None:
-        result = _postorder(e, memo, lambda node, d: simplify(_diff(node, var, d)))
+        result = _postorder(e, memo, lambda node, d: _diff_node(node, var, d),
+                            _diff_kids)
+    return result
+
+
+def _operands(e: Expr) -> list[tuple[float, Expr]]:
+    """The operands of the chain of +/- nodes down the left of `e`, with
+    their signs, left to right."""
+    out = []
+    while type(e) is Add or type(e) is Sub:
+        out.append((1.0 if type(e) is Add else -1.0, e.right))
+        e = e.left
+    out.append((1.0, e))
+    out.reverse()
+    return out
+
+
+def _diff_kids(e: Expr):
+    """The children of `e` for `diff`: a sum's are its chain's operands."""
+    if type(e) is Add or type(e) is Sub:
+        return [term for _, term in _operands(e)]
+    return e.children()
+
+
+def _diff_node(e: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
+    """One node of `diff`, the derivatives of its children already in `d`.
+
+    A sum's signed operand derivatives are spliced, folded, cancelled and
+    rebuilt once. That is what simplifying the chain node by node gives
+    when each spliced term is already simplified and the constant total is
+    finite; otherwise the chain is simplified node by node, since each
+    partial sum then simplifies its terms again or keeps its own unfolded
+    constants.
+    """
+    if type(e) is not Add and type(e) is not Sub:
+        return simplify(_diff(e, var, d))
+    operands = _operands(e)
+    raw = _spliced(operands, d)
+    folded = _folded(raw)
+    if folded is not None and all(type(term) is Const or simplify(term) is term
+                                  for _, term in raw):
+        return _cancelled(*folded)
+    result = d[operands[0][1]]
+    for sign, term in operands[1:]:
+        result = simplify(Add(result, d[term]) if sign > 0 else
+                          Sub(result, d[term]))
     return result
 
 
@@ -675,10 +723,6 @@ def _diff(e: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
         return ONE if e.name == var else ZERO
     if isinstance(e, Neg):
         return Neg(d[e.arg])
-    if isinstance(e, Add):
-        return Add(d[e.left], d[e.right])
-    if isinstance(e, Sub):
-        return Sub(d[e.left], d[e.right])
     if isinstance(e, Mul):
         return Add(Mul(d[e.left], e.right), Mul(e.left, d[e.right]))
     if isinstance(e, Div):
@@ -726,64 +770,53 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
 _SUMS = (Add, Sub, Neg)
 
 
-def _add_terms(e: Expr, simplified: Mapping | None = None
-               ) -> list[tuple[float, Expr]]:
-    """Flatten nested +/-/Neg into a signed term list, left to right. With
-    `simplified`, each term is replaced by its entry there, which is
-    flattened in turn."""
-    out, stack = [], [(1.0, e, simplified)]
+def _add_terms(e: Expr) -> list[tuple[float, Expr]]:
+    """Flatten nested +/-/Neg into a signed term list, left to right."""
+    out, stack = [], [(1.0, e)]
     while stack:
-        sign, e, memo = stack.pop()
+        sign, e = stack.pop()
         cls = type(e)
         if cls is Add:
-            stack += ((sign, e.right, memo), (sign, e.left, memo))
+            stack += ((sign, e.right), (sign, e.left))
         elif cls is Sub:
-            stack += ((-sign, e.right, memo), (sign, e.left, memo))
+            stack += ((-sign, e.right), (sign, e.left))
         elif cls is Neg:
-            stack.append((-sign, e.arg, memo))
-        elif memo is None:
-            out.append((sign, e))
-        elif type(memo[e]) in _SUMS:
-            stack.append((sign, memo[e], None))
+            stack.append((-sign, e.arg))
         else:
-            out.append((sign, memo[e]))
+            out.append((sign, e))
     return out
 
 
-def _rebuild_sum(terms: list[tuple[float, Expr]], const: float) -> Expr:
-    items = list(terms)
-    if const != 0.0 or not items:
-        items.append((1.0, Const(const)) if const >= 0 else (-1.0, Const(-const)))
-    sign, head = items[0]
-    node = Neg(head) if sign < 0 else head
-    for sign, term in items[1:]:
-        node = Sub(node, term) if sign < 0 else Add(node, term)
-    return node
+def _spliced(terms: list[tuple[float, Expr]], memo: Mapping[Expr, Expr]
+             ) -> list[tuple[float, Expr]]:
+    """`terms` with each term replaced by its entry in `memo`; an entry
+    that is a sum or a negation is flattened in with its sign."""
+    out = []
+    for sign, term in terms:
+        term = memo[term]
+        if type(term) in _SUMS:
+            out += [(sign * inner, t) for inner, t in _add_terms(term)]
+        else:
+            out.append((sign, term))
+    return out
 
 
-def _simplify_kids(e: Expr):
-    """The children of `e` for `simplify`: a sum's are its flattened terms."""
-    cls = type(e)
-    if cls is Add or cls is Sub or (cls is Neg and type(e.arg) in _SUMS):
-        return [term for _, term in _add_terms(e)]
-    return e.children()
-
-
-def _simplify_sum(e: Expr, memo: Mapping[Expr, Expr]) -> Expr:
-    """A sum in one pass. Each simplified term that is itself a sum or a
-    negation is spliced in with its sign. Constants fold into one if their
-    total is finite. An equal term of opposite sign cancels the earliest one
-    kept. The rest is rebuilt once, in order."""
-    raw = _add_terms(e, memo)
+def _folded(raw: list[tuple[float, Expr]]):
+    """The terms of `raw` that are not constants, and the total of those
+    that are, in order; None if that total is not finite."""
     const = 0.0
-    terms: list[tuple[float, Expr]] = []
+    terms = []
     for sign, term in raw:
-        if isinstance(term, Const):
+        if type(term) is Const:
             const += sign * term.value
         else:
             terms.append((sign, term))
-    if not math.isfinite(const):
-        const, terms = 0.0, raw
+    return (terms, const) if math.isfinite(const) else None
+
+
+def _cancelled(terms: list[tuple[float, Expr]], const: float) -> Expr:
+    """The sum of `terms` and `const`, rebuilt once in order, where an
+    equal term of opposite sign cancels the earliest one kept."""
     kept: dict[int, tuple[float, Expr]] = {}
     waiting: dict[tuple[float, Expr], list[int]] = {}
     for i, item in enumerate(terms):
@@ -793,7 +826,40 @@ def _simplify_sum(e: Expr, memo: Mapping[Expr, Expr]) -> Expr:
         else:
             kept[i] = item
             waiting.setdefault(item, []).append(i)
-    return _rebuild_sum(list(kept.values()), const)
+    items = list(kept.values())
+    if const != 0.0 or not items:
+        items.append((1.0, Const(const)) if const >= 0 else (-1.0, Const(-const)))
+    sign, head = items[0]
+    node = Neg(head) if sign < 0 else head
+    for sign, term in items[1:]:
+        node = Sub(node, term) if sign < 0 else Add(node, term)
+    return node
+
+
+# The signed terms of each sum `simplify` has taken apart and not yet
+# rebuilt, so that each sum is flattened once. Emptied as each sum is
+# rebuilt, and by `cli.run`.
+_flat: dict = {}
+
+
+def _simplify_kids(e: Expr):
+    """The children of `e` for `simplify`: a sum's are its flattened terms."""
+    cls = type(e)
+    if cls is Add or cls is Sub or (cls is Neg and type(e.arg) in _SUMS):
+        terms = _flat[e] = _add_terms(e)
+        return [term for _, term in terms]
+    return e.children()
+
+
+def _simplify_sum(e: Expr, memo: Mapping[Expr, Expr]) -> Expr:
+    """A sum in one pass. Each simplified term that is itself a sum or a
+    negation is spliced in with its sign. Constants fold into one if their
+    total is finite. An equal term of opposite sign cancels the earliest one
+    kept. The rest is rebuilt once, in order."""
+    # A nested simplify may have rebuilt `e` already and taken its terms.
+    raw = _spliced(_flat.pop(e, None) or _add_terms(e), memo)
+    terms, const = _folded(raw) or (raw, 0.0)
+    return _cancelled(terms, const)
 
 
 def simplify(e: Expr) -> Expr:

@@ -294,10 +294,12 @@ def dh_field(m: ConnectionModel, lin: TensorField, field_: TensorField,
     -coeff. Base slots are corrected the same way only when `base_corr`
     is set (tangent-bundle case, where the auxiliary connection is the
     linearization itself); otherwise the coordinate-flat auxiliary
-    connection leaves them untouched.
+    connection leaves them untouched. A correction with a zero factor is
+    skipped, not built: its sum would fold it away.
     """
     def rule(*idx: int) -> Expr:
         e: Expr = h_apply(m, field_[idx], i)
+        skipped = False
         for slot, kind in enumerate(field_.signature):
             corrected = kind in (FIBER_VEC, FIBER_COV) or \
                 (base_corr and kind in (BASE_VEC, BASE_COV))
@@ -306,12 +308,17 @@ def dh_field(m: ConnectionModel, lin: TensorField, field_: TensorField,
             c = idx[slot]
             up = kind in (FIBER_VEC, BASE_VEC)
             for C in range(field_.shape[slot]):
-                swapped = idx[:slot] + (C,) + idx[slot + 1:]
-                if up:
-                    e = e + lin[c, i, C] * field_[swapped]
+                coeff = lin[c, i, C] if up else lin[C, i, c]
+                value = field_[idx[:slot] + (C,) + idx[slot + 1:]]
+                if is_zero(coeff) or is_zero(value):
+                    skipped = True
+                elif up:
+                    e = e + coeff * value
                 else:
-                    e = e - lin[C, i, c] * field_[swapped]
-        return simplify(e)
+                    e = e - coeff * value
+        e = simplify(e)
+        # Folded into a sum, a skipped product would turn -0.0 into 0.0.
+        return ZERO if skipped and is_zero(e) else e
 
     return _tensor(f"dh_{i + 1}({field_.name})", field_.signature,
                    field_.shape, rule)
@@ -545,7 +552,9 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                     for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
                         e = e + dh_hh[a][B, b, c, A]
                         for C in range(k):
-                            e = e - theta[B, a, A, C] * R[C, b, c]
+                            if not (is_zero(theta[B, a, A, C]) or
+                                    is_zero(R[C, b, c])):
+                                e = e - theta[B, a, A, C] * R[C, b, c]
                     e = simplify(e)
                     if not is_zero(e):
                         comps1[f"cyclic[{i+1},{j+1},{l+1};{A+1},{B+1}]"] = e

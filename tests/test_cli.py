@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,7 +13,7 @@ import pytest
 
 import linconn.cli as cli
 from linconn.cli import COVERAGE, emit_json, run
-from linconn.expr import _memo
+from linconn.expr import _flat, _memo
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "models"
@@ -225,13 +228,23 @@ def test_overflowing_constant_folds_report_nonfinite_values(tmp_path,
 def test_memo_is_empty_after_each_run():
     argv = ("bianchi", str(MODELS / "m4.lc"), "--json")
     first = run_cli(*argv)
-    assert not _memo
+    assert not _memo and not _flat
     assert run_cli(*argv) == first
-    assert not _memo
-    # A run that fails after building tensors leaves it empty too.
+    assert not _memo and not _flat
+    # A run that fails after building tensors leaves both empty too, and so
+    # does one that stops inside a simplification.
     code, _, _ = run_cli("sode", str(MODELS / "oscillator.lc"), "--classify",
                          "--homogenize", "--samples", "10")
-    assert code == 2 and not _memo
+    assert code == 2 and not _memo and not _flat
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("linconn.expr._simplify_sum", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv)
+    assert not _memo and not _flat
 
 
 def test_deep_nest_of_shared_subtrees_stays_fast(tmp_path):
@@ -653,6 +666,42 @@ def test_tensor_text_names_its_slots():
     assert code == 0
     assert out.splitlines()[0] == \
         "tension  (slots: fiber-vector, base-covector)"
+
+
+@pytest.mark.parametrize("model, name, option", [
+    ("affine_quadratic", "homogenized-gamma", ("--at", "x1=0.3,y1=0.5")),
+    ("m4", "curvature", ("--function", "x1")),
+    ("m4", "curvature", ("--section", "x1,x2")),
+    ("potential_1d", "dh", ("--section", "x1")),
+    ("linear", "integral-residual", ("--function", "x1")),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_tensor_rejects_options_that_do_not_apply(model, name, option):
+    extra = {"dh": ("--function", "p1^2"),
+             "integral-residual": ("--section", "x1")}.get(name, ())
+    code, out, err = run_cli("tensor", str(MODELS / f"{model}.lc"), "--name",
+                             name, *extra, *option)
+    assert code == 2 and out == ""
+    assert err == f"error: {option[0]} does not apply to --name {name}\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_stdout_closed_early_exits_2_with_one_error_line(tmp_path, json_flag):
+    # About 100 KB of output: more than a pipe holds, so the program is
+    # still writing when the reader goes away.
+    terms = " + ".join(f"{k}*x1*u1" for k in range(1, 8001))
+    path = _one_coefficient_model(tmp_path, terms)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linconn.cli", "tensor", path, "--name",
+         "gamma", *json_flag],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert head.startswith(b"{" if json_flag else b"gamma")
+    assert err == "error: stdout was closed before the report was written\n"
 
 
 def test_hj_failure_exit_1():

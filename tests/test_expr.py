@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from linconn.expr import (
     Add, Call, Const, Div, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
-    ONE, ZERO, _columns, _memo, _plan, compile_fn, compile_vector, diff, evaluate,
-    is_zero, parse, simplify, substitute, to_string, variables,
+    ONE, ZERO, _columns, _diff, _memo, _plan, _postorder, compile_fn,
+    compile_vector, diff, evaluate, is_zero, parse, simplify, substitute,
+    to_string, variables,
 )
 
 
@@ -484,6 +485,76 @@ def test_memo_does_not_change_results(e, var):
             diff(sub, name)
         simplify(sub)
     assert [to_string(simplify(e)), to_string(diff(e, var))] == cold
+
+
+def _diff_node_by_node(e, var):
+    """The derivative of `e` with every +/- node of a sum differentiated
+    and simplified on its own, the partial sums one after another."""
+    def rule(node, d):
+        if type(node) in (Add, Sub):
+            return simplify(type(node)(d[node.left], d[node.right]))
+        return simplify(_diff(node, var, d))
+    return _postorder(e, {}, rule)
+
+
+def _extreme_leaf():
+    """Leaves whose folds overflow or keep the sign of zero."""
+    return st.one_of(_leaf(), st.sampled_from(
+        [Const(1e308), Const(-1e308), Const(0.0), Const(-0.0)]))
+
+
+def _sums(children):
+    return st.lists(st.tuples(st.sampled_from((Add, Sub)), children),
+                    min_size=2, max_size=6).map(_chain)
+
+
+def _chain(parts):
+    node = parts[0][1]
+    for op, part in parts[1:]:
+        node = op(node, part)
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_extreme_leaf(),
+                    lambda kids: st.one_of(_domain_combine(kids), _sums(kids)),
+                    max_leaves=16),
+       st.sampled_from(_NAMES))
+@example(parse("1e308*x1 + 1e308*x1 - 1e308*x1 + u1*x1"), "x1")
+@example(parse("x1*u1 + x1*u2 + (x1*u1 - x1*u1)"), "x1")
+@example(parse("-(x1*u1 - x1*u1)"), "x1")
+def test_diff_of_a_sum_takes_it_as_one_node(e, var):
+    # One fold over a sum's operands gives the node of the chain simplified
+    # node by node: the same cancellations, constants and signed zeros.
+    _memo.clear()
+    assert diff(e, var) is _diff_node_by_node(e, var)
+
+
+# Derivatives of sums whose constant total overflows, with the spelling of
+# a constant result keeping its sign. Each is what simplifying the chain
+# node by node gives: an unfolded pair of 1e308 stays in the order the
+# partial sums leave it, and a nested sum cancels within itself first.
+DIFF_FOLD_GOLDEN = {
+    "1e308*x1 + 1e308*x1 + u1*x1": "1e+308 + 1e+308 + u1",
+    "1e308*x1 + 1e308*x1 - 1e308*x1 + u1*x1": "u1 + 1e+308",
+    "u1*x1 - 1e308*x1 - 1e308*x1 + 1e308*x1 + x1^2": "u1 + 2*x1 - 1e+308",
+    "1e308*x1 + (1e308*x1 - 1e308*x1) + u1*x1": "u1 + 1e+308",
+    "-(1e308*x1 + 1e308*x1) + x1": "-1e+308 - 1e+308 + 1",
+    "1e308*x1^2 + 1e308*x1^2 - x1*u1": "1e+308*(2*x1) + 1e+308*(2*x1) - u1",
+    "x1*u1 + x1*u2 + (x1*u1 - x1*u1)": "u1 + u2",
+    "x1*u1 - (x1*u2 - x1*u1) + x1*u2": "u1 + u1",
+    "-(x1*u1 - x1*u1)": "-0.0",
+    "-(x1*u1 - x1*u1) + x1*u2": "u2",
+    "-x2 + x1 - x1": "0.0",
+}
+
+
+@pytest.mark.parametrize("text", sorted(DIFF_FOLD_GOLDEN))
+def test_diff_of_a_sum_keeps_its_folds(text):
+    _memo.clear()
+    d = diff(parse(text), "x1")
+    assert (repr(d.value) if isinstance(d, Const) else to_string(d)) == \
+        DIFF_FOLD_GOLDEN[text]
 
 
 def _sympy(e, sp):

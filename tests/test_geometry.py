@@ -1,13 +1,15 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linconn.expr import (
-    ONE, ZERO, EvalError, compile_fn, evaluate, parse, random_polynomial,
-    simplify,
+    ONE, ZERO, Const, EvalError, compile_fn, evaluate, parse,
+    random_polynomial, simplify,
 )
 from linconn.geometry import (
+    BASE_COV, BASE_VEC, FIBER_COV, FIBER_VEC,
     CheckReport, TensorField, VectorFieldOnE, axioms_check, bianchi_check,
     check_basic, check_homogeneous, combine_reports, covariant_derivative,
     curvature, dh_field, dv_field, evaluate_components, flatness_check,
@@ -17,10 +19,16 @@ from linconn.geometry import (
 )
 from linconn.model import (
     BundleModel, ConnectionModel, ModelError, PointE, SectionModel,
-    sample_points,
+    load_model, sample_points,
 )
 
 from conftest import eval_or_zero
+from test_golden import SYNTHETIC_N3
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+# Shipped models of kind vector, tangent or cotangent; all have n = k.
+VECTOR_LIKE = ("flat", "geodesic_const", "linear", "m4", "oscillator",
+               "oscillator_pair", "potential_1d", "quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +64,54 @@ def test_dh_and_dv_fields_keep_signature_and_shape(base_corr, m4_model):
                                                   field_.shape)
             assert [idx for idx, _ in out.items()] == \
                 [idx for idx, _ in field_.items()]
+
+
+def _dense_dh(m, lin, field_, i, base_corr):
+    """`dh_field`'s components with every correction product built, zero
+    factors included, and each sum simplified once."""
+    out = {}
+    for idx, entry in field_.items():
+        e = h_apply(m, entry, i)
+        for slot, kind in enumerate(field_.signature):
+            if kind in (BASE_VEC, BASE_COV) and not base_corr:
+                continue
+            c = idx[slot]
+            for C in range(field_.shape[slot]):
+                value = field_[idx[:slot] + (C,) + idx[slot + 1:]]
+                if kind in (FIBER_VEC, BASE_VEC):
+                    e = e + lin[c, i, C] * value
+                else:
+                    e = e - lin[C, i, c] * value
+        out[idx] = simplify(e)
+    return out
+
+
+def _minus_x2_fields(m):
+    """Fields whose entry -x2 has H_1 = -0.0, one per slot kind."""
+    entry = parse("-x2")
+    shapes = {FIBER_VEC: m.k, FIBER_COV: m.k, BASE_VEC: m.n, BASE_COV: m.n}
+    return [TensorField(f"minus_x2_{kind}", (kind,), (size,),
+                        {(0,): entry, **{(C,): ZERO for C in range(1, size)}})
+            for kind, size in shapes.items()]
+
+
+@pytest.mark.parametrize("name", VECTOR_LIKE + ("synthetic_n3",))
+def test_dh_field_is_the_dense_sum(name):
+    text = SYNTHETIC_N3 if name == "synthetic_n3" else \
+        (MODELS / f"{name}.lc").read_text()
+    m = load_model(text).connection
+    lin = linear_coeffs(m)
+    fields = [lin, tension(m), vh_curvature(m), hh_curvature(m)]
+    if name == "m4":
+        fields += _minus_x2_fields(m)
+        assert h_apply(m, parse("-x2"), 0) is Const(-0.0)
+    for field_ in fields:
+        for i in range(m.n):
+            for base_corr in (False, True):
+                got = dh_field(m, lin, field_, i, base_corr=base_corr)
+                want = _dense_dh(m, lin, field_, i, base_corr)
+                assert all(got[idx] is e for idx, e in want.items()), \
+                    (field_.name, i, base_corr)
 
 
 # ---------------------------------------------------------------------------
