@@ -17,9 +17,10 @@ import numpy as np
 
 from .expr import Expr, Var, ZERO, ONE, diff, is_zero, simplify, substitute
 from .geometry import (
-    BASE_COV, FIBER_COV, FIBER_VEC, CheckReport, TensorField, VectorFieldOnE,
-    _fiber_derivative, _tensor, check_homogeneous, combine_reports, h_apply,
-    linear_coeffs, residual_check,
+    BASE_COV, FIBER_COV, FIBER_VEC, CheckReport, Residuals, TensorField,
+    VectorFieldOnE, _fiber_derivative, _homogeneous_report,
+    _homogeneous_sets, _suite, _tensor, check_homogeneous, combine_reports,
+    h_apply, linear_coeffs,
 )
 from .model import (
     BundleModel, ConnectionModel, ModelError, SectionModel, sample_points,
@@ -153,15 +154,21 @@ def affine_covariant_derivative(m: ConnectionModel, U: VectorFieldOnE,
     return tuple(out)
 
 
+def _homogenized_samples(hom: HomogenizedModel, count: int, seed: int):
+    return sample_points(hom.model, count, box={hom.z_coords[0]: (0.5, 2.0)},
+                         seed=seed)
+
+
+@_suite
 def check_homogenized(hom: HomogenizedModel, count: int, tol: float,
                       seed: int = 0) -> CheckReport:
     """Homogeneity check of the homogeneous extension on `count` seeded
     points sampled with z0 in [0.5, 2], away from the excluded z0 = 0."""
-    box = {hom.z_coords[0]: (0.5, 2.0)}
-    samples = sample_points(hom.model, count, box=box, seed=seed)
-    return check_homogeneous(hom.model, samples, tol)
+    samples = _homogenized_samples(hom, count, seed)
+    return (yield from check_homogeneous.suite(hom.model, samples, tol))
 
 
+@_suite
 def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
                            tol: float, seed: int = 0) -> CheckReport:
     """Structural checks of the affine linearization.
@@ -189,13 +196,13 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
     derivative = affine_covariant_derivative(m, U, sigma)
     residual0 = simplify(derivative[0] - U.apply(m, sigma[0]))
     comps_i = {} if is_zero(residual0) else {"distinguished_component": residual0}
-    sub_i = residual_check("distinguished_section_parallel", m, comps_i,
-                           samples, tol)
+    # Evaluated before `homogenize`, which may refuse the model.
+    sub_i, = yield [Residuals("distinguished_section_parallel", m, comps_i,
+                              samples, tol)]
 
     # (ii) homogeneity of the homogeneous extension.
     hom = homogenize(m)
-    sub_ii = check_homogenized(hom, max(len(samples), 1), tol, seed=seed)
-    sub_ii.name = "homogenized_is_homogeneous"
+    hom_samples = _homogenized_samples(hom, max(len(samples), 1), seed)
 
     # (iii) restriction consistency: evaluate the homogenized linear
     # coefficients at z0 = 1, z = y against the direct formulas.
@@ -216,8 +223,11 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
                              direct.coeffs_lin[A, i, B])
                 if not is_zero(e):
                     comps_iii[f"restriction_lin[{A+1},{i+1},{B+1}]"] = e
-    sub_iii = residual_check("restriction_consistency", m, comps_iii,
-                             samples, tol)
 
+    *hom_reports, sub_iii = yield [
+        *_homogeneous_sets(hom.model, hom_samples, tol),
+        Residuals("restriction_consistency", m, comps_iii, samples, tol)]
+    sub_ii = _homogeneous_report(hom_reports, tol)
+    sub_ii.name = "homogenized_is_homogeneous"
     return combine_reports("affine_structure", (sub_i, sub_ii, sub_iii), tol,
                            samples)

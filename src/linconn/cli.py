@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -28,12 +29,13 @@ from .expr import (EvalError, Expr, ParseError, ZERO, _flat, _memo,
                    evaluate, is_zero, parse, to_string)
 from .model import (
     ConnectionModel, ModelDocument, ModelError, PointE, SectionModel,
-    load_model, sample_points, validate_section,
+    load_model, sample_points,
 )
 from . import affine as _affine
 from . import cotangent as _cotangent
 from . import geometry as _geometry
 from . import sode as _sode
+from . import suites as _suites
 from . import transport as _transport
 
 SCHEMA_VERSION = 1
@@ -459,70 +461,29 @@ def _cmd_tensor(args) -> tuple[list, str]:
     return [result], "ok"
 
 
-def _checks(args, doc: ModelDocument, suites: Sequence[str]) -> tuple[list, str]:
-    """Run the named check suites on the model's connection; the library
-    rejects a model of the wrong kind with a ModelError."""
-    m = _require_connection(doc)
-    pts = sample_points(m, args.samples, seed=args.seed)
-    tol = args.tol
-    reports: list = []
-    for suite in suites:
-        if suite == "homogeneous":
-            if m.bundle.kind in ("affine", "jet"):
-                reports.append(_affine.check_homogenized(
-                    _affine.homogenize(m), args.samples, tol, seed=args.seed))
-            else:
-                reports.append(_geometry.check_homogeneous(m, pts, tol))
-        elif suite == "basic":
-            if not args.section:
-                raise UsageError("--suite basic needs --section")
-            section = SectionModel(_parse_exprs(args.section, "--section"))
-            validate_section(m, section)
-            reports.append(_geometry.check_basic(m, section, pts, tol))
-        elif suite == "flat":
-            reports.append(_geometry.flatness_check(m, pts, tol))
-        elif suite == "axioms":
-            reports.append(_geometry.axioms_check(m, pts, tol, seed=args.seed))
-        elif suite == "bianchi":
-            reports.append(_geometry.bianchi_check(m, pts, tol))
-        elif suite == "tension-identities":
-            reports.append(_geometry.tension_identities_check(m, pts, tol))
-        elif suite == "affine":
-            reports.append(_affine.check_affine_structure(m, pts, tol,
-                                                          seed=args.seed))
-        elif suite == "cotangent":
-            reports.extend(_cotangent.cotangent_checks(
-                m, args.samples, tol, seed=args.seed, h=doc.hamiltonian))
-        elif suite == "sode":
-            if doc.sode is None or not doc.sode.autonomous:
-                raise UsageError("--suite sode needs an autonomous [sode] model")
-            reports.append(_sode.linearizability_report(doc.sode, pts, tol))
-        else:
-            raise UsageError(f"unknown suite {suite!r}")
+def _checks(args, suites: Sequence[str],
+            section: str | None = None) -> tuple[list, str]:
+    """Run the named check suites on the model's connection."""
+    doc = _load(args)
+    _require_connection(doc)
+    parsed = (lambda: SectionModel(_parse_exprs(section, "--section"))) \
+        if section else None
+    reports = _suites.run_checks(doc, suites, args.samples, args.seed,
+                                 args.tol, parsed)
+    return _check_results(reports)
+
+
+def _check_results(reports) -> tuple[list, str]:
     results = [{"type": "check", **report.to_dict()} for report in reports]
     return results, "pass" if all(r.passed for r in reports) else "fail"
 
 
 def _cmd_check(args) -> tuple[list, str]:
-    doc = _load(args)
-    kind = doc.bundle.kind
-    suites = [args.suite]
-    if args.suite == "all":
-        suites = ["homogeneous", "flat", "axioms", "bianchi",
-                  "tension-identities"]
-        if kind in ("affine", "jet"):
-            suites = ["affine"]
-        if kind == "cotangent":
-            suites.append("cotangent")
-        if doc.sode is not None and doc.sode.autonomous:
-            suites.append("sode")
-        if args.section:
-            suites.insert(0, "basic")
-    return _checks(args, doc, suites)
+    return _checks(args, [args.suite], args.section)
 
 
 def _cmd_bianchi(args) -> tuple[list, str]:
-    return _checks(args, _load(args), ["bianchi", "tension-identities"])
+    return _checks(args, ["bianchi", "tension-identities"])
 
 
 def _cmd_transport(args) -> tuple[list, str]:
@@ -586,15 +547,18 @@ def _cmd_sode(args) -> tuple[list, str]:
     if args.classify and not s.autonomous:
         raise UsageError("--classify applies to autonomous models")
     split = _parse_split(args.split) if args.split else None
-    # --classify and --split check the same seeded sample set.
-    pts = sample_points(m, args.samples, seed=args.seed) \
-        if args.classify or split else None
-    if args.classify:
-        report = _sode.linearizability_report(s, pts, args.tol)
-        results.append({"type": "classification", **report.to_dict()})
-    if split:
-        report = _sode.decoupling_check(s, split, pts, args.tol)
-        results.append({"type": "classification", **report.to_dict()})
+    # --classify and --split check the same seeded sample set, in one pass.
+    if args.classify or split:
+        pts = sample_points(m, args.samples, seed=args.seed)
+        suites = []
+        if args.classify:
+            suites.append(functools.partial(
+                _sode.linearizability_report.suite, s, pts, args.tol))
+        if split:
+            suites.append(functools.partial(
+                _sode.decoupling_check.suite, s, split, pts, args.tol))
+        results += [{"type": "classification", **report.to_dict()}
+                    for report in _geometry.run_suites(suites)]
     if args.jacobi:
         at = _parse_point(args.at, m, "--at") if args.at is not None else None
         results.append(_tensor_result(_sode.jacobi_endomorphism(s), m, at))
@@ -655,22 +619,24 @@ def _cmd_hj(args) -> tuple[list, str]:
                              "(or --metric)")
         ham = doc.hamiltonian
 
-    reports = []
     sampler = doc.connection if doc.connection is not None else \
         ConnectionModel(ham.bundle,
                         [[ZERO] * ham.bundle.n] * ham.bundle.k)
     pts = sample_points(sampler, args.samples, seed=args.seed)
+    suites = []
     if ham.first_integrals is not None and doc.connection is not None:
-        reports.append(_cotangent.integrable_report(ham, doc.connection, pts,
-                                                    args.tol))
+        suites.append(functools.partial(_cotangent.integrable_report.suite,
+                                        ham, doc.connection, pts, args.tol))
     if args.alpha:
-        alpha = _cotangent.OneFormOnM(_parse_exprs(args.alpha, "--alpha"))
-        reports.append(_cotangent.hj_verify(ham, alpha, pts, args.tol,
-                                            connection=doc.connection))
+        # --alpha is parsed when its check starts, as in a run of one check
+        # after the other.
+        suites.append(lambda: _cotangent.hj_verify.suite(
+            ham, _cotangent.OneFormOnM(_parse_exprs(args.alpha, "--alpha")),
+            pts, args.tol, doc.connection))
+    reports = _geometry.run_suites(suites)
     if not reports:
         raise UsageError("hj needs --alpha and/or a first-integral family")
-    results = [{"type": "check", **r.to_dict()} for r in reports]
-    return results, "pass" if all(r.passed for r in reports) else "fail"
+    return _check_results(reports)
 
 
 # ---------------------------------------------------------------------------

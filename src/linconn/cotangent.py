@@ -23,9 +23,9 @@ from .expr import (
     random_polynomial, simplify, substitute, variables,
 )
 from .geometry import (
-    BASE_COV, CheckReport, TensorField, VectorFieldOnE, _field_residuals,
-    _tensor, combine_reports, curvature, evaluate_components, h_apply,
-    residual_check,
+    BASE_COV, CheckReport, Residuals, TensorField, VectorFieldOnE,
+    _field_residuals, _suite, _tensor, combine_reports, curvature,
+    evaluate_components, h_apply,
 )
 from .model import BundleModel, ConnectionModel, ModelError, sample_points
 
@@ -225,11 +225,8 @@ def _zero_on_probes(bundle: BundleModel, e: Expr, count: int = 25) -> bool:
     return not any(abs(fn(vals)) > 1e-12 for vals in probes.tolist())
 
 
-def integrable_report(h: HamiltonianModel, m: ConnectionModel,
-                      samples: np.ndarray, tol: float) -> CheckReport:
-    """Diagnostics for a connection built from first integrals: canonical
-    involution of the family, the first-integral property against H, the
-    defining horizontal-differential residuals and the torsion."""
+def _integrable_sets(h: HamiltonianModel, m: ConnectionModel,
+                     samples: np.ndarray, tol: float) -> list[Residuals]:
     if h.first_integrals is None:
         raise ModelError("integrable_report needs first integrals")
     comps_inv: dict[str, Expr] = {}
@@ -238,33 +235,41 @@ def integrable_report(h: HamiltonianModel, m: ConnectionModel,
         e = canonical_poisson(h.bundle, fa, fb)
         if not is_zero(e):
             comps_inv[f"involution[{a},{b}]"] = e
-    sub_inv = residual_check("involution", m, comps_inv, samples, tol)
 
     comps_fi: dict[str, Expr] = {}
     for idx, f in enumerate(h.first_integrals, start=1):
         e = canonical_poisson(h.bundle, h.H, f)
         if not is_zero(e):
             comps_fi[f"first_integral[{idx}]"] = e
-    sub_fi = residual_check("first_integrals_of_H", m, comps_fi, samples, tol)
 
     comps_dh: dict[str, Expr] = {}
     for idx, f in enumerate(h.first_integrals, start=1):
         for i, e in enumerate(dh(m, f), start=1):
             if not is_zero(e):
                 comps_dh[f"horizontal_differential[{idx};{i}]"] = e
-    sub_dh = residual_check("defining_relations", m, comps_dh, samples, tol)
 
-    sub_tor = residual_check("torsion", m, _field_residuals(torsion_form(m)),
-                             samples, tol)
+    return [Residuals("involution", m, comps_inv, samples, tol),
+            Residuals("first_integrals_of_H", m, comps_fi, samples, tol),
+            Residuals("defining_relations", m, comps_dh, samples, tol),
+            Residuals("torsion", m, _field_residuals(torsion_form(m)),
+                      samples, tol)]
 
-    return combine_reports("integrable_structure",
-                           (sub_inv, sub_fi, sub_dh, sub_tor), tol, samples)
+
+@_suite
+def integrable_report(h: HamiltonianModel, m: ConnectionModel,
+                      samples: np.ndarray, tol: float) -> CheckReport:
+    """Diagnostics for a connection built from first integrals: canonical
+    involution of the family, the first-integral property against H, the
+    defining horizontal-differential residuals and the torsion."""
+    subs = yield _integrable_sets(h, m, samples, tol)
+    return combine_reports("integrable_structure", subs, tol, samples)
 
 
 # ---------------------------------------------------------------------------
 # Hamilton-Jacobi verification
 # ---------------------------------------------------------------------------
 
+@_suite
 def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
               samples: np.ndarray, tol: float,
               connection: ConnectionModel | None = None) -> CheckReport:
@@ -296,9 +301,6 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
                          diff(alpha.components[j], bundle.base_coords[i]))
             if not is_zero(e):
                 comps_closed[f"closedness[{i+1},{j+1}]"] = e
-    sub_closed = residual_check("closedness", helper, comps_closed, samples,
-                                tol, labels={} if bundle.n > 1 else
-                                {"vacuous": True})
 
     bindings = {p: alpha.components[i]
                 for i, p in enumerate(bundle.fiber_coords)}
@@ -308,9 +310,9 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
         e = diff(h_on_graph, x)
         if not is_zero(e):
             comps_level[f"level[{i}]"] = e
-    sub_level = residual_check("level", helper, comps_level, samples, tol)
-
-    subs = [sub_closed, sub_level]
+    sets = [Residuals("closedness", helper, comps_closed, samples, tol,
+                      {} if bundle.n > 1 else {"vacuous": True}),
+            Residuals("level", helper, comps_level, samples, tol)]
     if connection is not None:
         comps_int: dict[str, Expr] = {}
         for i in range(bundle.n):
@@ -319,9 +321,10 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
                              substitute(_g(connection, i, j), bindings))
                 if not is_zero(e):
                     comps_int[f"integral_section[{i+1},{j+1}]"] = e
-        subs.append(residual_check("integral_section", connection, comps_int,
-                                   samples, tol))
+        sets.append(Residuals("integral_section", connection, comps_int,
+                              samples, tol))
 
+    subs = yield sets
     return combine_reports("hamilton_jacobi", subs, tol, samples)
 
 
@@ -355,10 +358,8 @@ def geodesic_model(g_inv: Sequence[Sequence[Expr]],
     return HamiltonianModel(bundle=bundle, H=simplify(H))
 
 
-def cyclic_curvature_check(m: ConnectionModel, samples: np.ndarray,
-                           tol: float) -> CheckReport:
-    """For symmetric connections the curvature satisfies the cyclic
-    identity sum_cyc <R(X,Y), Z> = 0 on coordinate frames."""
+def _cyclic_set(m: ConnectionModel, samples: np.ndarray,
+                tol: float) -> Residuals:
     _require_cotangent(m, "cyclic_curvature_check")
     R = curvature(m)
     n = m.n
@@ -372,9 +373,19 @@ def cyclic_curvature_check(m: ConnectionModel, samples: np.ndarray,
         e = simplify(e)
         if not is_zero(e):
             comps[f"cyclic[{i+1},{j+1},{l+1}]"] = e
-    return residual_check("cyclic_curvature", m, comps, samples, tol)
+    return Residuals("cyclic_curvature", m, comps, samples, tol)
 
 
+@_suite
+def cyclic_curvature_check(m: ConnectionModel, samples: np.ndarray,
+                           tol: float) -> CheckReport:
+    """For symmetric connections the curvature satisfies the cyclic
+    identity sum_cyc <R(X,Y), Z> = 0 on coordinate frames."""
+    report, = yield [_cyclic_set(m, samples, tol)]
+    return report
+
+
+@_suite
 def cotangent_checks(m: ConnectionModel, count: int, tol: float,
                      seed: int = 0,
                      h: HamiltonianModel | None = None) -> list[CheckReport]:
@@ -389,10 +400,13 @@ def cotangent_checks(m: ConnectionModel, count: int, tol: float,
     """
     _require_cotangent(m, "cotangent_checks")
     pts = sample_points(m, count, seed=seed)
-    reports = [residual_check("symmetric", m, _field_residuals(torsion_form(m)),
-                              pts, tol)]
+    reports = yield [Residuals("symmetric", m,
+                               _field_residuals(torsion_form(m)), pts, tol)]
+    sets = []
     if reports[0].passed:
-        reports.append(cyclic_curvature_check(m, pts, tol))
+        # Evaluated before the Poisson residuals are built: `poisson` and
+        # `hamiltonian_field` may evaluate the torsion at probe points.
+        reports += (yield [_cyclic_set(m, pts, tol)])
         rng = np.random.default_rng(seed)
         comps_poisson: dict[str, Expr] = {}
         comps_decomp: dict[str, Expr] = {}
@@ -410,10 +424,14 @@ def cotangent_checks(m: ConnectionModel, count: int, tol: float,
             residual = simplify(pairing - U.apply(m, f))
             if not is_zero(residual):
                 comps_decomp[f"differential_decomposition[{trial}]"] = residual
-        reports.append(residual_check("poisson_vs_canonical", m, comps_poisson,
-                                      pts, tol))
-        reports.append(residual_check("differential_decomposition", m,
-                                      comps_decomp, pts, tol))
-    if h is not None and h.first_integrals:
-        reports.append(integrable_report(h, m, pts, tol))
+        sets = [Residuals("poisson_vs_canonical", m, comps_poisson, pts, tol),
+                Residuals("differential_decomposition", m, comps_decomp, pts,
+                          tol)]
+    integrable = _integrable_sets(h, m, pts, tol) \
+        if h is not None and h.first_integrals else []
+    subs = yield sets + integrable
+    reports += subs[:len(sets)]
+    if integrable:
+        reports.append(combine_reports("integrable_structure",
+                                       subs[len(sets):], tol, pts))
     return reports

@@ -15,9 +15,10 @@ themselves (pass `base_corr`), which is the natural choice there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ __all__ = [
     "check_homogeneous", "check_basic", "flatness_check", "axioms_check",
     "bianchi_check", "tension_identities_check",
     "integral_section_residual", "pullback_connection_coeffs",
-    "evaluate_components", "residual_check", "combine_reports",
+    "Residuals", "evaluate_components", "combine_reports", "run_suites",
 ]
 
 # Slot descriptors for tensor signatures.
@@ -334,8 +335,47 @@ def dv_field(m: ConnectionModel, field_: TensorField, d: int) -> TensorField:
 
 
 # ---------------------------------------------------------------------------
-# Numeric evaluation of labeled components
+# Residual sets and their evaluation
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Residuals:
+    """One residual set: labeled expressions of `m` whose largest absolute
+    value over `samples`, against `tol`, makes the report `name`."""
+
+    name: str
+    m: ConnectionModel
+    comps: Mapping[str, Expr]
+    samples: np.ndarray
+    tol: float
+    labels: Mapping = field(default_factory=dict)
+
+    def report(self, result=None) -> CheckReport:
+        """The report of this set from `result`, its (max_residual,
+        worst_point, details) as `evaluate_components` gives them, which
+        is evaluated here when None. A set without residuals passes
+        without an evaluation."""
+        count = len(self.samples)
+        if not self.comps:
+            return CheckReport(name=self.name, passed=True, max_residual=0.0,
+                               tolerance=self.tol, samples=count,
+                               labels={"vacuous": True, **self.labels})
+        max_res, worst, details = result or evaluate_components(
+            self.m, self.comps, self.samples)
+        return CheckReport(name=self.name, passed=max_res <= self.tol,
+                           max_residual=max_res, tolerance=self.tol,
+                           samples=count, worst_point=worst, details=details,
+                           labels=dict(self.labels))
+
+
+class _Union(dict):
+    """The distinct expressions of the label mappings `sets`, residual sets
+    over one sample set, each keyed by itself."""
+
+    def __init__(self, sets: Sequence[Mapping[str, Expr]]):
+        super().__init__((e, e) for comps in sets for e in comps.values())
+        self.sets = sets
+
 
 def evaluate_components(m: ConnectionModel,
                         comps: Mapping[str, Expr],
@@ -352,13 +392,32 @@ def evaluate_components(m: ConnectionModel,
     meets any fault, the scalar path decides, label by label and sample by
     sample, so the values and the first error are those of a per-point
     evaluation.
+
+    `run_suites` passes a `_Union` of several residual sets over the same
+    samples: their distinct expressions run as one plan, and the result
+    is the list of what each set alone gives, or None where the columns
+    fault. Each output of a plan is computed by the same operations
+    whatever else the plan holds, so no value depends on the company.
     """
     names = m.bundle.coords
     maxima = _column_maxima(tuple(comps.values()), names, samples)
+    if isinstance(comps, _Union):
+        if maxima is None:
+            return None
+        found = dict(zip(comps, maxima))
+        return [_summary(m, labeled, [found[e] for e in labeled.values()],
+                         samples) for labeled in comps.sets]
     if maxima is None:
         rows = samples.tolist()
         maxima = [_scalar_maximum(label, e, names, rows)
                   for label, e in comps.items()]
+    return _summary(m, comps, maxima, samples)
+
+
+def _summary(m: ConnectionModel, comps: Mapping[str, Expr], maxima,
+             samples: np.ndarray):
+    """(max_residual, worst_point, details) of labeled expressions from
+    their per-expression (maximum, first row) pairs."""
     max_res, worst_row = 0.0, 0
     details = []
     for label, (local, where) in zip(comps, maxima):
@@ -405,20 +464,6 @@ def _scalar_maximum(label: str, e: Expr, names: Sequence[str],
     return float(column.max(initial=0.0)), where
 
 
-def residual_check(name: str, m: ConnectionModel, comps: Mapping[str, Expr],
-                   samples: np.ndarray, tol: float,
-                   labels: Mapping | None = None) -> CheckReport:
-    """Build a CheckReport from labeled residual expressions."""
-    if not comps:
-        return CheckReport(name=name, passed=True, max_residual=0.0,
-                           tolerance=tol, samples=len(samples),
-                           labels={"vacuous": True, **(labels or {})})
-    max_res, worst, details = evaluate_components(m, comps, samples)
-    return CheckReport(name=name, passed=max_res <= tol, max_residual=max_res,
-                       tolerance=tol, samples=len(samples), worst_point=worst,
-                       details=details, labels=dict(labels or {}))
-
-
 def combine_reports(name: str, subs: Sequence[CheckReport], tol: float,
                     samples: np.ndarray,
                     labels: Mapping | None = None) -> CheckReport:
@@ -432,33 +477,144 @@ def combine_reports(name: str, subs: Sequence[CheckReport], tol: float,
                        subreports=tuple(subs), labels=dict(labels or {}))
 
 
+# A check suite is a generator: it yields lists of `Residuals`, receives
+# their reports in the same order, and returns its result, a report or a
+# list of them. It yields more than once only where it needs a verdict
+# before it can build further sets. `run_suites` takes each suite as a
+# function of no arguments that starts it, so that it can start it again.
+Suite = Callable[[], Generator[list, list, object]]
+
+
+class _Fault(Exception):
+    """The columns of a merged evaluation faulted."""
+
+
+def run_suites(suites: Sequence[Suite]) -> list:
+    """The results of check suites, in order, from one evaluation pass per
+    distinct sample set and round.
+
+    The suites advance together. The sets they yield in one round are
+    grouped by sample set (equal bit for bit, on the same coordinates),
+    and each group is one `evaluate_components` call over the distinct
+    expressions of its sets. On any exception, or where those columns
+    fault, the suites run again one at a time and each set is evaluated
+    on its own when it is yielded: the values, the first error and its
+    message are then those of a sequential run. `simplify` and `diff` are
+    memoized, so building the sets a second time is cheap.
+    """
+    try:
+        return _advance(suites, _merged)
+    except Exception:
+        return [result for suite in suites
+                for result in _advance([suite], _one_by_one)]
+
+
+def _advance(suites: Sequence[Suite], evaluate) -> list:
+    """Run `suites` in rounds, `evaluate` giving the reports of the sets
+    that one round yields."""
+    gens = [suite() for suite in suites]
+    results: list = [None] * len(gens)
+    replies: dict[int, list | None] = dict.fromkeys(range(len(gens)))
+    while replies:
+        asked = {}
+        for k, reply in replies.items():
+            try:
+                sets = gens[k].send(reply)
+                # Sets without residuals need no evaluation, nor a round.
+                while not any(rs.comps for rs in sets):
+                    sets = gens[k].send([rs.report() for rs in sets])
+                asked[k] = sets
+            except StopIteration as stop:
+                results[k] = stop.value
+        reports = iter(evaluate([rs for sets in asked.values()
+                                 for rs in sets]))
+        replies = {k: [next(reports) for _ in sets]
+                   for k, sets in asked.items()}
+    return results
+
+
+def _one_by_one(sets: Sequence[Residuals]) -> list[CheckReport]:
+    return [rs.report() for rs in sets]
+
+
+def _merged(sets: Sequence[Residuals]) -> list[CheckReport]:
+    """The reports of `sets`, with one `evaluate_components` call per
+    distinct sample set."""
+    groups: list[list[Residuals]] = []
+    for rs in filter(lambda rs: rs.comps, sets):
+        group = next((g for g in groups if _same_points(g[0], rs)), None)
+        if group is None:
+            groups.append([rs])
+        else:
+            group.append(rs)
+    results = {}
+    for group in groups:
+        first = group[0]
+        found = evaluate_components(
+            first.m, _Union([rs.comps for rs in group]), first.samples)
+        if found is None:
+            raise _Fault
+        results.update(zip(group, found))
+    return [rs.report(results.get(rs)) for rs in sets]
+
+
+def _same_points(a: Residuals, b: Residuals) -> bool:
+    """Whether two sets are evaluated at the same points: their samples
+    equal bit for bit, read as the same coordinates."""
+    return (a.m.bundle.coords == b.m.bundle.coords and a.m.n == b.m.n and
+            a.samples.tobytes() == b.samples.tobytes())
+
+
+def _suite(gen: Callable[..., Generator]):
+    """The public check made from the function `gen` that builds a suite:
+    the check runs that suite on its own and returns its result. `gen`
+    stays reachable as the check's `suite`, for runs that evaluate
+    several suites together."""
+    @functools.wraps(gen)
+    def check(*args, **kwargs):
+        return run_suites([functools.partial(gen, *args, **kwargs)])[0]
+
+    check.suite = gen
+    return check
+
+
 def _field_residuals(field_: TensorField) -> dict[str, Expr]:
     return {field_.label(idx): e for idx, e in field_.items() if not is_zero(e)}
 
 
 # ---------------------------------------------------------------------------
-# Checks
+# Checks: each one a suite, run on its own by its public function
 # ---------------------------------------------------------------------------
 
+def _homogeneous_sets(m: ConnectionModel, samples: np.ndarray,
+                      tol: float) -> list[Residuals]:
+    return [Residuals("homogeneous", m, _field_residuals(tension(m)),
+                      samples, tol),
+            Residuals("vh_curvature", m, _field_residuals(vh_curvature(m)),
+                      samples, tol)]
+
+
+def _homogeneous_report(reports: Sequence[CheckReport],
+                        tol: float) -> CheckReport:
+    report, theta = reports
+    report.labels["homogeneous"] = report.passed
+    report.labels["linear_on_samples"] = bool(
+        report.passed and theta.max_residual <= tol)
+    return report
+
+
+@_suite
 def check_homogeneous(m: ConnectionModel, samples: np.ndarray,
                       tol: float) -> CheckReport:
     """Homogeneity check: the connection is homogeneous iff the tension
     vanishes. Also reports whether the linearized coefficients are
     fiber-independent (which together with homogeneity means the
     connection is linear wherever it is smooth on the zero section)."""
-    t = tension(m)
-    report = residual_check("homogeneous", m, _field_residuals(t), samples, tol)
-    theta_max = 0.0
-    if m.bundle.kind in _VECTOR_LIKE:
-        theta = vh_curvature(m)
-        comps = _field_residuals(theta)
-        if comps:
-            theta_max, _, _ = evaluate_components(m, comps, samples)
-    report.labels["homogeneous"] = report.passed
-    report.labels["linear_on_samples"] = bool(report.passed and theta_max <= tol)
-    return report
+    reports = yield _homogeneous_sets(m, samples, tol)
+    return _homogeneous_report(reports, tol)
 
 
+@_suite
 def check_basic(m: ConnectionModel, sigma: SectionModel,
                 samples: np.ndarray, tol: float) -> CheckReport:
     """A section is basic iff its covariant derivative along every vertical
@@ -469,21 +625,28 @@ def check_basic(m: ConnectionModel, sigma: SectionModel,
             e = diff(comp, u)
             if not is_zero(e):
                 comps[f"d(sigma[{A + 1}])/d{u}"] = e
-    return residual_check("basic", m, comps, samples, tol)
+    report, = yield [Residuals("basic", m, comps, samples, tol)]
+    return report
 
 
+def _flat_set(m: ConnectionModel, samples: np.ndarray,
+              tol: float) -> Residuals:
+    comps = {**_field_residuals(vh_curvature(m)),
+             **_field_residuals(hh_curvature(m))}
+    return Residuals("flat", m, comps, samples, tol)
+
+
+@_suite
 def flatness_check(m: ConnectionModel, samples: np.ndarray,
                    tol: float) -> CheckReport:
     """Sampled flatness certificate: both curvature blocks of the linear
     connection below tolerance on the sample set."""
-    theta = vh_curvature(m)
-    hh = hh_curvature(m)
-    comps = {**_field_residuals(theta), **_field_residuals(hh)}
-    report = residual_check("flat", m, comps, samples, tol)
+    report, = yield [_flat_set(m, samples, tol)]
     report.labels["flat_on_samples"] = report.passed
     return report
 
 
+@_suite
 def axioms_check(m: ConnectionModel, samples: np.ndarray, tol: float,
                  seed: int = 0) -> CheckReport:
     """Leibniz rule and function-linearity of the covariant derivative,
@@ -514,9 +677,12 @@ def axioms_check(m: ConnectionModel, samples: np.ndarray, tol: float,
         e = simplify(lhs_tensorial[A] - f * d_sigma[A])
         if not is_zero(e):
             comps[f"tensoriality[{A + 1}]"] = e
-    return residual_check("covariant_derivative_axioms", m, comps, samples, tol)
+    report, = yield [Residuals("covariant_derivative_axioms", m, comps,
+                               samples, tol)]
+    return report
 
 
+@_suite
 def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                   tol: float) -> CheckReport:
     """The three differential identities tying the curvature blocks
@@ -537,8 +703,6 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
     theta = vh_curvature(m)
     hh = hh_curvature(m)
 
-    subs = []
-
     # Identity 1 (cyclic, vacuous for n < 2).
     comps1: dict[str, Expr] = {}
     if n >= 2:
@@ -558,8 +722,6 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                     e = simplify(e)
                     if not is_zero(e):
                         comps1[f"cyclic[{i+1},{j+1},{l+1};{A+1},{B+1}]"] = e
-    subs.append(residual_check("bianchi_1_cyclic", m, comps1, samples, tol,
-                               labels={} if n >= 2 else {"vacuous": True}))
 
     # Identity 2.
     comps2: dict[str, Expr] = {}
@@ -575,7 +737,6 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                                       dh_theta[j][B, i, A, D]))
                         if not is_zero(e):
                             comps2[f"vertical_of_hh[{B+1},{i+1},{j+1},{A+1};{D+1}]"] = e
-    subs.append(residual_check("bianchi_2_mixed", m, comps2, samples, tol))
 
     # Identity 3.
     comps3: dict[str, Expr] = {}
@@ -588,12 +749,16 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                                      diff(theta[C, i, A, D], fiber[B]))
                         if not is_zero(e):
                             comps3[f"third_fiber_symmetry[{C+1},{i+1},{A+1};{B+1},{D+1}]"] = e
-    subs.append(residual_check("bianchi_3_vertical_symmetry", m, comps3,
-                               samples, tol))
 
+    subs = yield [
+        Residuals("bianchi_1_cyclic", m, comps1, samples, tol,
+                  {} if n >= 2 else {"vacuous": True}),
+        Residuals("bianchi_2_mixed", m, comps2, samples, tol),
+        Residuals("bianchi_3_vertical_symmetry", m, comps3, samples, tol)]
     return combine_reports("bianchi", subs, tol, samples)
 
 
+@_suite
 def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
                              tol: float) -> CheckReport:
     """Differential identities satisfied by the tension.
@@ -624,7 +789,6 @@ def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
                 e = simplify(e)
                 if not is_zero(e):
                     comps_a[f"vertical_of_tension[{A+1},{i+1};{D+1}]"] = e
-    sub_a = residual_check("tension_identity_vertical", m, comps_a, samples, tol)
 
     comps_b: dict[str, Expr] = {}
     if n >= 2:
@@ -638,10 +802,12 @@ def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
                     e = simplify(e)
                     if not is_zero(e):
                         comps_b[f"horizontal_of_tension[{A+1};{i+1},{j+1}]"] = e
-    sub_b = residual_check("tension_identity_horizontal", m, comps_b, samples,
-                           tol, labels={} if n >= 2 else {"vacuous": True})
 
-    return combine_reports("tension_identities", (sub_a, sub_b), tol, samples)
+    subs = yield [
+        Residuals("tension_identity_vertical", m, comps_a, samples, tol),
+        Residuals("tension_identity_horizontal", m, comps_b, samples, tol,
+                  {} if n >= 2 else {"vacuous": True})]
+    return combine_reports("tension_identities", subs, tol, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ KINDS = ("vector", "affine", "tangent", "cotangent", "jet")
 
 DEFAULT_BOX = (-1.0, 1.0)
 
+# The most points one draw may hold: 100 times the largest draw (20,000
+# points) that the benchmark or the tests make. A larger count would only
+# fill memory until the process is killed.
+_MAX_SAMPLES = 2_000_000
+
 
 class ModelError(Exception):
     """Invalid model declaration. Carries a line number when loading files."""
@@ -483,10 +488,12 @@ def sample_points(m: ConnectionModel, count: int,
     per row, coordinates in `bundle.coords` order. `box` maps coordinate
     names to intervals; unspecified coordinates use [-1, 1]. Points where
     any excluded-set predicate is within `margin` of zero are rejected and
-    redrawn.
+    redrawn. At most `_MAX_SAMPLES` points are drawn.
     """
     if count < 1:
         raise ModelError("count must be >= 1")
+    if count > _MAX_SAMPLES:
+        raise ModelError(f"count must be at most {_MAX_SAMPLES}, got {count}")
     if seed < 0:
         raise ModelError(f"seed must be >= 0, got {seed}")
     bundle = m.bundle

@@ -16,9 +16,9 @@ import numpy as np
 from .expr import (Const, Expr, Var, ZERO, diff, is_zero, simplify, substitute,
                    variables)
 from .geometry import (
-    BASE_COV, FIBER_VEC, CheckReport, TensorField, _field_residuals, _tensor,
-    combine_reports, dh_field, dv_field, hh_curvature, linear_coeffs,
-    residual_check, tension, vh_curvature,
+    BASE_COV, FIBER_VEC, CheckReport, Residuals, TensorField, _flat_set,
+    _suite, _tensor, combine_reports, dh_field, dv_field, linear_coeffs,
+    tension,
 )
 from .model import BundleModel, ConnectionModel, ModelError
 
@@ -198,6 +198,7 @@ LABEL_CONSTANT_A = "linear-in-velocities-constant-A"
 LABEL_LINEAR_ALL = "linear-in-all-variables"
 
 
+@_suite
 def linearizability_report(s: SodeModel, samples: np.ndarray,
                            tol: float) -> CheckReport:
     """Sampled linearizability certificate for an autonomous field.
@@ -212,20 +213,14 @@ def linearizability_report(s: SodeModel, samples: np.ndarray,
         raise ModelError("linearizability_report expects an autonomous field")
     m = sode_connection(s)
     lin = linear_coeffs(m)
-    theta = vh_curvature(m)
-    hh = hh_curvature(m)
-    flat_comps = {**_field_residuals(theta), **_field_residuals(hh)}
-    sub_flat = residual_check("flat", m, flat_comps, samples, tol)
-
-    t = tension(m)
-    sub_tension = residual_check("tension_parallel", m,
-                                 _parallel_residuals(m, lin, t), samples, tol)
-
-    phi = jacobi_endomorphism(s)
-    sub_phi = residual_check("jacobi_parallel", m,
-                             _parallel_residuals(m, lin, phi), samples, tol)
-
-    flat, t_par, phi_par = sub_flat.passed, sub_tension.passed, sub_phi.passed
+    sets = [_flat_set(m, samples, tol),
+            Residuals("tension_parallel", m,
+                      _parallel_residuals(m, lin, tension(m)), samples, tol),
+            Residuals("jacobi_parallel", m,
+                      _parallel_residuals(m, lin, jacobi_endomorphism(s)),
+                      samples, tol)]
+    subs = yield sets
+    flat, t_par, phi_par = (sub.passed for sub in subs)
     if flat and phi_par:
         label = LABEL_LINEAR_ALL
     elif flat and t_par:
@@ -235,11 +230,12 @@ def linearizability_report(s: SodeModel, samples: np.ndarray,
     else:
         label = LABEL_NONE
     return combine_reports(
-        "linearizability", (sub_flat, sub_tension, sub_phi), tol, samples,
+        "linearizability", subs, tol, samples,
         labels={"classification": label, "flat": flat,
                 "tension_parallel": t_par, "jacobi_parallel": phi_par})
 
 
+@_suite
 def decoupling_check(s: SodeModel, split: tuple[Sequence[int], Sequence[int]],
                      samples: np.ndarray, tol: float) -> CheckReport:
     """Block-vanishing conditions for a candidate coordinate split
@@ -270,15 +266,15 @@ def decoupling_check(s: SodeModel, split: tuple[Sequence[int], Sequence[int]],
                 e = phi[i - 1, a - 1]
                 if not is_zero(e):
                     comps[f"jacobi[{i},{a}]"] = e
-        return residual_check(tag, m, comps, samples, tol)
+        return Residuals(tag, m, comps, samples, tol)
 
-    sub_up = block(first, second, "first_from_second_block")
-    sub_down = block(second, first, "second_from_first_block")
-    submersive = sub_up.passed
-    decoupled = submersive and sub_down.passed
+    subs = yield [block(first, second, "first_from_second_block"),
+                  block(second, first, "second_from_first_block")]
+    submersive = subs[0].passed
+    decoupled = submersive and subs[1].passed
     label = "decoupled" if decoupled else ("submersive" if submersive else "coupled")
     return combine_reports(
-        "decoupling", (sub_up, sub_down), tol, samples,
+        "decoupling", subs, tol, samples,
         labels={"classification": label, "submersive": submersive,
                 "decoupled": decoupled,
                 "split": [list(first), list(second)]})

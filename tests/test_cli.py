@@ -548,6 +548,84 @@ def test_check_cotangent_suite():
     assert "integrable_structure" in names
 
 
+# The homogeneous, flat and tension-identity suites all fault on this model,
+# so the first error is the one a run that evaluates each residual set on
+# its own, in suite order, meets first. Pinned at the commit before sets
+# of different suites were evaluated together.
+FAULTING = ("[bundle]\nkind = vector\nbase = x1\nfiber = u1\n\n"
+            "[connection]\nGamma[1,1] = 1e308*u1^2 + 1e308*x1\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("check", "--json"), "error: non-finite value of tension[1,1] at "
+                          "x1=-0.918053, u1=-0.966945"),
+    (("bianchi", "--json"), "error: non-finite value of "
+                            "vertical_of_tension[1,1;1] at x1=0.273923, "
+                            "u1=-0.460427"),
+    (("check", "--suite", "flat"), "error: non-finite value of "
+                                   "vh_curvature[1,1,1,1] at x1=0.273923, "
+                                   "u1=-0.460427"),
+], ids=["check", "bianchi", "flat"])
+def test_first_error_is_that_of_a_sequential_run(tmp_path, argv, line):
+    path = tmp_path / "faulting.lc"
+    path.write_text(FAULTING)
+    code, out, err = run_cli(argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [line]
+
+
+NONLINEAR_SODE = ("[bundle]\nkind = tangent\nbase = x1, x2\n"
+                  "fiber = v1, v2\n\n[sode]\nf1 = -x1*v1^2\n"
+                  "f2 = -x2 + v1*v2\n")
+
+
+@pytest.mark.parametrize("argv, sets", [
+    (("check", "m4.lc", "--suite", "all"), 1),
+    (("check", "potential_1d.lc", "--suite", "all"), 1),
+    # The homogenized suite samples a box of its own.
+    (("check", "affine_quadratic.lc", "--suite", "all"), 2),
+    (("sode", "nonlinear_sode.lc", "--classify", "--split", "1|2"), 1),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_one_evaluation_per_distinct_sample_set(monkeypatch, tmp_path, argv,
+                                                sets):
+    import linconn.geometry as geometry
+
+    (tmp_path / "nonlinear_sode.lc").write_text(NONLINEAR_SODE)
+    calls = []
+    evaluate = geometry.evaluate_components
+
+    def counting(m, comps, samples):
+        calls.append(samples.tobytes())
+        return evaluate(m, comps, samples)
+
+    monkeypatch.setattr(geometry, "evaluate_components", counting)
+    path = MODELS / argv[1] if (MODELS / argv[1]).exists() else \
+        tmp_path / argv[1]
+    code, _, err = run_cli(argv[0], str(path), *argv[2:], "--samples", "50")
+    assert code in (0, 1), err
+    assert len(calls) == len(set(calls)) == sets
+
+
+@pytest.mark.parametrize("argv", [("check", "m4"), ("hj", "geodesic_const"),
+                                  ("sode", "oscillator_pair", "--classify")],
+                         ids=lambda v: v[0])
+def test_samples_beyond_the_limit_exit_2_without_drawing(argv):
+    import tracemalloc
+
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        code, out, err = run_cli(argv[0], str(MODELS / f"{argv[1]}.lc"),
+                                 *argv[2:], "--samples", "1000000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 1
+    assert peak < 10 * 2 ** 20
+    assert (code, out) == (2, "")
+    assert err == "error: count must be at most 2000000, got 1000000000000\n"
+
+
 def _library_results(reports):
     return [json.loads(emit_json(r.to_dict())) for r in reports]
 
