@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import (
-    Const, Div, Expr, Var, ZERO, compile_fn, diff, is_zero,
+    Const, Div, Expr, Var, ZERO, _memo, compile_fn, diff, is_zero,
     random_polynomial, simplify, substitute, variables,
 )
 from .geometry import (
@@ -112,13 +112,20 @@ def torsion_form(m: ConnectionModel) -> TensorField:
 
 def is_symmetric(m: ConnectionModel, probes: int = 16) -> bool:
     """Symmetry test: structural zero of the torsion form, falling back to
-    evaluation on a small deterministic grid off the excluded set."""
+    evaluation on a small deterministic grid off the excluded set. The
+    verdict of an evaluation is kept in the memo, keyed by all it depends
+    on, so a run draws and evaluates the grid once."""
     comps = _field_residuals(torsion_form(m))
     if not comps:
         return True
-    pts = sample_points(m, probes, seed=20240917)
-    max_res, _, _ = evaluate_components(m, comps, pts)
-    return max_res <= 1e-12
+    key = ("is_symmetric", tuple(comps.items()), m.bundle.coords,
+           m.excluded, probes)
+    verdict = _memo.get(key)
+    if verdict is None:
+        pts = sample_points(m, probes, seed=20240917)
+        max_res, _, _ = evaluate_components(m, comps, pts)
+        verdict = _memo[key] = max_res <= 1e-12
+    return verdict
 
 
 def dh(m: ConnectionModel, f: Expr) -> tuple[Expr, ...]:

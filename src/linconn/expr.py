@@ -18,10 +18,12 @@ Supported functions: sin, cos, tan, exp, ln, sqrt.
 Depth: the parser is the only recursive code, and it nests as deep as the
 source text does (about 195 parentheses); deeper text is a `ParseError`
 with an offset, and so is a literal that overflows a float. Every walker
-over trees (`variables`, `to_string`, evaluation, `substitute`, `diff`,
-`simplify` and the plan builder) is one per-node rule run by `_postorder`,
-an explicit-stack post-order traversal that skips nodes already done, so
-a tree of any depth, such as a sum of thousands of terms, is walked.
+over trees (`variables`, evaluation, `substitute`, `diff`, `simplify` and
+the plan builder) is one per-node rule run by `_postorder`, an
+explicit-stack post-order traversal that skips nodes already done, so a
+tree of any depth, such as a sum of thousands of terms, is walked.
+`to_string` walks top down on a stack of its own, emitting text as it
+goes, so its memory is that of its output.
 `simplify` takes a sum in one pass: its children are its flattened terms,
 and its rule splices, folds, cancels and rebuilds them once. `diff`, like
 `simplify`, takes a sum as one node: its children are the operands of its
@@ -43,7 +45,8 @@ a set of nodes, or of a dict keyed by them, reach output.
 Memo policy: `simplify` and `diff` share one memo: `simplify` keys it by
 the node, and `diff` keeps one dict per variable in it, keyed by the
 variable's name; both are pure, so it never changes a result.
-`transport` keeps its generated RK4 kernels there too. It lives as long as
+`transport` keeps its generated RK4 kernels there too, and
+`cotangent.is_symmetric` its verdicts. It lives as long as
 the process, but `cli.run` empties it when it returns, so each CLI run
 starts and ends with it empty.
 
@@ -53,8 +56,9 @@ straight-line plan of a tuple of expressions, one step per distinct
 computation, with two back ends. `compile_fn` and `compile_vector` render
 it as Python source for calls at one point at a time (the RK4 core, the
 scalar fallback). `_columns` runs it over numpy columns of many points:
-`+ - * /` and negation as column operations, which round each element as
-Python floats do, and powers and functions as `math` calls mapped over
+`+ - * /`, negation, `^` (as `np.float_power`, over the C library's
+`pow`) and `sqrt` as column operations, which round each element as
+Python floats do, and the other functions as `math` calls mapped over
 the column. Any fault in a column hands the points to the scalar path, so
 both back ends give the same values bit for bit.
 """
@@ -527,46 +531,50 @@ def _prec(e: Expr) -> int:
 
 
 def to_string(e: Expr) -> str:
-    """Print an expression. The output re-parses to an equivalent tree."""
-    return _postorder(e, {}, _text)
+    """Print an expression. The output re-parses to an equivalent tree.
+
+    One pass, top down on an explicit stack: each node is replaced by its
+    pieces, literal text and child nodes, and the text is joined once at
+    the end, so memory stays linear in the length of the output."""
+    pieces: list[str] = []
+    stack: list = [e]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+        else:
+            stack += reversed(_pieces(item))
+    return "".join(pieces)
 
 
-def _text(e: Expr, text: Mapping[Expr, str]) -> str:
-    """One node of `to_string`, its children's text already in `text`."""
+def _pieces(e: Expr) -> tuple:
+    """The text of one node of `to_string`: strings and child nodes, in
+    order."""
     if isinstance(e, Const):
         if e.value < 0:
-            return "-" + _fmt_const(-e.value)
-        return _fmt_const(e.value)
+            return ("-" + _fmt_const(-e.value),)
+        return (_fmt_const(e.value),)
     if isinstance(e, Var):
-        return e.name
+        return (e.name,)
     if isinstance(e, Neg):
-        inner = text[e.arg]
         if _prec(e.arg) <= _P_NEG:
-            inner = f"({inner})"
-        return "-" + inner
+            return ("-(", e.arg, ")")
+        return ("-", e.arg)
     if isinstance(e, Call):
-        return f"{e.fn}({text[e.arg]})"
-    if isinstance(e, Pow):
-        left = text[e.left]
-        right = text[e.right]
-        if _prec(e.left) <= _P_POW:
-            left = f"({left})"
-        if _prec(e.right) < _P_POW:
-            right = f"({right})"
-        return f"{left}^{right}"
+        return (f"{e.fn}(", e.arg, ")")
     if isinstance(e, _Binary):
-        left = text[e.left]
-        right = text[e.right]
-        if _prec(e.left) < e.precedence:
-            left = f"({left})"
-        # Parenthesize same-precedence right children so the printed text
-        # re-parses to the identical grouping.
-        if _prec(e.right) <= e.precedence:
-            right = f"({right})"
-        op = e.symbol
-        if op in "+-":
-            return f"{left} {op} {right}"
-        return f"{left}{op}{right}"
+        if isinstance(e, Pow):  # right associative
+            wrap_left = _prec(e.left) <= _P_POW
+            wrap_right = _prec(e.right) < _P_POW
+        else:
+            wrap_left = _prec(e.left) < e.precedence
+            # Parenthesize same-precedence right children so the printed
+            # text re-parses to the identical grouping.
+            wrap_right = _prec(e.right) <= e.precedence
+        op = f" {e.symbol} " if e.symbol in "+-" else e.symbol
+        left = ("(", e.left, ")") if wrap_left else (e.left,)
+        right = ("(", e.right, ")") if wrap_right else (e.right,)
+        return (*left, op, *right)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -1119,12 +1127,18 @@ def _columns(plan, block):
     """The plan's outputs as float64 columns over the rows of `block` (one
     point per row), or None where the scalar path must decide.
 
-    `+ - * /` and negation run as numpy column operations, which round
-    each element exactly as Python floats do. Powers and functions map
-    `math.pow` and `FUNCTIONS` over the column. Any floating-point
-    exception but underflow, any error of a mapped function and any
-    non-finite input or constant step give None. So every column holds
-    finite values only, and equals the scalar code row by row.
+    `+ - * /`, negation and `sqrt` run as numpy column operations, which
+    round each element exactly as Python floats do (IEEE 754 rounds a
+    square root correctly). `^` runs as `np.float_power`, whose float64
+    loop calls the C library's `pow` on each element, as `math.pow` does
+    for finite arguments. `sin`, `cos`, `tan`, `exp` and `ln` map their
+    `math` function over the column: numpy's own loops for them, like
+    `np.power` and a `x*x` rewrite of `x^2`, differ from libm in the last
+    bit on some inputs. Steps of constants only run in Python. Any
+    floating-point exception but underflow, any error of a mapped
+    function, any non-finite input or constant step, and any non-finite
+    element of a power or root give None. So every column holds finite
+    values only, and equals the scalar code row by row.
     """
     import numpy as np
     steps, frees, outputs = plan
@@ -1150,14 +1164,14 @@ def _columns(plan, block):
                     val = a[0] * a[1]
                 elif op == "/":
                     val = a[0] / a[1]
+                elif all(type(x) is float for x in a):
+                    val = (math.pow if op == "^" else FUNCTIONS[op])(*a)
+                elif op == "^" or op == "sqrt":
+                    val = np.float_power(*a) if op == "^" else np.sqrt(a[0])
+                    if not np.isfinite(val).all():
+                        return None
                 else:
-                    fn = math.pow if op == "^" else FUNCTIONS[op]
-                    if all(type(x) is float for x in a):
-                        val = fn(*a)
-                    else:
-                        lists = [x.tolist() if type(x) is not float else [x] * rows
-                                 for x in a]
-                        val = np.fromiter(map(fn, *lists), float, rows)
+                    val = np.fromiter(map(FUNCTIONS[op], a[0].tolist()), float, rows)
                 if type(val) is float and not math.isfinite(val):
                     return None
                 vals[slot] = val

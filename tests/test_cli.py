@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -276,6 +277,54 @@ def test_sode_classify_and_split_draw_one_sample_set(monkeypatch):
     assert draws == [50]
     assert [r["name"] for r in json.loads(out)["results"]] == \
         ["linearizability", "decoupling"]
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("scale, warned", [("1e-13", 0), ("1e-10", 8)])
+def test_cotangent_suite_probes_the_torsion_once_per_run(monkeypatch, tmp_path,
+                                                         scale, warned):
+    # Torsion within the suite's tolerance but not structurally zero:
+    # each `poisson` and `hamiltonian_field` of the four trials asks
+    # whether the connection is symmetric.
+    from linconn import cotangent, suites
+    path = tmp_path / "cot.lc"
+    path.write_text("[bundle]\nkind = cotangent\nbase = x1, x2\n"
+                    "fiber = p1, p2\n\n[connection]\nGamma[1,1] = 0\n"
+                    f"Gamma[1,2] = {scale}*x1\nGamma[2,1] = 0\n"
+                    "Gamma[2,2] = 0\n")
+    sample_points = cli.sample_points
+
+    def runs():
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args[1])
+            return sample_points(*args, **kwargs)
+
+        for module in (cli, suites, cotangent):
+            monkeypatch.setattr(module, "sample_points", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli("check", str(path), "--suite",
+                                     "cotangent", "--samples", "30", "--json")
+        assert code == 0 and err == ""
+        asymmetric = [w for w in caught
+                      if w.category is cotangent.AsymmetricConnectionWarning]
+        return draws, len(asymmetric), out
+
+    draws, count, out = runs()
+    assert draws == [30, 30, 16]
+    assert count == warned
+    # Without the memo, the probe grid is drawn on every call, and the
+    # report and the warnings are the same.
+    monkeypatch.setattr(cotangent, "_memo", _Forgetful())
+    assert runs() == ([30, 30] + [16] * 8, warned, out)
 
 
 def test_failing_verb_prints_no_partial_report():

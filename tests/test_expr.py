@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from linconn.expr import (
     Add, Call, Const, Div, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
-    ONE, ZERO, _columns, _diff, _memo, _plan, _postorder, compile_fn,
-    compile_vector, diff, evaluate, is_zero, parse, simplify, substitute,
-    to_string, variables,
+    ONE, ZERO, _P_NEG, _P_POW, _columns, _diff, _fmt_const, _memo, _plan,
+    _postorder, _prec, compile_fn, compile_vector, diff, evaluate, is_zero,
+    parse, simplify, substitute, to_string, variables,
 )
 
 
@@ -299,6 +299,35 @@ def domain_expressions():
     return st.recursive(_leaf(), _domain_combine, max_leaves=12)
 
 
+# Integer exponents, and negative and fractional ones, which fault at zero
+# and below it.
+_EXPONENTS = (-2.0, -1.0, 1 / 3, 0.5, 1.5, 2.0, 2.5, 3.0)
+
+
+def _build_power(args):
+    op, a, b, exponent = args
+    if op == "column":
+        return Pow(a, b)  # a column exponent
+    if op == "base":
+        return Pow(Const(exponent), b)  # a constant base
+    if op == "sqrt":
+        return Call("sqrt", a)
+    return Pow(a, Const(exponent))
+
+
+def _power_combine(children):
+    power = st.tuples(st.sampled_from(["column", "base", "sqrt", "constant"]),
+                      children, children,
+                      st.sampled_from(_EXPONENTS)).map(_build_power)
+    return st.one_of(_combine(children), power)
+
+
+def power_expressions():
+    """`expressions()` plus `^` with a column exponent, with a constant base,
+    with negative and fractional exponents, and `sqrt`."""
+    return st.recursive(_leaf(), _power_combine, max_leaves=12)
+
+
 def _points():
     coordinate = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     return st.lists(st.fixed_dictionaries({n: coordinate for n in _NAMES}),
@@ -345,9 +374,12 @@ def _rows():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(expressions(), domain_expressions()), _rows())
+@given(st.one_of(expressions(), domain_expressions(), power_expressions()),
+       _rows())
 @example(_SIGNED_ZEROS, [(0.0, 0.0, 0.0, 0.0)])
 @example(_OVERFLOW_THEN_FINITE, [(0.0, 0.0, 1.5, 0.0)])
+@example(parse("x1^u1 + 2^x2 - u2^-1 + sqrt(u1)"),
+         [(0.5, 1.0, 1.5, -0.25), (-0.0, 0.0, 1.0, 2.0)])
 def test_columns_match_compile_fn_or_fall_back(e, rows):
     # Several outputs of one plan, sharing e, plus a signed-zero constant.
     exprs = (e, Neg(e), Const(-0.0))
@@ -371,6 +403,47 @@ def test_columns_hand_an_intermediate_overflow_to_the_scalar_path():
     assert _columns(_plan((Div(ONE, huge),), _NAMES), rows) is None
     (column,) = _columns(_plan((_SIGNED_ZEROS,), _NAMES), rows)
     assert column[0].hex() == compile_fn(_SIGNED_ZEROS, _NAMES)(rows[0]).hex()
+
+
+def test_column_powers_and_roots_equal_the_scalar_path_on_ties():
+    # Odd 27-bit mantissas: a square of 54 bits is an exact rounding tie.
+    # The C library's `pow` is not correctly rounded there, so only that
+    # same `pow` gives `math.pow`'s last bit (`x*x` differs on many).
+    rng = np.random.default_rng(20241019)
+    odd = (rng.integers(2 ** 26, 2 ** 27, 4096) | 1).astype(float)
+    rows = np.column_stack([odd * 2.0 ** -27, odd * 2.0 ** -26,
+                            odd * 2.0 ** -27 - 1.0, odd])
+    exprs = tuple(map(parse, (
+        "x1^2", "x2^3", "u1^2", "x1^0.5", "x1^-1", "x2^-2", "x1^2.5",
+        "x2^(1/3)", "u1^7", "2^x1", "x1^x2", "sqrt(x1)", "sqrt(u2)",
+        "u2^2")))
+    columns = _columns(_plan(exprs, _NAMES), rows)
+    assert columns is not None
+    for e, column in zip(exprs, columns):
+        fn = compile_fn(e, _NAMES)
+        assert [fn(row).hex() for row in rows.tolist()] == \
+            [v.hex() for v in column.tolist()], to_string(e)
+
+
+@pytest.mark.parametrize("text, row", [
+    ("x1^-1", (0.0, 1.0, 1.0, 1.0)),        # divide by zero
+    ("x1^0.5", (-1.0, 1.0, 1.0, 1.0)),      # invalid
+    ("x1^u1", (1e200, 1.0, 2.0, 1.0)),      # overflow
+    ("sqrt(x1)", (-1.0, 1.0, 1.0, 1.0)),
+])
+def test_column_power_and_root_faults_go_to_the_scalar_path(text, row):
+    rows = np.array([(1.0, 1.0, 1.0, 1.0), row])
+    assert _columns(_plan((parse(text),), _NAMES), rows) is None
+
+
+def test_a_non_finite_column_power_goes_to_the_scalar_path_without_a_flag(monkeypatch):
+    def quiet(a, b):
+        with np.errstate(all="ignore"):
+            return np.true_divide(np.ones_like(a), 0.0)
+
+    monkeypatch.setattr(np, "float_power", quiet)
+    rows = np.array([(1.0, 1.0, 1.0, 1.0)])
+    assert _columns(_plan((parse("x1^2"),), _NAMES), rows) is None
 
 
 def _env_points(rng, count=12):
@@ -440,6 +513,56 @@ def test_print_parse_roundtrip(e, seed):
         if a is None:
             continue
         assert evaluate(reparsed, env) == pytest.approx(a, rel=1e-12, abs=1e-12)
+
+
+def _reference_text(e, text):
+    """One node of the printer `to_string` replaced, which keeps the text
+    of every subtree until it returns: its children's text is in `text`."""
+    if isinstance(e, Const):
+        return "-" + _fmt_const(-e.value) if e.value < 0 else _fmt_const(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        inner = text[e.arg]
+        return f"-({inner})" if _prec(e.arg) <= _P_NEG else "-" + inner
+    if isinstance(e, Call):
+        return f"{e.fn}({text[e.arg]})"
+    left, right = text[e.left], text[e.right]
+    if isinstance(e, Pow):
+        if _prec(e.left) <= _P_POW:
+            left = f"({left})"
+        if _prec(e.right) < _P_POW:
+            right = f"({right})"
+        return f"{left}^{right}"
+    if _prec(e.left) < e.precedence:
+        left = f"({left})"
+    if _prec(e.right) <= e.precedence:
+        right = f"({right})"
+    if e.symbol in "+-":
+        return f"{left} {e.symbol} {right}"
+    return f"{left}{e.symbol}{right}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(expressions(), domain_expressions(), power_expressions()))
+@example(parse("-(-2)^-(x1^2^u1) - (x1 - (u1 + 1))/(-x2*(3/u2))"))
+def test_to_string_matches_the_node_by_node_printer(e):
+    assert to_string(e) == _postorder(e, {}, _reference_text)
+
+
+def test_to_string_memory_is_linear_in_its_output():
+    import tracemalloc
+
+    chain = _deep_trees()[0]  # about 15 KB of text
+    tracemalloc.start()
+    try:
+        text = to_string(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "u1*u1" + "*x1" * 5000
+    # Keeping every subtree's text until the end peaks at about 37 MB.
+    assert peak < 5 * 2 ** 20
 
 
 def _subtrees(e):

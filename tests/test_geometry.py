@@ -416,6 +416,36 @@ def test_combine_reports_takes_the_first_maximum():
     assert combine_reports("none", subs[:1], 1e-8, pts).passed
 
 
+def test_sample_sets_equal_but_for_a_zero_sign_are_two_groups(
+        monkeypatch, quadratic_model):
+    import linconn.geometry as geometry
+
+    pts = sample_points(quadratic_model, 20, seed=9)
+    pts[3, 1] = 0.0
+    signed = pts.copy()
+    signed[3, 1] = -0.0
+    assert np.array_equal(pts, signed)  # equal by value
+    comps = {"u1": parse("u1"), "x1": parse("x1")}
+    sets = [geometry.Residuals(name, quadratic_model, comps, samples, 1e-8)
+            for name, samples in (("a", pts), ("b", pts), ("c", pts.copy()),
+                                  ("d", signed))]
+    assert geometry._same_points(sets[0], sets[1])
+    assert geometry._same_points(sets[0], sets[2])
+    assert not geometry._same_points(sets[0], sets[3])
+    calls = []
+    evaluate = geometry.evaluate_components
+
+    def counting(m, comps, samples):
+        calls.append(samples)
+        return evaluate(m, comps, samples)
+
+    monkeypatch.setattr(geometry, "evaluate_components", counting)
+    reports = geometry._merged(sets)
+    assert len(calls) == 2 and calls[0] is pts and calls[1] is signed
+    assert [r.max_residual for r in reports] == \
+        [rs.report().max_residual for rs in sets]
+
+
 def test_bianchi_n1_first_identity_vacuous(quadratic_model):
     pts = sample_points(quadratic_model, 20, seed=9)
     report = bianchi_check(quadratic_model, pts, 1e-8)

@@ -1,10 +1,14 @@
-"""Fuzzing `run()` with generated vector models: whatever the coefficients,
-a run ends with exit code 0, 1 or 2, never with a traceback; exit 2 ends
-with one `error:` line, and a report validates against the JSON schema.
+"""Fuzzing `run()` with generated models of every bundle kind that a
+connection comes from: vector, affine and cotangent models with a
+`[connection]` section, and tangent models with a `[sode]` section.
+Whatever the coefficients, a run ends with exit code 0, 1 or 2, never with
+a traceback; exit 2 ends with one `error:` line, and a report validates
+against the JSON schema.
 
 The coefficients are trees of the `tests/test_expr.py` operations over the
-model's coordinates, with extreme leaves: 1e308 (overflow), 1e-320 (a
-subnormal) and both signed zeros.
+model's coordinates, powers with column exponents and with negative and
+fractional ones among them, with extreme leaves: 1e308 (overflow),
+1e-320 (a subnormal) and both signed zeros.
 """
 
 import io
@@ -19,12 +23,23 @@ from hypothesis import strategies as st
 from linconn.cli import run
 from linconn.expr import Const, Neg, Var, to_string
 
-from test_expr import _domain_combine
+from test_expr import _domain_combine, _power_combine
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "schema" / "report.schema.json").read_text())
 
 EXTREMES = (Const(1e308), Const(1e-320), Const(-0.0), Neg(Const(0.0)))
+
+# Per kind: the fiber coordinate's letter, and the verbs a run may take.
+KINDS = {
+    "vector": ("u", (("check", "--suite", "all"), ("bianchi",),
+                     ("tensor", "--name", "curvature"))),
+    "affine": ("y", (("check", "--suite", "all"), ("bianchi",))),
+    "cotangent": ("p", (("check", "--suite", "all"),
+                        ("check", "--suite", "cotangent"))),
+    "sode": ("v", (("check", "--suite", "all"), ("sode", "--classify"),
+                   ("sode", "--classify", "--split", "1|2"))),
+}
 
 
 def _leaf(names):
@@ -36,45 +51,52 @@ def _leaf(names):
     )
 
 
+def _combine(children):
+    return st.one_of(_domain_combine(children), _power_combine(children))
+
+
 @st.composite
-def vector_models(draw):
-    """The text of a vector model with n = k = 1 or 2."""
+def models(draw, kinds=tuple(KINDS)):
+    """The text of a model of one of `kinds` with n = k = 1 or 2, and the
+    argv of a run on it, less the model path."""
+    kind = draw(st.sampled_from(kinds))
+    letter, verbs = KINDS[kind]
     size = draw(st.sampled_from((1, 2)))
     base = [f"x{i + 1}" for i in range(size)]
-    fiber = [f"u{A + 1}" for A in range(size)]
-    coefficient = st.recursive(_leaf(base + fiber), _domain_combine,
+    fiber = [f"{letter}{A + 1}" for A in range(size)]
+    coefficient = st.recursive(_leaf(base + fiber), _combine,
                                max_leaves=6 if size == 1 else 3)
-    lines = ["[bundle]", "kind = vector", "base = " + ", ".join(base),
-             "fiber = " + ", ".join(fiber), "", "[connection]"]
-    for A in range(size):
-        for i in range(size):
-            lines.append(f"Gamma[{A + 1},{i + 1}] = "
-                         f"{to_string(draw(coefficient))}")
-    return "\n".join(lines) + "\n"
+    lines = ["[bundle]", "kind = " + ("tangent" if kind == "sode" else kind),
+             "base = " + ", ".join(base), "fiber = " + ", ".join(fiber), ""]
+    if kind == "sode":
+        lines.append("[sode]")
+        keys = [f"f{i + 1}" for i in range(size)]
+    else:
+        lines.append("[connection]")
+        keys = [f"Gamma[{A + 1},{i + 1}]" for A in range(size)
+                for i in range(size)]
+    lines += [f"{key} = {to_string(draw(coefficient))}" for key in keys]
+    return "\n".join(lines) + "\n", draw(st.sampled_from(verbs))
 
-
-VERBS = (("check", "--suite", "all"), ("bianchi",),
-         ("tensor", "--name", "curvature"))
 
 BIG = ("[bundle]\nkind = vector\nbase = x1\nfiber = u1\n\n[connection]\n"
        "Gamma[1,1] = 1e308*u1^2 + 1e308*x1\n")
+CHECK = KINDS["vector"][1][0]
+# A power whose exponent is a column, and powers that fault at zero or
+# below it, on each kind.
+POWERS = ("[bundle]\nkind = {kind}\nbase = x1\nfiber = {fiber}\n\n"
+          "[{section}]\n{key} = x1^{fiber} + {fiber}^-1 - x1^0.5 + 2^-x1\n")
+# Powers and roots that stay finite on the whole box: the columns decide.
+FINITE_POWERS = ("[bundle]\nkind = tangent\nbase = x1\nfiber = v1\n\n[sode]\n"
+                 "f1 = 2^v1 - x1^2 + sqrt(x1^2 + 1)*v1^3 + (x1^2 + 1)^-0.5\n")
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.function_scoped_fixture])
-@given(text=vector_models(), samples=st.integers(min_value=1, max_value=50),
-       verb=st.sampled_from(VERBS))
-@example(text=BIG, samples=50, verb=VERBS[0])
-@example(text=BIG.replace("1e308*x1", "1e-320*x1/(u1 - u1)"), samples=7,
-         verb=VERBS[1])
-def test_run_ends_in_an_exit_code_and_never_a_traceback(tmp_path, text,
-                                                         samples, verb):
+def _assert_run_ends_cleanly(tmp_path, text, argv, samples):
     path = tmp_path / "fuzz.lc"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run([verb[0], str(path), *verb[1:], "--json",
+        code = run([argv[0], str(path), *argv[1:], "--json",
                     "--samples", str(samples)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
@@ -83,3 +105,35 @@ def test_run_ends_in_an_exit_code_and_never_a_traceback(tmp_path, text,
         assert out.getvalue() == ""
     else:
         jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
+
+
+_FUZZ = settings(deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow,
+                                        HealthCheck.function_scoped_fixture])
+
+
+@settings(_FUZZ, max_examples=40)
+@given(model=models(kinds=("vector",)),
+       samples=st.integers(min_value=1, max_value=50))
+@example(model=(BIG, CHECK), samples=50)
+@example(model=(BIG.replace("1e308*x1", "1e-320*x1/(u1 - u1)"), ("bianchi",)),
+         samples=7)
+def test_run_ends_in_an_exit_code_and_never_a_traceback(tmp_path, model,
+                                                         samples):
+    _assert_run_ends_cleanly(tmp_path, *model, samples)
+
+
+@settings(_FUZZ, max_examples=60)
+@given(model=models(kinds=("affine", "cotangent", "sode")),
+       samples=st.integers(min_value=1, max_value=50))
+@example(model=(POWERS.format(kind="affine", fiber="y1", section="connection",
+                              key="Gamma[1,1]"), CHECK), samples=50)
+@example(model=(POWERS.format(kind="cotangent", fiber="p1",
+                              section="connection", key="Gamma[1,1]"),
+                ("check", "--suite", "cotangent")), samples=50)
+@example(model=(POWERS.format(kind="tangent", fiber="v1", section="sode",
+                              key="f1"), ("sode", "--classify")), samples=50)
+@example(model=(FINITE_POWERS, ("sode", "--classify")), samples=50)
+def test_run_on_affine_cotangent_and_sode_models_never_a_traceback(
+        tmp_path, model, samples):
+    _assert_run_ends_cleanly(tmp_path, *model, samples)
