@@ -18,10 +18,11 @@ Supported functions: sin, cos, tan, exp, ln, sqrt.
 Depth: the parser is the only recursive code, and it nests as deep as the
 source text does (about 195 parentheses); deeper text is a `ParseError`
 with an offset, and so is a literal that overflows a float. Every walker
-over trees (`variables`, evaluation, `substitute`, `diff`, `simplify` and
-the plan builder) is one per-node rule run by `_postorder`, an
-explicit-stack post-order traversal that skips nodes already done, so a
-tree of any depth, such as a sum of thousands of terms, is walked.
+over trees (`variables`, `substitute`, `diff`, `simplify`, the plan
+builder, and `copy` and `pickle` of a node) is one per-node rule run by
+`_postorder`, an explicit-stack post-order traversal that skips nodes
+already done, so a tree of any depth, such as a sum of thousands of
+terms, is walked.
 `to_string` walks top down on a stack of its own, emitting text as it
 goes, so its memory is that of its output.
 `simplify` takes a sum in one pass: its children are its flattened terms,
@@ -50,17 +51,17 @@ variable's name; both are pure, so it never changes a result.
 the process, but `cli.run` empties it when it returns, so each CLI run
 starts and ends with it empty.
 
-Numeric paths: `evaluate` walks the tree, checking a quotient's
-denominator before it evaluates the numerator. Everything else runs from one
-straight-line plan of a tuple of expressions, one step per distinct
-computation, with two back ends. `compile_fn` and `compile_vector` render
-it as Python source for calls at one point at a time (the RK4 core, the
-scalar fallback). `_columns` runs it over numpy columns of many points:
+Numeric paths: all numeric work runs one straight-line plan of a tuple of
+expressions, their distinct nodes in evaluation order (`_plan`). `_run`
+interprets it for `evaluate`, and names the fault wherever the other back
+ends meet one. `compile_fn` and `compile_vector` render it as Python
+source for calls at one point at a time (the RK4 core, the scalar
+fallback). `_columns` runs it over numpy columns of many points:
 `+ - * /`, negation, `^` (as `np.float_power`, over the C library's
 `pow`) and `sqrt` as column operations, which round each element as
 Python floats do, and the other functions as `math` calls mapped over
-the column. Any fault in a column hands the points to the scalar path, so
-both back ends give the same values bit for bit.
+the column. Any fault in a column hands the points to the scalar path,
+so every back end gives the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -173,10 +174,16 @@ class Expr:
     def __repr__(self):
         return f"<{type(self).__name__} {to_string(self)}>"
 
+    def __reduce__(self):
+        # A flat postorder, not nested nodes, so that `copy` and `pickle`
+        # take a tree of any depth; `_rebuild` goes through the constructors.
+        order: dict = {}
+        _postorder(self, order, lambda node, done: len(done))
+        return _rebuild, ([_fields(node, order) for node in order],)
+
 
 # Each constructor looks its key up in `_nodes` and builds a node only on
-# a miss. `__getnewargs__` gives the constructor's arguments back, so that
-# `copy` and `pickle` rebuild a node through the table too.
+# a miss.
 
 class Const(Expr):
     __slots__ = ("value",)
@@ -192,9 +199,6 @@ class Const(Expr):
             node.value = value
         return node
 
-    def __getnewargs__(self):
-        return (self.value,)
-
 
 class Var(Expr):
     __slots__ = ("name",)
@@ -209,9 +213,6 @@ class Var(Expr):
             node.name = name
         return node
 
-    def __getnewargs__(self):
-        return (self.name,)
-
 
 class Neg(Expr):
     __slots__ = ("arg",)
@@ -224,9 +225,6 @@ class Neg(Expr):
             node = _nodes[key] = object.__new__(cls)
             node.arg = arg
         return node
-
-    def __getnewargs__(self):
-        return (self.arg,)
 
     def children(self):
         return (self.arg,)
@@ -244,9 +242,6 @@ class _Binary(Expr):
             node.left = left
             node.right = right
         return node
-
-    def __getnewargs__(self):
-        return (self.left, self.right)
 
     def children(self):
         return (self.left, self.right)
@@ -296,11 +291,24 @@ class Call(Expr):
             node.arg = arg
         return node
 
-    def __getnewargs__(self):
-        return (self.fn, self.arg)
-
     def children(self):
         return (self.arg,)
+
+
+def _fields(e: Expr, order: Mapping[Expr, int]) -> tuple:
+    """The class and constructor arguments of `e`, each child given by its
+    position in `order`."""
+    field = {Const: "value", Var: "name", Call: "fn"}.get(type(e))
+    kids = (order[kid] for kid in e.children())
+    return (type(e), *([getattr(e, field)] if field else ()), *kids)
+
+
+def _rebuild(entries: Sequence[tuple]) -> Expr:
+    """The last node of `entries`, a postorder of `_fields` tuples."""
+    nodes: list[Expr] = []
+    for cls, *args in entries:
+        nodes.append(cls(*(nodes[a] if type(a) is int else a for a in args)))
+    return nodes[-1]
 
 
 ZERO = Const(0.0)
@@ -586,29 +594,27 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate numerically. Raises EvalError on unbound variables and
     domain violations (division by zero, ln of a non-positive number,
     sqrt of a negative number, overflow) instead of returning NaN/Inf."""
-    result = _eval(e, env)
+    (result,) = _run(_plan((e,), variables(e)), env)
     if not math.isfinite(result):
         raise EvalError("non-finite result", e)
     return result
 
 
-def _eval(e: Expr, env: Mapping[str, float]) -> float:
-    return _postorder(e, {}, lambda node, value: _eval_node(node, value, env),
-                      _eval_kids)
+def _run(plan, env: Mapping[str, float]) -> list[float]:
+    """The plan's outputs at the point `env`, computed one entry at a time
+    in plan order, raising the EvalError of the first entry that faults:
+    the one scalar interpreter, behind `evaluate` and `_fault`."""
+    slot, _, outputs, _ = plan
+    vals: list = []
+    for e in slot:
+        vals.append(_eval_node(e, vals, slot, env))
+    return [vals[r] for r in outputs]
 
 
-def _eval_kids(e):
-    # A quotient's denominator is checked, by the step `(e,)`, before its
-    # numerator is evaluated.
-    if type(e) is Div:
-        return (e.right, (e,), e.left)
-    return () if type(e) is tuple else e.children()
-
-
-def _eval_node(e, value: Mapping, env: Mapping[str, float]):
-    """One step of `_eval`, the values of its children already in `value`."""
+def _eval_node(e, vals: list, slot: Mapping, env: Mapping[str, float]):
+    """One entry of `_run`, the values of the entries before it in `vals`."""
     if type(e) is tuple:
-        if value[e[0].right] == 0.0:
+        if vals[slot[e[0].right]] == 0.0:
             raise EvalError("division by zero", e[0])
         return None
     if isinstance(e, Const):
@@ -622,23 +628,9 @@ def _eval_node(e, value: Mapping, env: Mapping[str, float]):
             raise EvalError(f"non-finite binding for '{e.name}'")
         return x
     if isinstance(e, Neg):
-        return -value[e.arg]
-    if isinstance(e, Add):
-        return value[e.left] + value[e.right]
-    if isinstance(e, Sub):
-        return value[e.left] - value[e.right]
-    if isinstance(e, Mul):
-        return value[e.left] * value[e.right]
-    if isinstance(e, Div):
-        return value[e.left] / value[e.right]
-    if isinstance(e, Pow):
-        try:
-            result = math.pow(value[e.left], value[e.right])
-        except (ValueError, OverflowError):
-            raise EvalError("invalid power", e) from None
-        return result
+        return -vals[slot[e.arg]]
     if isinstance(e, Call):
-        arg = value[e.arg]
+        arg = vals[slot[e.arg]]
         if e.fn == "ln" and arg <= 0.0:
             raise EvalError("ln of a non-positive number", e)
         if e.fn == "sqrt" and arg < 0.0:
@@ -647,7 +639,19 @@ def _eval_node(e, value: Mapping, env: Mapping[str, float]):
             return FUNCTIONS[e.fn](arg)
         except (ValueError, OverflowError):
             raise EvalError(f"domain error in {e.fn}", e) from None
-    raise TypeError(f"not an expression: {e!r}")
+    left, right = vals[slot[e.left]], vals[slot[e.right]]
+    if isinstance(e, Add):
+        return left + right
+    if isinstance(e, Sub):
+        return left - right
+    if isinstance(e, Mul):
+        return left * right
+    if isinstance(e, Div):
+        return left / right
+    try:  # a power
+        return math.pow(left, right)
+    except (ValueError, OverflowError):
+        raise EvalError("invalid power", e) from None
 
 
 def variables(e: Expr) -> frozenset[str]:
@@ -835,7 +839,9 @@ def _cancelled(terms: list[tuple[float, Expr]], const: float) -> Expr:
             kept[i] = item
             waiting.setdefault(item, []).append(i)
     items = list(kept.values())
-    if const != 0.0 or not items:
+    if not items:
+        return Const(const)
+    if const != 0.0:
         items.append((1.0, Const(const)) if const >= 0 else (-1.0, Const(-const)))
     sign, head = items[0]
     node = Neg(head) if sign < 0 else head
@@ -1012,7 +1018,7 @@ def _substituted(e: Expr, new: Mapping[Expr, Expr], bindings) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Straight-line plans: the one numeric path besides evaluate
+# Straight-line plans: the one numeric path
 # ---------------------------------------------------------------------------
 
 # Rows of samples a column runner takes at a time.
@@ -1022,80 +1028,68 @@ _CHUNK = 2048
 def _plan(exprs: Sequence[Expr], names: Sequence[str]):
     """One straight-line plan computing `exprs` from a vector of `names`.
 
-    Returns `(steps, frees, outputs)`. Step k computes slot k and is a
-    tuple `(op, *args)`: `op` is "var" (its arg is the coordinate index),
-    "neg", one of "+ - * /", "^" or a function name; each arg is a slot
-    (an int) or a constant (the `repr` of its float). `frees[k]` lists the
-    slots whose last use is step k. An output is a slot or a constant.
-    Equal steps are shared. Keying constants by `repr` keeps -0.0 apart
-    from 0.0, which are equal as floats yet can give results of different
-    sign.
+    Returns `(slot, frees, outputs, index)`. `slot` maps each entry, in
+    evaluation order, to its position, its slot: the entries are the
+    distinct nodes of `exprs` (hash-consing keeps `-0.0` and `0.0` apart)
+    and each quotient `q`'s zero check `(q,)`, in a post-order walk of the
+    expressions in sequence (`_plan_kids`). `frees[k]` lists the slots
+    whose last use is entry k, `outputs` the slot of each expression, and
+    `index` the coordinate of each name. A variable not in `names` is an
+    EvalError.
     """
     index = {name: i for i, name in enumerate(names)}
-    slots: dict[tuple, int] = {}
-    refs: dict = {}
-    outputs = tuple(_postorder(e, refs, lambda node, refs: _plan_ref(node, index, slots, refs))
+    slot: dict = {}
+    outputs = tuple(_postorder(e, slot, lambda node, done: len(done), _plan_kids)
                     for e in exprs)
-    steps = list(slots)
     last: dict[int, int] = {}
-    for k, step in enumerate(steps):
-        if step[0] != "var":
-            last.update((a, k) for a in step[1:] if type(a) is int)
+    for k, e in enumerate(slot):
+        if type(e) is Var and e.name not in index:
+            raise EvalError(f"unbound variable '{e.name}' in compiled expression")
+        if type(e) is not tuple:
+            for kid in e.children():
+                last[slot[kid]] = k
     for ref in outputs:
         last.pop(ref, None)
-    frees: list[tuple[int, ...]] = [()] * len(steps)
-    for slot, k in last.items():
-        frees[k] += (slot,)
-    return steps, frees, outputs
+    frees: list[tuple[int, ...]] = [()] * len(slot)
+    for s, k in last.items():
+        frees[k] += (s,)
+    return slot, frees, outputs, index
 
 
-def _plan_ref(e: Expr, index, slots, refs):
-    """The slot or constant of `e` in the plan under construction, those of
-    its children already in `refs`."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        if e.name not in index:
-            raise EvalError(f"unbound variable '{e.name}' in compiled expression")
-        step = ("var", index[e.name])
-    elif isinstance(e, Neg):
-        step = ("neg", refs[e.arg])
-    elif isinstance(e, Call):
-        step = (e.fn, refs[e.arg])
-    else:
-        step = (e.symbol, refs[e.left], refs[e.right])
-    return slots.setdefault(step, len(slots))
+def _plan_kids(e):
+    """The entries `_plan` puts before `e`, a shared one at its first use:
+    a quotient's denominator, its zero check `(e,)`, then its numerator."""
+    if type(e) is Div:
+        return (e.right, (e,), e.left)
+    return () if type(e) is tuple else e.children()
 
 
 def _render(plan, inputs: Sequence[str], prefix: str):
     """Render `plan` as straight-line Python: the statements that compute
-    each step into the local `{prefix}{slot}`, reading coordinate i as the
-    text `inputs[i]`, and the text of each output. Every generated function
+    each node entry into the local `{prefix}{slot}`, reading coordinate i
+    as the text `inputs[i]`, and the text of each output. A zero check
+    emits nothing: Python's `/` raises. Every generated function
     (`compile_fn`, `compile_vector`, the RK4 kernel) is built from these
-    lines, so all of them compute a step with the same operations."""
-    steps, _, outputs = plan
-    text: dict[int, str] = {}
-
-    def ref(r) -> str:
-        return text[r] if type(r) is int else f"({r})"
-
+    lines, so all of them compute an entry with the same operations."""
+    slot, _, outputs, index = plan
+    text: list = []
     lines = []
-    for slot, (op, *args) in enumerate(steps):
-        if op == "var":
-            text[slot] = inputs[args[0]]
-            continue
-        a = [ref(x) for x in args]
-        if op == "neg":
-            code = f"-{a[0]}"
-        elif op == "^":
-            code = f"_pow({a[0]}, {a[1]})"
-        elif op in FUNCTIONS:
-            code = f"_{op}({a[0]})"
+    for k, e in enumerate(slot):
+        cls = type(e)
+        if cls is Neg:
+            code = f"-{text[slot[e.arg]]}"
+        elif cls is Call:
+            code = f"_{e.fn}({text[slot[e.arg]]})"
+        elif isinstance(e, _Binary):
+            a, b = text[slot[e.left]], text[slot[e.right]]
+            code = f"_pow({a}, {b})" if cls is Pow else f"{a} {e.symbol} {b}"
         else:
-            code = f"{a[0]} {op} {a[1]}"
-        text[slot] = f"{prefix}{slot}"
-        lines.append(f"{prefix}{slot} = {code}")
-    return lines, [ref(r) for r in outputs]
+            text.append(f"({e.value!r})" if cls is Const else
+                        inputs[index[e.name]] if cls is Var else None)
+            continue
+        text.append(f"{prefix}{k}")
+        lines.append(f"{prefix}{k} = {code}")
+    return lines, [text[r] for r in outputs]
 
 
 def _define(source: str, **names):
@@ -1110,8 +1104,9 @@ def _define(source: str, **names):
 def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
     """Render the plan of `exprs` as one Python function of a value vector."""
     plan = _plan(exprs, names)
+    slot, _, _, index = plan
     # Each coordinate the plan reads is loaded from `v` once, into a local.
-    used = sorted({args[0] for op, *args in plan[0] if op == "var"})
+    used = sorted({index[e.name] for e in slot if type(e) is Var})
     lines, parts = _render(plan, [f"v{i}" for i in range(len(names))], "t")
     lines = [f"v{i} = v[{i}]" for i in used] + lines
     body = "(" + "".join(p + ", " for p in parts) + ")" if vector else parts[0]
@@ -1134,64 +1129,68 @@ def _columns(plan, block):
     for finite arguments. `sin`, `cos`, `tan`, `exp` and `ln` map their
     `math` function over the column: numpy's own loops for them, like
     `np.power` and a `x*x` rewrite of `x^2`, differ from libm in the last
-    bit on some inputs. Steps of constants only run in Python. Any
+    bit on some inputs. Entries of constants only run in Python. Any
     floating-point exception but underflow, any error of a mapped
-    function, any non-finite input or constant step, and any non-finite
+    function, any non-finite input or constant entry, and any non-finite
     element of a power or root give None. So every column holds finite
     values only, and equals the scalar code row by row.
     """
     import numpy as np
-    steps, frees, outputs = plan
+    slot, frees, outputs, index = plan
     rows = len(block)
-    vals: list = [None] * len(steps)
+    vals: list = [None] * len(slot)
     try:
         coords = np.ascontiguousarray(np.asarray(block, dtype=float).T)
         if not np.isfinite(coords).all():
             return None
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for slot, (op, *args) in enumerate(steps):
-                if op == "var":
-                    vals[slot] = coords[args[0]]
+            for k, e in enumerate(slot):
+                cls = type(e)
+                if cls is tuple:  # a zero denominator raises at its quotient
                     continue
-                a = [vals[x] if type(x) is int else float(x) for x in args]
-                if op == "neg":
+                a = [vals[slot[kid]] for kid in e.children()]
+                if cls is Const:
+                    val = e.value
+                elif cls is Var:
+                    val = coords[index[e.name]]
+                elif cls is Neg:
                     val = -a[0]
-                elif op == "+":
+                elif cls is Add:
                     val = a[0] + a[1]
-                elif op == "-":
+                elif cls is Sub:
                     val = a[0] - a[1]
-                elif op == "*":
+                elif cls is Mul:
                     val = a[0] * a[1]
-                elif op == "/":
+                elif cls is Div:
                     val = a[0] / a[1]
                 elif all(type(x) is float for x in a):
-                    val = (math.pow if op == "^" else FUNCTIONS[op])(*a)
-                elif op == "^" or op == "sqrt":
-                    val = np.float_power(*a) if op == "^" else np.sqrt(a[0])
+                    val = (math.pow if cls is Pow else FUNCTIONS[e.fn])(*a)
+                elif cls is Pow or e.fn == "sqrt":
+                    val = np.float_power(*a) if cls is Pow else np.sqrt(a[0])
                     if not np.isfinite(val).all():
                         return None
                 else:
-                    val = np.fromiter(map(FUNCTIONS[op], a[0].tolist()), float, rows)
+                    val = np.fromiter(map(FUNCTIONS[e.fn], a[0].tolist()), float, rows)
                 if type(val) is float and not math.isfinite(val):
                     return None
-                vals[slot] = val
-                for free in frees[slot]:
+                vals[k] = val
+                for free in frees[k]:
                     vals[free] = None
     except (ArithmeticError, ValueError):
         return None
-    out = [vals[r] if type(r) is int else float(r) for r in outputs]
-    return [np.full(rows, x) if type(x) is float else x for x in out]
+    return [np.full(rows, vals[r]) if type(vals[r]) is float else vals[r]
+            for r in outputs]
 
 
 def _fault(exprs: Sequence[Expr], names: Sequence[str],
            values: Sequence[float], reason: str) -> EvalError:
-    """The EvalError of compiled `exprs` at the point `values`, naming the
-    faulting subexpression, else `reason` (such as a non-finite result)."""
+    """The EvalError of compiled `exprs` at the point `values`: that of the
+    first entry of their plan that faults under `_run`, else `reason`
+    (such as a non-finite result)."""
     env = dict(zip(names, values))
     where = ", ".join(f"{name}={value:.6g}" for name, value in env.items())
     try:
-        for e in exprs:
-            _eval(e, env)
+        _run(_plan(exprs, names), env)
     except EvalError as err:
         reason = str(err)
     return EvalError(f"{reason} at {where}")

@@ -500,6 +500,14 @@ def test_float_formatting_17_digits():
     assert "0.33333333333333331" in payload
 
 
+def test_linear_coeffs_fold_a_negative_divisor(tmp_path):
+    # d(u1/(-2))/du1 folds to one constant, not to the quotient -2/4.
+    path = _one_coefficient_model(tmp_path, "u1/(-2)")
+    _, doc, _ = run_json("tensor", path, "--name", "linear-coeffs", "--json")
+    assert doc["results"][0]["entries"] == [{"index": [1, 1, 1],
+                                             "expr": "-0.5"}]
+
+
 def test_tensor_json_has_frame_labels():
     _, doc, _ = run_json("tensor", str(MODELS / "m4.lc"), "--name",
                          "linear-coeffs", "--json")

@@ -80,6 +80,12 @@ def test_diff_examples():
     assert diff(parse("x2"), "u1") == ZERO
 
 
+def test_a_sum_that_folds_to_a_negative_constant_is_that_constant():
+    assert simplify(parse("1 - 3")) is Const(-2.0)
+    assert diff(parse("u1/(-2)"), "u1") is Const(-0.5)
+    assert to_string(diff(parse("u1/(-2)"), "u1")) == "-0.5"
+
+
 def test_diff_chain_and_quotient():
     e = diff(parse("sin(x1^2)"), "x1")
     assert evaluate(e, {"x1": 0.7}) == pytest.approx(math.cos(0.49) * 1.4)
@@ -156,6 +162,8 @@ def test_walkers_take_any_depth(e):
     moved = substitute(e, {"x1": Const(0.5)})
     assert evaluate(moved, {"u1": 0.25}) == value
     evaluate(diff(e, "u1"), env)
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy(e) is e
 
 
 def test_eval_identity():
@@ -166,6 +174,10 @@ def test_eval_unbound_variable():
     with pytest.raises(EvalError) as err:
         evaluate(parse("x1 + q9"), {"x1": 1.0})
     assert "q9" in str(err.value)
+    # An unbound name faults at its own step, after an earlier fault.
+    with pytest.raises(EvalError) as err:
+        evaluate(parse("1/(x1 - x1) + y"), {"x1": 1.0})
+    assert str(err.value) == "division by zero in '1/(x1 - x1)'"
 
 
 def test_eval_domain_errors():
@@ -334,31 +346,51 @@ def _points():
                     min_size=1, max_size=6)
 
 
+def _assert_runs_as_evaluate(run, exprs, env):
+    """`run()` gives the values `evaluate` gives `exprs` at `env`, bit for
+    bit, or raises the first domain error `evaluate` meets over them in
+    sequence, at the point."""
+    expected, first = [], None
+    for x in exprs:
+        try:
+            expected.append(evaluate(x, env).hex())
+        except EvalError as err:
+            # Only a sum or product that overflows escapes the compiled
+            # checks, and evaluate reports it as a non-finite result.
+            if not str(err).startswith("non-finite result"):
+                first = str(err)
+                break
+            expected.append(None)
+    if first is not None:
+        with pytest.raises(EvalError) as fault:
+            run()
+        assert str(fault.value).startswith(f"{first} at x1=")
+        return
+    for want, got in zip(expected, run(), strict=True):
+        assert got.hex() == want if want else not math.isfinite(got)
+
+
 @settings(max_examples=150, deadline=None)
-@given(domain_expressions(), _points())
-@example(parse("x1^2*sin(u1) - exp(x1/4)"),
+@given(domain_expressions(), domain_expressions(), _points())
+@example(parse("x1^2*sin(u1) - exp(x1/4)"), parse("ln(u1)"),
          [{"x1": 0.8, "x2": 0.0, "u1": -0.4, "u2": 0.0}])
 # Equal trees whose zero constants differ in sign: -0.0 + 0.0 is 0.0.
 @example(Add(Sub(Const(-0.0), Const(0.0)), Sub(Const(0.0), Const(0.0))),
-         [{"x1": 0.0, "x2": 0.0, "u1": 0.0, "u2": 0.0}])
-def test_compile_fn_matches_evaluate(e, points):
+         parse("x2"), [{"x1": 0.0, "x2": 0.0, "u1": 0.0, "u2": 0.0}])
+# The numerator faults first in the natural post-order, the zero
+# denominator first in evaluate's.
+@example(parse("ln(x1 - 2)/(x1 - x1)"), parse("sqrt(x2)"),
+         [{"x1": 1.0, "x2": -1.0, "u1": 0.0, "u2": 0.0}])
+@example(parse("sin(x1)"), parse("x2"),
+         [{"x1": math.inf, "x2": 0.0, "u1": 0.0, "u2": 0.0}])
+def test_compile_fn_matches_evaluate(e, e2, points):
     fn = compile_fn(e, _NAMES)
+    exprs = (e, Neg(e), e2)
+    vector = compile_vector(exprs, _NAMES)
     for env in points:
         values = [env[n] for n in _NAMES]
-        try:
-            expected = evaluate(e, env)
-        except EvalError as err:
-            try:
-                got = fn(values)
-            except EvalError as fault:
-                assert str(fault).startswith(f"{err} at x1=")
-                continue
-            # Only a sum or product that overflows escapes the compiled
-            # checks, and evaluate reports it as a non-finite result.
-            assert not math.isfinite(got)
-            assert str(err).startswith("non-finite result")
-            continue
-        assert fn(values).hex() == expected.hex()
+        _assert_runs_as_evaluate(lambda: (fn(values),), (e,), env)
+        _assert_runs_as_evaluate(lambda: vector(values), exprs, env)
 
 
 _SIGNED_ZEROS = Add(Sub(Const(-0.0), Const(0.0)), Sub(Const(0.0), Const(0.0)))
