@@ -25,7 +25,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .expr import (EvalError, Expr, ParseError, ZERO, _flat, _memo,
+from .expr import (EvalError, Expr, ParseError, ZERO, _memo,
                    evaluate, is_zero, parse, to_string)
 from .model import (
     ConnectionModel, ModelDocument, ModelError, PointE, SectionModel,
@@ -752,7 +752,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     finally:
         _memo.clear()
-        _flat.clear()
     try:
         if args.json:
             doc = _document(args, args._model_text or "", results, status)

@@ -25,12 +25,13 @@ already done, so a tree of any depth, such as a sum of thousands of
 terms, is walked.
 `to_string` walks top down on a stack of its own, emitting text as it
 goes, so its memory is that of its output.
-`simplify` takes a sum in one pass: its children are its flattened terms,
-and its rule splices, folds, cancels and rebuilds them once. `diff`, like
-`simplify`, takes a sum as one node: its children are the operands of its
-chain of `+`/`-` nodes, and their signed derivatives are folded, cancelled
-and rebuilt once. A constant fold whose value is not finite is left
-undone.
+`simplify` and `diff` take a sum as one node: its children are the
+operands of its chain of `+`/`-` nodes. One sum rule, `_sum`, splices in
+their simplified forms or their derivatives with their signs, folds the
+constants, cancels equal terms of opposite sign and rebuilds the rest
+once, as simplifying the chain node by node would. A constant fold whose
+value is not finite is left undone. `simplify` reaches its fixed point in
+one pass: simplifying its result gives that result back.
 
 Nodes are hash-consed: each constructor looks the node's key, its class
 and fields, up in one table, `_nodes`, and returns the node already there,
@@ -679,7 +680,7 @@ def diff(e: Expr, var: str) -> Expr:
     result = memo.get(e)
     if result is None:
         result = _postorder(e, memo, lambda node, d: _diff_node(node, var, d),
-                            _diff_kids)
+                            _kids)
     return result
 
 
@@ -695,8 +696,9 @@ def _operands(e: Expr) -> list[tuple[float, Expr]]:
     return out
 
 
-def _diff_kids(e: Expr):
-    """The children of `e` for `diff`: a sum's are its chain's operands."""
+def _kids(e: Expr):
+    """The children of `e` for `simplify` and `diff`: a sum's are its
+    chain's operands."""
     if type(e) is Add or type(e) is Sub:
         return [term for _, term in _operands(e)]
     return e.children()
@@ -704,27 +706,10 @@ def _diff_kids(e: Expr):
 
 def _diff_node(e: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
     """One node of `diff`, the derivatives of its children already in `d`.
-
-    A sum's signed operand derivatives are spliced, folded, cancelled and
-    rebuilt once. That is what simplifying the chain node by node gives
-    when each spliced term is already simplified and the constant total is
-    finite; otherwise the chain is simplified node by node, since each
-    partial sum then simplifies its terms again or keeps its own unfolded
-    constants.
-    """
-    if type(e) is not Add and type(e) is not Sub:
-        return simplify(_diff(e, var, d))
-    operands = _operands(e)
-    raw = _spliced(operands, d)
-    folded = _folded(raw)
-    if folded is not None and all(type(term) is Const or simplify(term) is term
-                                  for _, term in raw):
-        return _cancelled(*folded)
-    result = d[operands[0][1]]
-    for sign, term in operands[1:]:
-        result = simplify(Add(result, d[term]) if sign > 0 else
-                          Sub(result, d[term]))
-    return result
+    A sum's signed operand derivatives go through the sum rule `_sum`."""
+    if type(e) is Add or type(e) is Sub:
+        return _sum(_spliced(_operands(e), d))
+    return simplify(_diff(e, var, d))
 
 
 def _diff(e: Expr, var: str, d: Mapping[Expr, Expr]) -> Expr:
@@ -779,12 +764,15 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
     return value is None or e.value == value
 
 
-_SUMS = (Add, Sub, Neg)
+# The nodes `_spliced` takes apart.
+_SPLICED = (Add, Sub, Neg, Const)
 
 
-def _add_terms(e: Expr) -> list[tuple[float, Expr]]:
-    """Flatten nested +/-/Neg into a signed term list, left to right."""
-    out, stack = [], [(1.0, e)]
+def _add_terms(e: Expr, sign: float = 1.0) -> list[tuple[float, Expr]]:
+    """Flatten nested +/-/Neg into a signed term list, left to right. A
+    constant whose sign bit is set is taken as its negation with the
+    opposite sign, so that two spellings of one term cancel alike."""
+    out, stack = [], [(sign, e)]
     while stack:
         sign, e = stack.pop()
         cls = type(e)
@@ -794,6 +782,8 @@ def _add_terms(e: Expr) -> list[tuple[float, Expr]]:
             stack += ((-sign, e.right), (sign, e.left))
         elif cls is Neg:
             stack.append((-sign, e.arg))
+        elif cls is Const and math.copysign(1.0, e.value) < 0:
+            out.append((-sign, Const(-e.value)))
         else:
             out.append((sign, e))
     return out
@@ -801,91 +791,83 @@ def _add_terms(e: Expr) -> list[tuple[float, Expr]]:
 
 def _spliced(terms: list[tuple[float, Expr]], memo: Mapping[Expr, Expr]
              ) -> list[tuple[float, Expr]]:
-    """`terms` with each term replaced by its entry in `memo`; an entry
-    that is a sum or a negation is flattened in with its sign."""
+    """`terms` with each term replaced by its entry in `memo`, flattened
+    in with its sign by `_add_terms`."""
     out = []
     for sign, term in terms:
         term = memo[term]
-        if type(term) in _SUMS:
-            out += [(sign * inner, t) for inner, t in _add_terms(term)]
+        if type(term) in _SPLICED:
+            out += _add_terms(term, sign)
         else:
             out.append((sign, term))
     return out
 
 
-def _folded(raw: list[tuple[float, Expr]]):
-    """The terms of `raw` that are not constants, and the total of those
-    that are, in order; None if that total is not finite."""
-    const = 0.0
-    terms = []
-    for sign, term in raw:
-        if type(term) is Const:
-            const += sign * term.value
-        else:
-            terms.append((sign, term))
-    return (terms, const) if math.isfinite(const) else None
+def _signed(value: float) -> tuple[float, Expr]:
+    """The nonzero constant `value` as a signed term of `_spliced`."""
+    return (1.0, Const(value)) if value > 0 else (-1.0, Const(-value))
 
 
-def _cancelled(terms: list[tuple[float, Expr]], const: float) -> Expr:
-    """The sum of `terms` and `const`, rebuilt once in order, where an
-    equal term of opposite sign cancels the earliest one kept."""
+def _sum(raw: list[tuple[float, Expr]]) -> Expr:
+    """The sum rule of `simplify` and `diff`: the sum of the signed terms
+    `raw` from `_spliced`, each simplified, in one pass that takes them as
+    a chain of sums simplified node by node would.
+
+    Constants fold into one total, put last. Once the total would not be
+    finite, it becomes a term where it stands, and the constants after it
+    stay terms. An equal term of opposite sign cancels the earliest one
+    kept; a constant that cancels starts the pass again on the terms kept
+    and the rest, so the constants left fold. The result is rebuilt once,
+    in order, with a negative constant at its head built as that constant,
+    so it simplifies to itself.
+    """
     kept: dict[int, tuple[float, Expr]] = {}
     waiting: dict[tuple[float, Expr], list[int]] = {}
-    for i, item in enumerate(terms):
-        match = waiting.get((-item[0], item[1]))
-        if match:
-            del kept[match.pop(0)]
-        else:
+    const = 0.0  # the folded total; None once it is a term
+    i = 0
+    while i < len(raw):
+        sign, term = item = raw[i]
+        if type(term) is Const and const is not None:
+            total = const + sign * term.value
+            if math.isfinite(total):
+                const, i = total, i + 1
+            else:
+                raw, const = raw[:i] + [_signed(const)] + raw[i:], None
+            continue
+        i += 1
+        match = waiting.get((-sign, term))
+        if not match:
             kept[i] = item
             waiting.setdefault(item, []).append(i)
+            continue
+        del kept[match.pop(0)]
+        if type(term) is Const:
+            raw, i, const = list(kept.values()) + raw[i:], 0, 0.0
+            kept, waiting = {}, {}
     items = list(kept.values())
+    if const:
+        items.append(_signed(const))
     if not items:
-        return Const(const)
-    if const != 0.0:
-        items.append((1.0, Const(const)) if const >= 0 else (-1.0, Const(-const)))
-    sign, head = items[0]
-    node = Neg(head) if sign < 0 else head
+        return ZERO
+    sign, node = items[0]
+    if sign < 0:
+        node = Const(-node.value) if type(node) is Const else Neg(node)
     for sign, term in items[1:]:
         node = Sub(node, term) if sign < 0 else Add(node, term)
     return node
 
 
-# The signed terms of each sum `simplify` has taken apart and not yet
-# rebuilt, so that each sum is flattened once. Emptied as each sum is
-# rebuilt, and by `cli.run`.
-_flat: dict = {}
-
-
-def _simplify_kids(e: Expr):
-    """The children of `e` for `simplify`: a sum's are its flattened terms."""
-    cls = type(e)
-    if cls is Add or cls is Sub or (cls is Neg and type(e.arg) in _SUMS):
-        terms = _flat[e] = _add_terms(e)
-        return [term for _, term in terms]
-    return e.children()
-
-
-def _simplify_sum(e: Expr, memo: Mapping[Expr, Expr]) -> Expr:
-    """A sum in one pass. Each simplified term that is itself a sum or a
-    negation is spliced in with its sign. Constants fold into one if their
-    total is finite. An equal term of opposite sign cancels the earliest one
-    kept. The rest is rebuilt once, in order."""
-    # A nested simplify may have rebuilt `e` already and taken its terms.
-    raw = _spliced(_flat.pop(e, None) or _add_terms(e), memo)
-    terms, const = _folded(raw) or (raw, 0.0)
-    return _cancelled(terms, const)
-
-
 def simplify(e: Expr) -> Expr:
     """Conservative simplification: constant folding, 0/1 absorption,
     identity rules and cancellation of equal terms. The
-    result is semantically equal to the input on its domain. Results are
-    memoized per expression (see the module docstring)."""
+    result is semantically equal to the input on its domain, and
+    simplifies to itself. Results are memoized per expression (see the
+    module docstring)."""
     if isinstance(e, (Const, Var)):
         return e
     result = _memo.get(e)
     if result is None:
-        result = _postorder(e, _memo, _simplify, _simplify_kids)
+        result = _postorder(e, _memo, _simplify, _kids)
     return result
 
 
@@ -893,8 +875,8 @@ def _simplify(e: Expr, memo: Mapping[Expr, Expr]) -> Expr:
     """One node of `simplify`, its children already simplified in `memo`.
     A rule that builds a new node simplifies it through `simplify`."""
     cls = type(e)
-    if cls is Add or cls is Sub or (cls is Neg and type(e.arg) in _SUMS):
-        return _simplify_sum(e, memo)
+    if cls is Add or cls is Sub:
+        return _sum(_spliced(_operands(e), memo))
     if cls is Const or cls is Var:
         return e
 
@@ -902,9 +884,7 @@ def _simplify(e: Expr, memo: Mapping[Expr, Expr]) -> Expr:
         arg = memo[e.arg]
         if isinstance(arg, Const):
             return Const(-arg.value)
-        if isinstance(arg, Neg):
-            return arg.arg
-        return Neg(arg)
+        return _sum(_spliced([(-1.0, e.arg)], memo))
 
     # A fold of constants whose value is not finite is left undone.
     if isinstance(e, Mul):

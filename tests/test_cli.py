@@ -14,7 +14,7 @@ import pytest
 
 import linconn.cli as cli
 from linconn.cli import COVERAGE, emit_json, run
-from linconn.expr import _flat, _memo
+from linconn.expr import _memo
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "models"
@@ -229,23 +229,23 @@ def test_overflowing_constant_folds_report_nonfinite_values(tmp_path,
 def test_memo_is_empty_after_each_run():
     argv = ("bianchi", str(MODELS / "m4.lc"), "--json")
     first = run_cli(*argv)
-    assert not _memo and not _flat
+    assert not _memo
     assert run_cli(*argv) == first
-    assert not _memo and not _flat
-    # A run that fails after building tensors leaves both empty too, and so
+    assert not _memo
+    # A run that fails after building tensors leaves it empty too, and so
     # does one that stops inside a simplification.
     code, _, _ = run_cli("sode", str(MODELS / "oscillator.lc"), "--classify",
                          "--homogenize", "--samples", "10")
-    assert code == 2 and not _memo and not _flat
+    assert code == 2 and not _memo
 
     def interrupted(*args):
         raise KeyboardInterrupt
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("linconn.expr._simplify_sum", interrupted)
+        patch.setattr("linconn.expr._sum", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_cli(*argv)
-    assert not _memo and not _flat
+    assert not _memo
 
 
 def test_deep_nest_of_shared_subtrees_stays_fast(tmp_path):

@@ -678,11 +678,31 @@ def _chain(parts):
 @example(parse("1e308*x1 + 1e308*x1 - 1e308*x1 + u1*x1"), "x1")
 @example(parse("x1*u1 + x1*u2 + (x1*u1 - x1*u1)"), "x1")
 @example(parse("-(x1*u1 - x1*u1)"), "x1")
+@example(parse("x1 + x1 - 2*x1 + 1e308*x1 + 1e308*x1"), "x1")
 def test_diff_of_a_sum_takes_it_as_one_node(e, var):
     # One fold over a sum's operands gives the node of the chain simplified
     # node by node: the same cancellations, constants and signed zeros.
     _memo.clear()
     assert diff(e, var) is _diff_node_by_node(e, var)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_extreme_leaf(),
+                    lambda kids: st.one_of(_domain_combine(kids), _sums(kids),
+                                           kids.map(Neg)),
+                    max_leaves=16))
+@example(parse("-(1*(x1+x2))"))
+@example(parse("x1 + 1e308 + 1e308 - 1e308 + 5"))
+@example(parse("-(1e308+1e308) + 1e308"))
+@example(parse("-(1e308 + 1e308)"))
+@example(parse("x1 + 1e308 + 1e308 + x2 + 1e308 - 1e308"))
+def test_simplify_reaches_its_fixed_point_in_one_pass(e):
+    # A negation of a sum distributes, constants left by a cancellation
+    # fold, and a negative constant heading a sum is that constant.
+    _memo.clear()
+    once = simplify(e)
+    _memo.clear()
+    assert simplify(once) is once
 
 
 # Derivatives of sums whose constant total overflows, with the spelling of

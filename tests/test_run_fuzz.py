@@ -1,6 +1,8 @@
 """Fuzzing `run()` with generated models of every bundle kind that a
 connection comes from: vector, affine and cotangent models with a
-`[connection]` section, and tangent models with a `[sode]` section.
+`[connection]` section, tangent and jet models with a `[sode]` section,
+and cotangent models with a `[hamiltonian]` section, with and without
+first integrals.
 Whatever the coefficients, a run ends with exit code 0, 1 or 2, never with
 a traceback; exit 2 ends with one `error:` line, and a report validates
 against the JSON schema.
@@ -30,7 +32,8 @@ SCHEMA = json.loads((REPO / "schema" / "report.schema.json").read_text())
 
 EXTREMES = (Const(1e308), Const(1e-320), Const(-0.0), Neg(Const(0.0)))
 
-# Per kind: the fiber coordinate's letter, and the verbs a run may take.
+# Per kind: the fiber coordinate's letter, and the verbs a run may take;
+# `{state}` stands for a start state of the model's coordinates.
 KINDS = {
     "vector": ("u", (("check", "--suite", "all"), ("bianchi",),
                      ("tensor", "--name", "curvature"))),
@@ -39,7 +42,14 @@ KINDS = {
                         ("check", "--suite", "cotangent"))),
     "sode": ("v", (("check", "--suite", "all"), ("sode", "--classify"),
                    ("sode", "--classify", "--split", "1|2"))),
+    "jet": ("v", (("check", "--suite", "all"), ("sode", "--homogenize"),
+                  ("sode", "--flow={state}"))),
+    "hamiltonian": ("p", (("hj",), ("check", "--suite", "all"))),
 }
+# The bundle kind of each kind that is not one itself, and the section
+# that defines a model of each kind.
+BUNDLE_KIND = {"sode": "tangent", "hamiltonian": "cotangent"}
+SECTION = {"sode": "sode", "jet": "sode", "hamiltonian": "hamiltonian"}
 
 
 def _leaf(names):
@@ -62,21 +72,29 @@ def models(draw, kinds=tuple(KINDS)):
     kind = draw(st.sampled_from(kinds))
     letter, verbs = KINDS[kind]
     size = draw(st.sampled_from((1, 2)))
-    base = [f"x{i + 1}" for i in range(size)]
+    base = ["t"] * (kind == "jet") + [f"x{i + 1}" for i in range(size)]
     fiber = [f"{letter}{A + 1}" for A in range(size)]
     coefficient = st.recursive(_leaf(base + fiber), _combine,
                                max_leaves=6 if size == 1 else 3)
-    lines = ["[bundle]", "kind = " + ("tangent" if kind == "sode" else kind),
-             "base = " + ", ".join(base), "fiber = " + ", ".join(fiber), ""]
-    if kind == "sode":
-        lines.append("[sode]")
-        keys = [f"f{i + 1}" for i in range(size)]
+    section = SECTION.get(kind, "connection")
+    lines = ["[bundle]", "kind = " + BUNDLE_KIND.get(kind, kind),
+             "base = " + ", ".join(base), "fiber = " + ", ".join(fiber), "",
+             f"[{section}]"]
+    numbered = [f"f{i + 1}" for i in range(size)]
+    if section == "sode":
+        keys = numbered
+    elif section == "hamiltonian":
+        keys = ["H"] + numbered * draw(st.booleans())
     else:
-        lines.append("[connection]")
         keys = [f"Gamma[{A + 1},{i + 1}]" for A in range(size)
                 for i in range(size)]
     lines += [f"{key} = {to_string(draw(coefficient))}" for key in keys]
-    return "\n".join(lines) + "\n", draw(st.sampled_from(verbs))
+    state = draw(st.lists(st.sampled_from(("0", "0.5", "-1")),
+                          min_size=len(base + fiber),
+                          max_size=len(base + fiber)))
+    argv = tuple(arg.format(state=",".join(state))
+                 for arg in draw(st.sampled_from(verbs)))
+    return "\n".join(lines) + "\n", argv
 
 
 BIG = ("[bundle]\nkind = vector\nbase = x1\nfiber = u1\n\n[connection]\n"
@@ -135,5 +153,24 @@ def test_run_ends_in_an_exit_code_and_never_a_traceback(tmp_path, model,
                               key="f1"), ("sode", "--classify")), samples=50)
 @example(model=(FINITE_POWERS, ("sode", "--classify")), samples=50)
 def test_run_on_affine_cotangent_and_sode_models_never_a_traceback(
+        tmp_path, model, samples):
+    _assert_run_ends_cleanly(tmp_path, *model, samples)
+
+
+JET = ("[bundle]\nkind = jet\nbase = t, x1\nfiber = v1\n\n[sode]\n"
+       "f1 = -x1*v1^2 + 1e308*t\n")
+POTENTIAL = ("[bundle]\nkind = cotangent\nbase = x1\nfiber = p1\n\n"
+             "[hamiltonian]\nH = p1^2/2 + x1^2/2\nf1 = p1^2/2 + x1^2/2\n")
+
+
+@settings(_FUZZ, max_examples=60)
+@given(model=models(kinds=("jet", "hamiltonian")),
+       samples=st.integers(min_value=1, max_value=50))
+@example(model=(JET, ("sode", "--flow=0,1,-1")), samples=1)
+@example(model=(JET, ("sode", "--homogenize")), samples=1)
+@example(model=(POTENTIAL, ("hj",)), samples=50)
+@example(model=(POTENTIAL.replace("x1^2/2\n", "x1^-1\n", 1), CHECK),
+         samples=50)
+def test_run_on_jet_and_hamiltonian_models_never_a_traceback(
         tmp_path, model, samples):
     _assert_run_ends_cleanly(tmp_path, *model, samples)
