@@ -764,14 +764,14 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
     return value is None or e.value == value
 
 
-# The nodes `_spliced` takes apart.
+# The nodes `_spliced` hands to `_add_terms`.
 _SPLICED = (Add, Sub, Neg, Const)
 
 
 def _add_terms(e: Expr, sign: float = 1.0) -> list[tuple[float, Expr]]:
     """Flatten nested +/-/Neg into a signed term list, left to right. A
     constant whose sign bit is set is taken as its negation with the
-    opposite sign, so that two spellings of one term cancel alike."""
+    opposite sign, so `Const(-c)` and `Neg(Const(c))` are one term."""
     out, stack = [], [(sign, e)]
     while stack:
         sign, e = stack.pop()
