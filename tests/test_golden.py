@@ -203,6 +203,16 @@ SAMPLED_GOLDEN = {
     ("check", "models/potential_1d.lc", "--suite", "all", "--samples",
      "2100"):
         "b2287d5b9f59cbc121b698f673d2b2839f30f8bf26edb18d8068e8582cd98a7b",
+    ("hj", "--metric", "[[2,1],[1,1]]", "--integrals", "p1,p2", "--alpha",
+     "0.3,0.7"):
+        "25e5cc1d2267c94c3fe9c7abf2a9897b05782d9ba5a7b78e19e1769ae5b225de",
+    ("hj", "models/potential_1d.lc", "--alpha", "sqrt(1 - x1^2)"):
+        "68d6fc4ab4a555887fc8745699564d31eb06bc0538d30818ecaee0c511a6bc45",
+    ("sode", "models/jet_oscillator.lc", "--homogenize"):
+        "771c87ff5827723413c0ca68004a1f3df7e018d8ce0d712fbe67023cbf12bd81",
+    ("sode", "models/oscillator.lc", "--classify", "--jacobi", "--at",
+     "x1=0.3,v1=0.5"):
+        "8c20e47c0e61d890aaf182e23cf80b330b0049bfb6e0caddeaf0352af5c02090",
 }
 
 # `tensor --name N` for every name the verb accepts, on every shipped model:
