@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -25,12 +24,10 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .expr import (EvalError, Expr, ParseError, ZERO, _memo,
-                   evaluate, is_zero, parse, to_string)
-from .model import (
-    ConnectionModel, ModelDocument, ModelError, PointE, SectionModel,
-    load_model, sample_points,
-)
+from .expr import (EvalError, Expr, ParseError, _memo, evaluate, is_zero,
+                   parse, to_string)
+from .model import (ConnectionModel, ModelDocument, ModelError, PointE,
+                    SectionModel, hamiltonian_document, load_model)
 from . import affine as _affine
 from . import cotangent as _cotangent
 from . import geometry as _geometry
@@ -257,34 +254,23 @@ def _load(args) -> ModelDocument:
 # Results and their text rendering
 # ---------------------------------------------------------------------------
 
-def _tensor_result(field, m: ConnectionModel, at: PointE | None) -> dict:
-    entries = []
+def _components_result(name: str, items, m: ConnectionModel,
+                       at: PointE | None,
+                       signature: Sequence[str] | None = None) -> dict:
+    """A `components` result of (label, expression) `items`; with a
+    `signature`, a `tensor` result whose labels are 0-based indices."""
     env = at.env(m.bundle) if at is not None else None
-    for idx, e in field.items():
-        row = {"index": [i + 1 for i in idx], "expr": to_string(e)}
+    entries = []
+    for label, e in items:
+        row = {"component": label} if signature is None else \
+            {"index": [i + 1 for i in label]}
+        row["expr"] = to_string(e)
         if env is not None:
             row["value"] = 0.0 if is_zero(e) else evaluate(e, env)
         entries.append(row)
-    return {
-        "type": "tensor",
-        "name": field.name,
-        "signature": list(field.signature),
-        "frame": {"horizontal": "H_i", "vertical": "V_A"},
-        "entries": entries,
-    }
-
-
-def _components_result(name: str, labels: Sequence[str], exprs: Sequence[Expr],
-                       m: ConnectionModel, at: PointE | None) -> dict:
-    env = at.env(m.bundle) if at is not None else None
-    entries = []
-    for label, e in zip(labels, exprs):
-        row = {"component": label, "expr": to_string(e)}
-        if env is not None:
-            row["value"] = 0.0 if is_zero(e) else evaluate(e, env)
-        entries.append(row)
-    return {"type": "components", "name": name,
-            "frame": {"horizontal": "H_i", "vertical": "V_A"},
+    head = {"type": "components", "name": name} if signature is None else \
+        {"type": "tensor", "name": name, "signature": list(signature)}
+    return {**head, "frame": {"horizontal": "H_i", "vertical": "V_A"},
             "entries": entries}
 
 
@@ -426,19 +412,19 @@ def _cmd_tensor(args) -> tuple[list, str]:
             raise UsageError(f"{flag} does not apply to --name {name}")
     at = _parse_point(args.at, m, "--at") if args.at is not None else None
     if name in _TENSOR_BUILDERS:
-        result = _tensor_result(_TENSOR_BUILDERS[name](m), m, at)
+        field = _TENSOR_BUILDERS[name](m)
     elif name == "jacobi":
         if doc.sode is None:
             raise UsageError("--name jacobi needs a model with a [sode] section")
-        result = _tensor_result(_sode.jacobi_endomorphism(doc.sode), m, at)
+        field = _sode.jacobi_endomorphism(doc.sode)
     elif name == "homogenized-gamma":
-        hom = _affine.homogenize(m).model
-        result = _tensor_result(_gamma(hom, "homogenized_gamma"), hom, None)
+        m = _affine.homogenize(m).model
+        field = _gamma(m, "homogenized_gamma")
     elif name in _SECTION_BUILDERS:
         if not args.section:
             raise UsageError(f"--name {name} needs --section")
         section = SectionModel(_parse_exprs(args.section, "--section"))
-        result = _tensor_result(_SECTION_BUILDERS[name](m, section), m, at)
+        field = _SECTION_BUILDERS[name](m, section)
     else:
         if not args.function:
             raise UsageError(f"--name {name} needs --function")
@@ -457,33 +443,33 @@ def _cmd_tensor(args) -> tuple[list, str]:
             title, comps = "hamiltonian_field", U.horizontal + U.vertical
             labels = [f"H_{i+1}" for i in range(m.n)] + \
                      [f"V^{A+1}" for A in range(m.k)]
-        result = _components_result(title, labels, comps, m, at)
-    return [result], "ok"
+        return [_components_result(title, zip(labels, comps), m, at)], "ok"
+    return [_components_result(field.name, field.items(), m, at,
+                               field.signature)], "ok"
 
 
-def _checks(args, suites: Sequence[str],
-            section: str | None = None) -> tuple[list, str]:
-    """Run the named check suites on the model's connection."""
-    doc = _load(args)
-    _require_connection(doc)
-    parsed = (lambda: SectionModel(_parse_exprs(section, "--section"))) \
-        if section else None
+def _checks(args, doc: ModelDocument, suites: Sequence[str],
+            kind: str = "check", **options) -> tuple[list, str]:
+    """The reports of the named suites, as results of type `kind`, and
+    the status they give."""
     reports = _suites.run_checks(doc, suites, args.samples, args.seed,
-                                 args.tol, parsed)
-    return _check_results(reports)
-
-
-def _check_results(reports) -> tuple[list, str]:
-    results = [{"type": "check", **report.to_dict()} for report in reports]
+                                 args.tol, **options)
+    results = [{"type": kind, **report.to_dict()} for report in reports]
     return results, "pass" if all(r.passed for r in reports) else "fail"
 
 
 def _cmd_check(args) -> tuple[list, str]:
-    return _checks(args, [args.suite], args.section)
+    doc = _load(args)
+    _require_connection(doc)
+    section = (lambda: SectionModel(_parse_exprs(args.section, "--section"))
+               ) if args.section else None
+    return _checks(args, doc, [args.suite], section=section)
 
 
 def _cmd_bianchi(args) -> tuple[list, str]:
-    return _checks(args, ["bianchi", "tension-identities"])
+    doc = _load(args)
+    _require_connection(doc)
+    return _checks(args, doc, ["bianchi", "tension-identities"])
 
 
 def _cmd_transport(args) -> tuple[list, str]:
@@ -548,20 +534,15 @@ def _cmd_sode(args) -> tuple[list, str]:
         raise UsageError("--classify applies to autonomous models")
     split = _parse_split(args.split) if args.split else None
     # --classify and --split check the same seeded sample set, in one pass.
-    if args.classify or split:
-        pts = sample_points(m, args.samples, seed=args.seed)
-        suites = []
-        if args.classify:
-            suites.append(functools.partial(
-                _sode.linearizability_report.suite, s, pts, args.tol))
-        if split:
-            suites.append(functools.partial(
-                _sode.decoupling_check.suite, s, split, pts, args.tol))
-        results += [{"type": "classification", **report.to_dict()}
-                    for report in _geometry.run_suites(suites)]
+    names = ["sode"] * args.classify + ["decoupling"] * (split is not None)
+    if names:
+        results += _checks(args, doc, names, "classification",
+                           split=split)[0]
     if args.jacobi:
         at = _parse_point(args.at, m, "--at") if args.at is not None else None
-        results.append(_tensor_result(_sode.jacobi_endomorphism(s), m, at))
+        phi = _sode.jacobi_endomorphism(s)
+        results.append(_components_result(phi.name, phi.items(), m, at,
+                                          phi.signature))
     if args.homogenize:
         if s.autonomous:
             raise UsageError("--homogenize applies to non-autonomous models")
@@ -601,14 +582,10 @@ def _cmd_hj(args) -> tuple[list, str]:
                              f"[[1,0],[0,1]], got {args.metric!r}")
         g_inv = [[_metric_entry(v) for v in row] for row in rows]
         ham = _cotangent.geodesic_model(g_inv)
-        if args.integrals:
-            integrals = _parse_exprs(args.integrals, "--integrals")
-            ham = _cotangent.HamiltonianModel(bundle=ham.bundle, H=ham.H,
-                                              first_integrals=integrals)
-        doc = ModelDocument(bundle=ham.bundle, hamiltonian=ham,
-                            source=f"metric:{args.metric}")
-        if ham.first_integrals is not None:
-            doc.connection = _cotangent.integrable_connection(ham)
+        integrals = _parse_exprs(args.integrals, "--integrals") \
+            if args.integrals else None
+        doc = hamiltonian_document(ham.bundle, ham.H, integrals, (),
+                                   f"metric:{args.metric}")
         args._model_text = doc.source
     else:
         if not args.model:
@@ -617,26 +594,13 @@ def _cmd_hj(args) -> tuple[list, str]:
         if doc.hamiltonian is None:
             raise UsageError("hj needs a model with a [hamiltonian] section "
                              "(or --metric)")
-        ham = doc.hamiltonian
-
-    sampler = doc.connection if doc.connection is not None else \
-        ConnectionModel(ham.bundle,
-                        [[ZERO] * ham.bundle.n] * ham.bundle.k)
-    pts = sample_points(sampler, args.samples, seed=args.seed)
-    suites = []
-    if ham.first_integrals is not None and doc.connection is not None:
-        suites.append(functools.partial(_cotangent.integrable_report.suite,
-                                        ham, doc.connection, pts, args.tol))
-    if args.alpha:
-        # --alpha is parsed when its check starts, as in a run of one check
-        # after the other.
-        suites.append(lambda: _cotangent.hj_verify.suite(
-            ham, _cotangent.OneFormOnM(_parse_exprs(args.alpha, "--alpha")),
-            pts, args.tol, doc.connection))
-    reports = _geometry.run_suites(suites)
-    if not reports:
+    names = ["integrable"] * (doc.connection is not None) + \
+        ["hamilton-jacobi"] * bool(args.alpha)
+    results, status = _checks(
+        args, doc, names, alpha=lambda: _parse_exprs(args.alpha, "--alpha"))
+    if not results:
         raise UsageError("hj needs --alpha and/or a first-integral family")
-    return _check_results(reports)
+    return results, status
 
 
 # ---------------------------------------------------------------------------

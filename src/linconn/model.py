@@ -20,7 +20,8 @@ from .expr import (
 
 __all__ = [
     "KINDS", "ModelError", "BundleModel", "ConnectionModel", "PointE",
-    "SectionModel", "ModelDocument", "load_model", "dump_model",
+    "SectionModel", "ModelDocument", "hamiltonian_document", "load_model",
+    "dump_model",
     "validate_section", "sample_points", "parse_predicate",
 ]
 
@@ -244,15 +245,36 @@ def load_model(text: str) -> ModelDocument:
         raise ModelError(
             "one of [connection], [sode] or [hamiltonian] is required")
 
-    doc = ModelDocument(bundle=bundle, source=text, excluded=excluded)
     name = defining[0]
+    if name == "hamiltonian":
+        return hamiltonian_document(
+            bundle, *_parse_hamiltonian(bundle, sections["hamiltonian"]),
+            excluded, text)
+    doc = ModelDocument(bundle=bundle, source=text, excluded=excluded)
     if name == "connection":
         doc.connection = _parse_connection(bundle, excluded, sections["connection"])
-    elif name == "sode":
-        doc.sode, doc.connection = _parse_sode(bundle, excluded, sections["sode"])
     else:
-        doc.hamiltonian, doc.connection = _parse_hamiltonian(
-            bundle, excluded, sections["hamiltonian"])
+        doc.sode, doc.connection = _parse_sode(bundle, excluded, sections["sode"])
+    return doc
+
+
+def hamiltonian_document(bundle: BundleModel, H: Expr,
+                         integrals: tuple[Expr, ...] | None,
+                         excluded: tuple[Expr, ...],
+                         source: str) -> ModelDocument:
+    """The document of the Hamiltonian `H` on a cotangent chart. With a
+    complete family of first integrals it carries their integrable
+    connection, whose excluded set adds `excluded` to the locus where
+    the family is not transversal."""
+    from .cotangent import HamiltonianModel, integrable_connection
+
+    ham = HamiltonianModel(bundle=bundle, H=H, first_integrals=integrals)
+    doc = ModelDocument(bundle=bundle, hamiltonian=ham, source=source,
+                        excluded=excluded)
+    if integrals is not None:
+        m = integrable_connection(ham)
+        doc.connection = ConnectionModel(bundle, m.gamma,
+                                         m.excluded + excluded)
     return doc
 
 
@@ -373,9 +395,7 @@ def _parse_sode(bundle, excluded, entries):
     return sode, connection
 
 
-def _parse_hamiltonian(bundle, excluded, entries):
-    from .cotangent import HamiltonianModel, integrable_connection
-
+def _parse_hamiltonian(bundle, entries):
     if bundle.kind != "cotangent":
         raise ModelError(
             f"[hamiltonian] requires kind=cotangent, got {bundle.kind}")
@@ -394,26 +414,13 @@ def _parse_hamiltonian(bundle, excluded, entries):
         integrals[idx] = _parse_entry_expr(lineno, key, value)
     if H is None:
         raise ModelError("[hamiltonian] requires H")
-    for name, e in [("H", H)] + [(f"f{i}", e) for i, e in integrals.items()]:
-        unknown = variables(e) - set(bundle.coords)
-        if unknown:
-            raise ModelError(f"{name} references unknown coordinate(s) "
-                             f"{sorted(unknown)}")
-    first_integrals = None
-    if integrals:
-        missing = [i for i in range(1, bundle.n + 1) if i not in integrals]
-        if missing:
-            raise ModelError("incomplete first-integral family; missing " +
-                             ", ".join(f"f{i}" for i in missing))
-        first_integrals = tuple(integrals[i] for i in range(1, bundle.n + 1))
-    ham = HamiltonianModel(bundle=bundle, H=H, first_integrals=first_integrals)
-    connection = None
-    if first_integrals is not None:
-        connection = integrable_connection(ham)
-        if excluded:
-            merged = tuple(connection.excluded) + tuple(excluded)
-            connection = ConnectionModel(connection.bundle, connection.gamma, merged)
-    return ham, connection
+    if not integrals:
+        return H, None
+    missing = [i for i in range(1, bundle.n + 1) if i not in integrals]
+    if missing:
+        raise ModelError("incomplete first-integral family; missing " +
+                         ", ".join(f"f{i}" for i in missing))
+    return H, tuple(integrals[i] for i in range(1, bundle.n + 1))
 
 
 def dump_model(doc: ModelDocument) -> str:

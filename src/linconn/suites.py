@@ -1,19 +1,20 @@
-"""The check suites of a run, and the runner that evaluates them.
+"""The check suites of a run, and the one runner that evaluates them.
 
-`SUITES` is the one table of the suites `check` selects from: each entry
-names the suite, the bundle kinds `--suite all` runs it on, what it cannot
-run without, and how it starts on a run. `run_checks` draws the run's
-sample set, selects the suites and hands them to `geometry.run_suites`,
-which evaluates the residual sets of one round with one
-`evaluate_components` call per distinct sample set. Sets equal bit for
-bit count as one, so the cotangent suite's own draw of the run's points
-joins them. Where that call faults, or anything raises, the suites run
-again one at a time, so the reports and the first error are those of a
-run that evaluates each set on its own, in suite order.
+`SUITES` is the one table of the suites `check`, `bianchi`, `sode` and
+`hj` name: each entry names the suite, the bundle kinds `--suite all`
+runs it on (none for those only `sode` and `hj` name), what it cannot
+run without, and how it starts on a run. `run_checks`, the one path that
+draws a run's sample set, selects the suites and hands them to
+`geometry.run_suites`, which evaluates the residual sets of one round
+with one `evaluate_components` call per distinct sample set. Sets equal
+bit for bit count as one, so the cotangent suite's own draw of the run's
+points joins them. Where that call faults, or anything raises, the
+suites run again one at a time, so the reports and the first error are
+those of a run that evaluates each set on its own, in suite order.
 
-The section of `basic`, which the command line parses only when that
-suite starts, is passed as a function, so that its errors keep that
-order.
+The section of `basic` and the 1-form of `hamilton-jacobi`, which the
+command line parses only when their suite starts, are passed as
+functions, so that their errors keep that order.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import affine as _affine
 from . import cotangent as _cotangent
 from . import geometry as _geometry
 from . import sode as _sode
+from .expr import ZERO, Expr
 from .model import (KINDS, ConnectionModel, ModelDocument, ModelError,
                     SectionModel, sample_points, validate_section)
 
@@ -39,18 +41,21 @@ _AFFINE_KINDS = _affine._AFFINE_KINDS
 
 @dataclass(frozen=True, eq=False)
 class CheckRun:
-    """The inputs of one `check` run: its model and sample set, the count
-    and seed the set was drawn with, the tolerance, and the section."""
+    """The inputs of one run: its model and sample set, the count and seed
+    the set was drawn with, the tolerance, and the options: the section of
+    `basic`, the split of `decoupling` and the 1-form of `hamilton-jacobi`."""
 
     doc: ModelDocument
     samples: np.ndarray
     count: int
     seed: int
     tol: float
-    section: Callable[[], SectionModel] | None
+    section: Callable[[], SectionModel] | None = None
+    split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    alpha: Callable[[], tuple[Expr, ...]] | None = None
 
     @property
-    def m(self) -> ConnectionModel:
+    def m(self) -> ConnectionModel | None:
         return self.doc.connection
 
 
@@ -71,8 +76,8 @@ def _homogeneous(run: CheckRun):
 
 @dataclass(frozen=True)
 class SuiteEntry:
-    """A suite of `check`: `start` begins it on a run. `--suite all` runs
-    it on the bundle kinds `kinds` when the run has what it `needs`."""
+    """A suite: `start` begins it on a run. `--suite all` runs it on the
+    bundle kinds `kinds` when the run has what it `needs`."""
 
     name: str
     kinds: tuple[str, ...]
@@ -110,6 +115,16 @@ SUITES = tuple(SuiteEntry(*entry) for entry in (
     ("sode", KINDS, "sode",
      lambda run: _sode.linearizability_report.suite(
          run.doc.sode, run.samples, run.tol)),
+    ("decoupling", (), None,
+     lambda run: _sode.decoupling_check.suite(
+         run.doc.sode, run.split, run.samples, run.tol)),
+    ("integrable", (), None,
+     lambda run: _cotangent.integrable_report.suite(
+         run.doc.hamiltonian, run.m, run.samples, run.tol)),
+    ("hamilton-jacobi", (), None,
+     lambda run: _cotangent.hj_verify.suite(
+         run.doc.hamiltonian, _cotangent.OneFormOnM(run.alpha()),
+         run.samples, run.tol, run.m)),
 ))
 
 
@@ -117,7 +132,7 @@ def _selected(run: CheckRun, names: Sequence[str]) -> list[SuiteEntry]:
     """The entries of `names`; "all" stands for every suite that applies to
     the model's kind and has what it needs."""
     table = {entry.name: entry for entry in SUITES}
-    kind = run.m.bundle.kind
+    kind = run.doc.bundle.kind
     out = []
     for name in names:
         if name == "all":
@@ -139,14 +154,16 @@ def _flattened(results: list) -> list[_geometry.CheckReport]:
 
 
 def run_checks(doc: ModelDocument, names: Sequence[str], count: int,
-               seed: int, tol: float,
-               section: Callable[[], SectionModel] | None = None
+               seed: int, tol: float, **options
                ) -> list[_geometry.CheckReport]:
-    """The reports of the suites `names` on the model's connection, on
-    `count` points drawn with `seed`; the suites refuse a model of the
-    wrong kind with a ModelError."""
-    samples = sample_points(doc.connection, count, seed=seed)
-    run = CheckRun(doc, samples, count, seed, tol, section)
+    """The reports of the suites `names` on `count` points drawn with
+    `seed` off the model's excluded set, given the `CheckRun` options;
+    the suites refuse a model of the wrong kind with a ModelError."""
+    # A Hamiltonian without first integrals has no connection to draw on.
+    m = doc.connection or ConnectionModel(
+        doc.bundle, [[ZERO] * doc.bundle.n] * doc.bundle.k, doc.excluded)
+    samples = sample_points(m, count, seed=seed)
+    run = CheckRun(doc, samples, count, seed, tol, **options)
     suites = [functools.partial(entry.start, run)
               for entry in _selected(run, names)]
     return _flattened(_geometry.run_suites(suites))

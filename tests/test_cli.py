@@ -262,14 +262,15 @@ def test_deep_nest_of_shared_subtrees_stays_fast(tmp_path):
 
 
 def test_sode_classify_and_split_draw_one_sample_set(monkeypatch):
+    from linconn import suites
     draws = []
-    sample_points = cli.sample_points
+    sample_points = suites.sample_points
 
     def counting(*args, **kwargs):
         draws.append(args[1])
         return sample_points(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "sample_points", counting)
+    monkeypatch.setattr(suites, "sample_points", counting)
     code, out, _ = run_cli("sode", str(MODELS / "oscillator_pair.lc"),
                            "--classify", "--split", "1|2", "--json",
                            "--samples", "50")
@@ -298,7 +299,7 @@ def test_cotangent_suite_probes_the_torsion_once_per_run(monkeypatch, tmp_path,
                     "fiber = p1, p2\n\n[connection]\nGamma[1,1] = 0\n"
                     f"Gamma[1,2] = {scale}*x1\nGamma[2,1] = 0\n"
                     "Gamma[2,2] = 0\n")
-    sample_points = cli.sample_points
+    sample_points = suites.sample_points
 
     def runs():
         draws = []
@@ -307,7 +308,7 @@ def test_cotangent_suite_probes_the_torsion_once_per_run(monkeypatch, tmp_path,
             draws.append(args[1])
             return sample_points(*args, **kwargs)
 
-        for module in (cli, suites, cotangent):
+        for module in (suites, cotangent):
             monkeypatch.setattr(module, "sample_points", counting)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -455,6 +456,21 @@ def test_hj_metric_scenario():
     assert doc["status"] == "pass"
     names = [r["name"] for r in doc["results"]]
     assert "integrable_structure" in names and "hamilton_jacobi" in names
+
+
+def test_hj_samples_off_the_excluded_set_without_first_integrals(tmp_path):
+    # The level residual, d/dx1 of H(x1, 1/x1), is -1/x1^3 - 1/x1^2: it
+    # has no bound near the declared singular set x1 = 0, and off
+    # |x1| < 0.1, where the sampler keeps the points, it stays below 1.1e3.
+    path = tmp_path / "kepler.lc"
+    path.write_text("[bundle]\nkind = cotangent\nbase = x1\nfiber = p1\n"
+                    "exclude = \"x1=0\"\n\n[hamiltonian]\n"
+                    "H = p1^2/2 + 1/x1\n")
+    code, doc, _ = run_json("hj", str(path), "--alpha", "1/x1",
+                            "--samples", "2000", "--json")
+    assert code == 1
+    (report,) = doc["results"]
+    assert report["max_residual"] <= 1.1e3
 
 
 # ---------------------------------------------------------------------------
