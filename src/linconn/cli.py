@@ -205,6 +205,14 @@ def _require_connection(doc: ModelDocument) -> ConnectionModel:
     return doc.connection
 
 
+def _refuse(options, where: str):
+    """Refuse, rather than drop without a word, the first option given of
+    the (flag, value, applies) triples that does not apply `where`."""
+    for flag, value, applies in options:
+        if value not in (None, False) and not applies:
+            raise UsageError(f"{flag} does not apply {where}")
+
+
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(","))
@@ -404,12 +412,10 @@ def _cmd_tensor(args) -> tuple[list, str]:
                     "jacobi", "homogenized-gamma"):
         raise UsageError(f"unknown tensor name {name!r}")
     # The homogenized model has coordinates of its own, so --at names none.
-    for flag, value, applies in (
-            ("--section", args.section, name in _SECTION_BUILDERS),
-            ("--function", args.function, name in _FUNCTION_NAMES),
-            ("--at", args.at, name != "homogenized-gamma")):
-        if value is not None and not applies:
-            raise UsageError(f"{flag} does not apply to --name {name}")
+    _refuse((("--section", args.section, name in _SECTION_BUILDERS),
+             ("--function", args.function, name in _FUNCTION_NAMES),
+             ("--at", args.at, name != "homogenized-gamma")),
+            f"to --name {name}")
     at = _parse_point(args.at, m, "--at") if args.at is not None else None
     if name in _TENSOR_BUILDERS:
         field = _TENSOR_BUILDERS[name](m)
@@ -461,6 +467,8 @@ def _checks(args, doc: ModelDocument, suites: Sequence[str],
 def _cmd_check(args) -> tuple[list, str]:
     doc = _load(args)
     _require_connection(doc)
+    _refuse([("--section", args.section, args.suite in ("basic", "all"))],
+            f"to --suite {args.suite}")
     section = (lambda: SectionModel(_parse_exprs(args.section, "--section"))
                ) if args.section else None
     return _checks(args, doc, [args.suite], section=section)
@@ -475,6 +483,9 @@ def _cmd_bianchi(args) -> tuple[list, str]:
 def _cmd_transport(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
+    _refuse([(flag, value, not args.holonomy) for flag, value in (
+        ("--field", args.field), ("--fiber", args.fiber),
+        ("--oracle", args.oracle))], "to --holonomy")
     p0 = _parse_point(getattr(args, "from"), m, "--from")
     if args.holonomy:
         i, j = _parse_directions(args.holonomy, m.n)
@@ -532,6 +543,7 @@ def _cmd_sode(args) -> tuple[list, str]:
     results: list = []
     if args.classify and not s.autonomous:
         raise UsageError("--classify applies to autonomous models")
+    _refuse([("--at", args.at, args.jacobi)], "without --jacobi")
     split = _parse_split(args.split) if args.split else None
     # --classify and --split check the same seeded sample set, in one pass.
     names = ["sode"] * args.classify + ["decoupling"] * (split is not None)
@@ -594,6 +606,7 @@ def _cmd_hj(args) -> tuple[list, str]:
         if doc.hamiltonian is None:
             raise UsageError("hj needs a model with a [hamiltonian] section "
                              "(or --metric)")
+        _refuse([("--integrals", args.integrals, False)], "without --metric")
     names = ["integrable"] * (doc.connection is not None) + \
         ["hamilton-jacobi"] * bool(args.alpha)
     results, status = _checks(

@@ -835,6 +835,32 @@ def test_tensor_rejects_options_that_do_not_apply(model, name, option):
     assert err == f"error: {option[0]} does not apply to --name {name}\n"
 
 
+# Options of the other verbs, each given where it does not apply.
+INAPPLICABLE = (
+    (("hj", "geodesic_const", "--integrals", "p1,p2", "--alpha", "0,0"),
+     "--integrals does not apply without --metric"),
+    (("transport", "m4", "--holonomy", "1,2", "--field", "1,0"),
+     "--field does not apply to --holonomy"),
+    (("transport", "m4", "--holonomy", "1,2", "--fiber", "1,0"),
+     "--fiber does not apply to --holonomy"),
+    (("transport", "m4", "--holonomy", "1,2", "--oracle"),
+     "--oracle does not apply to --holonomy"),
+    (("sode", "oscillator", "--classify", "--at", "x1=0.3,v1=0.5"),
+     "--at does not apply without --jacobi"),
+    (("check", "m4", "--suite", "flat", "--section", "x1,x2"),
+     "--section does not apply to --suite flat"),
+)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(*case, id=" ".join(case[0])) for case in INAPPLICABLE])
+def test_verbs_reject_options_that_do_not_apply(argv, message):
+    verb, model, *rest = argv
+    code, out, err = run_cli(verb, str(MODELS / f"{model}.lc"), *rest)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_stdout_closed_early_exits_2_with_one_error_line(tmp_path, json_flag):
     # About 100 KB of output: more than a pipe holds, so the program is
