@@ -2,10 +2,13 @@
 connection comes from: vector, affine and cotangent models with a
 `[connection]` section, tangent and jet models with a `[sode]` section,
 and cotangent models with a `[hamiltonian]` section, with and without
-first integrals.
-Whatever the coefficients, a run ends with exit code 0, 1 or 2, never with
-a traceback; exit 2 ends with one `error:` line, and a report validates
-against the JSON schema.
+first integrals. The runs take generated option payloads too: sections,
+fields, points, splits, 1-forms, inverse metrics and first integrals, as
+`--flag=value`, since a value that begins with a minus sign cannot follow
+its flag as an argument of its own.
+Whatever the coefficients and payloads, a run ends with exit code 0, 1 or
+2, never with a traceback; exit 2 ends with one `error:` line, and a
+report validates against the JSON schema.
 
 The coefficients are trees of the `tests/test_expr.py` operations over the
 model's coordinates, powers with column exponents and with negative and
@@ -15,6 +18,7 @@ fractional ones among them, with extreme leaves: 1e308 (overflow),
 
 import io
 import json
+import string
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -46,6 +50,34 @@ KINDS = {
                   ("sode", "--flow={state}"))),
     "hamiltonian": ("p", (("hj",), ("check", "--suite", "all"))),
 }
+# Per kind: runs that take option payloads. `{exprs}` stands for
+# expressions of the model's coordinates, `{basic}` for expressions of its
+# base coordinates, `{momenta}` for expressions of those of a metric's
+# cotangent chart, and `{point}`, `{split}` and `{metric}` for a point, an
+# index split and an inverse metric; each may also be malformed.
+OPTION_RUNS = {
+    "vector": (("check", "--suite", "basic", "--section={exprs}"),
+               ("tensor", "--name", "pullback-coeffs", "--section={basic}",
+                "--at={point}"),
+               ("transport", "--field={basic}", "--from={point}", "--time",
+                "0.01")),
+    "affine": (("check", "--suite", "basic", "--section={exprs}"),
+               ("transport", "--field={basic}", "--from={point}", "--time",
+                "0.01")),
+    "cotangent": (("check", "--suite", "all", "--section={basic}"),
+                  ("transport", "--field={exprs}", "--from={point}",
+                   "--time", "0.01")),
+    "sode": (("sode", "--classify", "--split={split}"),
+             ("sode", "--jacobi", "--at={point}"),
+             ("sode", "--split={split}", "--flow={state}", "--time", "0.01")),
+    "jet": (("sode", "--split={split}"), ("sode", "--jacobi", "--at={point}"),
+            ("sode", "--flow={state}", "--time", "0.01")),
+    "hamiltonian": (("hj", "--alpha={basic}"),
+                    ("hj", "--metric={metric}", "--alpha={basic}"),
+                    ("hj", "--metric={metric}", "--integrals={momenta}",
+                     "--alpha={basic}")),
+}
+MALFORMED = ("x1,,", "(", ",", "1e400", "zz", "x1 = 1", "")
 # The bundle kind of each kind that is not one itself, and the section
 # that defines a model of each kind.
 BUNDLE_KIND = {"sode": "tangent", "hamiltonian": "cotangent"}
@@ -65,12 +97,58 @@ def _combine(children):
     return st.one_of(_domain_combine(children), _power_combine(children))
 
 
+def _texts(expressions, size):
+    """Comma-separated expression texts, about `size` of them."""
+    listed = st.lists(expressions.map(to_string), min_size=1,
+                      max_size=size + 1).map(",".join)
+    return st.one_of(listed, st.sampled_from(MALFORMED))
+
+
+def _metric_entry():
+    return st.one_of(
+        st.integers(min_value=-2, max_value=2),
+        st.floats(width=32),
+        st.sampled_from(("x1", "x2", "p1", "1/x1", "sqrt(x1)", "(", True,
+                         None, [1])))
+
+
+def _payloads(base, fiber, coefficient):
+    """The option payload strategies, by placeholder name."""
+    names = base + fiber
+    item = st.tuples(st.sampled_from(names + ["zz"]),
+                     st.sampled_from(("0", "0.5", "-1", "1e308", "nan",
+                                      "-inf", "abc", ""))).map("=".join)
+    square = st.integers(min_value=1, max_value=2).flatmap(
+        lambda n: st.lists(st.lists(_metric_entry(), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    momenta = st.recursive(_leaf(["x1", "x2", "p1", "p2"]), _combine,
+                           max_leaves=3)
+    return {
+        "exprs": _texts(coefficient, len(fiber)),
+        "basic": _texts(st.recursive(_leaf(base), _combine, max_leaves=3),
+                        len(base)),
+        "momenta": _texts(momenta, 2),
+        "point": st.one_of(
+            st.lists(item, max_size=len(names) + 1).map(",".join),
+            st.sampled_from(MALFORMED)),
+        "split": st.one_of(
+            st.sampled_from(("1|2", "2|1", "1 2|", "1|1", "|", "1,2|3")),
+            st.lists(st.sampled_from("0123a|, "), max_size=5).map("".join)),
+        "metric": st.one_of(
+            square.map(json.dumps),
+            st.sampled_from(("5", "[1]", "[[1],[2,3]]", "{", "[]", "[[]]"))),
+    }
+
+
 @st.composite
-def models(draw, kinds=tuple(KINDS)):
+def models(draw, kinds=tuple(KINDS), runs=None):
     """The text of a model of one of `kinds` with n = k = 1 or 2, and the
-    argv of a run on it, less the model path."""
+    argv of a run on it, less the model path: one of the kind's `KINDS`
+    verbs, or of its `runs` with their payloads drawn."""
     kind = draw(st.sampled_from(kinds))
     letter, verbs = KINDS[kind]
+    if runs is not None:
+        verbs = runs[kind]
     size = draw(st.sampled_from((1, 2)))
     base = ["t"] * (kind == "jet") + [f"x{i + 1}" for i in range(size)]
     fiber = [f"{letter}{A + 1}" for A in range(size)]
@@ -92,8 +170,14 @@ def models(draw, kinds=tuple(KINDS)):
     state = draw(st.lists(st.sampled_from(("0", "0.5", "-1")),
                           min_size=len(base + fiber),
                           max_size=len(base + fiber)))
-    argv = tuple(arg.format(state=",".join(state))
-                 for arg in draw(st.sampled_from(verbs)))
+    template = draw(st.sampled_from(verbs))
+    values = {"state": ",".join(state)}
+    payloads = _payloads(base, fiber, coefficient)
+    for name in sorted({field for arg in template
+                        for _, field, _, _ in string.Formatter().parse(arg)
+                        if field and field != "state"}):
+        values[name] = draw(payloads[name])
+    argv = tuple(arg.format(**values) for arg in template)
     return "\n".join(lines) + "\n", argv
 
 
@@ -173,4 +257,15 @@ POTENTIAL = ("[bundle]\nkind = cotangent\nbase = x1\nfiber = p1\n\n"
          samples=50)
 def test_run_on_jet_and_hamiltonian_models_never_a_traceback(
         tmp_path, model, samples):
+    _assert_run_ends_cleanly(tmp_path, *model, samples)
+
+
+@settings(_FUZZ, max_examples=80)
+@given(model=models(runs=OPTION_RUNS),
+       samples=st.integers(min_value=1, max_value=20))
+@example(model=(POTENTIAL, ("hj", "--metric=[[NaN]]", "--alpha=x1")),
+         samples=5)
+@example(model=(JET, ("sode", "--flow=-1,0,1", "--time", "0.01")), samples=1)
+def test_run_with_option_payloads_never_a_traceback(tmp_path, model,
+                                                    samples):
     _assert_run_ends_cleanly(tmp_path, *model, samples)
