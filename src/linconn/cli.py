@@ -2,13 +2,16 @@
 and renders the results, with no mathematics of its own.
 
 Verbs: tensor, check, transport, sode, hj, bianchi, info. Each verb returns
-the result dicts of its JSON document and prints nothing. With --json the
-document is printed: fixed key order, floats with 17 significant digits,
-no timestamps. Otherwise `_print_result` renders each result dict as text,
-so a run that fails part-way prints no partial report. Exit codes: 0
-success / all checks passed, 1 a check failed, 2 usage or validation
-errors. No expression is too deep to process; only source text nested
-deeper than the parser takes (about 195 parentheses) is a parse error.
+the result dicts of its JSON document and prints nothing. The sampled
+checks of check, bianchi, sode and hj run only through
+`suites.run_checks`; an option given where it does not apply is refused.
+With --json the document is printed: fixed key order, floats with 17
+significant digits, no timestamps. Otherwise `_print_result` renders each
+result dict as text, so a run that fails part-way prints no partial
+report. Exit codes: 0 success / all checks passed, 1 a check failed, 2
+usage or validation errors. No expression is too deep to process; only
+source text nested deeper than the parser takes (about 195 parentheses)
+is a parse error.
 """
 
 from __future__ import annotations
