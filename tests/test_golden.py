@@ -164,6 +164,16 @@ INTEGRATOR_GOLDEN = {
     ("transport", "models/m4.lc", "--field", "0,1", "--from",
      "x1=-0.0,x2=0.2,u1=1,u2=1", "--time", "-0.5"):
         "98d44d9dcd9c1a8afe818a94f7e930eadeffd60541afa362074c4c4de5f27e87",
+    # A fiber slot started at -0.0 keeps its sign: it ends at (-0.0, 0.0).
+    ("transport", "models/m4.lc", "--field=-1,0", "--from",
+     "x1=0,x2=0,u1=-0,u2=0", "--time", "0.1", "--step", "0.01", "--fiber",
+     "1,0"):
+        "934e3399d893c98b447de70471a51d752770bbdacd0acf7a1c3c3b4ef124fd9c",
+    # Velocity stage values that are zeros of both signs: the -0.0 start
+    # state ends at (0.0, 0.0, 0.0, 0.0).
+    ("sode", "models/oscillator_pair.lc", "--flow=-0,0,-0,0", "--time",
+     "0.1", "--step", "0.1"):
+        "80436eba81c02b577814d688d301337e301e1fca3eb8471124f61d3b97865e37",
     ("sode", "models/oscillator_pair.lc", "--flow", "1,0,0,1"):
         "a6a304f1fbaf76e6777ad5ec91472ee8dd19d8ca1d98a91c82ac1e70044c3792",
     ("sode", "models/jet_oscillator.lc", "--flow", "0,1,0", "--step",
