@@ -488,7 +488,9 @@ def _cmd_transport(args) -> tuple[list, str]:
     m = _require_connection(doc)
     _refuse([(flag, value, not args.holonomy) for flag, value in (
         ("--field", args.field), ("--fiber", args.fiber),
-        ("--oracle", args.oracle))], "to --holonomy")
+        ("--oracle", args.oracle), ("--central", args.central))],
+        "to --holonomy")
+    _refuse([("--central", args.central, args.oracle)], "without --oracle")
     p0 = _parse_point(getattr(args, "from"), m, "--from")
     if args.holonomy:
         i, j = _parse_directions(args.holonomy, m.n)
@@ -586,6 +588,7 @@ def _cmd_sode(args) -> tuple[list, str]:
 
 
 def _cmd_hj(args) -> tuple[list, str]:
+    _refuse([("--metric", args.metric, not args.model)], "to a model file")
     if args.metric:
         try:
             rows = json.loads(args.metric)

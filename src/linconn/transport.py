@@ -12,6 +12,21 @@ state, the number of steps it took and its status, and keeps nothing per
 step. A faulting step is taken once more stage by stage (`_replay`),
 which names the subexpression and the point.
 
+The kernel runs lean rows, which end every flow on the bits, step count,
+status and fault of the full rows. A lift or transport row is a sum
+-(0.0 + p1 + p2 + ...) of products, added and multiplied left to right
+(`_flow_rows`). Its lean form keeps the leading `0.0 +`, which turns a
+-0.0 first term into 0.0. So the running sum is never -0.0, and adding a
+product of zero (+-0.0) leaves it as it is. Such a product is skipped
+where each of its other factors is a constant, a base velocity, or a
+factor of a product without a zero factor. An inf or nan in such a
+factor, which would make the skipped product nan, then leaves the lean
+row non-finite too, so the step faults either way. Factors 1.0 are
+dropped: x*1.0 == x for every float. `_kernel` folds each row's
+negation into the step. `_replay` explains a fault on the full rows:
+after a skipped nan, a lean row can step on to another fault later in
+the same step.
+
 Rules shared by every integration:
 
 - The step must be a positive finite number and the time span finite
@@ -32,11 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Mapping, Sequence
 
 from .expr import (
-    EvalError, Expr, ONE, Var, ZERO, _define, _memo, _plan, _render,
-    compile_vector, diff, evaluate, is_zero, substitute, variables,
+    Const, EvalError, Expr, Neg, ONE, Var, ZERO, _define, _memo, _plan,
+    _render, compile_vector, diff, evaluate, is_zero, substitute, variables,
 )
 from .affine import affine_linearization
 from .geometry import TensorField, _tensor, curvature, linear_coeffs
@@ -111,22 +128,27 @@ def _check_span(T: float, step: float):
 
 def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
          T: float, step: float, excluded: Sequence[Expr] = (),
-         box: Mapping[str, tuple[float, float]] | None = None):
+         box: Mapping[str, tuple[float, float]] | None = None,
+         lean: Sequence[Expr] | None = None):
     """The integrator core: classical fixed-step RK4 on the state whose
     slots are `names`, with one right-hand-side expression per slot, run
     as one generated kernel (`_kernel`), built once per distinct flow and
-    kept in the expression memo. Returns (final_state, steps, status): the
-    last state kept, as a list of floats, and the number of steps that
-    reached it."""
+    kept in the expression memo. The kernel runs `lean`, rows that step
+    bit for bit as `rhs` does (by default `rhs` itself), and tests each
+    distinct excluded-set predicate once. Returns (final_state, steps,
+    status): the last state kept, as a list of floats, and the number of
+    steps that reached it."""
     _check_span(T, step)
     bounded = [slot for slot, name in enumerate(names)
                if box is not None and name in box]
     n_steps = max(1, int(round(abs(T) / step)))
     h = T / n_steps
-    key = (tuple(names), tuple(rhs), tuple(excluded), tuple(bounded))
+    excluded = tuple(dict.fromkeys(excluded))
+    lean = tuple(rhs if lean is None else lean)
+    key = (tuple(names), lean, excluded, tuple(bounded))
     kernel = _memo.get(key)
     if kernel is None:
-        kernel = _memo[key] = _kernel(names, rhs, excluded, bounded)
+        kernel = _memo[key] = _kernel(names, lean, excluded, bounded)
     # Plain floats: on numpy scalars a division by zero gives inf.
     y, steps, t, status = kernel([float(v) for v in y0], n_steps, h, 0.5 * h,
                                  h / 6.0, [box[names[slot]] for slot in bounded])
@@ -146,17 +168,24 @@ def _kernel(names: Sequence[str], rhs: Sequence[Expr],
     `rhs` rendered inline on that stage's input. Each step computes, in
     this order, `y + half*k1`, `y + half*k2`, `y + h*k3` and
     `y + sixth*(((k1 + 2k2) + 2k3) + k4)`; another association changes the
-    last bits of every flow. A step end is checked as the rules above say:
-    every slot finite, then the excluded-set predicates, then the box
-    `bounds`, one (lo, hi) pair per slot in `bounded`. `t` is summed step by
-    step. The status is "ok", "excluded" or "truncated", the last two with
-    the state before the step and the time after it. On a fault (an
-    arithmetic or domain error anywhere in a step, or a non-finite state)
-    the status is None, with the state and time at the start of the
-    faulting step, for `_replay` to explain.
+    last bits of every flow. A row -a is rendered as a, and its slot steps
+    as `y - half*a` and `y + sixth*(((-a1 - 2a2) - 2a3) - a4)`: IEEE
+    negation is exact, and x + (-y) is x - y bit for bit, signed zeros
+    included. (`y - sixth*(((a1 + 2a2) + 2a3) + a4)` is not: a sum of
+    zeros of both signs is 0.0 whichever way they are negated, and
+    -0.0 - 0.0 is -0.0 where -0.0 + 0.0 is 0.0.) A step end is checked as
+    the rules above say: every slot finite, then the excluded-set
+    predicates, then the box `bounds`, one (lo, hi) pair per slot in
+    `bounded`. `t` is summed step by step. The status is "ok", "excluded"
+    or "truncated", the last two with the state before the step and the
+    time after it. On a fault (an arithmetic or domain error anywhere in a
+    step, or a non-finite state) the status is None, with the state and
+    time at the start of the faulting step, for `_replay` to explain.
     """
     count = len(names)
-    rhs_plan, test_plan = _plan(rhs, names), _plan(excluded, names)
+    negated = [type(row) is Neg for row in rhs]
+    body = [row.arg if neg else row for row, neg in zip(rhs, negated)]
+    rhs_plan, test_plan = _plan(body, names), _plan(excluded, names)
     state = [f"s{i}" for i in range(count)]
     new = [f"n{i}" for i in range(count)]
     previous = [f"w{j}" for j in range(len(excluded))]
@@ -169,10 +198,14 @@ def _kernel(names: Sequence[str], rhs: Sequence[Expr],
         ks.append(out)
         if scale:
             inputs = [f"x{k}_{i}" for i in range(count)]
-            step += [f"{x} = {s} + {scale} * {c}"
-                     for x, s, c in zip(inputs, state, out)]
-    step += [f"{n} = {s} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
-             for n, s, a, b, c, d in zip(new, state, *ks)]
+            step += [f"{x} = {s} {'-' if neg else '+'} {scale} * {c}"
+                     for x, s, c, neg in zip(inputs, state, out, negated)]
+    for n, s, neg, (a, b, c, d) in zip(new, state, negated, zip(*ks)):
+        if neg:
+            total = f"((-{a} - 2.0 * {b}) - 2.0 * {c}) - {d}"
+        else:
+            total = f"(({a} + 2.0 * {b}) + 2.0 * {c}) + {d}"
+        step.append(f"{n} = {s} + sixth * ({total})")
     step += [f"if not ({' and '.join(f'_isfinite({n})' for n in new)}):",
              f"    return {keep}, steps, t, None"]
     tests, tested = _render(test_plan, new, "p")
@@ -260,16 +293,36 @@ def _base_field(m: ConnectionModel, X: Sequence[Expr]) -> tuple[Expr, ...]:
     return tuple(X)
 
 
-def _lift(m: ConnectionModel, xdot: Sequence[Expr]) -> list[Expr]:
-    """Right-hand side of the horizontal lift of base velocities:
-    xdot^i, then udot^A = -sum_i Gamma[A][i] xdot^i."""
-    rows = list(xdot)
-    for A in range(m.k):
-        total: Expr = ZERO
-        for i in range(m.n):
-            total = total + m.gamma[A][i] * xdot[i]
+def _lift(m: ConnectionModel, xdot: Sequence[Expr]) -> list[list[tuple]]:
+    """The fiber rows of the horizontal lift of base velocities, as
+    products for `_flow_rows`: udot^A = -sum_i Gamma[A][i] xdot^i."""
+    return [[(m.gamma[A][i], xdot[i]) for i in range(m.n)]
+            for A in range(m.k)]
+
+
+def _flow_rows(xdot: Sequence[Expr], sums: Sequence[Sequence[tuple]]):
+    """The rows of a flow whose first slots move with the base velocities
+    `xdot`, and each further slot with -(0.0 + p1 + p2 + ...): one product
+    per factor tuple of its entry in `sums`, added and multiplied left to
+    right. Returns the full rows and their lean form (see the module
+    docstring)."""
+    def has_zero(factors):
+        return any(map(is_zero, factors))
+
+    live = set(xdot).union(*(factors for terms in sums for factors in terms
+                             if not has_zero(factors)))
+    rows, lean = list(xdot), list(xdot)
+    for terms in sums:
+        total = kept = ZERO
+        for factors in terms:
+            total = total + reduce(mul, factors)
+            if not (has_zero(factors) and all(
+                    type(f) is Const or f in live for f in factors)):
+                kept = kept + reduce(
+                    mul, [f for f in factors if f is not ONE] or [ONE])
         rows.append(-total)
-    return rows
+        lean.append(-kept)
+    return rows, lean
 
 
 def horizontal_flow(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
@@ -278,8 +331,10 @@ def horizontal_flow(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
     """Integrate the horizontal lift of a base vector field. Along the
     resulting curve the fiber point is parallel for the nonlinear
     connection."""
-    y, steps, status = _rk4(m.bundle.coords, _lift(m, _base_field(m, X)),
-                            p0.values(m.bundle), T, step, m.excluded, box)
+    X = _base_field(m, X)
+    rows, lean = _flow_rows(X, _lift(m, X))
+    y, steps, status = _rk4(m.bundle.coords, rows, p0.values(m.bundle), T,
+                            step, m.excluded, box, lean)
     return FlowResult(final=PointE(base=tuple(y[:m.n]), fiber=tuple(y[m.n:])),
                       steps=steps, status=status)
 
@@ -341,17 +396,14 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
         param = _fresh(coords, "tau", 1)
         xdot = tuple(substitute(diff(c, "t"), {"t": Var(param[0])})
                      for c in curve.curve)
-    rows = _lift(m, xdot)
-    for A in range(size):
-        total: Expr = ZERO
-        for i in range(m.n):
-            for B in range(size):
-                total = total + coeffs[A, i, B] * xdot[i] * Var(b_names[B])
-        rows.append(-total)
+    rows, lean = _flow_rows(xdot, _lift(m, xdot) + [
+        [(coeffs[A, i, B], xdot[i], Var(b_names[B]))
+         for i in range(m.n) for B in range(size)] for A in range(size)])
+    clock = [ONE] * len(param)
     y, steps, status = _rk4(
-        coords + b_names + param, rows + [ONE] * len(param),
+        coords + b_names + param, rows + clock,
         curve.start.values(m.bundle) + b0 + (0.0,) * len(param),
-        curve.t_span, curve.step, m.excluded)
+        curve.t_span, curve.step, m.excluded, lean=lean + clock)
     n = len(coords)
     return TransportResult(
         final=PointE(base=tuple(y[:m.n]), fiber=tuple(y[m.n:n])),

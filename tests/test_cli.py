@@ -845,6 +845,12 @@ INAPPLICABLE = (
      "--fiber does not apply to --holonomy"),
     (("transport", "m4", "--holonomy", "1,2", "--oracle"),
      "--oracle does not apply to --holonomy"),
+    (("transport", "m4", "--holonomy", "1,2", "--central"),
+     "--central does not apply to --holonomy"),
+    (("transport", "m4", "--field", "1,0", "--central"),
+     "--central does not apply without --oracle"),
+    (("hj", "m4", "--metric", "[[1]]", "--alpha", "0", "--samples", "5"),
+     "--metric does not apply to a model file"),
     (("sode", "oscillator", "--classify", "--at", "x1=0.3,v1=0.5"),
      "--at does not apply without --jacobi"),
     (("check", "m4", "--suite", "flat", "--section", "x1,x2"),

@@ -3,8 +3,8 @@ connection comes from: vector, affine and cotangent models with a
 `[connection]` section, tangent and jet models with a `[sode]` section,
 and cotangent models with a `[hamiltonian]` section, with and without
 first integrals. The runs take generated option payloads too: sections,
-fields, points, splits, 1-forms, inverse metrics and first integrals, as
-`--flag=value`, since a value that begins with a minus sign cannot follow
+fields, points, transported vectors, holonomy directions, splits, 1-forms,
+inverse metrics and first integrals, as `--flag=value`, since a value that begins with a minus sign cannot follow
 its flag as an argument of its own.
 Whatever the coefficients and payloads, a run ends with exit code 0, 1 or
 2, never with a traceback; exit 2 ends with one `error:` line, and a
@@ -53,17 +53,20 @@ KINDS = {
 # Per kind: runs that take option payloads. `{exprs}` stands for
 # expressions of the model's coordinates, `{basic}` for expressions of its
 # base coordinates, `{momenta}` for expressions of those of a metric's
-# cotangent chart, and `{point}`, `{split}` and `{metric}` for a point, an
-# index split and an inverse metric; each may also be malformed.
+# cotangent chart, and `{point}`, `{fiber}`, `{holonomy}`, `{split}` and
+# `{metric}` for a point, a transported vector, two holonomy directions,
+# an index split and an inverse metric; each may also be malformed. A run
+# with `--metric` takes no model file.
 OPTION_RUNS = {
     "vector": (("check", "--suite", "basic", "--section={exprs}"),
                ("tensor", "--name", "pullback-coeffs", "--section={basic}",
                 "--at={point}"),
-               ("transport", "--field={basic}", "--from={point}", "--time",
-                "0.01")),
+               ("transport", "--field={basic}", "--fiber={fiber}",
+                "--from={point}", "--time", "0.01"),
+               ("transport", "--holonomy={holonomy}", "--from={point}")),
     "affine": (("check", "--suite", "basic", "--section={exprs}"),
-               ("transport", "--field={basic}", "--from={point}", "--time",
-                "0.01")),
+               ("transport", "--field={basic}", "--fiber={fiber}",
+                "--from={point}", "--time", "0.01")),
     "cotangent": (("check", "--suite", "all", "--section={basic}"),
                   ("transport", "--field={exprs}", "--from={point}",
                    "--time", "0.01")),
@@ -131,6 +134,15 @@ def _payloads(base, fiber, coefficient):
         "point": st.one_of(
             st.lists(item, max_size=len(names) + 1).map(",".join),
             st.sampled_from(MALFORMED)),
+        "fiber": st.one_of(
+            st.lists(st.sampled_from(("0", "-0", "1", "-1", "0.5", "1e308",
+                                      "nan", "-inf", "abc")),
+                     min_size=1, max_size=len(fiber) + 2).map(",".join),
+            st.sampled_from(MALFORMED)),
+        "holonomy": st.one_of(
+            st.lists(st.integers(-1, 3).map(str), min_size=2,
+                     max_size=2).map(",".join),
+            st.sampled_from(("1", "1,2,3", "1.5,2", "a,b", "1,,2", ""))),
         "split": st.one_of(
             st.sampled_from(("1|2", "2|1", "1 2|", "1|1", "|", "1,2|3")),
             st.lists(st.sampled_from("0123a|, "), max_size=5).map("".join)),
@@ -197,8 +209,9 @@ def _assert_run_ends_cleanly(tmp_path, text, argv, samples):
     path = tmp_path / "fuzz.lc"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
+    model = [] if any(a.startswith("--metric") for a in argv) else [str(path)]
     with redirect_stdout(out), redirect_stderr(err):
-        code = run([argv[0], str(path), *argv[1:], "--json",
+        code = run([argv[0], *model, *argv[1:], "--json",
                     "--samples", str(samples)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import linconn.transport as transport
 from linconn.cli import run
 from linconn.expr import (
-    EvalError, ONE, Var, ZERO, _memo, compile_vector, evaluate, parse,
+    Const, EvalError, ONE, Var, ZERO, _memo, compile_vector, evaluate, parse,
     substitute,
 )
 from linconn.geometry import curvature
@@ -21,8 +22,9 @@ from linconn.model import (
 )
 from linconn.sode import SodeModel
 from linconn.transport import (
-    CurveSpec, _rk4, holonomy_curvature, holonomy_probe, horizontal_flow,
-    parallel_transport, relative_gap, sode_flow, transport_oracle,
+    CurveSpec, FlowResult, TransportResult, _rk4, holonomy_curvature,
+    holonomy_probe, horizontal_flow, parallel_transport, relative_gap,
+    sode_flow, transport_oracle,
 )
 
 from conftest import eval_or_zero
@@ -264,8 +266,133 @@ def _flows(draw):
 @example((("x1",), (ONE,), (0.0,), 1.0, 0.1, (parse("x1"),), None))
 @example((("x1", "u1"), (parse("u1"), parse("-1")), (0.0, 1.0), 3.0, 0.3,
           (parse("x1"),), None))
+# A negated row over -0.0 slots whose stage values are zeros of both
+# signs: the step ends at 0.0, which y - sixth*(((a1 + 2a2) + 2a3) + a4)
+# would turn into -0.0.
+@example((("x1", "u1"), (Var("u1"), -Var("x1")), (-0.0, -0.0), 0.1, 0.1, (),
+          None))
+@example((("x1",), (-Const(2.0),), (-0.0,), 1.0, 0.25, (), None))
+@example((("x1",), (-ZERO,), (-0.0,), 1.0, 0.5, (), None))
 def test_kernel_matches_the_stage_by_stage_loop(flow):
     assert _outcome(_rk4, *flow) == _outcome(_stage_by_stage, *flow)
+
+
+def _full_rows(m, xdot, coeffs=None, b_names=()):
+    """The rows of a lift, and of a transport with `coeffs` on the slots
+    `b_names`, with every product kept: each row -sum, summed from 0.0."""
+    rows = list(xdot)
+    for A in range(m.k):
+        total = ZERO
+        for i in range(m.n):
+            total = total + m.gamma[A][i] * xdot[i]
+        rows.append(-total)
+    for A in range(len(b_names)):
+        total = ZERO
+        for i in range(m.n):
+            for B in range(len(b_names)):
+                total = total + coeffs[A, i, B] * xdot[i] * Var(b_names[B])
+        rows.append(-total)
+    return rows
+
+
+def _full_flow(m, X, p0, T, step):
+    y, steps, status = _stage_by_stage(m.bundle.coords, _full_rows(m, X),
+                                       p0.values(m.bundle), T, step,
+                                       m.excluded)
+    return FlowResult(PointE(tuple(y[:m.n]), tuple(y[m.n:])), steps, status)
+
+
+def _full_transport(m, X, p0, b0, T, step):
+    coeffs = transport._transport_coeffs(m)
+    b_names = transport._fresh(m.bundle.coords, "b", len(b0))
+    y, steps, status = _stage_by_stage(
+        m.bundle.coords + b_names, _full_rows(m, X, coeffs, b_names),
+        p0.values(m.bundle) + tuple(b0), T, step, m.excluded)
+    n = len(m.bundle.coords)
+    return TransportResult(PointE(tuple(y[:m.n]), tuple(y[m.n:n])),
+                           tuple(y[n:]), steps, status)
+
+
+def _ends(integrate):
+    """The float.hex end state, steps and status of a flow, a transport or
+    the values of a holonomy probe; or the text of its ModelError."""
+    try:
+        out = integrate()
+    except ModelError as exc:
+        return str(exc)
+    if isinstance(out, tuple):
+        return [v.hex() for v in out]
+    values = out.final.base + out.final.fiber + getattr(out, "final_fiber", ())
+    return [v.hex() for v in values], out.steps, out.status
+
+
+# Zeros of both signs and 1.0 as factors, coordinates at -0.0 and 1e300.
+_SPECIAL = st.sampled_from([ZERO, Const(-0.0), ONE, Const(-1.0)])
+_START = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300]),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _models_and_flows(draw):
+    """A vector or affine model on one or two base and fiber coordinates,
+    with zero and unit coefficients among others, an excluded set that may
+    name one predicate twice, a base field with zero and unit components,
+    a start point, a transported vector, a span and a step."""
+    n, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    base, fiber = ("x1", "x2")[:n], ("u1", "u2")[:k]
+    coords = base + fiber
+    fold = {name: Var(coords[i % len(coords)]) for i, name in enumerate(_SLOTS)}
+    entry = st.one_of(_SPECIAL, _RIGHT_HAND_SIDES.map(
+        lambda e: substitute(e, fold)))
+    gamma = [[draw(entry) for _ in base] for _ in fiber]
+    excluded = [substitute(e, fold)
+                for e in draw(st.lists(_PREDICATES, max_size=1))]
+    excluded += excluded * draw(st.integers(0, 1))
+    kind = draw(st.sampled_from(["vector", "affine"]))
+    m = ConnectionModel(BundleModel(kind, base, fiber), gamma, excluded)
+    on_base = {name: Var(base[i % n]) for i, name in enumerate(_SLOTS)}
+    X = tuple(draw(st.one_of(_SPECIAL, expressions().map(
+        lambda e: substitute(e, on_base)))) for _ in base)
+    p0 = PointE(tuple(draw(_START) for _ in base),
+                tuple(draw(_START) for _ in fiber))
+    b0 = tuple(draw(_START) for _ in range(k + (kind == "affine")))
+    T = draw(st.floats(-1.0, 1.0, allow_nan=False))
+    step = max(abs(T), 1e-3) / draw(st.integers(1, 20))
+    eps = draw(st.sampled_from([0.1, -0.05, 1e150]))
+    return m, X, p0, b0, T, step, eps
+
+
+def _vector_model(*gamma):
+    return ConnectionModel(BundleModel("vector", ("x1", "x2"), ("u1", "u2")),
+                           [[parse(e) for e in row] for row in gamma])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models_and_flows())
+# u1*u2 overflows, and its product with the zero field component is nan:
+# the lean rows keep that product, since no kept term has u1*u2 a factor.
+@example((_vector_model(("1", "u1*u2"), ("0", "0")), (ONE, ZERO),
+          PointE((0.0, 0.0), (1e300, 10.0)), (1.0, 0.0), 0.1, 0.1, 0.1))
+# x1*x1 overflows, so the full rows read nan in the u1 row, where the lean
+# ones step u1 below zero into ln(u1): both stop at t = 0, and the fault
+# reads as the full rows explain it.
+@example((_vector_model(("0", "1"), ("ln(u1)", "0")), (parse("x1*x1"), ONE),
+          PointE((1e200, 0.0), (0.01, 0.0)), (1.0, 0.0), 1.0, 1.0, 0.1))
+def test_lean_rows_end_flows_as_the_full_rows_do(case):
+    """The kernel's lean rows (no products of zero, no factors 1.0, each
+    negation folded into the step) end every flow, transport and holonomy
+    probe on the bits, step count and status of the full rows, or with the
+    same ModelError."""
+    m, X, p0, b0, T, step, eps = case
+    assert _ends(lambda: horizontal_flow(m, X, p0, T, step)) == \
+        _ends(lambda: _full_flow(m, X, p0, T, step))
+    spec = CurveSpec(start=p0, t_span=T, step=step, field=X)
+    assert _ends(lambda: parallel_transport(m, spec, b0)) == \
+        _ends(lambda: _full_transport(m, X, p0, b0, T, step))
+    if m.n == 2:
+        probe = _ends(lambda: holonomy_probe(m, p0, 0, 1, eps))
+        with patch.object(transport, "horizontal_flow", _full_flow):
+            assert probe == _ends(lambda: holonomy_probe(m, p0, 0, 1, eps))
 
 
 def test_flow_rejects_fiber_dependent_field(linear_model):
@@ -612,6 +739,41 @@ def test_one_kernel_per_distinct_flow(m4_model, monkeypatch):
         counts.append(len(builds))
     # Four holonomy legs along e_1 and e_2; two or three oracle flows of X.
     assert counts == [2, 1, 1]
+
+
+def test_m4_transport_kernel_stages_are_lean(m4_model, monkeypatch):
+    # The lift and transport rows of --field 1,x1: 37 entries per stage
+    # with every product of zero, factor 1.0 and negation kept.
+    sources = []
+    define = transport._define
+    monkeypatch.setattr(transport, "_define", lambda source, **names:
+                        sources.append(source) or define(source, **names))
+    _memo.clear()
+    spec = CurveSpec(start=PointE((0.3, 0.2), (1.0, 1.0)), t_span=0.01,
+                     step=1e-3, field=(ONE, parse("x1")))
+    parallel_transport(m4_model, spec, (1.0, 0.0))
+    [source] = sources
+    entries = [line for line in source.splitlines()
+               if line.lstrip().startswith("t1_")]
+    assert len(entries) == 18
+    assert not any(" * (1.0)" in line or "(0.0) * " in line or "= -" in line
+                   for line in entries)
+
+
+def test_each_distinct_excluded_predicate_is_tested_once(monkeypatch):
+    # potential_1d declares p1 = 0, and its transversality determinant is
+    # the same node p1.
+    m = shipped("potential_1d")
+    assert m.excluded == (Var("p1"), Var("p1"))
+    tested = []
+    build = transport._kernel
+    monkeypatch.setattr(transport, "_kernel", lambda names, rhs, excluded,
+                        bounded: tested.append(excluded)
+                        or build(names, rhs, excluded, bounded))
+    _memo.clear()
+    flow = horizontal_flow(m, (ONE,), PointE((0.0,), (1.0,)), 2.0, 1e-3)
+    assert tested == [(Var("p1"),)]
+    assert flow.status == "excluded:1.001"
 
 
 def test_holonomy_needs_two_directions(quadratic_model):
