@@ -4,8 +4,9 @@ connection comes from: vector, affine and cotangent models with a
 and cotangent models with a `[hamiltonian]` section, with and without
 first integrals. The runs take generated option payloads too: sections,
 fields, points, transported vectors, holonomy directions, splits, 1-forms,
-inverse metrics and first integrals, as `--flag=value`, since a value that begins with a minus sign cannot follow
-its flag as an argument of its own.
+inverse metrics and first integrals, as `--flag=value`, since a value
+that begins with a minus sign cannot follow its flag as an argument of
+its own.
 Whatever the coefficients and payloads, a run ends with exit code 0, 1 or
 2, never with a traceback; exit 2 ends with one `error:` line, and a
 report validates against the JSON schema.

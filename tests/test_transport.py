@@ -326,7 +326,8 @@ def _ends(integrate):
     return [v.hex() for v in values], out.steps, out.status
 
 
-# Zeros of both signs and 1.0 as factors, coordinates at -0.0 and 1e300.
+# Zeros of both signs, 1.0 and -1.0 as factors; coordinates at -0.0 and
+# +-1e300.
 _SPECIAL = st.sampled_from([ZERO, Const(-0.0), ONE, Const(-1.0)])
 _START = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300]),
                    st.floats(-2.0, 2.0, allow_nan=False))
@@ -372,10 +373,10 @@ def _vector_model(*gamma):
 # u1*u2 overflows, and its product with the zero field component is nan:
 # the lean rows keep that product, since no kept term has u1*u2 a factor.
 @example((_vector_model(("1", "u1*u2"), ("0", "0")), (ONE, ZERO),
-          PointE((0.0, 0.0), (1e300, 10.0)), (1.0, 0.0), 0.1, 0.1, 0.1))
+          PointE((0.0, 0.0), (1e300, 1e300)), (1.0, 0.0), 0.1, 0.1, 0.1))
 # x1*x1 overflows, so the full rows read nan in the u1 row, where the lean
-# ones step u1 below zero into ln(u1): both stop at t = 0, and the fault
-# reads as the full rows explain it.
+# ones step u1 below zero into ln(u1): both stop in the first step, and the
+# fault reads as the full rows explain it.
 @example((_vector_model(("0", "1"), ("ln(u1)", "0")), (parse("x1*x1"), ONE),
           PointE((1e200, 0.0), (0.01, 0.0)), (1.0, 0.0), 1.0, 1.0, 0.1))
 def test_lean_rows_end_flows_as_the_full_rows_do(case):
