@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, Var, ZERO, ONE, diff, is_zero, simplify, substitute
+from .expr import Expr, Var, ZERO, ONE, diff, simplify, substitute
 from .geometry import (
     BASE_COV, FIBER_COV, FIBER_VEC, CheckReport, Residuals, TensorField,
     VectorFieldOnE, _fiber_derivative, _homogeneous_report,
@@ -195,9 +195,9 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
     )
     derivative = affine_covariant_derivative(m, U, sigma)
     residual0 = simplify(derivative[0] - U.apply(m, sigma[0]))
-    comps_i = {} if is_zero(residual0) else {"distinguished_component": residual0}
     # Evaluated before `homogenize`, which may refuse the model.
-    sub_i, = yield [Residuals("distinguished_section_parallel", m, comps_i,
+    sub_i, = yield [Residuals("distinguished_section_parallel", m,
+                              {"distinguished_component": residual0},
                               samples, tol)]
 
     # (ii) homogeneity of the homogeneous extension.
@@ -216,13 +216,11 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
         for i in range(m.n):
             e = simplify(substitute(ext_lin[A + 1, i, 0], restrict) -
                          direct.coeffs_0[A, i])
-            if not is_zero(e):
-                comps_iii[f"restriction_c0[{A+1},{i+1}]"] = e
+            comps_iii[f"restriction_c0[{A+1},{i+1}]"] = e
             for B in range(m.k):
                 e = simplify(substitute(ext_lin[A + 1, i, B + 1], restrict) -
                              direct.coeffs_lin[A, i, B])
-                if not is_zero(e):
-                    comps_iii[f"restriction_lin[{A+1},{i+1},{B+1}]"] = e
+                comps_iii[f"restriction_lin[{A+1},{i+1},{B+1}]"] = e
 
     *hom_reports, sub_iii = yield [
         *_homogeneous_sets(hom.model, hom_samples, tol),

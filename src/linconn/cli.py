@@ -4,7 +4,8 @@ and renders the results, with no mathematics of its own.
 Verbs: tensor, check, transport, sode, hj, bianchi, info. Each verb returns
 the result dicts of its JSON document and prints nothing. The sampled
 checks of check, bianchi, sode and hj run only through
-`suites.run_checks`; an option given where it does not apply is refused.
+`suites.run_checks`. A verb takes only the options it reads, and an
+option given in a mode that does not read it is refused.
 With --json the document is printed: fixed key order, floats with 17
 significant digits, no timestamps. Otherwise `_print_result` renders each
 result dict as text, so a run that fails part-way prints no partial
@@ -94,6 +95,28 @@ COVERAGE = {
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as `UsageError`, so that each
+    ends in one `error:` line like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _missing_value(message: str, argv: Sequence[str]) -> str:
+    """argparse's `message` and, for an option given no value, how to pass
+    one that begins with a minus sign, which argparse reads as an option.
+    The value named is the first such argument after the option or a
+    prefix of it, which argparse takes for the option."""
+    flag, _, rest = message.removeprefix("argument ").partition(": ")
+    if rest != "expected one argument":
+        return message
+    value = next((v for f, v in zip(argv, argv[1:])
+                  if len(f) > 2 and flag.startswith(f)
+                  and v.startswith("-") and not v.startswith("--")), "VALUE")
+    return f"{message}; a value that begins with '-' is written {flag}={value}"
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +235,7 @@ def _refuse(options, where: str):
     """Refuse, rather than drop without a word, the first option given of
     the (flag, value, applies) triples that does not apply `where`."""
     for flag, value, applies in options:
-        if value not in (None, False) and not applies:
+        if value is not None and value is not False and not applies:
             raise UsageError(f"{flag} does not apply {where}")
 
 
@@ -461,8 +484,10 @@ def _checks(args, doc: ModelDocument, suites: Sequence[str],
             kind: str = "check", **options) -> tuple[list, str]:
     """The reports of the named suites, as results of type `kind`, and
     the status they give."""
-    reports = _suites.run_checks(doc, suites, args.samples, args.seed,
-                                 args.tol, **options)
+    reports = _suites.run_checks(
+        doc, suites, 100 if args.samples is None else args.samples,
+        0 if args.seed is None else args.seed,
+        1e-8 if args.tol is None else args.tol, **options)
     results = [{"type": kind, **report.to_dict()} for report in reports]
     return results, "pass" if all(r.passed for r in reports) else "fail"
 
@@ -473,7 +498,7 @@ def _cmd_check(args) -> tuple[list, str]:
     _refuse([("--section", args.section, args.suite in ("basic", "all"))],
             f"to --suite {args.suite}")
     section = (lambda: SectionModel(_parse_exprs(args.section, "--section"))
-               ) if args.section else None
+               ) if args.section is not None else None
     return _checks(args, doc, [args.suite], section=section)
 
 
@@ -483,43 +508,54 @@ def _cmd_bianchi(args) -> tuple[list, str]:
     return _checks(args, doc, ["bianchi", "tension-identities"])
 
 
+def _flow_span(args) -> tuple[float, float]:
+    """The --time and --step of a flow, 1.0 and 1e-3 when not given."""
+    return (1.0 if args.time is None else args.time,
+            1e-3 if args.step is None else args.step)
+
+
 def _cmd_transport(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
-    _refuse([(flag, value, not args.holonomy) for flag, value in (
+    _refuse([(flag, value, args.holonomy is None) for flag, value in (
         ("--field", args.field), ("--fiber", args.fiber),
-        ("--oracle", args.oracle), ("--central", args.central))],
-        "to --holonomy")
-    _refuse([("--central", args.central, args.oracle)], "without --oracle")
+        ("--time", args.time), ("--step", args.step),
+        ("--oracle", args.oracle), ("--fd-eps", args.fd_eps),
+        ("--central", args.central))], "to --holonomy")
+    _refuse([("--fd-eps", args.fd_eps, args.oracle),
+             ("--central", args.central, args.oracle)], "without --oracle")
+    _refuse([("--eps", args.eps, args.holonomy is not None)],
+            "without --holonomy")
+    if args.holonomy is None and not args.field:
+        raise UsageError("transport needs --field (or --holonomy)")
     p0 = _parse_point(getattr(args, "from"), m, "--from")
-    if args.holonomy:
+    if args.holonomy is not None:
         i, j = _parse_directions(args.holonomy, m.n)
-        defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, args.eps)
+        eps = 1e-2 if args.eps is None else args.eps
+        defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, eps)
         symbolic = _transport.holonomy_curvature(m, p0, i - 1, j - 1)
         return [{
             "type": "holonomy",
             "directions": [i, j],
-            "eps": args.eps,
+            "eps": eps,
             "defect_over_eps2": list(defect),
             "symbolic_curvature": list(symbolic),
         }], "ok"
 
-    if not args.field:
-        raise UsageError("transport needs --field (or --holonomy)")
     X = _parse_exprs(args.field, "--field")
     size = m.k + 1 if m.bundle.kind in ("affine", "jet") else m.k
-    if args.fiber:
+    if args.fiber is not None:
         b0 = _parse_floats(args.fiber, "--fiber")
     else:
         b0 = tuple(1.0 if idx == 0 else 0.0 for idx in range(size))
-    spec = _transport.CurveSpec(start=p0, t_span=args.time, step=args.step,
-                                field=X)
+    time, step = _flow_span(args)
+    spec = _transport.CurveSpec(start=p0, t_span=time, step=step, field=X)
     result = _transport.parallel_transport(m, spec, b0)
     payload = {
         "type": "transport",
         "from": {"base": list(p0.base), "fiber": list(p0.fiber)},
-        "time": args.time,
-        "step": args.step,
+        "time": time,
+        "step": step,
         "flow_final": {"base": list(result.final.base),
                        "fiber": list(result.final.fiber)},
         "flow_status": result.status,
@@ -530,8 +566,9 @@ def _cmd_transport(args) -> tuple[list, str]:
     if args.oracle:
         if m.bundle.kind in ("affine", "jet"):
             raise UsageError("--oracle applies to vector-like models")
-        oracle = _transport.transport_oracle(m, X, p0, b0, args.time,
-                                             args.step, fd_eps=args.fd_eps,
+        fd_eps = 1e-5 if args.fd_eps is None else args.fd_eps
+        oracle = _transport.transport_oracle(m, X, p0, b0, time, step,
+                                             fd_eps=fd_eps,
                                              central=args.central)
         payload["oracle"] = list(oracle)
         payload["oracle_relative_gap"] = _transport.relative_gap(
@@ -549,7 +586,13 @@ def _cmd_sode(args) -> tuple[list, str]:
     if args.classify and not s.autonomous:
         raise UsageError("--classify applies to autonomous models")
     _refuse([("--at", args.at, args.jacobi)], "without --jacobi")
-    split = _parse_split(args.split) if args.split else None
+    _refuse([(flag, value, args.flow is not None) for flag, value in (
+        ("--time", args.time), ("--step", args.step))], "without --flow")
+    sampled = args.classify or args.split is not None
+    _refuse([(flag, value, sampled) for flag, value in (
+        ("--samples", args.samples), ("--seed", args.seed),
+        ("--tol", args.tol))], "without --classify or --split")
+    split = _parse_split(args.split) if args.split is not None else None
     # --classify and --split check the same seeded sample set, in one pass.
     names = ["sode"] * args.classify + ["decoupling"] * (split is not None)
     if names:
@@ -570,14 +613,15 @@ def _cmd_sode(args) -> tuple[list, str]:
             "velocities": list(hom.velocity_coords),
             "forces": [to_string(f) for f in hom.forces],
         })
-    if args.flow:
+    if args.flow is not None:
         state0 = _parse_floats(args.flow, "--flow")
-        flow = _transport.sode_flow(s, state0, args.time, args.step)
+        time, step = _flow_span(args)
+        flow = _transport.sode_flow(s, state0, time, step)
         results.append({
             "type": "flow",
             "state0": list(state0),
-            "time": args.time,
-            "step": args.step,
+            "time": time,
+            "step": step,
             "final": list(flow.final.base) + list(flow.final.fiber),
             "status": flow.status,
         })
@@ -589,7 +633,7 @@ def _cmd_sode(args) -> tuple[list, str]:
 
 def _cmd_hj(args) -> tuple[list, str]:
     _refuse([("--metric", args.metric, not args.model)], "to a model file")
-    if args.metric:
+    if args.metric is not None:
         try:
             rows = json.loads(args.metric)
         except json.JSONDecodeError as exc:
@@ -601,7 +645,7 @@ def _cmd_hj(args) -> tuple[list, str]:
         g_inv = [[_metric_entry(v) for v in row] for row in rows]
         ham = _cotangent.geodesic_model(g_inv)
         integrals = _parse_exprs(args.integrals, "--integrals") \
-            if args.integrals else None
+            if args.integrals is not None else None
         doc = hamiltonian_document(ham.bundle, ham.H, integrals, (),
                                    f"metric:{args.metric}")
         args._model_text = doc.source
@@ -614,7 +658,7 @@ def _cmd_hj(args) -> tuple[list, str]:
                              "(or --metric)")
         _refuse([("--integrals", args.integrals, False)], "without --metric")
     names = ["integrable"] * (doc.connection is not None) + \
-        ["hamilton-jacobi"] * bool(args.alpha)
+        ["hamilton-jacobi"] * (args.alpha is not None)
     results, status = _checks(
         args, doc, names, alpha=lambda: _parse_exprs(args.alpha, "--alpha"))
     if not results:
@@ -627,7 +671,7 @@ def _cmd_hj(args) -> tuple[list, str]:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linconn",
         description="Linearize nonlinear connections, evaluate their "
                     "tensors, run diagnostic checks and transports.")
@@ -635,14 +679,20 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"linconn {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, model=True):
+    # An option left out is None, told apart from one given, and takes its
+    # default where it is read.
+    def common(p, model=True, sampling=False):
         if model:
             p.add_argument("model", help="model file path")
         p.add_argument("--json", action="store_true",
                        help="emit a deterministic JSON document")
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
+        if sampling:
+            p.add_argument("--samples", type=int,
+                           help="sample points (default 100)")
+            p.add_argument("--seed", type=int,
+                           help="seed of the sample points (default 0)")
+            p.add_argument("--tol", type=float,
+                           help="residual tolerance (default 1e-8)")
 
     p = sub.add_parser("info", help="describe a model file")
     common(p)
@@ -655,7 +705,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", help="scalar function on the total space")
 
     p = sub.add_parser("check", help="run a diagnostic check suite")
-    common(p)
+    common(p, sampling=True)
     p.add_argument("--suite", default="all",
                    choices=["all", "homogeneous", "basic", "flat", "axioms",
                             "bianchi", "tension-identities", "affine",
@@ -663,7 +713,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", help="section for --suite basic")
 
     p = sub.add_parser("bianchi", help="curvature and tension identities")
-    common(p)
+    common(p, sampling=True)
 
     p = sub.add_parser("transport", help="flows, transport and holonomy")
     common(p)
@@ -671,32 +721,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from", default=None,
                    help="start point, e.g. \"x1=0,u1=1\"")
     p.add_argument("--fiber", help="transported vector components")
-    p.add_argument("--time", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3,
-                   help="RK4 step of a --field transport; the --holonomy "
-                        "legs step at |eps|/50")
+    p.add_argument("--time", type=float, help="flow time (default 1)")
+    p.add_argument("--step", type=float, help="RK4 step (default 1e-3)")
     p.add_argument("--oracle", action="store_true",
                    help="compare against the fiber-derivative oracle")
-    p.add_argument("--fd-eps", type=float, default=1e-5)
+    p.add_argument("--fd-eps", type=float,
+                   help="finite-difference step of the oracle (default 1e-5)")
     p.add_argument("--central", action="store_true",
                    help="central differences in the oracle")
     p.add_argument("--holonomy", help="two base directions, e.g. \"1,2\"")
-    p.add_argument("--eps", type=float, default=1e-2)
+    p.add_argument("--eps", type=float,
+                   help="side of the holonomy rectangle (default 1e-2); its "
+                        "legs step at |eps|/50")
 
     p = sub.add_parser("sode", help="second-order equation diagnostics")
-    common(p)
+    common(p, sampling=True)
     p.add_argument("--classify", action="store_true")
     p.add_argument("--split", help="index split, e.g. \"1|2\"")
     p.add_argument("--jacobi", action="store_true")
     p.add_argument("--at")
     p.add_argument("--homogenize", action="store_true")
     p.add_argument("--flow", help="initial state, comma separated")
-    p.add_argument("--time", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--time", type=float, help="flow time (default 1)")
+    p.add_argument("--step", type=float, help="RK4 step (default 1e-3)")
 
     p = sub.add_parser("hj", help="Hamilton-Jacobi verification")
     p.add_argument("model", nargs="?", default=None, help="model file path")
-    common(p, model=False)
+    common(p, model=False, sampling=True)
     p.add_argument("--alpha", help="candidate 1-form components")
     p.add_argument("--metric", help="inverse metric as a JSON matrix")
     p.add_argument("--integrals", help="first integrals for --metric")
@@ -716,19 +767,22 @@ _HANDLERS = {
 
 def run(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 2
+    except UsageError as exc:
+        print(f"error: {_missing_value(str(exc), argv)}", file=sys.stderr)
+        return 2
     args._argv = argv
     args._model_text = None
     handler = _HANDLERS[args.verb]
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
             raise UsageError(f"--tol must be a finite number >= 0, "
-                             f"got {args.tol!r}")
+                             f"got {tol!r}")
         results, status = handler(args)
     except (UsageError, ModelError, ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

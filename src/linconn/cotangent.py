@@ -236,24 +236,14 @@ def _integrable_sets(h: HamiltonianModel, m: ConnectionModel,
                      samples: np.ndarray, tol: float) -> list[Residuals]:
     if h.first_integrals is None:
         raise ModelError("integrable_report needs first integrals")
-    comps_inv: dict[str, Expr] = {}
-    for (a, fa), (b, fb) in itertools.combinations(
-            enumerate(h.first_integrals, start=1), 2):
-        e = canonical_poisson(h.bundle, fa, fb)
-        if not is_zero(e):
-            comps_inv[f"involution[{a},{b}]"] = e
-
-    comps_fi: dict[str, Expr] = {}
-    for idx, f in enumerate(h.first_integrals, start=1):
-        e = canonical_poisson(h.bundle, h.H, f)
-        if not is_zero(e):
-            comps_fi[f"first_integral[{idx}]"] = e
-
-    comps_dh: dict[str, Expr] = {}
-    for idx, f in enumerate(h.first_integrals, start=1):
-        for i, e in enumerate(dh(m, f), start=1):
-            if not is_zero(e):
-                comps_dh[f"horizontal_differential[{idx};{i}]"] = e
+    integrals = list(enumerate(h.first_integrals, start=1))
+    comps_inv = {f"involution[{a},{b}]": canonical_poisson(h.bundle, fa, fb)
+                 for (a, fa), (b, fb) in itertools.combinations(integrals, 2)}
+    comps_fi = {f"first_integral[{idx}]": canonical_poisson(h.bundle, h.H, f)
+                for idx, f in integrals}
+    comps_dh = {f"horizontal_differential[{idx};{i}]": e
+                for idx, f in integrals
+                for i, e in enumerate(dh(m, f), start=1)}
 
     return [Residuals("involution", m, comps_inv, samples, tol),
             Residuals("first_integrals_of_H", m, comps_fi, samples, tol),
@@ -306,17 +296,13 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
         for j in range(i + 1, bundle.n):
             e = simplify(diff(alpha.components[i], bundle.base_coords[j]) -
                          diff(alpha.components[j], bundle.base_coords[i]))
-            if not is_zero(e):
-                comps_closed[f"closedness[{i+1},{j+1}]"] = e
+            comps_closed[f"closedness[{i+1},{j+1}]"] = e
 
     bindings = {p: alpha.components[i]
                 for i, p in enumerate(bundle.fiber_coords)}
     h_on_graph = simplify(substitute(h.H, bindings))
-    comps_level: dict[str, Expr] = {}
-    for i, x in enumerate(bundle.base_coords, start=1):
-        e = diff(h_on_graph, x)
-        if not is_zero(e):
-            comps_level[f"level[{i}]"] = e
+    comps_level = {f"level[{i}]": diff(h_on_graph, x)
+                   for i, x in enumerate(bundle.base_coords, start=1)}
     sets = [Residuals("closedness", helper, comps_closed, samples, tol,
                       {} if bundle.n > 1 else {"vacuous": True}),
             Residuals("level", helper, comps_level, samples, tol)]
@@ -326,8 +312,7 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
             for j in range(bundle.n):
                 e = simplify(diff(alpha.components[j], bundle.base_coords[i]) +
                              substitute(_g(connection, i, j), bindings))
-                if not is_zero(e):
-                    comps_int[f"integral_section[{i+1},{j+1}]"] = e
+                comps_int[f"integral_section[{i+1},{j+1}]"] = e
         sets.append(Residuals("integral_section", connection, comps_int,
                               samples, tol))
 
@@ -378,8 +363,7 @@ def _cyclic_set(m: ConnectionModel, samples: np.ndarray,
         for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
             e = e + R[c, a, b]
         e = simplify(e)
-        if not is_zero(e):
-            comps[f"cyclic[{i+1},{j+1},{l+1}]"] = e
+        comps[f"cyclic[{i+1},{j+1},{l+1}]"] = e
     return Residuals("cyclic_curvature", m, comps, samples, tol)
 
 
@@ -422,15 +406,13 @@ def cotangent_checks(m: ConnectionModel, count: int, tol: float,
             g = random_polynomial(m.bundle.coords, rng)
             residual = simplify(poisson(m, f, g) -
                                 canonical_poisson(m.bundle, f, g))
-            if not is_zero(residual):
-                comps_poisson[f"poisson_vs_canonical[{trial}]"] = residual
+            comps_poisson[f"poisson_vs_canonical[{trial}]"] = residual
             U = hamiltonian_field(m, g)
             pairing: Expr = ZERO
             for d, u in zip(dh(m, f) + dv(m, f), U.horizontal + U.vertical):
                 pairing = pairing + d * u
             residual = simplify(pairing - U.apply(m, f))
-            if not is_zero(residual):
-                comps_decomp[f"differential_decomposition[{trial}]"] = residual
+            comps_decomp[f"differential_decomposition[{trial}]"] = residual
         sets = [Residuals("poisson_vs_canonical", m, comps_poisson, pts, tol),
                 Residuals("differential_decomposition", m, comps_decomp, pts,
                           tol)]

@@ -341,7 +341,8 @@ def dv_field(m: ConnectionModel, field_: TensorField, d: int) -> TensorField:
 @dataclass(frozen=True, eq=False)
 class Residuals:
     """One residual set: labeled expressions of `m` whose largest absolute
-    value over `samples`, against `tol`, makes the report `name`."""
+    value over `samples`, against `tol`, makes the report `name`. An
+    expression that is structurally zero is no residual, and is dropped."""
 
     name: str
     m: ConnectionModel
@@ -349,6 +350,10 @@ class Residuals:
     samples: np.ndarray
     tol: float
     labels: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "comps", {
+            label: e for label, e in self.comps.items() if not is_zero(e)})
 
     def report(self, result=None) -> CheckReport:
         """The report of this set from `result`, its (max_residual,
@@ -625,9 +630,7 @@ def check_basic(m: ConnectionModel, sigma: SectionModel,
     comps: dict[str, Expr] = {}
     for A, comp in enumerate(sigma.components):
         for B, u in enumerate(m.bundle.fiber_coords):
-            e = diff(comp, u)
-            if not is_zero(e):
-                comps[f"d(sigma[{A + 1}])/d{u}"] = e
+            comps[f"d(sigma[{A + 1}])/d{u}"] = diff(comp, u)
     report, = yield [Residuals("basic", m, comps, samples, tol)]
     return report
 
@@ -669,8 +672,7 @@ def axioms_check(m: ConnectionModel, samples: np.ndarray, tol: float,
     comps: dict[str, Expr] = {}
     for A in range(m.k):
         e = simplify(lhs_leibniz[A] - (u_of_f * sigma[A] + f * d_sigma[A]))
-        if not is_zero(e):
-            comps[f"leibniz[{A + 1}]"] = e
+        comps[f"leibniz[{A + 1}]"] = e
     fU = VectorFieldOnE(
         horizontal=tuple(simplify(f * c) for c in U.horizontal),
         vertical=tuple(simplify(f * c) for c in U.vertical),
@@ -678,8 +680,7 @@ def axioms_check(m: ConnectionModel, samples: np.ndarray, tol: float,
     lhs_tensorial = covariant_derivative(m, fU, sigma)
     for A in range(m.k):
         e = simplify(lhs_tensorial[A] - f * d_sigma[A])
-        if not is_zero(e):
-            comps[f"tensoriality[{A + 1}]"] = e
+        comps[f"tensoriality[{A + 1}]"] = e
     report, = yield [Residuals("covariant_derivative_axioms", m, comps,
                                samples, tol)]
     return report
@@ -723,8 +724,7 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                                     is_zero(R[C, b, c])):
                                 e = e - theta[B, a, A, C] * R[C, b, c]
                     e = simplify(e)
-                    if not is_zero(e):
-                        comps1[f"cyclic[{i+1},{j+1},{l+1};{A+1},{B+1}]"] = e
+                    comps1[f"cyclic[{i+1},{j+1},{l+1};{A+1},{B+1}]"] = e
 
     # Identity 2.
     comps2: dict[str, Expr] = {}
@@ -738,8 +738,7 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                         e = simplify(dv_hh[B, i, j, A] -
                                      (dh_theta[i][B, j, A, D] -
                                       dh_theta[j][B, i, A, D]))
-                        if not is_zero(e):
-                            comps2[f"vertical_of_hh[{B+1},{i+1},{j+1},{A+1};{D+1}]"] = e
+                        comps2[f"vertical_of_hh[{B+1},{i+1},{j+1},{A+1};{D+1}]"] = e
 
     # Identity 3.
     comps3: dict[str, Expr] = {}
@@ -750,8 +749,7 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
                     for D in range(B + 1, k):
                         e = simplify(diff(theta[C, i, A, B], fiber[D]) -
                                      diff(theta[C, i, A, D], fiber[B]))
-                        if not is_zero(e):
-                            comps3[f"third_fiber_symmetry[{C+1},{i+1},{A+1};{B+1},{D+1}]"] = e
+                        comps3[f"third_fiber_symmetry[{C+1},{i+1},{A+1};{B+1},{D+1}]"] = e
 
     subs = yield [
         Residuals("bianchi_1_cyclic", m, comps1, samples, tol,
@@ -790,8 +788,7 @@ def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
                 for B in range(k):
                     e = e + Var(fiber[B]) * theta[A, i, B, D]
                 e = simplify(e)
-                if not is_zero(e):
-                    comps_a[f"vertical_of_tension[{A+1},{i+1};{D+1}]"] = e
+                comps_a[f"vertical_of_tension[{A+1},{i+1};{D+1}]"] = e
 
     comps_b: dict[str, Expr] = {}
     if n >= 2:
@@ -803,8 +800,7 @@ def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
                     for B in range(k):
                         e = e + hh[A, i, j, B] * Var(fiber[B])
                     e = simplify(e)
-                    if not is_zero(e):
-                        comps_b[f"horizontal_of_tension[{A+1};{i+1},{j+1}]"] = e
+                    comps_b[f"horizontal_of_tension[{A+1};{i+1},{j+1}]"] = e
 
     subs = yield [
         Residuals("tension_identity_vertical", m, comps_a, samples, tol),

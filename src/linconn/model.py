@@ -140,7 +140,8 @@ class ConnectionModel:
                 raise ModelError(
                     f"excluded-set predicate references unknown "
                     f"coordinate(s) {sorted(unknown)}")
-        self.excluded: tuple[Expr, ...] = tuple(excluded)
+        # Each predicate once, at its first position.
+        self.excluded: tuple[Expr, ...] = tuple(dict.fromkeys(excluded))
 
     @property
     def n(self) -> int:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import (Const, Expr, Var, ZERO, diff, is_zero, simplify, substitute,
+from .expr import (Const, Expr, Var, ZERO, diff, simplify, substitute,
                    variables)
 from .geometry import (
     BASE_COV, FIBER_VEC, CheckReport, Residuals, TensorField, _flat_set,
@@ -183,12 +183,10 @@ def _parallel_residuals(m: ConnectionModel, lin, field_: TensorField) -> dict[st
     comps: dict[str, Expr] = {}
     for i in range(m.n):
         for idx, e in dh_field(m, lin, field_, i, base_corr=True).items():
-            if not is_zero(e):
-                comps[f"dh_{i + 1}({field_.label(idx)})"] = e
+            comps[f"dh_{i + 1}({field_.label(idx)})"] = e
     for d in range(m.k):
         for idx, e in dv_field(m, field_, d).items():
-            if not is_zero(e):
-                comps[f"dv_{d + 1}({field_.label(idx)})"] = e
+            comps[f"dv_{d + 1}({field_.label(idx)})"] = e
     return comps
 
 
@@ -260,12 +258,8 @@ def decoupling_check(s: SodeModel, split: tuple[Sequence[int], Sequence[int]],
         comps = {}
         for i in rows:
             for a in cols:
-                e = m.gamma[i - 1][offset + a - 1]
-                if not is_zero(e):
-                    comps[f"gamma[{i},{a}]"] = e
-                e = phi[i - 1, a - 1]
-                if not is_zero(e):
-                    comps[f"jacobi[{i},{a}]"] = e
+                comps[f"gamma[{i},{a}]"] = m.gamma[i - 1][offset + a - 1]
+                comps[f"jacobi[{i},{a}]"] = phi[i - 1, a - 1]
         return Residuals(tag, m, comps, samples, tol)
 
     subs = yield [block(first, second, "first_from_second_block"),

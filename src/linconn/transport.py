@@ -134,18 +134,16 @@ def _rk4(names: Sequence[str], rhs: Sequence[Expr], y0: Sequence[float],
     slots are `names`, with one right-hand-side expression per slot, run
     as one generated kernel (`_kernel`), built once per distinct flow and
     kept in the expression memo. The kernel runs `lean`, rows that step
-    bit for bit as `rhs` does (by default `rhs` itself), and tests each
-    distinct excluded-set predicate once. Returns (final_state, steps,
-    status): the last state kept, as a list of floats, and the number of
-    steps that reached it."""
+    bit for bit as `rhs` does (by default `rhs` itself). Returns
+    (final_state, steps, status): the last state kept, as a list of
+    floats, and the number of steps that reached it."""
     _check_span(T, step)
     bounded = [slot for slot, name in enumerate(names)
                if box is not None and name in box]
     n_steps = max(1, int(round(abs(T) / step)))
     h = T / n_steps
-    excluded = tuple(dict.fromkeys(excluded))
     lean = tuple(rhs if lean is None else lean)
-    key = (tuple(names), lean, excluded, tuple(bounded))
+    key = (tuple(names), lean, tuple(excluded), tuple(bounded))
     kernel = _memo.get(key)
     if kernel is None:
         kernel = _memo[key] = _kernel(names, lean, excluded, bounded)

@@ -855,6 +855,29 @@ INAPPLICABLE = (
      "--at does not apply without --jacobi"),
     (("check", "m4", "--suite", "flat", "--section", "x1,x2"),
      "--section does not apply to --suite flat"),
+    (("transport", "m4", "--holonomy", "1,2", "--time", "7"),
+     "--time does not apply to --holonomy"),
+    (("transport", "m4", "--holonomy", "1,2", "--step", "5e-3"),
+     "--step does not apply to --holonomy"),
+    (("transport", "m4", "--holonomy", "1,2", "--fd-eps", "3"),
+     "--fd-eps does not apply to --holonomy"),
+    (("transport", "m4", "--field", "1,0", "--fd-eps", "2"),
+     "--fd-eps does not apply without --oracle"),
+    (("transport", "m4", "--field", "1,0", "--oracle", "--eps", "5"),
+     "--eps does not apply without --holonomy"),
+    # A zero is a value given, not an option left out.
+    (("transport", "m4", "--field", "1,0", "--eps", "0"),
+     "--eps does not apply without --holonomy"),
+    (("sode", "oscillator_pair", "--jacobi", "--time", "3"),
+     "--time does not apply without --flow"),
+    (("sode", "oscillator_pair", "--homogenize", "--step", "0.1"),
+     "--step does not apply without --flow"),
+    (("sode", "oscillator_pair", "--jacobi", "--samples", "9"),
+     "--samples does not apply without --classify or --split"),
+    (("sode", "oscillator_pair", "--flow", "1,0,0,1", "--seed", "0"),
+     "--seed does not apply without --classify or --split"),
+    (("sode", "oscillator_pair", "--flow", "1,0,0,1", "--tol", "1e-6"),
+     "--tol does not apply without --classify or --split"),
 )
 
 
@@ -865,6 +888,83 @@ def test_verbs_reject_options_that_do_not_apply(argv, message):
     code, out, err = run_cli(verb, str(MODELS / f"{model}.lc"), *rest)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+# argparse's own errors; a name ending in .lc is a shipped model.
+PARSER_ERRORS = (
+    (("info", "m4.lc", "--samples", "7", "--seed", "3", "--tol", "5"),
+     "unrecognized arguments: --samples 7 --seed 3 --tol 5"),
+    (("info", "m4.lc", "--tol", "nan"), "unrecognized arguments: --tol nan"),
+    (("tensor", "m4.lc", "--name", "curvature", "--seed", "1"),
+     "unrecognized arguments: --seed 1"),
+    (("transport", "m4.lc", "--field", "1,0", "--samples", "5"),
+     "unrecognized arguments: --samples 5"),
+    (("sode", "oscillator.lc", "--flow", "-1,0"),
+     "argument --flow: expected one argument; a value that begins with "
+     "'-' is written --flow=-1,0"),
+    (("transport", "m4.lc", "--field", "-1,0", "--from", "x1=0"),
+     "argument --field: expected one argument; a value that begins with "
+     "'-' is written --field=-1,0"),
+    (("sode", "oscillator.lc", "--flo", "-1,0"),
+     "argument --flow: expected one argument; a value that begins with "
+     "'-' is written --flow=-1,0"),
+    (("sode", "oscillator.lc", "--flow"),
+     "argument --flow: expected one argument; a value that begins with "
+     "'-' is written --flow=VALUE"),
+    (("check", "m4.lc", "--samples", "x"),
+     "argument --samples: invalid int value: 'x'"),
+    (("transport", "m4.lc", "--field", "1,0", "--time", "soon"),
+     "argument --time: invalid float value: 'soon'"),
+    (("check", "m4.lc", "--suite", "none"),
+     "argument --suite: invalid choice: 'none' (choose from 'all', "
+     "'homogeneous', 'basic', 'flat', 'axioms', 'bianchi', "
+     "'tension-identities', 'affine', 'cotangent', 'sode')"),
+    (("info", "m4.lc", "--json=1"),
+     "argument --json: ignored explicit argument '1'"),
+    (("tensor", "m4.lc"), "the following arguments are required: --name"),
+    (("nonsense-verb",),
+     "argument verb: invalid choice: 'nonsense-verb' (choose from 'info', "
+     "'tensor', 'check', 'bianchi', 'transport', 'sode', 'hj')"),
+    ((), "the following arguments are required: verb"),
+)
+
+
+M4_START = "x1=0,x2=0,u1=1,u2=1"
+# An empty value is a value given: refused as malformed, not dropped.
+EMPTY_VALUES = (
+    (("sode", "oscillator_pair.lc", "--jacobi", "--split="),
+     'split must look like "1 2|3" or "1|2"'),
+    (("sode", "oscillator_pair.lc", "--jacobi", "--flow="),
+     "--flow needs comma-separated numbers, got ''"),
+    (("transport", "m4.lc", "--holonomy=", "--from", M4_START),
+     "--holonomy needs two base directions such as \"1,2\", got ''"),
+    (("transport", "m4.lc", "--field", "1,0", "--fiber=", "--from", M4_START),
+     "--fiber needs comma-separated numbers, got ''"),
+    (("transport", "m4.lc", "--field="),
+     "transport needs --field (or --holonomy)"),
+    (("check", "m4.lc", "--section="), "empty component in --section"),
+    (("hj", "geodesic_const.lc", "--alpha="), "empty component in --alpha"),
+    (("hj", "--metric=[[1]]", "--integrals=", "--alpha=0"),
+     "empty component in --integrals"),
+)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(*case, id=" ".join(case[0]) or "no-verb")
+    for case in PARSER_ERRORS + EMPTY_VALUES])
+def test_usage_errors_end_in_one_error_line(argv, message):
+    code, out, err = run_cli(*(str(MODELS / a) if a.endswith(".lc") else a
+                               for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("--version",), *((verb, "--help") for verb in cli._HANDLERS)],
+    ids=" ".join)
+def test_help_and_version_exit_0(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])

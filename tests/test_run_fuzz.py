@@ -4,12 +4,14 @@ connection comes from: vector, affine and cotangent models with a
 and cotangent models with a `[hamiltonian]` section, with and without
 first integrals. The runs take generated option payloads too: sections,
 fields, points, transported vectors, holonomy directions, splits, 1-forms,
-inverse metrics and first integrals, as `--flag=value`, since a value
-that begins with a minus sign cannot follow its flag as an argument of
-its own.
+functions, inverse metrics and first integrals, as `--flag=value`, since a
+value that begins with a minus sign cannot follow its flag as an argument
+of its own; and the values of the numeric flags, some as arguments of
+their own, so that a negative one may stop at the parser.
 Whatever the coefficients and payloads, a run ends with exit code 0, 1 or
 2, never with a traceback; exit 2 ends with one `error:` line, and a
-report validates against the JSON schema.
+report validates against the JSON schema. Every generated option is one
+that its run reads, so no run stops at the refusal of an option.
 
 The coefficients are trees of the `tests/test_expr.py` operations over the
 model's coordinates, powers with column exponents and with negative and
@@ -54,34 +56,66 @@ KINDS = {
 # Per kind: runs that take option payloads. `{exprs}` stands for
 # expressions of the model's coordinates, `{basic}` for expressions of its
 # base coordinates, `{momenta}` for expressions of those of a metric's
-# cotangent chart, and `{point}`, `{fiber}`, `{holonomy}`, `{split}` and
-# `{metric}` for a point, a transported vector, two holonomy directions,
-# an index split and an inverse metric; each may also be malformed. A run
-# with `--metric` takes no model file.
+# cotangent chart, `{function}` for one expression of the model's
+# coordinates and `{differential}` for a tensor name that takes it, and
+# `{point}`, `{fiber}`, `{holonomy}`, `{split}` and `{metric}` for a
+# point, a transported vector, two holonomy directions, an index split
+# and an inverse metric; each may also be malformed. `{time}`, `{step}`,
+# `{eps}`, `{fd_eps}`, `{tol}` and `{seed}` stand for the values of those
+# flags. A run with `--metric` takes no model file.
 OPTION_RUNS = {
-    "vector": (("check", "--suite", "basic", "--section={exprs}"),
+    "vector": (("check", "--suite", "basic", "--section={exprs}", "--tol",
+                "{tol}"),
                ("tensor", "--name", "pullback-coeffs", "--section={basic}",
                 "--at={point}"),
                ("transport", "--field={basic}", "--fiber={fiber}",
-                "--from={point}", "--time", "0.01"),
-               ("transport", "--holonomy={holonomy}", "--from={point}")),
+                "--from={point}", "--time", "{time}", "--step={step}"),
+               ("transport", "--field={basic}", "--from={point}", "--time",
+                "0.01", "--oracle", "--fd-eps", "{fd_eps}"),
+               ("transport", "--holonomy={holonomy}", "--from={point}",
+                "--eps", "{eps}"),
+               ("bianchi", "--seed", "{seed}", "--tol={tol}")),
     "affine": (("check", "--suite", "basic", "--section={exprs}"),
                ("transport", "--field={basic}", "--fiber={fiber}",
-                "--from={point}", "--time", "0.01")),
-    "cotangent": (("check", "--suite", "all", "--section={basic}"),
+                "--from={point}", "--time={time}", "--step", "{step}")),
+    "cotangent": (("check", "--suite", "all", "--section={basic}",
+                   "--seed={seed}"),
                   ("transport", "--field={exprs}", "--from={point}",
-                   "--time", "0.01")),
-    "sode": (("sode", "--classify", "--split={split}"),
+                   "--time", "0.01", "--oracle", "--central",
+                   "--fd-eps={fd_eps}"),
+                  ("tensor", "--name", "{differential}",
+                   "--function={function}", "--at={point}")),
+    "sode": (("sode", "--classify", "--split={split}", "--seed", "{seed}",
+              "--tol", "{tol}"),
              ("sode", "--jacobi", "--at={point}"),
-             ("sode", "--split={split}", "--flow={state}", "--time", "0.01")),
+             ("sode", "--split={split}", "--flow={state}", "--time", "{time}",
+              "--step", "{step}")),
     "jet": (("sode", "--split={split}"), ("sode", "--jacobi", "--at={point}"),
-            ("sode", "--flow={state}", "--time", "0.01")),
-    "hamiltonian": (("hj", "--alpha={basic}"),
-                    ("hj", "--metric={metric}", "--alpha={basic}"),
+            ("sode", "--flow={state}", "--time={time}", "--step", "{step}")),
+    "hamiltonian": (("hj", "--alpha={basic}", "--tol", "{tol}"),
+                    ("hj", "--metric={metric}", "--alpha={basic}",
+                     "--seed={seed}"),
                     ("hj", "--metric={metric}", "--integrals={momenta}",
-                     "--alpha={basic}")),
+                     "--alpha={basic}"),
+                    ("tensor", "--name", "{differential}",
+                     "--function={function}")),
 }
 MALFORMED = ("x1,,", "(", ",", "1e400", "zz", "x1 = 1", "")
+# Values of the numeric flags: a few finite ones each, then zero, not a
+# number, both infinities, an overflowing literal and no number at all.
+# Every flow stays short: at most 0.5 long at a step of at least 1e-3, or
+# refused.
+NUMBERS = {
+    "time": ("0.01", "0.5", "-0.25"),
+    "step": ("0.01", "0.25", "-0.01", "1e-300"),
+    "eps": ("0.01", "-0.02", "1e-9", "1e200"),
+    "fd_eps": ("1e-5", "1", "-1e-5", "1e-300"),
+    "tol": ("1e-8", "1e300", "-1e-8"),
+}
+EDGES = ("0", "nan", "inf", "-inf", "1e400", "abc", "")
+SEEDS = ("0", "7", "-1", "2.5", "99999999999999999999", "x", "")
+# `--samples` values that are refused before any point is drawn.
+BAD_COUNTS = ("0", "-3", "2.5", "2000001", "99999999999999999999", "nan", "")
 # The bundle kind of each kind that is not one itself, and the section
 # that defines a model of each kind.
 BUNDLE_KIND = {"sode": "tangent", "hamiltonian": "cotangent"}
@@ -128,6 +162,12 @@ def _payloads(base, fiber, coefficient):
     momenta = st.recursive(_leaf(["x1", "x2", "p1", "p2"]), _combine,
                            max_leaves=3)
     return {
+        **{flag: st.one_of(st.sampled_from(values),
+                           st.sampled_from(EDGES))
+           for flag, values in NUMBERS.items()},
+        "seed": st.sampled_from(SEEDS),
+        "function": _texts(coefficient, 1),
+        "differential": st.sampled_from(("dh", "dv", "hamiltonian-field")),
         "exprs": _texts(coefficient, len(fiber)),
         "basic": _texts(st.recursive(_leaf(base), _combine, max_leaves=3),
                         len(base)),
@@ -206,16 +246,24 @@ FINITE_POWERS = ("[bundle]\nkind = tangent\nbase = x1\nfiber = v1\n\n[sode]\n"
                  "f1 = 2^v1 - x1^2 + sqrt(x1^2 + 1)*v1^3 + (x1^2 + 1)^-0.5\n")
 
 
+def _samples(argv):
+    """Whether the run `argv` draws sample points, and so reads --samples."""
+    return argv[0] in ("check", "bianchi", "hj") or any(
+        a == "--classify" or a.startswith("--split") for a in argv)
+
+
 def _assert_run_ends_cleanly(tmp_path, text, argv, samples):
     path = tmp_path / "fuzz.lc"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     model = [] if any(a.startswith("--metric") for a in argv) else [str(path)]
+    count = ["--samples", str(samples)] if _samples(argv) else []
     with redirect_stdout(out), redirect_stderr(err):
-        code = run([argv[0], *model, *argv[1:], "--json",
-                    "--samples", str(samples)])
+        code = run([argv[0], *model, *argv[1:], "--json", *count])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert "does not apply" not in err.getvalue()
+    assert "unrecognized arguments" not in err.getvalue()
     if code == 2:
         assert err.getvalue().splitlines()[-1].startswith("error: ")
         assert out.getvalue() == ""
@@ -274,12 +322,19 @@ def test_run_on_jet_and_hamiltonian_models_never_a_traceback(
     _assert_run_ends_cleanly(tmp_path, *model, samples)
 
 
-@settings(_FUZZ, max_examples=80)
+@settings(_FUZZ, max_examples=120)
 @given(model=models(runs=OPTION_RUNS),
-       samples=st.integers(min_value=1, max_value=20))
+       samples=st.one_of(st.integers(min_value=1, max_value=20),
+                         st.sampled_from(BAD_COUNTS)))
 @example(model=(POTENTIAL, ("hj", "--metric=[[NaN]]", "--alpha=x1")),
          samples=5)
 @example(model=(JET, ("sode", "--flow=-1,0,1", "--time", "0.01")), samples=1)
+@example(model=(JET, ("sode", "--flow", "-1,0,1")), samples=1)
+@example(model=(POTENTIAL, ("tensor", "--name", "hamiltonian-field",
+                            "--function=p1^2/x1", "--at=x1=0,p1=1")),
+         samples=1)
+@example(model=(POTENTIAL, ("hj", "--alpha=x1", "--seed", "-1")),
+         samples="2000001")
 def test_run_with_option_payloads_never_a_traceback(tmp_path, model,
                                                     samples):
     _assert_run_ends_cleanly(tmp_path, *model, samples)
