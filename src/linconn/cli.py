@@ -105,6 +105,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The value of each option that is left out, applied where it is read. An
+# option left out is None, told apart from one given: a mode that does not
+# read it can refuse it.
+_DEFAULTS = {"samples": 100, "seed": 0, "tol": 1e-8, "time": 1.0,
+             "step": 1e-3, "eps": 1e-2, "fd_eps": 1e-5}
+
+
+def _option(args, name: str):
+    """The value of option `name`: as given, or its default."""
+    value = getattr(args, name)
+    return _DEFAULTS[name] if value is None else value
+
+
 def _missing_value(message: str, argv: Sequence[str]) -> str:
     """argparse's `message` and, for an option given no value, how to pass
     one that begins with a minus sign, which argparse reads as an option.
@@ -485,9 +498,8 @@ def _checks(args, doc: ModelDocument, suites: Sequence[str],
     """The reports of the named suites, as results of type `kind`, and
     the status they give."""
     reports = _suites.run_checks(
-        doc, suites, 100 if args.samples is None else args.samples,
-        0 if args.seed is None else args.seed,
-        1e-8 if args.tol is None else args.tol, **options)
+        doc, suites, _option(args, "samples"), _option(args, "seed"),
+        _option(args, "tol"), **options)
     results = [{"type": kind, **report.to_dict()} for report in reports]
     return results, "pass" if all(r.passed for r in reports) else "fail"
 
@@ -508,12 +520,6 @@ def _cmd_bianchi(args) -> tuple[list, str]:
     return _checks(args, doc, ["bianchi", "tension-identities"])
 
 
-def _flow_span(args) -> tuple[float, float]:
-    """The --time and --step of a flow, 1.0 and 1e-3 when not given."""
-    return (1.0 if args.time is None else args.time,
-            1e-3 if args.step is None else args.step)
-
-
 def _cmd_transport(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
@@ -531,7 +537,7 @@ def _cmd_transport(args) -> tuple[list, str]:
     p0 = _parse_point(getattr(args, "from"), m, "--from")
     if args.holonomy is not None:
         i, j = _parse_directions(args.holonomy, m.n)
-        eps = 1e-2 if args.eps is None else args.eps
+        eps = _option(args, "eps")
         defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, eps)
         symbolic = _transport.holonomy_curvature(m, p0, i - 1, j - 1)
         return [{
@@ -548,7 +554,7 @@ def _cmd_transport(args) -> tuple[list, str]:
         b0 = _parse_floats(args.fiber, "--fiber")
     else:
         b0 = tuple(1.0 if idx == 0 else 0.0 for idx in range(size))
-    time, step = _flow_span(args)
+    time, step = _option(args, "time"), _option(args, "step")
     spec = _transport.CurveSpec(start=p0, t_span=time, step=step, field=X)
     result = _transport.parallel_transport(m, spec, b0)
     payload = {
@@ -566,10 +572,9 @@ def _cmd_transport(args) -> tuple[list, str]:
     if args.oracle:
         if m.bundle.kind in ("affine", "jet"):
             raise UsageError("--oracle applies to vector-like models")
-        fd_eps = 1e-5 if args.fd_eps is None else args.fd_eps
-        oracle = _transport.transport_oracle(m, X, p0, b0, time, step,
-                                             fd_eps=fd_eps,
-                                             central=args.central)
+        oracle = _transport.transport_oracle(
+            m, X, p0, b0, time, step, fd_eps=_option(args, "fd_eps"),
+            central=args.central)
         payload["oracle"] = list(oracle)
         payload["oracle_relative_gap"] = _transport.relative_gap(
             result.final_fiber, oracle)
@@ -615,7 +620,7 @@ def _cmd_sode(args) -> tuple[list, str]:
         })
     if args.flow is not None:
         state0 = _parse_floats(args.flow, "--flow")
-        time, step = _flow_span(args)
+        time, step = _option(args, "time"), _option(args, "step")
         flow = _transport.sode_flow(s, state0, time, step)
         results.append({
             "type": "flow",
@@ -679,8 +684,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"linconn {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    # An option left out is None, told apart from one given, and takes its
-    # default where it is read.
+    def default(name: str) -> str:
+        return f"(default {_DEFAULTS[name]:g})"
+
     def common(p, model=True, sampling=False):
         if model:
             p.add_argument("model", help="model file path")
@@ -688,11 +694,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a deterministic JSON document")
         if sampling:
             p.add_argument("--samples", type=int,
-                           help="sample points (default 100)")
+                           help=f"sample points {default('samples')}")
             p.add_argument("--seed", type=int,
-                           help="seed of the sample points (default 0)")
+                           help=f"seed of the sample points {default('seed')}")
             p.add_argument("--tol", type=float,
-                           help="residual tolerance (default 1e-8)")
+                           help=f"residual tolerance {default('tol')}")
 
     p = sub.add_parser("info", help="describe a model file")
     common(p)
@@ -721,18 +727,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from", default=None,
                    help="start point, e.g. \"x1=0,u1=1\"")
     p.add_argument("--fiber", help="transported vector components")
-    p.add_argument("--time", type=float, help="flow time (default 1)")
-    p.add_argument("--step", type=float, help="RK4 step (default 1e-3)")
+    p.add_argument("--time", type=float, help=f"flow time {default('time')}")
+    p.add_argument("--step", type=float, help=f"RK4 step {default('step')}")
     p.add_argument("--oracle", action="store_true",
                    help="compare against the fiber-derivative oracle")
     p.add_argument("--fd-eps", type=float,
-                   help="finite-difference step of the oracle (default 1e-5)")
+                   help="finite-difference step of the oracle "
+                        f"{default('fd_eps')}")
     p.add_argument("--central", action="store_true",
                    help="central differences in the oracle")
     p.add_argument("--holonomy", help="two base directions, e.g. \"1,2\"")
     p.add_argument("--eps", type=float,
-                   help="side of the holonomy rectangle (default 1e-2); its "
-                        "legs step at |eps|/50")
+                   help=f"side of the holonomy rectangle {default('eps')}; "
+                        "its legs step at |eps|/50")
 
     p = sub.add_parser("sode", help="second-order equation diagnostics")
     common(p, sampling=True)
@@ -742,8 +749,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at")
     p.add_argument("--homogenize", action="store_true")
     p.add_argument("--flow", help="initial state, comma separated")
-    p.add_argument("--time", type=float, help="flow time (default 1)")
-    p.add_argument("--step", type=float, help="RK4 step (default 1e-3)")
+    p.add_argument("--time", type=float, help=f"flow time {default('time')}")
+    p.add_argument("--step", type=float, help=f"RK4 step {default('step')}")
 
     p = sub.add_parser("hj", help="Hamilton-Jacobi verification")
     p.add_argument("model", nargs="?", default=None, help="model file path")

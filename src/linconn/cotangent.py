@@ -115,7 +115,8 @@ def is_symmetric(m: ConnectionModel, probes: int = 16) -> bool:
     evaluation on a small deterministic grid off the excluded set. The
     verdict of an evaluation is kept in the memo, keyed by all it depends
     on, so a run draws and evaluates the grid once."""
-    comps = _field_residuals(torsion_form(m))
+    comps = {label: e for label, e in _field_residuals(torsion_form(m)).items()
+             if not is_zero(e)}
     if not comps:
         return True
     key = ("is_symmetric", tuple(comps.items()), m.bundle.coords,

@@ -587,7 +587,7 @@ def _suite(gen: Callable[..., Generator]):
 
 
 def _field_residuals(field_: TensorField) -> dict[str, Expr]:
-    return {field_.label(idx): e for idx, e in field_.items() if not is_zero(e)}
+    return {field_.label(idx): e for idx, e in field_.items()}
 
 
 # ---------------------------------------------------------------------------

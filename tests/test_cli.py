@@ -915,16 +915,9 @@ PARSER_ERRORS = (
      "argument --samples: invalid int value: 'x'"),
     (("transport", "m4.lc", "--field", "1,0", "--time", "soon"),
      "argument --time: invalid float value: 'soon'"),
-    (("check", "m4.lc", "--suite", "none"),
-     "argument --suite: invalid choice: 'none' (choose from 'all', "
-     "'homogeneous', 'basic', 'flat', 'axioms', 'bianchi', "
-     "'tension-identities', 'affine', 'cotangent', 'sode')"),
     (("info", "m4.lc", "--json=1"),
      "argument --json: ignored explicit argument '1'"),
     (("tensor", "m4.lc"), "the following arguments are required: --name"),
-    (("nonsense-verb",),
-     "argument verb: invalid choice: 'nonsense-verb' (choose from 'info', "
-     "'tensor', 'check', 'bianchi', 'transport', 'sode', 'hj')"),
     ((), "the following arguments are required: verb"),
 )
 
@@ -957,6 +950,32 @@ def test_usage_errors_end_in_one_error_line(argv, message):
                                for a in argv))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+# An invalid choice: how argparse quotes the list of choices differs
+# between Python versions, so the line is pinned up to that list, and
+# each choice must appear in it.
+INVALID_CHOICES = (
+    (("check", "m4.lc", "--suite", "none"),
+     "argument --suite: invalid choice: 'none' (choose from ",
+     ("all", "homogeneous", "basic", "flat", "axioms", "bianchi",
+      "tension-identities", "affine", "cotangent", "sode")),
+    (("nonsense-verb",),
+     "argument verb: invalid choice: 'nonsense-verb' (choose from ",
+     ("info", "tensor", "check", "bianchi", "transport", "sode", "hj")),
+)
+
+
+@pytest.mark.parametrize("argv, head, choices", [
+    pytest.param(*case, id=" ".join(case[0])) for case in INVALID_CHOICES])
+def test_invalid_choices_end_in_one_error_line(argv, head, choices):
+    code, out, err = run_cli(*(str(MODELS / a) if a.endswith(".lc") else a
+                               for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {head}") and err.endswith(")\n")
+    assert err.count("\n") == 1
+    listed = err[len(f"error: {head}"):-len(")\n")].split(", ")
+    assert [c.strip("'") for c in listed] == list(choices)
 
 
 @pytest.mark.parametrize("argv", [
