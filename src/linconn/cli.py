@@ -4,15 +4,15 @@ and renders the results, with no mathematics of its own.
 Verbs: tensor, check, transport, sode, hj, bianchi, info. Each verb returns
 the result dicts of its JSON document and prints nothing. The sampled
 checks of check, bianchi, sode and hj run only through
-`suites.run_checks`. A verb takes only the options it reads, and an
-option given in a mode that does not read it is refused.
+`suites.run_checks`. One table, `_VERBS`, gives each verb's options;
+the parser, the defaults and the refusals are built from it.
 With --json the document is printed: fixed key order, floats with 17
 significant digits, no timestamps. Otherwise `_print_result` renders each
 result dict as text, so a run that fails part-way prints no partial
 report. Exit codes: 0 success / all checks passed, 1 a check failed, 2
-usage or validation errors. No expression is too deep to process; only
-source text nested deeper than the parser takes (about 195 parentheses)
-is a parse error.
+usage or validation errors; only `run` writes to stderr. No expression
+is too deep to process; only source text nested deeper than the parser
+takes (about 195 parentheses) is a parse error.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+import warnings
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .expr import (EvalError, Expr, ParseError, _memo, evaluate, is_zero,
                    parse, to_string)
-from .model import (ConnectionModel, ModelDocument, ModelError, PointE,
-                    SectionModel, hamiltonian_document, load_model)
+from .model import (_MAX_SAMPLES, ConnectionModel, ModelDocument,
+                    ModelError, PointE, SectionModel, hamiltonian_document,
+                    load_model)
 from . import affine as _affine
 from . import cotangent as _cotangent
 from . import geometry as _geometry
@@ -40,57 +42,6 @@ from . import suites as _suites
 from . import transport as _transport
 
 SCHEMA_VERSION = 1
-
-# Operation-to-verb coverage map; the test suite checks that every public
-# operation of the computational modules appears here.
-COVERAGE = {
-    "geometry.h_apply": "tensor",
-    "geometry.linear_coeffs": "tensor",
-    "geometry.covariant_derivative": "check",
-    "geometry.tension": "tensor",
-    "geometry.curvature": "tensor",
-    "geometry.vh_curvature": "tensor",
-    "geometry.hh_curvature": "tensor",
-    "geometry.hh_curvature_commutator": "tensor",
-    "geometry.check_homogeneous": "check",
-    "geometry.check_basic": "check",
-    "geometry.flatness_check": "check",
-    "geometry.axioms_check": "check",
-    "geometry.bianchi_check": "bianchi",
-    "geometry.tension_identities_check": "bianchi",
-    "geometry.integral_section_residual": "tensor",
-    "geometry.pullback_connection_coeffs": "tensor",
-    "affine.homogenize": "tensor",
-    "affine.affine_linearization": "tensor",
-    "affine.affine_covariant_derivative": "check",
-    "affine.check_affine_structure": "check",
-    "affine.check_homogenized": "check",
-    "sode.sode_connection": "sode",
-    "sode.jacobi_endomorphism": "sode",
-    "sode.nonautonomous_connection": "sode",
-    "sode.homogeneous_sode": "sode",
-    "sode.linearizability_report": "sode",
-    "sode.decoupling_check": "sode",
-    "cotangent.torsion_form": "tensor",
-    "cotangent.dh": "tensor",
-    "cotangent.dv": "tensor",
-    "cotangent.hamiltonian_field": "tensor",
-    "cotangent.poisson": "check",
-    "cotangent.canonical_poisson": "check",
-    "cotangent.integrable_connection": "hj",
-    "cotangent.integrable_report": "hj",
-    "cotangent.hj_verify": "hj",
-    "cotangent.geodesic_model": "hj",
-    "cotangent.cyclic_curvature_check": "check",
-    "cotangent.cotangent_checks": "check",
-    "transport.horizontal_flow": "transport",
-    "transport.parallel_transport": "transport",
-    "transport.transport_oracle": "transport",
-    "transport.relative_gap": "transport",
-    "transport.holonomy_probe": "transport",
-    "transport.holonomy_curvature": "transport",
-    "transport.sode_flow": "sode",
-}
 
 
 class UsageError(Exception):
@@ -103,19 +54,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-# The value of each option that is left out, applied where it is read. An
-# option left out is None, told apart from one given: a mode that does not
-# read it can refuse it.
-_DEFAULTS = {"samples": 100, "seed": 0, "tol": 1e-8, "time": 1.0,
-             "step": 1e-3, "eps": 1e-2, "fd_eps": 1e-5}
-
-
-def _option(args, name: str):
-    """The value of option `name`: as given, or its default."""
-    value = getattr(args, name)
-    return _DEFAULTS[name] if value is None else value
 
 
 def _missing_value(message: str, argv: Sequence[str]) -> str:
@@ -162,12 +100,12 @@ def emit_json(doc: dict) -> bytes:
     return (_json_value(doc) + "\n").encode("utf-8")
 
 
-def _document(args, model_text: str, results: list, status: str) -> dict:
+def _document(argv: list, model_text: str, results: list, status: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "linconn", "version": __version__},
         "model_digest": hashlib.sha256(model_text.encode("utf-8")).hexdigest(),
-        "command": list(args._argv),
+        "command": argv,
         "status": status,
         "results": results,
     }
@@ -201,8 +139,8 @@ def _parse_point(text: str | None, m: ConnectionModel, flag: str) -> PointE:
     fiber_default = 1.0 if m.excluded else 0.0
     missing = [c for c in bundle.coords if c not in values]
     if missing:
-        print(f"warning: coordinates {missing} not specified; base defaults "
-              f"to 0, fiber to {fiber_default:g}", file=sys.stderr)
+        warnings.warn(f"coordinates {missing} not specified; base defaults "
+                      f"to 0, fiber to {fiber_default:g}")
     base = tuple(values.get(c, 0.0) for c in bundle.base_coords)
     fiber = tuple(values.get(c, fiber_default) for c in bundle.fiber_coords)
     return PointE(base=base, fiber=fiber)
@@ -242,14 +180,6 @@ def _require_connection(doc: ModelDocument) -> ConnectionModel:
                          "section without first integrals); the requested "
                          "command needs one")
     return doc.connection
-
-
-def _refuse(options, where: str):
-    """Refuse, rather than drop without a word, the first option given of
-    the (flag, value, applies) triples that does not apply `where`."""
-    for flag, value, applies in options:
-        if value is not None and value is not False and not applies:
-            raise UsageError(f"{flag} does not apply {where}")
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
@@ -441,20 +371,14 @@ _SECTION_BUILDERS = {
 
 # Names that need --function.
 _FUNCTION_NAMES = ("dh", "dv", "hamiltonian-field")
+_TENSOR_NAMES = (*_TENSOR_BUILDERS, *_SECTION_BUILDERS, *_FUNCTION_NAMES,
+                 "jacobi", "homogenized-gamma")
 
 
 def _cmd_tensor(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
     name = args.name
-    if name not in (*_TENSOR_BUILDERS, *_SECTION_BUILDERS, *_FUNCTION_NAMES,
-                    "jacobi", "homogenized-gamma"):
-        raise UsageError(f"unknown tensor name {name!r}")
-    # The homogenized model has coordinates of its own, so --at names none.
-    _refuse((("--section", args.section, name in _SECTION_BUILDERS),
-             ("--function", args.function, name in _FUNCTION_NAMES),
-             ("--at", args.at, name != "homogenized-gamma")),
-            f"to --name {name}")
     at = _parse_point(args.at, m, "--at") if args.at is not None else None
     if name in _TENSOR_BUILDERS:
         field = _TENSOR_BUILDERS[name](m)
@@ -497,9 +421,8 @@ def _checks(args, doc: ModelDocument, suites: Sequence[str],
             kind: str = "check", **options) -> tuple[list, str]:
     """The reports of the named suites, as results of type `kind`, and
     the status they give."""
-    reports = _suites.run_checks(
-        doc, suites, _option(args, "samples"), _option(args, "seed"),
-        _option(args, "tol"), **options)
+    reports = _suites.run_checks(doc, suites, args.samples, args.seed,
+                                 args.tol, **options)
     results = [{"type": kind, **report.to_dict()} for report in reports]
     return results, "pass" if all(r.passed for r in reports) else "fail"
 
@@ -507,8 +430,6 @@ def _checks(args, doc: ModelDocument, suites: Sequence[str],
 def _cmd_check(args) -> tuple[list, str]:
     doc = _load(args)
     _require_connection(doc)
-    _refuse([("--section", args.section, args.suite in ("basic", "all"))],
-            f"to --suite {args.suite}")
     section = (lambda: SectionModel(_parse_exprs(args.section, "--section"))
                ) if args.section is not None else None
     return _checks(args, doc, [args.suite], section=section)
@@ -523,27 +444,17 @@ def _cmd_bianchi(args) -> tuple[list, str]:
 def _cmd_transport(args) -> tuple[list, str]:
     doc = _load(args)
     m = _require_connection(doc)
-    _refuse([(flag, value, args.holonomy is None) for flag, value in (
-        ("--field", args.field), ("--fiber", args.fiber),
-        ("--time", args.time), ("--step", args.step),
-        ("--oracle", args.oracle), ("--fd-eps", args.fd_eps),
-        ("--central", args.central))], "to --holonomy")
-    _refuse([("--fd-eps", args.fd_eps, args.oracle),
-             ("--central", args.central, args.oracle)], "without --oracle")
-    _refuse([("--eps", args.eps, args.holonomy is not None)],
-            "without --holonomy")
     if args.holonomy is None and not args.field:
         raise UsageError("transport needs --field (or --holonomy)")
     p0 = _parse_point(getattr(args, "from"), m, "--from")
     if args.holonomy is not None:
         i, j = _parse_directions(args.holonomy, m.n)
-        eps = _option(args, "eps")
-        defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, eps)
+        defect = _transport.holonomy_probe(m, p0, i - 1, j - 1, args.eps)
         symbolic = _transport.holonomy_curvature(m, p0, i - 1, j - 1)
         return [{
             "type": "holonomy",
             "directions": [i, j],
-            "eps": eps,
+            "eps": args.eps,
             "defect_over_eps2": list(defect),
             "symbolic_curvature": list(symbolic),
         }], "ok"
@@ -554,14 +465,14 @@ def _cmd_transport(args) -> tuple[list, str]:
         b0 = _parse_floats(args.fiber, "--fiber")
     else:
         b0 = tuple(1.0 if idx == 0 else 0.0 for idx in range(size))
-    time, step = _option(args, "time"), _option(args, "step")
-    spec = _transport.CurveSpec(start=p0, t_span=time, step=step, field=X)
+    spec = _transport.CurveSpec(start=p0, t_span=args.time, step=args.step,
+                                field=X)
     result = _transport.parallel_transport(m, spec, b0)
     payload = {
         "type": "transport",
         "from": {"base": list(p0.base), "fiber": list(p0.fiber)},
-        "time": time,
-        "step": step,
+        "time": args.time,
+        "step": args.step,
         "flow_final": {"base": list(result.final.base),
                        "fiber": list(result.final.fiber)},
         "flow_status": result.status,
@@ -573,7 +484,7 @@ def _cmd_transport(args) -> tuple[list, str]:
         if m.bundle.kind in ("affine", "jet"):
             raise UsageError("--oracle applies to vector-like models")
         oracle = _transport.transport_oracle(
-            m, X, p0, b0, time, step, fd_eps=_option(args, "fd_eps"),
+            m, X, p0, b0, args.time, args.step, fd_eps=args.fd_eps,
             central=args.central)
         payload["oracle"] = list(oracle)
         payload["oracle_relative_gap"] = _transport.relative_gap(
@@ -590,13 +501,6 @@ def _cmd_sode(args) -> tuple[list, str]:
     results: list = []
     if args.classify and not s.autonomous:
         raise UsageError("--classify applies to autonomous models")
-    _refuse([("--at", args.at, args.jacobi)], "without --jacobi")
-    _refuse([(flag, value, args.flow is not None) for flag, value in (
-        ("--time", args.time), ("--step", args.step))], "without --flow")
-    sampled = args.classify or args.split is not None
-    _refuse([(flag, value, sampled) for flag, value in (
-        ("--samples", args.samples), ("--seed", args.seed),
-        ("--tol", args.tol))], "without --classify or --split")
     split = _parse_split(args.split) if args.split is not None else None
     # --classify and --split check the same seeded sample set, in one pass.
     names = ["sode"] * args.classify + ["decoupling"] * (split is not None)
@@ -620,13 +524,12 @@ def _cmd_sode(args) -> tuple[list, str]:
         })
     if args.flow is not None:
         state0 = _parse_floats(args.flow, "--flow")
-        time, step = _option(args, "time"), _option(args, "step")
-        flow = _transport.sode_flow(s, state0, time, step)
+        flow = _transport.sode_flow(s, state0, args.time, args.step)
         results.append({
             "type": "flow",
             "state0": list(state0),
-            "time": time,
-            "step": step,
+            "time": args.time,
+            "step": args.step,
             "final": list(flow.final.base) + list(flow.final.fiber),
             "status": flow.status,
         })
@@ -637,7 +540,6 @@ def _cmd_sode(args) -> tuple[list, str]:
 
 
 def _cmd_hj(args) -> tuple[list, str]:
-    _refuse([("--metric", args.metric, not args.model)], "to a model file")
     if args.metric is not None:
         try:
             rows = json.loads(args.metric)
@@ -661,7 +563,6 @@ def _cmd_hj(args) -> tuple[list, str]:
         if doc.hamiltonian is None:
             raise UsageError("hj needs a model with a [hamiltonian] section "
                              "(or --metric)")
-        _refuse([("--integrals", args.integrals, False)], "without --metric")
     names = ["integrable"] * (doc.connection is not None) + \
         ["hamilton-jacobi"] * (args.alpha is not None)
     results, status = _checks(
@@ -675,7 +576,115 @@ def _cmd_hj(args) -> tuple[list, str]:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Option(NamedTuple):
+    """One option of one verb. Left out, it parses as None and takes
+    `default`. Given, it is refused as `--flag does not apply <phrase>` by
+    the first (phrase, reads) of `modes` where `reads(args)` is false, or
+    as `--flag must be <what>` where `check`, (test, what), fails."""
+    flag: str
+    dest: str
+    help: str | None
+    default: object
+    modes: tuple
+    check: tuple | None
+    settings: dict
+
+
+def _opt(flag: str, help: str | None = None, default=None, modes=(),
+         check=None, **settings) -> _Option:
+    if default is not None:
+        shown = format(default, "g") if isinstance(default, float) else default
+        help = f"{help} (default {shown})"
+    return _Option(flag, flag.lstrip("-").replace("-", "_"), help, default,
+                   tuple(modes), check, settings)
+
+
+_MODEL = _opt("model", "model file path")
+_JSON = _opt("--json", "emit a deterministic JSON document",
+             action="store_true")
+_TO_HOLONOMY = ("to --holonomy", lambda a: a.holonomy is None)
+_ORACLE = ("without --oracle", lambda a: a.oracle)
+_FLOW = ("without --flow", lambda a: a.flow is not None)
+
+
+def _sampling(*modes) -> tuple[_Option, ...]:
+    return (_opt("--samples", "sample points", 100, modes,
+                 (lambda v: 1 <= v <= _MAX_SAMPLES,
+                  f"an integer from 1 to {_MAX_SAMPLES}"), type=int),
+            _opt("--seed", "seed of the sample points", 0, modes,
+                 (lambda v: v >= 0, "an integer >= 0"), type=int),
+            _opt("--tol", "residual tolerance", 1e-8, modes,
+                 (lambda v: math.isfinite(v) and v >= 0,
+                  "a finite number >= 0"), type=float))
+
+
+# Per verb: its handler, its help and its options, in the order of --help.
+_VERBS = {
+    "info": (_cmd_info, "describe a model file", (_MODEL, _JSON)),
+    "tensor": (_cmd_tensor, "evaluate a named tensor", (
+        _MODEL, _JSON,
+        _opt("--name", check=(lambda v: v in _TENSOR_NAMES,
+                              "one of " + ", ".join(_TENSOR_NAMES)),
+             required=True),
+        # The homogenized model has coordinates of its own: --at names none.
+        _opt("--at", "point, e.g. \"x1=0,u1=1\"", modes=[
+            ("to --name {name}", lambda a: a.name != "homogenized-gamma")]),
+        _opt("--section", "comma-separated section components", modes=[
+            ("to --name {name}", lambda a: a.name in _SECTION_BUILDERS)]),
+        _opt("--function", "scalar function on the total space", modes=[
+            ("to --name {name}", lambda a: a.name in _FUNCTION_NAMES)]))),
+    "check": (_cmd_check, "run a diagnostic check suite", (
+        _MODEL, _JSON, *_sampling(),
+        _opt("--suite", "check suite", "all",
+             choices=["all", "homogeneous", "basic", "flat", "axioms",
+                      "bianchi", "tension-identities", "affine", "cotangent",
+                      "sode"]),
+        _opt("--section", "section for --suite basic", modes=[
+            ("to --suite {suite}", lambda a: a.suite in ("basic", "all"))]))),
+    "bianchi": (_cmd_bianchi, "curvature and tension identities",
+                (_MODEL, _JSON, *_sampling())),
+    "transport": (_cmd_transport, "flows, transport and holonomy", (
+        _MODEL, _JSON,
+        _opt("--field", "base vector field components", modes=[_TO_HOLONOMY]),
+        _opt("--from", "start point, e.g. \"x1=0,u1=1\""),
+        _opt("--fiber", "transported vector components", modes=[_TO_HOLONOMY]),
+        _opt("--time", "flow time", 1.0, [_TO_HOLONOMY], type=float),
+        _opt("--step", "RK4 step", 1e-3, [_TO_HOLONOMY], type=float),
+        _opt("--oracle", "compare against the fiber-derivative oracle",
+             modes=[_TO_HOLONOMY], action="store_true"),
+        _opt("--fd-eps", "finite-difference step of the oracle", 1e-5,
+             [_TO_HOLONOMY, _ORACLE], type=float),
+        _opt("--central", "central differences in the oracle",
+             modes=[_TO_HOLONOMY, _ORACLE], action="store_true"),
+        _opt("--holonomy", "two base directions, e.g. \"1,2\""),
+        _opt("--eps", "side of the holonomy rectangle, whose legs step at "
+             "|eps|/50", 1e-2,
+             [("without --holonomy", lambda a: a.holonomy is not None)],
+             type=float))),
+    "sode": (_cmd_sode, "second-order equation diagnostics", (
+        _MODEL, _JSON,
+        *_sampling(("without --classify or --split",
+                    lambda a: a.classify or a.split is not None)),
+        _opt("--classify", action="store_true"),
+        _opt("--split", "index split, e.g. \"1|2\""),
+        _opt("--jacobi", action="store_true"),
+        _opt("--at", modes=[("without --jacobi", lambda a: a.jacobi)]),
+        _opt("--homogenize", action="store_true"),
+        _opt("--flow", "initial state, comma separated"),
+        _opt("--time", "flow time", 1.0, [_FLOW], type=float),
+        _opt("--step", "RK4 step", 1e-3, [_FLOW], type=float))),
+    "hj": (_cmd_hj, "Hamilton-Jacobi verification", (
+        _opt("model", "model file path", nargs="?"), _JSON, *_sampling(),
+        _opt("--alpha", "candidate 1-form components"),
+        _opt("--metric", "inverse metric as a JSON matrix",
+             modes=[("to a model file", lambda a: not a.model)]),
+        _opt("--integrals", "first integrals for --metric",
+             modes=[("without --metric", lambda a: a.metric is not None)]))),
+}
+
+
+def _parser(verb: str | None) -> argparse.ArgumentParser:
+    """The parser of every verb, with the options of `verb` alone."""
     parser = _Parser(
         prog="linconn",
         description="Linearize nonlinear connections, evaluate their "
@@ -683,114 +692,52 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"linconn {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def default(name: str) -> str:
-        return f"(default {_DEFAULTS[name]:g})"
-
-    def common(p, model=True, sampling=False):
-        if model:
-            p.add_argument("model", help="model file path")
-        p.add_argument("--json", action="store_true",
-                       help="emit a deterministic JSON document")
-        if sampling:
-            p.add_argument("--samples", type=int,
-                           help=f"sample points {default('samples')}")
-            p.add_argument("--seed", type=int,
-                           help=f"seed of the sample points {default('seed')}")
-            p.add_argument("--tol", type=float,
-                           help=f"residual tolerance {default('tol')}")
-
-    p = sub.add_parser("info", help="describe a model file")
-    common(p)
-
-    p = sub.add_parser("tensor", help="evaluate a named tensor")
-    common(p)
-    p.add_argument("--name", required=True)
-    p.add_argument("--at", help="point, e.g. \"x1=0,u1=1\"")
-    p.add_argument("--section", help="comma-separated section components")
-    p.add_argument("--function", help="scalar function on the total space")
-
-    p = sub.add_parser("check", help="run a diagnostic check suite")
-    common(p, sampling=True)
-    p.add_argument("--suite", default="all",
-                   choices=["all", "homogeneous", "basic", "flat", "axioms",
-                            "bianchi", "tension-identities", "affine",
-                            "cotangent", "sode"])
-    p.add_argument("--section", help="section for --suite basic")
-
-    p = sub.add_parser("bianchi", help="curvature and tension identities")
-    common(p, sampling=True)
-
-    p = sub.add_parser("transport", help="flows, transport and holonomy")
-    common(p)
-    p.add_argument("--field", help="base vector field components")
-    p.add_argument("--from", dest="from", default=None,
-                   help="start point, e.g. \"x1=0,u1=1\"")
-    p.add_argument("--fiber", help="transported vector components")
-    p.add_argument("--time", type=float, help=f"flow time {default('time')}")
-    p.add_argument("--step", type=float, help=f"RK4 step {default('step')}")
-    p.add_argument("--oracle", action="store_true",
-                   help="compare against the fiber-derivative oracle")
-    p.add_argument("--fd-eps", type=float,
-                   help="finite-difference step of the oracle "
-                        f"{default('fd_eps')}")
-    p.add_argument("--central", action="store_true",
-                   help="central differences in the oracle")
-    p.add_argument("--holonomy", help="two base directions, e.g. \"1,2\"")
-    p.add_argument("--eps", type=float,
-                   help=f"side of the holonomy rectangle {default('eps')}; "
-                        "its legs step at |eps|/50")
-
-    p = sub.add_parser("sode", help="second-order equation diagnostics")
-    common(p, sampling=True)
-    p.add_argument("--classify", action="store_true")
-    p.add_argument("--split", help="index split, e.g. \"1|2\"")
-    p.add_argument("--jacobi", action="store_true")
-    p.add_argument("--at")
-    p.add_argument("--homogenize", action="store_true")
-    p.add_argument("--flow", help="initial state, comma separated")
-    p.add_argument("--time", type=float, help=f"flow time {default('time')}")
-    p.add_argument("--step", type=float, help=f"RK4 step {default('step')}")
-
-    p = sub.add_parser("hj", help="Hamilton-Jacobi verification")
-    p.add_argument("model", nargs="?", default=None, help="model file path")
-    common(p, model=False, sampling=True)
-    p.add_argument("--alpha", help="candidate 1-form components")
-    p.add_argument("--metric", help="inverse metric as a JSON matrix")
-    p.add_argument("--integrals", help="first integrals for --metric")
+    for name, (_, help, options) in _VERBS.items():
+        p = sub.add_parser(name, help=help)
+        for option in options if name == verb else ():
+            p.add_argument(option.flag, help=option.help, **option.settings)
     return parser
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "tensor": _cmd_tensor,
-    "check": _cmd_check,
-    "bianchi": _cmd_bianchi,
-    "transport": _cmd_transport,
-    "sode": _cmd_sode,
-    "hj": _cmd_hj,
-}
+def _apply_options(args):
+    """Give each option left out its default, then refuse each one given,
+    in the order of the table, as its `_Option` says."""
+    values, options = vars(args), _VERBS[args.verb][2]
+    given = [o for o in options
+             if values[o.dest] is not None and values[o.dest] is not False]
+    values.update([(o.dest, o.default) for o in options
+                   if values[o.dest] is None])
+    for option in given:
+        for phrase, reads in option.modes:
+            if not reads(args):
+                raise UsageError(f"{option.flag} does not apply "
+                                 f"{phrase.format_map(values)}")
+        value = values[option.dest]
+        if option.check and not option.check[0](value):
+            raise UsageError(f"{option.flag} must be {option.check[1]}, "
+                             f"got {value!r}")
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one command line. Its report goes to stdout; stderr gets one
+    `error:` line on exit 2, else one `warning:` line per distinct note or
+    library warning of the run."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    verb = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser(verb).parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 2
     except UsageError as exc:
         print(f"error: {_missing_value(str(exc), argv)}", file=sys.stderr)
         return 2
-    args._argv = argv
-    args._model_text = None
-    handler = _HANDLERS[args.verb]
+    args._model_text = ""
     try:
-        tol = getattr(args, "tol", None)
-        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-            raise UsageError(f"--tol must be a finite number >= 0, "
-                             f"got {tol!r}")
-        results, status = handler(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _apply_options(args)
+            results, status = _VERBS[args.verb][0](args)
     except (UsageError, ModelError, ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -798,7 +745,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         _memo.clear()
     try:
         if args.json:
-            doc = _document(args, args._model_text or "", results, status)
+            doc = _document(argv, args._model_text, results, status)
             text = emit_json(doc).decode("utf-8")
             # In pieces the stream buffers whole: a single larger write
             # that a closing reader cuts short is dropped without an error.
@@ -818,6 +765,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print("error: stdout was closed before the report was written",
               file=sys.stderr)
         return 2
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     return 1 if status == "fail" else 0
 
 

@@ -12,6 +12,7 @@ vector fields and the canonical Poisson bracket.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -227,10 +228,14 @@ def integrable_connection(h: HamiltonianModel) -> ConnectionModel:
 
 
 def _zero_on_probes(bundle: BundleModel, e: Expr, count: int = 25) -> bool:
+    """Whether `e` is within 1e-12 of zero at `count` fixed probes in
+    [0.3, 1.7]^d: probe k has coordinate j at 0.3 + 1.4*frac(0.5 +
+    k*exp(1/j)), a Weyl sequence of plain floats (1 and the exp(1/j) are
+    independent over the rationals)."""
     fn = compile_fn(e, bundle.coords)
-    probes = np.random.default_rng(20240917).uniform(
-        0.3, 1.7, size=(count, len(bundle.coords)))
-    return not any(abs(fn(vals)) > 1e-12 for vals in probes.tolist())
+    return not any(abs(fn([0.3 + 1.4 * ((0.5 + k * math.exp(1 / j)) % 1.0)
+                           for j in range(1, len(bundle.coords) + 1)])) > 1e-12
+                   for k in range(1, count + 1))
 
 
 def _integrable_sets(h: HamiltonianModel, m: ConnectionModel,

@@ -396,12 +396,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, value, offset = self.peek()
-        if kind == _TOK_OP and value == op:
-            return self.advance()
-        raise ParseError(f"unexpected token {value!r}", offset, expected=repr(op))
-
     def parse(self) -> Expr:
         e = self.expr()
         kind, value, offset = self.peek()

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import jsonschema
 import pytest
 
 import linconn.cli as cli
-from linconn.cli import COVERAGE, emit_json, run
+from linconn.cli import emit_json, run
 from linconn.expr import _memo
 
 REPO = Path(__file__).resolve().parents[1]
@@ -292,7 +293,8 @@ def test_cotangent_suite_probes_the_torsion_once_per_run(monkeypatch, tmp_path,
                                                          scale, warned):
     # Torsion within the suite's tolerance but not structurally zero:
     # each `poisson` and `hamiltonian_field` of the four trials asks
-    # whether the connection is symmetric.
+    # whether the connection is symmetric. The run prints each distinct
+    # warning once.
     from linconn import cotangent, suites
     path = tmp_path / "cot.lc"
     path.write_text("[bundle]\nkind = cotangent\nbase = x1, x2\n"
@@ -300,24 +302,32 @@ def test_cotangent_suite_probes_the_torsion_once_per_run(monkeypatch, tmp_path,
                     f"Gamma[1,2] = {scale}*x1\nGamma[2,1] = 0\n"
                     "Gamma[2,2] = 0\n")
     sample_points = suites.sample_points
+    warn = warnings.warn
 
     def runs():
-        draws = []
+        draws, categories = [], []
 
         def counting(*args, **kwargs):
             draws.append(args[1])
             return sample_points(*args, **kwargs)
 
+        def counting_warn(message, category, **kwargs):
+            categories.append(category)
+            warn(message, category, **kwargs)
+
         for module in (suites, cotangent):
             monkeypatch.setattr(module, "sample_points", counting)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run_cli("check", str(path), "--suite",
-                                     "cotangent", "--samples", "30", "--json")
-        assert code == 0 and err == ""
-        asymmetric = [w for w in caught
-                      if w.category is cotangent.AsymmetricConnectionWarning]
-        return draws, len(asymmetric), out
+        monkeypatch.setattr(cotangent.warnings, "warn", counting_warn)
+        code, out, err = run_cli("check", str(path), "--suite", "cotangent",
+                                 "--samples", "30", "--json")
+        assert code == 0
+        asymmetric = categories.count(cotangent.AsymmetricConnectionWarning)
+        assert len(categories) == asymmetric
+        assert sorted(err.splitlines()) == [
+            f"warning: {op}: connection is not symmetric; the Hamiltonian "
+            "decomposition is only valid for symmetric connections"
+            for op in ("hamiltonian_field", "poisson") if asymmetric]
+        return draws, asymmetric, out
 
     draws, count, out = runs()
     assert draws == [30, 30, 16]
@@ -536,6 +546,58 @@ def test_tensor_json_has_frame_labels():
 # Coverage: every public operation is reachable from a CLI verb
 # ---------------------------------------------------------------------------
 
+# Operation-to-verb coverage map: every public operation of the
+# computational modules is reachable from a CLI verb.
+COVERAGE = {
+    "geometry.h_apply": "tensor",
+    "geometry.linear_coeffs": "tensor",
+    "geometry.covariant_derivative": "check",
+    "geometry.tension": "tensor",
+    "geometry.curvature": "tensor",
+    "geometry.vh_curvature": "tensor",
+    "geometry.hh_curvature": "tensor",
+    "geometry.hh_curvature_commutator": "tensor",
+    "geometry.check_homogeneous": "check",
+    "geometry.check_basic": "check",
+    "geometry.flatness_check": "check",
+    "geometry.axioms_check": "check",
+    "geometry.bianchi_check": "bianchi",
+    "geometry.tension_identities_check": "bianchi",
+    "geometry.integral_section_residual": "tensor",
+    "geometry.pullback_connection_coeffs": "tensor",
+    "affine.homogenize": "tensor",
+    "affine.affine_linearization": "tensor",
+    "affine.affine_covariant_derivative": "check",
+    "affine.check_affine_structure": "check",
+    "affine.check_homogenized": "check",
+    "sode.sode_connection": "sode",
+    "sode.jacobi_endomorphism": "sode",
+    "sode.nonautonomous_connection": "sode",
+    "sode.homogeneous_sode": "sode",
+    "sode.linearizability_report": "sode",
+    "sode.decoupling_check": "sode",
+    "cotangent.torsion_form": "tensor",
+    "cotangent.dh": "tensor",
+    "cotangent.dv": "tensor",
+    "cotangent.hamiltonian_field": "tensor",
+    "cotangent.poisson": "check",
+    "cotangent.canonical_poisson": "check",
+    "cotangent.integrable_connection": "hj",
+    "cotangent.integrable_report": "hj",
+    "cotangent.hj_verify": "hj",
+    "cotangent.geodesic_model": "hj",
+    "cotangent.cyclic_curvature_check": "check",
+    "cotangent.cotangent_checks": "check",
+    "transport.horizontal_flow": "transport",
+    "transport.parallel_transport": "transport",
+    "transport.transport_oracle": "transport",
+    "transport.relative_gap": "transport",
+    "transport.holonomy_probe": "transport",
+    "transport.holonomy_curvature": "transport",
+    "transport.sode_flow": "sode",
+}
+
+
 def test_every_public_operation_mapped_to_a_verb():
     from linconn import affine, cotangent, geometry, sode, transport
 
@@ -696,7 +758,8 @@ def test_samples_beyond_the_limit_exit_2_without_drawing(argv):
     assert time.monotonic() - start < 1
     assert peak < 10 * 2 ** 20
     assert (code, out) == (2, "")
-    assert err == "error: count must be at most 2000000, got 1000000000000\n"
+    assert err == ("error: --samples must be an integer from 1 to 2000000, "
+                   "got 1000000000000\n")
 
 
 def _library_results(reports):
@@ -978,8 +1041,222 @@ def test_invalid_choices_end_in_one_error_line(argv, head, choices):
     assert [c.strip("'") for c in listed] == list(choices)
 
 
+def _shipped(argv):
+    """`argv` with each name ending in .lc read as a shipped model."""
+    return [str(MODELS / a) if a.endswith(".lc") else a for a in argv]
+
+
+TRANSPORT = ("transport", "m4.lc", "--from", M4_START)
+FIELD_RUN = (*TRANSPORT, "--field", "1,0")
+ORACLE_RUN = (*FIELD_RUN, "--oracle")
+HOLONOMY_RUN = (*TRANSPORT, "--holonomy", "1,2")
+FLOW_RUN = ("sode", "oscillator_pair.lc", "--flow", "1,0,0,1")
+CLASSIFY_RUN = ("sode", "oscillator_pair.lc", "--classify")
+JACOBI_RUN = ("sode", "oscillator_pair.lc", "--jacobi")
+VALUES = {"--field": ("1,0",), "--fiber": ("1,0",), "--time": ("0.5",),
+          "--step": ("0.01",), "--oracle": (), "--fd-eps": ("1e-5",),
+          "--central": (), "--eps": ("0.01",), "--samples": ("20",),
+          "--seed": ("3",), "--tol": ("1e-6",)}
+# Per (verb, flag, refusal phrase) of the option table: a run that reads
+# the flag, one that does not, and the refusal that the second ends in.
+MODES = {
+    ("tensor", "--at", "to --name {name}"): (
+        ("tensor", "m4.lc", "--name", "curvature", "--at", M4_START),
+        ("tensor", "affine_quadratic.lc", "--name", "homogenized-gamma",
+         "--at", "x1=0.3,y1=0.5"),
+        "--at does not apply to --name homogenized-gamma"),
+    ("tensor", "--section", "to --name {name}"): (
+        ("tensor", "quadratic.lc", "--name", "pullback-coeffs",
+         "--section", "x1"),
+        ("tensor", "m4.lc", "--name", "curvature", "--section", "x1,x2"),
+        "--section does not apply to --name curvature"),
+    ("tensor", "--function", "to --name {name}"): (
+        ("tensor", "potential_1d.lc", "--name", "dh", "--function", "p1^2"),
+        ("tensor", "m4.lc", "--name", "curvature", "--function", "x1"),
+        "--function does not apply to --name curvature"),
+    ("check", "--section", "to --suite {suite}"): (
+        ("check", "quadratic.lc", "--suite", "basic", "--section", "x1^2",
+         "--samples", "10"),
+        ("check", "m4.lc", "--suite", "flat", "--section", "x1,x2"),
+        "--section does not apply to --suite flat"),
+    **{("transport", flag, "to --holonomy"): (
+        (*ORACLE_RUN, flag, *VALUES[flag]), (*HOLONOMY_RUN, flag, *VALUES[flag]),
+        f"{flag} does not apply to --holonomy")
+       for flag in ("--field", "--fiber", "--time", "--step", "--oracle",
+                    "--fd-eps", "--central")},
+    **{("transport", flag, "without --oracle"): (
+        (*ORACLE_RUN, flag, *VALUES[flag]), (*FIELD_RUN, flag, *VALUES[flag]),
+        f"{flag} does not apply without --oracle")
+       for flag in ("--fd-eps", "--central")},
+    ("transport", "--eps", "without --holonomy"): (
+        (*HOLONOMY_RUN, "--eps", "0.01"), (*ORACLE_RUN, "--eps", "0.01"),
+        "--eps does not apply without --holonomy"),
+    ("sode", "--at", "without --jacobi"): (
+        (*JACOBI_RUN, "--at", "x1=0.3,x2=0.1,v1=0.5,v2=0"),
+        (*CLASSIFY_RUN, "--at", "x1=0.3,x2=0.1,v1=0.5,v2=0"),
+        "--at does not apply without --jacobi"),
+    **{("sode", flag, "without --flow"): (
+        (*FLOW_RUN, flag, *VALUES[flag]), (*JACOBI_RUN, flag, *VALUES[flag]),
+        f"{flag} does not apply without --flow")
+       for flag in ("--time", "--step")},
+    **{("sode", flag, "without --classify or --split"): (
+        (*CLASSIFY_RUN, flag, *VALUES[flag]),
+        (*JACOBI_RUN, flag, *VALUES[flag]),
+        f"{flag} does not apply without --classify or --split")
+       for flag in ("--samples", "--seed", "--tol")},
+    ("hj", "--metric", "to a model file"): (
+        ("hj", "--metric", "[[1,0],[0,1]]", "--alpha", "0.3,0.7"),
+        ("hj", "geodesic_const.lc", "--alpha", "0.3,0.7", "--metric",
+         "[[1]]"),
+        "--metric does not apply to a model file"),
+    ("hj", "--integrals", "without --metric"): (
+        ("hj", "--metric", "[[2,1],[1,1]]", "--alpha", "0.3,0.7",
+         "--integrals", "p1,p2"),
+        ("hj", "geodesic_const.lc", "--alpha", "0.3,0.7", "--integrals",
+         "p1,p2"),
+        "--integrals does not apply without --metric"),
+}
+
+
+def _table():
+    """The option table as {verb: {flag: option}}."""
+    return {verb: {option.flag: option for option in options}
+            for verb, (_, _, options) in cli._VERBS.items()}
+
+
+def test_every_mode_of_the_option_table_has_its_runs():
+    assert set(MODES) == {(verb, flag, phrase)
+                          for verb, options in _table().items()
+                          for flag, option in options.items()
+                          for phrase, _ in option.modes}
+
+
+def test_the_option_table_has_53_settable_values():
+    assert sum(map(len, _table().values())) == 53
+
+
+@pytest.mark.parametrize("key", list(MODES), ids=" ".join)
+def test_an_option_is_refused_exactly_where_its_mode_does_not_read_it(key):
+    read, unread, refusal = MODES[key]
+    code, out, err = run_cli(*_shipped(unread))
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+    code, _, err = run_cli(*_shipped(read), "--json")
+    assert code in (0, 1) and err == "", err
+
+
+def test_refusals_come_before_the_model_is_read():
+    code, out, err = run_cli("transport", "no-such-file.lc", "--holonomy",
+                             "1,2", "--time", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: --time does not apply to --holonomy\n"
+
+
+RANGE_ERRORS = (
+    (("check", "m4.lc", "--samples", "2000001"),
+     "--samples must be an integer from 1 to 2000000, got 2000001"),
+    (("check", "m4.lc", "--samples", "0"),
+     "--samples must be an integer from 1 to 2000000, got 0"),
+    (("hj", "geodesic_const.lc", "--seed", "-1", "--alpha", "0"),
+     "--seed must be an integer >= 0, got -1"),
+    (("bianchi", "m4.lc", "--tol", "nan"),
+     "--tol must be a finite number >= 0, got nan"),
+)
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(*case, id=" ".join(case[0])) for case in RANGE_ERRORS])
+def test_range_errors_name_their_flag(argv, line):
+    code, out, err = run_cli(*_shipped(argv))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+README = (REPO / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_options_and_defaults_match_the_option_table():
+    table = _table()
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", README, re.M))
+    assert set(rows) == set(table)
+    for verb, options in table.items():
+        assert set(re.findall(r"--[a-z-]+", rows[verb])) == \
+            set(options) - {"model", "--json"}, verb
+    paragraph = README[README.index("The defaults are"):]
+    paragraph = paragraph[:paragraph.index(". ")]
+    defaults = {flag: option.default for options in table.values()
+                for flag, option in options.items()
+                if option.default is not None}
+    written = dict(re.findall(r"`(--[a-z-]+) ([^`]+)`", paragraph))
+    assert set(written) == set(defaults)
+    for flag, text in written.items():
+        assert type(defaults[flag])(text) == defaults[flag], flag
+
+
+ASYMMETRIC = ("[bundle]\nkind = cotangent\nbase = x1, x2\nfiber = p1, p2\n\n"
+              "[connection]\nGamma[1,1] = 0\nGamma[1,2] = x1*p2\n"
+              "Gamma[2,1] = 0\nGamma[2,2] = 0\n")
+ASYMMETRIC_WARNING = ("warning: hamiltonian_field: connection is not "
+                      "symmetric; the Hamiltonian decomposition is only valid "
+                      "for symmetric connections\n")
+UNSPECIFIED = ("warning: coordinates ['x1', 'x2', 'u1', 'u2'] not specified; "
+               "base defaults to 0, fiber to 0\n")
+
+
+# A name ending in .lc is a shipped model, or the asymmetric one above.
+STDERR = (
+    # A note of a run that fails is not printed.
+    (("transport", "m4.lc", "--holonomy", "1,2", "--eps", "-0"), 2,
+     "error: holonomy eps^2 must be finite and exceed the rounding unit "
+     "2.22e-16 of the start point, got eps=-0.0\n"),
+    (("transport", "m4.lc", "--field", "1,0", "--time", "1e308", "--step",
+      "1e-300"), 2,
+     "error: time span must be finite and take at most 10000000 steps, got "
+     "1e+308 at step 1e-300\n"),
+    (("transport", "m4.lc", "--holonomy", "1,2"), 0, UNSPECIFIED),
+    (("tensor", "asymmetric.lc", "--name", "hamiltonian-field", "--function",
+      "p1"), 0, ASYMMETRIC_WARNING),
+)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    pytest.param(*case, id=" ".join(case[0])) for case in STDERR])
+def test_stderr_is_one_error_line_or_only_warning_lines(tmp_path, argv, code,
+                                                        err):
+    (tmp_path / "asymmetric.lc").write_text(ASYMMETRIC)
+    argv = _shipped(str(tmp_path / a) if a == "asymmetric.lc" else a
+                    for a in argv)
+    assert run_cli(*argv)[::2] == (code, err)
+    # Warnings turned into errors are still reported as warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv)[::2] == (code, err)
+
+
+def test_warnings_as_errors_in_a_fresh_process(tmp_path):
+    path = tmp_path / "asymmetric.lc"
+    path.write_text(ASYMMETRIC)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
+               PYTHONWARNINGS="error")
+    proc = subprocess.run(
+        [sys.executable, "-m", "linconn.cli", "tensor", str(path), "--name",
+         "hamiltonian-field", "--function", "p1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, ASYMMETRIC_WARNING)
+    assert proc.stdout.startswith("hamiltonian_field\n")
+
+
+def test_loading_first_integrals_imports_no_numpy_random():
+    # The transversality probes are a fixed set of plain floats.
+    code = ("import sys\nfrom linconn.cli import run\n"
+            f"assert run(['info', {str(MODELS / 'potential_1d.lc')!r}]) == 0\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
-    ("--help",), ("--version",), *((verb, "--help") for verb in cli._HANDLERS)],
+    ("--help",), ("--version",), *((verb, "--help") for verb in cli._VERBS)],
     ids=" ".join)
 def test_help_and_version_exit_0(argv):
     code, out, err = run_cli(*argv)

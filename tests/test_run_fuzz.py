@@ -9,8 +9,9 @@ value that begins with a minus sign cannot follow its flag as an argument
 of its own; and the values of the numeric flags, some as arguments of
 their own, so that a negative one may stop at the parser.
 Whatever the coefficients and payloads, a run ends with exit code 0, 1 or
-2, never with a traceback; exit 2 ends with one `error:` line, and a
-report validates against the JSON schema. Every generated option is one
+2, never with a traceback; on exit 2 stderr is one `error:` line, on exit
+0 or 1 it holds only `warning:` lines, also with warnings turned into
+errors, and a report validates against the JSON schema. Every generated option is one
 that its run reads, so no run stops at the refusal of an option.
 
 The coefficients are trees of the `tests/test_expr.py` operations over the
@@ -22,6 +23,7 @@ fractional ones among them, with extreme leaves: 1e308 (overflow),
 import io
 import json
 import string
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -252,22 +254,27 @@ def _samples(argv):
         a == "--classify" or a.startswith("--split") for a in argv)
 
 
-def _assert_run_ends_cleanly(tmp_path, text, argv, samples):
+def _assert_run_ends_cleanly(tmp_path, text, argv, samples, strict=False):
+    """With `strict`, the run is made with warnings turned into errors."""
     path = tmp_path / "fuzz.lc"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     model = [] if any(a.startswith("--metric") for a in argv) else [str(path)]
     count = ["--samples", str(samples)] if _samples(argv) else []
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), \
+            warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error")
         code = run([argv[0], *model, *argv[1:], "--json", *count])
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
     assert "does not apply" not in err.getvalue()
     assert "unrecognized arguments" not in err.getvalue()
     if code == 2:
-        assert err.getvalue().splitlines()[-1].startswith("error: ")
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert out.getvalue() == ""
     else:
+        assert all(line.startswith("warning: ") for line in lines), lines
         jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
 
 
@@ -322,19 +329,33 @@ def test_run_on_jet_and_hamiltonian_models_never_a_traceback(
     _assert_run_ends_cleanly(tmp_path, *model, samples)
 
 
+# A cotangent connection that is not symmetric: its Hamiltonian fields
+# warn.
+ASYMMETRIC = ("[bundle]\nkind = cotangent\nbase = x1, x2\nfiber = p1, p2\n\n"
+              "[connection]\nGamma[1,1] = 0\nGamma[1,2] = x1*p2\n"
+              "Gamma[2,1] = 0\nGamma[2,2] = 0\n")
+
+
 @settings(_FUZZ, max_examples=120)
 @given(model=models(runs=OPTION_RUNS),
        samples=st.one_of(st.integers(min_value=1, max_value=20),
-                         st.sampled_from(BAD_COUNTS)))
+                         st.sampled_from(BAD_COUNTS)),
+       strict=st.booleans())
 @example(model=(POTENTIAL, ("hj", "--metric=[[NaN]]", "--alpha=x1")),
-         samples=5)
-@example(model=(JET, ("sode", "--flow=-1,0,1", "--time", "0.01")), samples=1)
-@example(model=(JET, ("sode", "--flow", "-1,0,1")), samples=1)
+         samples=5, strict=False)
+@example(model=(JET, ("sode", "--flow=-1,0,1", "--time", "0.01")), samples=1,
+         strict=False)
+@example(model=(JET, ("sode", "--flow", "-1,0,1")), samples=1, strict=False)
 @example(model=(POTENTIAL, ("tensor", "--name", "hamiltonian-field",
                             "--function=p1^2/x1", "--at=x1=0,p1=1")),
-         samples=1)
+         samples=1, strict=True)
 @example(model=(POTENTIAL, ("hj", "--alpha=x1", "--seed", "-1")),
-         samples="2000001")
+         samples="2000001", strict=False)
+@example(model=(ASYMMETRIC, ("tensor", "--name", "hamiltonian-field",
+                             "--function=p1", "--at=x1=0.5")),
+         samples=1, strict=True)
+@example(model=(ASYMMETRIC, ("transport", "--holonomy=1,2", "--eps", "-0")),
+         samples=1, strict=True)
 def test_run_with_option_payloads_never_a_traceback(tmp_path, model,
-                                                    samples):
-    _assert_run_ends_cleanly(tmp_path, *model, samples)
+                                                    samples, strict):
+    _assert_run_ends_cleanly(tmp_path, *model, samples, strict)
