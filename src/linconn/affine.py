@@ -5,7 +5,8 @@ connection on the enlarged vector bundle with one extra fiber coordinate
 z0 (the affine fiber sits at z0 = 1, the model vector bundle at z0 = 0),
 linearized there, and restricted back. The restriction is implemented by
 direct formulas on the affine model; the homogenized model serves as an
-independent oracle.
+independent oracle. `_homogeneous_extension` builds the extension, and
+`sode.homogeneous_sode`'s degree-2 one, both keeping the excluded set.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class HomogenizedModel:
     Fiber coordinates are z0, z1..zk over the same base; the coefficient
     for z0 vanishes identically and the remaining rows are the degree-1
     homogeneous extensions of the affine coefficients. The hyperplane
-    z0 = 0 is excluded.
-    """
+    z0 = 0 is excluded, and each excluded predicate p of the origin as
+    p(x, z/z0)."""
 
     model: ConnectionModel
     origin: ConnectionModel
@@ -73,27 +74,39 @@ class AffineLinearization:
     coeffs_lin: TensorField
 
 
+def _homogeneous_extension(stem: str, base: Sequence[str],
+                           fiber: Sequence[str], exprs: Sequence[Expr],
+                           degree: int, excluded: Sequence[Expr]):
+    """The degree-`degree` homogeneous extension over the fiber `fiber`:
+    the extended fiber names stem0..stemk, each e of `exprs` as
+    stem0^degree * e(x, stem/stem0), and the excluded set: stem0 = 0,
+    then each predicate p of `excluded` as p(x, stem/stem0)."""
+    names = tuple(f"{stem}{j}" for j in range(len(fiber) + 1))
+    clash = set(names) & set(base)
+    if clash:
+        raise ModelError(f"base coordinates {sorted(clash)} collide with the "
+                         f"extended fiber names {names[0]}..{names[-1]}")
+    s0 = Var(names[0])
+    bindings = {y: Var(name) / s0 for y, name in zip(fiber, names[1:])}
+    scale: Expr = s0
+    for _ in range(degree - 1):
+        scale = scale * s0
+    scaled = tuple(simplify(scale * substitute(e, bindings)) for e in exprs)
+    return names, scaled, (s0, *(substitute(p, bindings) for p in excluded))
+
+
 def homogenize(m: ConnectionModel) -> HomogenizedModel:
     """Extend an affine model to the homogeneous model on the enlarged
     bundle: row 0 is zero and row A is z0 * gamma[A][i](x, z/z0)."""
     _require_affine(m, "homogenize")
     bundle = m.bundle
-    z_names = tuple(f"z{j}" for j in range(bundle.k + 1))
-    clash = set(z_names) & set(bundle.base_coords)
-    if clash:
-        raise ModelError(f"base coordinates {sorted(clash)} collide with the "
-                         "extended fiber names z0..zk")
-    z0 = Var("z0")
-    bindings = {y: Var(z_names[B + 1]) / z0
-                for B, y in enumerate(bundle.fiber_coords)}
-    gamma = [[ZERO for _ in range(bundle.n)]]
-    for A in range(bundle.k):
-        row = []
-        for i in range(bundle.n):
-            row.append(simplify(z0 * substitute(m.gamma[A][i], bindings)))
-        gamma.append(row)
-    ext_bundle = BundleModel("vector", bundle.base_coords, z_names)
-    ext = ConnectionModel(ext_bundle, gamma, excluded=(z0,))
+    names, scaled, excluded = _homogeneous_extension(
+        "z", bundle.base_coords, bundle.fiber_coords,
+        [e for row in m.gamma for e in row], 1, m.excluded)
+    gamma = [[ZERO] * m.n] + [scaled[A * m.n:(A + 1) * m.n]
+                              for A in range(m.k)]
+    ext = ConnectionModel(BundleModel("vector", bundle.base_coords, names),
+                          gamma, excluded)
     return HomogenizedModel(model=ext, origin=m)
 
 

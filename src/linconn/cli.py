@@ -315,7 +315,7 @@ def _print_result(result: dict):
         for v, f in zip(result["velocities"], result["forces"]):
             print(f"  {v}: {f}")
     else:
-        print(f"flow final state: {result['final']}")
+        print(f"flow final state: {result['final']} [{result['status']}]")
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +636,7 @@ _VERBS = {
     "check": (_cmd_check, "run a diagnostic check suite", (
         _MODEL, _JSON, *_sampling(),
         _opt("--suite", "check suite", "all",
-             choices=["all", "homogeneous", "basic", "flat", "axioms",
-                      "bianchi", "tension-identities", "affine", "cotangent",
-                      "sode"]),
+             choices=["all", *(e.name for e in _suites.SUITES if e.kinds)]),
         _opt("--section", "section for --suite basic", modes=[
             ("to --suite {suite}", lambda a: a.suite in ("basic", "all"))]))),
     "bianchi": (_cmd_bianchi, "curvature and tension identities",

@@ -20,15 +20,16 @@ from typing import Sequence
 import numpy as np
 
 from .expr import (
-    Const, Div, Expr, Var, ZERO, _memo, compile_fn, diff, is_zero,
+    Const, Div, Expr, Var, ZERO, compile_fn, diff, is_zero,
     random_polynomial, simplify, substitute, variables,
 )
 from .geometry import (
     BASE_COV, CheckReport, Residuals, TensorField, VectorFieldOnE,
     _field_residuals, _suite, _tensor, combine_reports, curvature,
-    evaluate_components, h_apply,
+    h_apply,
 )
-from .model import BundleModel, ConnectionModel, ModelError, sample_points
+from .model import (DEFAULT_BOX, BundleModel, ConnectionModel, ModelError,
+                    sample_points)
 
 __all__ = [
     "HamiltonianModel", "OneFormOnM", "TransversalityError",
@@ -113,21 +114,11 @@ def torsion_form(m: ConnectionModel) -> TensorField:
 
 def is_symmetric(m: ConnectionModel, probes: int = 16) -> bool:
     """Symmetry test: structural zero of the torsion form, falling back to
-    evaluation on a small deterministic grid off the excluded set. The
-    verdict of an evaluation is kept in the memo, keyed by all it depends
-    on, so a run draws and evaluates the grid once."""
-    comps = {label: e for label, e in _field_residuals(torsion_form(m)).items()
-             if not is_zero(e)}
-    if not comps:
-        return True
-    key = ("is_symmetric", tuple(comps.items()), m.bundle.coords,
-           m.excluded, probes)
-    verdict = _memo.get(key)
-    if verdict is None:
-        pts = sample_points(m, probes, seed=20240917)
-        max_res, _, _ = evaluate_components(m, comps, pts)
-        verdict = _memo[key] = max_res <= 1e-12
-    return verdict
+    `probes` fixed probes in the default sampling box, off the excluded
+    set."""
+    comps = [e for _, e in torsion_form(m).items() if not is_zero(e)]
+    return not comps or _zero_on_probes(m.bundle, comps, DEFAULT_BOX,
+                                        m.excluded, probes)
 
 
 def dh(m: ConnectionModel, f: Expr) -> tuple[Expr, ...]:
@@ -213,7 +204,7 @@ def integrable_connection(h: HamiltonianModel) -> ConnectionModel:
     n = bundle.n
     M = [[diff(f, p) for p in bundle.fiber_coords] for f in h.first_integrals]
     det = _det(M)
-    if is_zero(det) or _zero_on_probes(bundle, det):
+    if is_zero(det) or _zero_on_probes(bundle, [det], (0.3, 1.7)):
         raise TransversalityError(
             "transversality failure: det[df_k/dp_j] vanishes identically")
 
@@ -227,15 +218,25 @@ def integrable_connection(h: HamiltonianModel) -> ConnectionModel:
     return ConnectionModel(bundle, gamma, excluded=(det,))
 
 
-def _zero_on_probes(bundle: BundleModel, e: Expr, count: int = 25) -> bool:
-    """Whether `e` is within 1e-12 of zero at `count` fixed probes in
-    [0.3, 1.7]^d: probe k has coordinate j at 0.3 + 1.4*frac(0.5 +
-    k*exp(1/j)), a Weyl sequence of plain floats (1 and the exp(1/j) are
-    independent over the rationals)."""
-    fn = compile_fn(e, bundle.coords)
-    return not any(abs(fn([0.3 + 1.4 * ((0.5 + k * math.exp(1 / j)) % 1.0)
-                           for j in range(1, len(bundle.coords) + 1)])) > 1e-12
-                   for k in range(1, count + 1))
+def _zero_on_probes(bundle: BundleModel, exprs: Sequence[Expr],
+                    box: tuple[float, float], excluded: Sequence[Expr] = (),
+                    count: int = 25) -> bool:
+    """Whether every one of `exprs` is within 1e-12 of zero at the first
+    `count` fixed probes in box^d, leaving out each probe where a
+    predicate of `excluded` is within 0.1 of zero, the sampler's margin
+    (no probe left reads as not zero). Probe k has coordinate j at
+    lo + (hi - lo)*frac(0.5 + k*exp(1/j)), a Weyl sequence of plain
+    floats (1 and the exp(1/j) are independent over the rationals)."""
+    lo, hi = box
+    near = [compile_fn(p, bundle.coords) for p in excluded]
+    values = [compile_fn(e, bundle.coords) for e in exprs]
+    probes = ([lo + (hi - lo) * ((0.5 + k * math.exp(1 / j)) % 1.0)
+               for j in range(1, len(bundle.coords) + 1)]
+              for k in range(1, count + 1))
+    kept = [point for point in probes
+            if not any(abs(p(point)) < 0.1 for p in near)]
+    return bool(kept) and all(abs(fn(point)) <= 1e-12
+                              for point in kept for fn in values)
 
 
 def _integrable_sets(h: HamiltonianModel, m: ConnectionModel,

@@ -47,10 +47,9 @@ a set of nodes, or of a dict keyed by them, reach output.
 Memo policy: `simplify` and `diff` share one memo: `simplify` keys it by
 the node, and `diff` keeps one dict per variable in it, keyed by the
 variable's name; both are pure, so it never changes a result.
-`transport` keeps its generated RK4 kernels there too, and
-`cotangent.is_symmetric` its verdicts. It lives as long as
-the process, but `cli.run` empties it when it returns, so each CLI run
-starts and ends with it empty.
+`transport` keeps its generated RK4 kernels there too. It lives as
+long as the process, but `cli.run` empties it when it returns, so each
+CLI run starts and ends with it empty.
 
 Numeric paths: all numeric work runs one straight-line plan of a tuple of
 expressions, their distinct nodes in evaluation order (`_plan`). `_run`

@@ -354,17 +354,12 @@ def _parse_connection(bundle, excluded, entries) -> ConnectionModel:
 
 
 def _parse_sode(bundle, excluded, entries):
-    from .sode import SodeModel, nonautonomous_connection, sode_connection
+    from .sode import SodeModel, sode_connection
 
-    if bundle.kind == "tangent":
-        autonomous = True
-        count = bundle.n
-    elif bundle.kind == "jet":
-        autonomous = False
-        count = bundle.k
-    else:
+    if bundle.kind not in ("tangent", "jet"):
         raise ModelError(
             f"[sode] requires kind=tangent or kind=jet, got {bundle.kind}")
+    count = bundle.k
     forces: dict[int, Expr] = {}
     for lineno, key, value in entries:
         match = _FORCE_KEY.match(key)
@@ -385,15 +380,13 @@ def _parse_sode(bundle, excluded, entries):
     if missing:
         raise ModelError("missing forces: " + ", ".join(f"f{i}" for i in missing))
     sode = SodeModel(
-        autonomous=autonomous,
+        autonomous=bundle.kind == "tangent",
         base_coords=bundle.base_coords,
         velocity_coords=bundle.fiber_coords,
         forces=tuple(forces[i] for i in range(1, count + 1)),
+        excluded=excluded,
     )
-    connection = sode_connection(sode) if autonomous else nonautonomous_connection(sode)
-    if excluded:
-        connection = ConnectionModel(connection.bundle, connection.gamma, excluded)
-    return sode, connection
+    return sode, sode_connection(sode)
 
 
 def _parse_hamiltonian(bundle, entries):

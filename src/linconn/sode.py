@@ -1,9 +1,9 @@
 """Connections built from second-order differential equation fields.
 
-An autonomous force field f^i(x, v) induces a connection on the tangent
-bundle with coefficients -1/2 df^i/dv^j; a time-dependent force induces
-an affine connection on the first jet bundle. The Jacobi endomorphism and
-the derived linearizability and decoupling diagnostics live here.
+`sode_connection` reads an autonomous force field f^i(x, v) as a
+connection on the tangent bundle and a time-dependent one as an affine
+connection on the first jet bundle, both with the field's excluded set.
+The Jacobi endomorphism and the diagnostics built on them live here.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import (Const, Expr, Var, ZERO, diff, simplify, substitute,
-                   variables)
+from .affine import _homogeneous_extension
+from .expr import Const, Expr, Var, ZERO, diff, simplify, variables
 from .geometry import (
     BASE_COV, FIBER_VEC, CheckReport, Residuals, TensorField, _flat_set,
     _suite, _tensor, combine_reports, dh_field, dv_field, linear_coeffs,
@@ -84,65 +84,52 @@ class SodeModel:
 
 
 def sode_connection(s: SodeModel) -> ConnectionModel:
-    """Connection induced on the tangent bundle by an autonomous field:
-    coefficients -1/2 df^i/dv^j."""
-    if not s.autonomous:
-        raise ModelError("sode_connection expects an autonomous field; "
-                         "use nonautonomous_connection")
-    bundle = BundleModel("tangent", s.base_coords, s.velocity_coords)
+    """Connection induced by the field, with its excluded set: row i
+    holds -1/2 df^i/dv^j in the column of x^j, and for a time-dependent
+    field (a jet-bundle connection) 1/2 v^k df^i/dv^k - f^i first."""
     half = Const(0.5)
-    gamma = [[simplify(-(half * diff(s.forces[i], v)))
-              for v in s.velocity_coords] for i in range(s.n)]
-    # gamma rows are indexed by the fiber (velocity) slot, columns by the
-    # base direction; the induced matrix is -1/2 df^i/dv^j at [i][j].
+    gamma = []
+    for f in s.forces:
+        halves = [half * diff(f, v) for v in s.velocity_coords]
+        row = []
+        if not s.autonomous:
+            time_coeff: Expr = ZERO
+            for v, e in zip(s.velocity_coords, halves):
+                time_coeff = time_coeff + Var(v) * e
+            row.append(simplify(time_coeff - f))
+        gamma.append(row + [simplify(-e) for e in halves])
+    bundle = BundleModel("tangent" if s.autonomous else "jet",
+                         s.base_coords, s.velocity_coords)
     return ConnectionModel(bundle, gamma, excluded=s.excluded)
 
 
 def jacobi_endomorphism(s: SodeModel) -> TensorField:
     """Jacobi endomorphism [i][j]:
     -df^i/dx^j - sum_k c^i_k c^k_j - field(c^i_j), with c the induced
-    connection coefficients and `field` the second-order vector field."""
-    m = sode_connection(s) if s.autonomous else _velocity_connection(s)
-    positions = s.base_coords if s.autonomous else s.base_coords[1:]
+    connection coefficients of the space directions and `field` the
+    second-order vector field."""
+    m = sode_connection(s)
+    offset = 0 if s.autonomous else 1
+    positions = s.base_coords[offset:]
     n = s.n
 
     def rule(i: int, j: int) -> Expr:
         e: Expr = -diff(s.forces[i], positions[j])
         for k_ in range(n):
-            e = e - m.gamma[i][k_ if s.autonomous else 1 + k_] * \
-                m.gamma[k_][j if s.autonomous else 1 + j]
-        e = e - s.field_apply(m.gamma[i][j if s.autonomous else 1 + j])
+            e = e - m.gamma[i][offset + k_] * m.gamma[k_][offset + j]
+        e = e - s.field_apply(m.gamma[i][offset + j])
         return simplify(e)
 
     return _tensor("jacobi", (FIBER_VEC, BASE_COV), (n, n), rule)
 
 
-def _velocity_connection(s: SodeModel) -> ConnectionModel:
-    """Shared helper: the jet-bundle connection of a non-autonomous field."""
-    bundle = BundleModel("jet", s.base_coords, s.velocity_coords)
-    half = Const(0.5)
-    n = s.n
-    gamma = []
-    for i in range(n):
-        f = s.forces[i]
-        time_coeff: Expr = ZERO
-        for k_, v in enumerate(s.velocity_coords):
-            time_coeff = time_coeff + Var(v) * (half * diff(f, v))
-        time_coeff = simplify(time_coeff - f)
-        row = [time_coeff]
-        for v in s.velocity_coords:
-            row.append(simplify(-(half * diff(f, v))))
-        gamma.append(row)
-    return ConnectionModel(bundle, gamma, excluded=s.excluded)
-
-
 def nonautonomous_connection(s: SodeModel) -> ConnectionModel:
-    """Affine connection induced on the first jet bundle: the time column
-    is 1/2 v^k df^i/dv^k - f^i and the space columns are -1/2 df^i/dv^j."""
+    """Affine connection induced on the first jet bundle by a
+    time-dependent field: `sode_connection` of a field it accepts."""
     if s.autonomous:
         raise ModelError("nonautonomous_connection expects a time-dependent "
                          "field; use sode_connection")
-    return _velocity_connection(s)
+    return sode_connection(s)
 
 
 def homogeneous_sode(s: SodeModel) -> SodeModel:
@@ -152,24 +139,16 @@ def homogeneous_sode(s: SodeModel) -> SodeModel:
         force for w0 slot: 0
         force for w^i slot: (w0)^2 f^i(t, x, w/w0)
 
-    The hyperplane w0 = 0 is excluded.
+    The hyperplane w0 = 0 is excluded, and so is each predicate p of the
+    field's excluded set, as p(t, x, w/w0).
     """
     if s.autonomous:
         raise ModelError("homogeneous_sode expects a non-autonomous field")
-    w_names = tuple(f"w{j}" for j in range(s.n + 1))
-    clash = set(w_names) & set(s.base_coords)
-    if clash:
-        raise ModelError(f"coordinates {sorted(clash)} collide with the "
-                         "extended velocity names w0..wn")
-    w0 = Var("w0")
-    bindings = {v: Var(w_names[i + 1]) / w0
-                for i, v in enumerate(s.velocity_coords)}
-    forces: list[Expr] = [ZERO]
-    for f in s.forces:
-        forces.append(simplify(w0 * w0 * substitute(f, bindings)))
+    names, forces, excluded = _homogeneous_extension(
+        "w", s.base_coords, s.velocity_coords, s.forces, 2, s.excluded)
     return SodeModel(autonomous=True, base_coords=s.base_coords,
-                     velocity_coords=w_names, forces=tuple(forces),
-                     excluded=(w0,))
+                     velocity_coords=names, forces=(ZERO, *forces),
+                     excluded=excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +229,7 @@ def decoupling_check(s: SodeModel, split: tuple[Sequence[int], Sequence[int]],
     if indices != list(range(1, s.n + 1)):
         raise ModelError(f"split must partition 1..{s.n}, got {first} | {second}")
 
-    m = sode_connection(s) if s.autonomous else _velocity_connection(s)
+    m = sode_connection(s)
     phi = jacobi_endomorphism(s)
     offset = 0 if s.autonomous else 1
 

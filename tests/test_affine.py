@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from linconn.affine import (
-    affine_covariant_derivative, affine_linearization, check_affine_structure,
-    homogenize,
+    _homogenized_samples, affine_covariant_derivative, affine_linearization,
+    check_affine_structure, homogenize,
 )
-from linconn.expr import ONE, ZERO, compile_fn, evaluate, parse
+from linconn.expr import ONE, ZERO, Var, compile_fn, evaluate, parse
 from linconn.geometry import VectorFieldOnE, check_homogeneous
 from linconn.model import (
     BundleModel, ConnectionModel, ModelError, sample_points,
@@ -80,6 +80,24 @@ def test_homogenized_scaling(affine_two, lam, rng):
             a = fn(scaled)
             b = lam * fn(plain)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def _reciprocal_model():
+    b = BundleModel("affine", ("x1",), ("y1",))
+    return ConnectionModel(b, [[parse("1/y1")]], excluded=(parse("y1"),))
+
+
+def test_homogenize_keeps_the_excluded_set():
+    hom = homogenize(_reciprocal_model())
+    assert hom.model.excluded == (Var("z0"), Var("z1") / Var("z0"))
+
+
+def test_homogenized_draw_keeps_off_the_excluded_set():
+    # The model is singular at y1 = 0, so its extension is at z1/z0 = 0;
+    # the draw of the homogeneity check keeps the sampler's margin there.
+    hom = homogenize(_reciprocal_model())
+    pts = _homogenized_samples(hom, 2000, seed=0)
+    assert np.all(np.abs(pts[:, 2] / pts[:, 1]) >= 0.1)
 
 
 def test_homogenized_tension_vanishes(affine_two):

@@ -281,13 +281,6 @@ def test_sode_classify_and_split_draw_one_sample_set(monkeypatch):
         ["linearizability", "decoupling"]
 
 
-class _Forgetful(dict):
-    """A memo that keeps nothing."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 @pytest.mark.parametrize("scale, warned", [("1e-13", 0), ("1e-10", 8)])
 def test_cotangent_suite_probes_the_torsion_once_per_run(monkeypatch, tmp_path,
                                                          scale, warned):
@@ -303,39 +296,29 @@ def test_cotangent_suite_probes_the_torsion_once_per_run(monkeypatch, tmp_path,
                     "Gamma[2,2] = 0\n")
     sample_points = suites.sample_points
     warn = warnings.warn
+    draws, categories = [], []
 
-    def runs():
-        draws, categories = [], []
+    def counting(*args, **kwargs):
+        draws.append(args[1])
+        return sample_points(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            draws.append(args[1])
-            return sample_points(*args, **kwargs)
+    def counting_warn(message, category, **kwargs):
+        categories.append(category)
+        warn(message, category, **kwargs)
 
-        def counting_warn(message, category, **kwargs):
-            categories.append(category)
-            warn(message, category, **kwargs)
-
-        for module in (suites, cotangent):
-            monkeypatch.setattr(module, "sample_points", counting)
-        monkeypatch.setattr(cotangent.warnings, "warn", counting_warn)
-        code, out, err = run_cli("check", str(path), "--suite", "cotangent",
-                                 "--samples", "30", "--json")
-        assert code == 0
-        asymmetric = categories.count(cotangent.AsymmetricConnectionWarning)
-        assert len(categories) == asymmetric
-        assert sorted(err.splitlines()) == [
-            f"warning: {op}: connection is not symmetric; the Hamiltonian "
-            "decomposition is only valid for symmetric connections"
-            for op in ("hamiltonian_field", "poisson") if asymmetric]
-        return draws, asymmetric, out
-
-    draws, count, out = runs()
-    assert draws == [30, 30, 16]
-    assert count == warned
-    # Without the memo, the probe grid is drawn on every call, and the
-    # report and the warnings are the same.
-    monkeypatch.setattr(cotangent, "_memo", _Forgetful())
-    assert runs() == ([30, 30] + [16] * 8, warned, out)
+    for module in (suites, cotangent):
+        monkeypatch.setattr(module, "sample_points", counting)
+    monkeypatch.setattr(cotangent.warnings, "warn", counting_warn)
+    code, out, err = run_cli("check", str(path), "--suite", "cotangent",
+                             "--samples", "30", "--json")
+    assert code == 0
+    # The symmetry test reads fixed probes: it draws no sample points.
+    assert draws == [30, 30]
+    assert categories == [cotangent.AsymmetricConnectionWarning] * warned
+    assert sorted(err.splitlines()) == [
+        f"warning: {op}: connection is not symmetric; the Hamiltonian "
+        "decomposition is only valid for symmetric connections"
+        for op in ("hamiltonian_field", "poisson") if warned]
 
 
 def test_failing_verb_prints_no_partial_report():
@@ -439,11 +422,29 @@ def test_sode_verbs():
     code, out, _ = run_cli("sode", str(MODELS / "oscillator.lc"),
                            "--flow", "1,0", "--time", "1", "--step", "1e-3")
     assert code == 0
+    assert out.startswith("flow final state: [") and out.endswith("] [ok]\n")
 
     code, out, _ = run_cli("sode", str(MODELS / "oscillator.lc"),
                            "--jacobi")
     assert code == 0
     assert "jacobi" in out
+
+
+@pytest.mark.parametrize("kind, base, state", [
+    ("tangent", "x1", "1,-1"), ("jet", "t, x1", "0,1,-1")])
+def test_sode_flow_stops_at_the_declared_excluded_set(tmp_path, kind, base,
+                                                      state):
+    # x1'' = -1/x1 from x1 = 1, x1' = -1 reaches x1 = 0 near t = 0.656.
+    path = tmp_path / "reciprocal.lc"
+    path.write_text(f"[bundle]\nkind = {kind}\nbase = {base}\nfiber = v1\n"
+                    'exclude = "x1=0"\n\n[sode]\nf1 = -1/x1\n')
+    argv = ("sode", str(path), "--flow", state, "--time", "2")
+    code, doc, _ = run_json(*argv, "--json")
+    assert code == 0
+    assert doc["results"][0]["status"] == "excluded:0.656"
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert out.endswith("] [excluded:0.656]\n")
 
 
 def test_hj_verb_model_file():
@@ -1021,7 +1022,7 @@ def test_usage_errors_end_in_one_error_line(argv, message):
 INVALID_CHOICES = (
     (("check", "m4.lc", "--suite", "none"),
      "argument --suite: invalid choice: 'none' (choose from ",
-     ("all", "homogeneous", "basic", "flat", "axioms", "bianchi",
+     ("all", "basic", "homogeneous", "flat", "axioms", "bianchi",
       "tension-identities", "affine", "cotangent", "sode")),
     (("nonsense-verb",),
      "argument verb: invalid choice: 'nonsense-verb' (choose from ",
@@ -1244,10 +1245,17 @@ def test_warnings_as_errors_in_a_fresh_process(tmp_path):
     assert proc.stdout.startswith("hamiltonian_field\n")
 
 
-def test_loading_first_integrals_imports_no_numpy_random():
-    # The transversality probes are a fixed set of plain floats.
+def test_loading_first_integrals_imports_no_numpy_random(tmp_path):
+    # The transversality probes and those of the symmetry test, which an
+    # asymmetric connection's Hamiltonian field runs, are fixed sets of
+    # plain floats.
+    path = tmp_path / "asymmetric.lc"
+    path.write_text(ASYMMETRIC)
     code = ("import sys\nfrom linconn.cli import run\n"
             f"assert run(['info', {str(MODELS / 'potential_1d.lc')!r}]) == 0\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            f"assert run(['tensor', {str(path)!r}, '--name', "
+            "'hamiltonian-field', '--function', 'p1']) == 0\n"
             "assert 'numpy.random' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

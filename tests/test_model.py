@@ -160,6 +160,14 @@ def test_duplicate_bundle_key_rejected(line):
     assert str(err.value).startswith("line 7: ")
 
 
+@pytest.mark.parametrize("kind, base", [("tangent", "x1"), ("jet", "t, x1")])
+def test_loaded_sode_keeps_the_declared_excluded_set(kind, base):
+    doc = load_model(f"[bundle]\nkind = {kind}\nbase = {base}\nfiber = v1\n"
+                     'exclude = "x1=0"\n\n[sode]\nf1 = -1/x1\n')
+    assert doc.sode.excluded == (parse("x1"),)
+    assert doc.connection.excluded == doc.sode.excluded
+
+
 def test_sode_and_hamiltonian_sections():
     doc = load_model("""
 [bundle]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linconn.affine import homogenize
-from linconn.expr import (ZERO, compile_fn, evaluate, is_zero, parse,
+from linconn.expr import (ZERO, Var, compile_fn, evaluate, is_zero, parse,
                           random_polynomial)
 from linconn.geometry import curvature
 from linconn.model import ModelError, sample_points
@@ -104,6 +104,22 @@ def test_homogeneous_sode_forces():
     fn = compile_fn(hs.forces[1], hs.coords)
     # (t, x1, w0, w1) -> -(w0)^2 * x1
     assert fn((0.0, 0.5, 2.0, 0.3)) == pytest.approx(-2.0)
+
+
+def test_one_builder_gives_the_jet_connection():
+    s = nonauto("-x1 - t*v1^2")
+    m = sode_connection(s)
+    assert m.bundle.kind == "jet"
+    assert m.gamma == nonautonomous_connection(s).gamma
+
+
+def test_homogeneous_sode_keeps_the_excluded_set():
+    s = SodeModel(False, ("t", "x1"), ("v1",), (parse("-1/v1"),),
+                  excluded=(parse("v1 - t"),))
+    hs = homogeneous_sode(s)
+    w0 = Var("w0")
+    assert hs.excluded == (w0, Var("w1") / w0 - Var("t"))
+    assert sode_connection(hs).excluded == hs.excluded
 
 
 def test_polynomial_degree_two_forces_extend_smoothly():
