@@ -20,8 +20,8 @@ from .expr import Expr, Var, ZERO, ONE, diff, simplify, substitute
 from .geometry import (
     BASE_COV, FIBER_COV, FIBER_VEC, CheckReport, Residuals, TensorField,
     VectorFieldOnE, _fiber_derivative, _homogeneous_report,
-    _homogeneous_sets, _suite, _tensor, check_homogeneous, combine_reports,
-    h_apply, linear_coeffs,
+    _homogeneous_sets, _random_field, _suite, _tensor, check_homogeneous,
+    combine_reports, h_apply, linear_coeffs,
 )
 from .model import (
     BundleModel, ConnectionModel, ModelError, SectionModel, sample_points,
@@ -202,10 +202,7 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
 
     # (i) distinguished-component residual for random section and field.
     sigma = tuple(random_polynomial(names, rng) for _ in range(m.k + 1))
-    U = VectorFieldOnE(
-        horizontal=tuple(random_polynomial(names, rng, degree=1) for _ in range(m.n)),
-        vertical=tuple(random_polynomial(names, rng, degree=1) for _ in range(m.k)),
-    )
+    U = _random_field(m, rng)
     derivative = affine_covariant_derivative(m, U, sigma)
     residual0 = simplify(derivative[0] - U.apply(m, sigma[0]))
     # Evaluated before `homogenize`, which may refuse the model.

@@ -25,8 +25,8 @@ from .expr import (
 )
 from .geometry import (
     BASE_COV, CheckReport, Residuals, TensorField, VectorFieldOnE,
-    _field_residuals, _suite, _tensor, combine_reports, curvature,
-    h_apply,
+    _cyclic_triples, _field_residuals, _suite, _tensor, combine_reports,
+    curvature, h_apply,
 )
 from .model import (DEFAULT_BOX, BundleModel, ConnectionModel, ModelError,
                     sample_points)
@@ -112,13 +112,12 @@ def torsion_form(m: ConnectionModel) -> TensorField:
     return _tensor("torsion_form", (BASE_COV, BASE_COV), (m.n, m.n), rule)
 
 
-def is_symmetric(m: ConnectionModel, probes: int = 16) -> bool:
+def is_symmetric(m: ConnectionModel) -> bool:
     """Symmetry test: structural zero of the torsion form, falling back to
-    `probes` fixed probes in the default sampling box, off the excluded
-    set."""
+    16 fixed probes in the default sampling box, off the excluded set."""
     comps = [e for _, e in torsion_form(m).items() if not is_zero(e)]
     return not comps or _zero_on_probes(m.bundle, comps, DEFAULT_BOX,
-                                        m.excluded, probes)
+                                        m.excluded, count=16)
 
 
 def dh(m: ConnectionModel, f: Expr) -> tuple[Expr, ...]:
@@ -361,11 +360,8 @@ def _cyclic_set(m: ConnectionModel, samples: np.ndarray,
                 tol: float) -> Residuals:
     _require_cotangent(m, "cyclic_curvature_check")
     R = curvature(m)
-    n = m.n
     comps: dict[str, Expr] = {}
-    triples = [t for t in itertools.product(range(n), repeat=3)
-               if t <= (t[1], t[2], t[0]) and t <= (t[2], t[0], t[1])]
-    for (i, j, l) in triples:
+    for (i, j, l) in _cyclic_triples(m.n):
         e: Expr = ZERO
         for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
             e = e + R[c, a, b]

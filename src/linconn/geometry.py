@@ -485,66 +485,56 @@ def combine_reports(name: str, subs: Sequence[CheckReport], tol: float,
 # A check suite is a generator: it yields lists of `Residuals`, receives
 # their reports in the same order, and returns its result, a report or a
 # list of them. It yields more than once only where it needs a verdict
-# before it can build further sets. `run_suites` takes each suite as a
-# function of no arguments that starts it, so that it can start it again.
-Suite = Callable[[], Generator[list, list, object]]
-
-
-class _Fault(Exception):
-    """The columns of a merged evaluation faulted."""
+# before it can build further sets. Where a set it yields fails to
+# evaluate, the error is thrown into it at that `yield`.
+Suite = Generator[list, list, object]
 
 
 def run_suites(suites: Sequence[Suite]) -> list:
     """The results of check suites, in order, from one evaluation pass per
     distinct sample set and round.
 
-    The suites advance together. The sets they yield in one round are
-    grouped by sample set (equal bit for bit, on the same coordinates),
-    and each group is one `evaluate_components` call over the distinct
-    expressions of its sets. On any exception, or where those columns
-    fault, the suites run again one at a time and each set is evaluated
-    on its own when it is yielded: the values, the first error and its
-    message are then those of a sequential run. `simplify` and `diff` are
-    memoized, so building the sets a second time is cheap.
+    The suites advance together, and each round's sets are evaluated by
+    `_merged`. A suite that raises, when it starts, while it builds its
+    sets, or when the error of a set it yielded is thrown into it, ends
+    there, and the suites after it are dropped. Its error is raised once
+    the suites before it have finished. So the values and the first error
+    are those of a run that evaluates each set on its own, suite by suite.
     """
-    try:
-        return _advance(suites, _merged)
-    except Exception:
-        return [result for suite in suites
-                for result in _advance([suite], _one_by_one)]
-
-
-def _advance(suites: Sequence[Suite], evaluate) -> list:
-    """Run `suites` in rounds, `evaluate` giving the reports of the sets
-    that one round yields."""
-    gens = [suite() for suite in suites]
-    results: list = [None] * len(gens)
-    replies: dict[int, list | None] = dict.fromkeys(range(len(gens)))
+    results: list = [None] * len(suites)
+    replies: dict[int, list | None] = dict.fromkeys(range(len(suites)))
+    failed = None
     while replies:
         asked = {}
         for k, reply in replies.items():
+            gen = suites[k]
             try:
-                sets = gens[k].send(reply)
+                errors = [r for r in reply or () if isinstance(r, Exception)]
+                sets = gen.throw(errors[0]) if errors else gen.send(reply)
                 # Sets without residuals need no evaluation, nor a round.
                 while not any(rs.comps for rs in sets):
-                    sets = gens[k].send([rs.report() for rs in sets])
+                    sets = gen.send([rs.report() for rs in sets])
                 asked[k] = sets
             except StopIteration as stop:
                 results[k] = stop.value
-        reports = iter(evaluate([rs for sets in asked.values()
-                                 for rs in sets]))
+            except Exception as exc:
+                failed = exc  # raised once the suites before it finish
+                break
+        reports = iter(_merged([rs for sets in asked.values()
+                                for rs in sets]))
         replies = {k: [next(reports) for _ in sets]
                    for k, sets in asked.items()}
+    if failed is not None:
+        raise failed
     return results
 
 
-def _one_by_one(sets: Sequence[Residuals]) -> list[CheckReport]:
-    return [rs.report() for rs in sets]
-
-
-def _merged(sets: Sequence[Residuals]) -> list[CheckReport]:
+def _merged(sets: Sequence[Residuals]) -> list:
     """The reports of `sets`, with one `evaluate_components` call per
-    distinct sample set."""
+    distinct sample set: equal bit for bit, on the same coordinates. Where
+    a group's columns fault, its sets are evaluated on their own, in
+    order, up to the first that raises: that set and every set of the
+    group after it get its error in place of a report."""
     groups: list[list[Residuals]] = []
     for rs in filter(lambda rs: rs.comps, sets):
         group = next((g for g in groups if _same_points(g[0], rs)), None)
@@ -552,15 +542,18 @@ def _merged(sets: Sequence[Residuals]) -> list[CheckReport]:
             groups.append([rs])
         else:
             group.append(rs)
-    results = {}
+    results: dict = {}
     for group in groups:
         first = group[0]
         found = evaluate_components(
             first.m, _Union([rs.comps for rs in group]), first.samples)
-        if found is None:
-            raise _Fault
-        results.update(zip(group, found))
-    return [rs.report(results.get(rs)) for rs in sets]
+        for at, rs in enumerate(group):
+            try:
+                results[rs] = rs.report(found[at] if found else None)
+            except Exception as exc:
+                results.update(dict.fromkeys(group[at:], exc))
+                break
+    return [results[rs] if rs.comps else rs.report() for rs in sets]
 
 
 def _same_points(a: Residuals, b: Residuals) -> bool:
@@ -580,10 +573,24 @@ def _suite(gen: Callable[..., Generator]):
     several suites together."""
     @functools.wraps(gen)
     def check(*args, **kwargs):
-        return run_suites([functools.partial(gen, *args, **kwargs)])[0]
+        return run_suites([gen(*args, **kwargs)])[0]
 
     check.suite = gen
     return check
+
+
+def _random_field(m: ConnectionModel, rng) -> VectorFieldOnE:
+    """A field on E of random linear polynomials, horizontal ones first."""
+    parts = [random_polynomial(m.bundle.coords, rng, degree=1)
+             for _ in range(m.n + m.k)]
+    return VectorFieldOnE(horizontal=tuple(parts[:m.n]),
+                          vertical=tuple(parts[m.n:]))
+
+
+def _cyclic_triples(n: int) -> list[tuple[int, int, int]]:
+    """One index triple of range(n) per cyclic class: the least rotation."""
+    return [t for t in itertools.product(range(n), repeat=3)
+            if t <= (t[1], t[2], t[0]) and t <= (t[2], t[0], t[1])]
 
 
 def _field_residuals(field_: TensorField) -> dict[str, Expr]:
@@ -661,10 +668,7 @@ def axioms_check(m: ConnectionModel, samples: np.ndarray, tol: float,
     names = m.bundle.coords
     f = random_polynomial(names, rng)
     sigma = tuple(random_polynomial(names, rng) for _ in range(m.k))
-    U = VectorFieldOnE(
-        horizontal=tuple(random_polynomial(names, rng, degree=1) for _ in range(m.n)),
-        vertical=tuple(random_polynomial(names, rng, degree=1) for _ in range(m.k)),
-    )
+    U = _random_field(m, rng)
     f_sigma = tuple(simplify(f * s) for s in sigma)
     d_sigma = covariant_derivative(m, U, sigma)
     lhs_leibniz = covariant_derivative(m, U, f_sigma)
@@ -711,9 +715,7 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
     comps1: dict[str, Expr] = {}
     if n >= 2:
         dh_hh = [dh_field(m, lin, hh, i) for i in range(n)]
-        triples = [t for t in itertools.product(range(n), repeat=3)
-                   if t <= (t[1], t[2], t[0]) and t <= (t[2], t[0], t[1])]
-        for (i, j, l) in triples:
+        for (i, j, l) in _cyclic_triples(n):
             for A in range(k):
                 for B in range(k):
                     e: Expr = ZERO

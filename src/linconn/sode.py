@@ -55,10 +55,12 @@ class SodeModel:
         if len(self.forces) != expected:
             raise ModelError(f"need {expected} forces, got {len(self.forces)}")
         allowed = set(self.coords)
-        for idx, f in enumerate(self.forces):
-            unknown = variables(f) - allowed
+        for idx, e in enumerate((*self.forces, *self.excluded)):
+            unknown = variables(e) - allowed
             if unknown:
-                raise ModelError(f"f{idx + 1} references unknown "
+                name = f"f{idx + 1}" if idx < expected else \
+                    "excluded-set predicate"
+                raise ModelError(f"{name} references unknown "
                                  f"coordinate(s) {sorted(unknown)}")
 
     @property

@@ -8,18 +8,17 @@ draws a run's sample set, selects the suites and hands them to
 `geometry.run_suites`, which evaluates the residual sets of one round
 with one `evaluate_components` call per distinct sample set. Sets equal
 bit for bit count as one, so the cotangent suite's own draw of the run's
-points joins them. Where that call faults, or anything raises, the
-suites run again one at a time, so the reports and the first error are
-those of a run that evaluates each set on its own, in suite order.
-
-The section of `basic` and the 1-form of `hamilton-jacobi`, which the
-command line parses only when their suite starts, are passed as
-functions, so that their errors keep that order.
+points joins them. Each suite starts and runs once. One that raises ends
+there and drops the suites after it, and its error is raised once the
+suites before it have finished: the reports and the first error are
+those of a run that evaluates each set on its own, in suite order. So
+the entries that parse the section of `basic`, homogenize an affine
+model or parse the 1-form of `hamilton-jacobi` are generators: that
+work, and its error, is their suite's.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,27 +61,35 @@ class CheckRun:
 def _basic(run: CheckRun):
     section = run.section()
     validate_section(run.m, section)
-    return _geometry.check_basic.suite(run.m, section, run.samples, run.tol)
+    return (yield from _geometry.check_basic.suite(run.m, section,
+                                                   run.samples, run.tol))
 
 
 def _homogeneous(run: CheckRun):
     """The model's own homogeneity, or for an affine or jet model that of
     its homogeneous extension, on points of that extension's box."""
     if run.m.bundle.kind in _AFFINE_KINDS:
-        return _affine.check_homogenized.suite(
-            _affine.homogenize(run.m), run.count, run.tol, run.seed)
-    return _geometry.check_homogeneous.suite(run.m, run.samples, run.tol)
+        return (yield from _affine.check_homogenized.suite(
+            _affine.homogenize(run.m), run.count, run.tol, run.seed))
+    return (yield from _geometry.check_homogeneous.suite(run.m, run.samples,
+                                                         run.tol))
+
+
+def _hamilton_jacobi(run: CheckRun):
+    alpha = _cotangent.OneFormOnM(run.alpha())
+    return (yield from _cotangent.hj_verify.suite(
+        run.doc.hamiltonian, alpha, run.samples, run.tol, run.m))
 
 
 @dataclass(frozen=True)
 class SuiteEntry:
-    """A suite: `start` begins it on a run. `--suite all` runs it on the
-    bundle kinds `kinds` when the run has what it `needs`."""
+    """A suite: `start` makes its generator on a run. `--suite all` runs
+    it on the bundle kinds `kinds` when the run has what it `needs`."""
 
     name: str
     kinds: tuple[str, ...]
     needs: str | None
-    start: Callable[[CheckRun], object]
+    start: Callable[[CheckRun], _geometry.Suite]
 
 
 # What a suite cannot run without: (whether a run has it, its name).
@@ -121,10 +128,7 @@ SUITES = tuple(SuiteEntry(*entry) for entry in (
     ("integrable", (), None,
      lambda run: _cotangent.integrable_report.suite(
          run.doc.hamiltonian, run.m, run.samples, run.tol)),
-    ("hamilton-jacobi", (), None,
-     lambda run: _cotangent.hj_verify.suite(
-         run.doc.hamiltonian, _cotangent.OneFormOnM(run.alpha()),
-         run.samples, run.tol, run.m)),
+    ("hamilton-jacobi", (), None, _hamilton_jacobi),
 ))
 
 
@@ -148,11 +152,6 @@ def _selected(run: CheckRun, names: Sequence[str]) -> list[SuiteEntry]:
     return out
 
 
-def _flattened(results: list) -> list[_geometry.CheckReport]:
-    return [report for result in results
-            for report in (result if isinstance(result, list) else [result])]
-
-
 def run_checks(doc: ModelDocument, names: Sequence[str], count: int,
                seed: int, tol: float, **options
                ) -> list[_geometry.CheckReport]:
@@ -164,6 +163,7 @@ def run_checks(doc: ModelDocument, names: Sequence[str], count: int,
         doc.bundle, [[ZERO] * doc.bundle.n] * doc.bundle.k, doc.excluded)
     samples = sample_points(m, count, seed=seed)
     run = CheckRun(doc, samples, count, seed, tol, **options)
-    suites = [functools.partial(entry.start, run)
-              for entry in _selected(run, names)]
-    return _flattened(_geometry.run_suites(suites))
+    results = _geometry.run_suites([entry.start(run)
+                                    for entry in _selected(run, names)])
+    return [report for result in results
+            for report in (result if isinstance(result, list) else [result])]

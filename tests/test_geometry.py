@@ -446,6 +446,95 @@ def test_sample_sets_equal_but_for_a_zero_sign_are_two_groups(
         [rs.report().max_residual for rs in sets]
 
 
+def test_merged_stops_at_the_first_raising_set_of_a_group(
+        monkeypatch, quadratic_model):
+    import linconn.geometry as geometry
+
+    pts = sample_points(quadratic_model, 20, seed=9)
+    other = sample_points(quadratic_model, 20, seed=10)
+    sets = [geometry.Residuals(name, quadratic_model, {name: parse(text)},
+                               samples, 1e-8)
+            for name, text, samples in (
+                ("ok", "x1*u1", pts), ("ln", "ln(x1 - 5)", pts),
+                ("late", "u1", pts), ("sqrt", "sqrt(u1 - 5)", pts),
+                ("apart", "x1", other))]
+    calls = []
+    evaluate = geometry.evaluate_components
+
+    def counting(m, comps, samples):
+        calls.append(list(comps))
+        return evaluate(m, comps, samples)
+
+    monkeypatch.setattr(geometry, "evaluate_components", counting)
+    reports = geometry._merged(sets)
+    # The union over `pts`, then "ok" and "ln" on their own; "late" and
+    # "sqrt" are not evaluated again; `other` is a group of its own.
+    assert calls == [
+        [parse("x1*u1"), parse("ln(x1 - 5)"), parse("u1"),
+         parse("sqrt(u1 - 5)")], ["ok"], ["ln"], [parse("x1")]]
+    error = reports[1]
+    assert isinstance(error, EvalError) and "ln of a" in str(error)
+    assert reports[2] is error and reports[3] is error
+    assert reports[0].max_residual == sets[0].report().max_residual
+    assert reports[4].max_residual == sets[4].report().max_residual
+
+
+def test_run_suites_raises_the_error_of_the_first_failing_suite(
+        quadratic_model):
+    import linconn.geometry as geometry
+
+    pts = sample_points(quadratic_model, 20, seed=9)
+    started, thrown = [], {}
+
+    def residuals(name, text):
+        return [geometry.Residuals(name, quadratic_model,
+                                   {name: parse(text)}, pts, 1e-8)]
+
+    def suite(name, rounds):
+        started.append(name)
+        if not rounds:
+            raise ValueError(name)
+        for text in rounds:
+            try:
+                yield residuals(name, text)
+            except EvalError as exc:
+                thrown[name] = exc
+                raise
+        return name
+
+    suites = [suite("a", ["x1*u1", "ln(x1 - 5)"]),
+              suite("b", ["sqrt(u1 - 5)", "u1"]), suite("c", [])]
+    with pytest.raises(EvalError) as excinfo:
+        geometry.run_suites(suites)
+    # B faults in round 1 and C raises at its start, but A, which comes
+    # first, faults in round 2: a run of one suite after another meets
+    # A's error first.
+    assert excinfo.value is thrown["a"]
+    assert "ln of a" in str(thrown["a"]) and "sqrt of a" in str(thrown["b"])
+    assert started == ["a", "b", "c"]
+    assert geometry.run_suites([suite("d", ["x1", "u1"])]) == ["d"]
+
+
+def test_failing_check_builds_each_suite_once(monkeypatch, tmp_path):
+    import linconn.geometry as geometry
+    from test_cli import FAULTING, run_cli
+
+    calls = []
+    tension_ = geometry.tension
+
+    def counting(m):
+        calls.append(m)
+        return tension_(m)
+
+    monkeypatch.setattr(geometry, "tension", counting)
+    path = tmp_path / "faulting.lc"
+    path.write_text(FAULTING)
+    code, _, err = run_cli("check", str(path), "--samples", "2000")
+    assert code == 2 and err.startswith("error: non-finite value of tension")
+    # The homogeneous and tension-identity suites, each built once.
+    assert len(calls) == 2
+
+
 def test_bianchi_n1_first_identity_vacuous(quadratic_model):
     pts = sample_points(quadratic_model, 20, seed=9)
     report = bianchi_check(quadratic_model, pts, 1e-8)

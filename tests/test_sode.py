@@ -122,6 +122,15 @@ def test_homogeneous_sode_keeps_the_excluded_set():
     assert sode_connection(hs).excluded == hs.excluded
 
 
+def test_excluded_predicate_on_unknown_coordinates_is_refused():
+    with pytest.raises(ModelError, match=r"excluded-set predicate "
+                       r"references unknown coordinate\(s\) \['y'\]"):
+        SodeModel(True, ("x1",), ("v1",), (parse("-x1"),),
+                  excluded=(parse("y"),))
+    with pytest.raises(ModelError, match=r"f1 references unknown"):
+        SodeModel(True, ("x1",), ("v1",), (parse("-y"),))
+
+
 def test_polynomial_degree_two_forces_extend_smoothly():
     hs = homogeneous_sode(nonauto("-x1 + v1^2"))
     fn = compile_fn(hs.forces[1], hs.coords)
