@@ -486,7 +486,7 @@ def combine_reports(name: str, subs: Sequence[CheckReport], tol: float,
 # their reports in the same order, and returns its result, a report or a
 # list of them. It yields more than once only where it needs a verdict
 # before it can build further sets. Where a set it yields fails to
-# evaluate, the error is thrown into it at that `yield`.
+# evaluate, it is not resumed: it fails with that set's error.
 Suite = Generator[list, list, object]
 
 
@@ -495,11 +495,11 @@ def run_suites(suites: Sequence[Suite]) -> list:
     distinct sample set and round.
 
     The suites advance together, and each round's sets are evaluated by
-    `_merged`. A suite that raises, when it starts, while it builds its
-    sets, or when the error of a set it yielded is thrown into it, ends
-    there, and the suites after it are dropped. Its error is raised once
-    the suites before it have finished. So the values and the first error
-    are those of a run that evaluates each set on its own, suite by suite.
+    `_merged`. A suite that raises, when it starts or while it builds its
+    sets, or one of whose sets fails to evaluate, ends there, and the
+    suites after it are dropped. Its error is raised once the suites
+    before it have finished. So the values and the first error are those
+    of a run that evaluates each set on its own, suite by suite.
     """
     results: list = [None] * len(suites)
     replies: dict[int, list | None] = dict.fromkeys(range(len(suites)))
@@ -510,7 +510,9 @@ def run_suites(suites: Sequence[Suite]) -> list:
             gen = suites[k]
             try:
                 errors = [r for r in reply or () if isinstance(r, Exception)]
-                sets = gen.throw(errors[0]) if errors else gen.send(reply)
+                if errors:  # the suite is not resumed: it fails with it
+                    raise errors[0]
+                sets = gen.send(reply)
                 # Sets without residuals need no evaluation, nor a round.
                 while not any(rs.comps for rs in sets):
                     sets = gen.send([rs.report() for rs in sets])
