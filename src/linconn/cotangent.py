@@ -214,7 +214,9 @@ def integrable_connection(h: HamiltonianModel) -> ConnectionModel:
         return simplify(Div(_det(replaced), det))
 
     gamma = [[coefficient(i, j) for i in range(n)] for j in range(n)]
-    return ConnectionModel(bundle, gamma, excluded=(det,))
+    # A constant determinant is nonzero here, so it excludes nothing.
+    return ConnectionModel(bundle, gamma,
+                           excluded=() if type(det) is Const else (det,))
 
 
 def _zero_on_probes(bundle: BundleModel, exprs: Sequence[Expr],

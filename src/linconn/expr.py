@@ -61,7 +61,9 @@ fallback). `_columns` runs it over numpy columns of many points:
 `pow`) and `sqrt` as column operations, which round each element as
 Python floats do, and the other functions as `math` calls mapped over
 the column. Any fault in a column hands the points to the scalar path,
-so every back end gives the same values bit for bit.
+so every back end gives the same values bit for bit. A plan carries no
+liveness: only the column runner frees what it computes, each column
+once its last reader has taken it.
 """
 
 from __future__ import annotations
@@ -598,7 +600,7 @@ def _run(plan, env: Mapping[str, float]) -> list[float]:
     """The plan's outputs at the point `env`, computed one entry at a time
     in plan order, raising the EvalError of the first entry that faults:
     the one scalar interpreter, behind `evaluate` and `_fault`."""
-    slot, _, outputs, _ = plan
+    slot, outputs, _ = plan
     vals: list = []
     for e in slot:
         vals.append(_eval_node(e, vals, slot, env))
@@ -1001,32 +1003,23 @@ _CHUNK = 2048
 def _plan(exprs: Sequence[Expr], names: Sequence[str]):
     """One straight-line plan computing `exprs` from a vector of `names`.
 
-    Returns `(slot, frees, outputs, index)`. `slot` maps each entry, in
+    Returns `(slot, outputs, index)`. `slot` maps each entry, in
     evaluation order, to its position, its slot: the entries are the
     distinct nodes of `exprs` (hash-consing keeps `-0.0` and `0.0` apart)
     and each quotient `q`'s zero check `(q,)`, in a post-order walk of the
-    expressions in sequence (`_plan_kids`). `frees[k]` lists the slots
-    whose last use is entry k, `outputs` the slot of each expression, and
-    `index` the coordinate of each name. A variable not in `names` is an
-    EvalError.
+    expressions in sequence (`_plan_kids`). `outputs` is the slot of each
+    expression and `index` the coordinate of each name. A variable not in
+    `names` is an EvalError. A plan holds no liveness: `_columns`, the
+    only back end that frees what it computes, counts its own readers.
     """
     index = {name: i for i, name in enumerate(names)}
     slot: dict = {}
     outputs = tuple(_postorder(e, slot, lambda node, done: len(done), _plan_kids)
                     for e in exprs)
-    last: dict[int, int] = {}
-    for k, e in enumerate(slot):
+    for e in slot:
         if type(e) is Var and e.name not in index:
             raise EvalError(f"unbound variable '{e.name}' in compiled expression")
-        if type(e) is not tuple:
-            for kid in e.children():
-                last[slot[kid]] = k
-    for ref in outputs:
-        last.pop(ref, None)
-    frees: list[tuple[int, ...]] = [()] * len(slot)
-    for s, k in last.items():
-        frees[k] += (s,)
-    return slot, frees, outputs, index
+    return slot, outputs, index
 
 
 def _plan_kids(e):
@@ -1044,7 +1037,7 @@ def _render(plan, inputs: Sequence[str], prefix: str):
     emits nothing: Python's `/` raises. Every generated function
     (`compile_fn`, `compile_vector`, the RK4 kernel) is built from these
     lines, so all of them compute an entry with the same operations."""
-    slot, _, outputs, index = plan
+    slot, outputs, index = plan
     text: list = []
     lines = []
     for k, e in enumerate(slot):
@@ -1077,7 +1070,7 @@ def _define(source: str, **names):
 def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
     """Render the plan of `exprs` as one Python function of a value vector."""
     plan = _plan(exprs, names)
-    slot, _, _, index = plan
+    slot, _, index = plan
     # Each coordinate the plan reads is loaded from `v` once, into a local.
     used = sorted({index[e.name] for e in slot if type(e) is Var})
     lines, parts = _render(plan, [f"v{i}" for i in range(len(names))], "t")
@@ -1107,10 +1100,23 @@ def _columns(plan, block):
     function, any non-finite input or constant entry, and any non-finite
     element of a power or root give None. So every column holds finite
     values only, and equals the scalar code row by row.
+
+    Only this back end frees what it computes, since only its values grow
+    with the rows: each call counts every entry's readers and drops a
+    column once its last reader has taken it.
     """
     import numpy as np
-    slot, frees, outputs, index = plan
+    slot, outputs, index = plan
     rows = len(block)
+    # Each entry's readers still to come: one more for an output, so an
+    # output is never dropped.
+    readers = [0] * len(slot)
+    for r in outputs:
+        readers[r] += 1
+    for e in slot:
+        if type(e) is not tuple:
+            for kid in e.children():
+                readers[slot[kid]] += 1
     vals: list = [None] * len(slot)
     try:
         coords = np.ascontiguousarray(np.asarray(block, dtype=float).T)
@@ -1121,7 +1127,12 @@ def _columns(plan, block):
                 cls = type(e)
                 if cls is tuple:  # a zero denominator raises at its quotient
                     continue
-                a = [vals[slot[kid]] for kid in e.children()]
+                kids = [slot[kid] for kid in e.children()]
+                a = [vals[s] for s in kids]
+                for s in kids:
+                    readers[s] -= 1
+                    if not readers[s]:
+                        vals[s] = None
                 if cls is Const:
                     val = e.value
                 elif cls is Var:
@@ -1147,8 +1158,6 @@ def _columns(plan, block):
                 if type(val) is float and not math.isfinite(val):
                     return None
                 vals[k] = val
-                for free in frees[k]:
-                    vals[free] = None
     except (ArithmeticError, ValueError):
         return None
     return [np.full(rows, vals[r]) if type(vals[r]) is float else vals[r]

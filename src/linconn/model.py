@@ -370,6 +370,8 @@ def _parse_sode(bundle, excluded, entries):
         if not (1 <= idx <= count):
             raise ModelError(f"force index f{idx} out of range 1..{count}",
                              lineno)
+        if idx in forces:
+            raise ModelError(f"duplicate entry f{idx}", lineno)
         entry = _parse_entry_expr(lineno, key, value)
         unknown = variables(entry) - set(bundle.coords)
         if unknown:
@@ -397,6 +399,8 @@ def _parse_hamiltonian(bundle, entries):
     integrals: dict[int, Expr] = {}
     for lineno, key, value in entries:
         if key == "H":
+            if H is not None:
+                raise ModelError("duplicate entry H", lineno)
             H = _parse_entry_expr(lineno, key, value)
             continue
         match = _FORCE_KEY.match(key)
@@ -405,6 +409,8 @@ def _parse_hamiltonian(bundle, entries):
         idx = int(match.group(1))
         if not (1 <= idx <= bundle.n):
             raise ModelError(f"first-integral index f{idx} out of range", lineno)
+        if idx in integrals:
+            raise ModelError(f"duplicate entry f{idx}", lineno)
         integrals[idx] = _parse_entry_expr(lineno, key, value)
     if H is None:
         raise ModelError("[hamiltonian] requires H")

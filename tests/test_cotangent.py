@@ -204,6 +204,8 @@ def test_integrable_connection_momenta(cot2):
                            first_integrals=(parse("p1"), parse("p2")))
     m = integrable_connection(ham)
     assert all(e == ZERO for row in m.gamma for e in row)
+    # The transversality determinant is the constant 1: nothing to exclude.
+    assert m.excluded == ()
 
 
 def test_integrable_connection_1d_potential():

@@ -2,6 +2,7 @@ import copy
 import math
 import operator
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,25 @@ def test_columns_hand_an_intermediate_overflow_to_the_scalar_path():
     assert _columns(_plan((Div(ONE, huge),), _NAMES), rows) is None
     (column,) = _columns(_plan((_SIGNED_ZEROS,), _NAMES), rows)
     assert column[0].hex() == compile_fn(_SIGNED_ZEROS, _NAMES)(rows[0]).hex()
+
+
+def test_columns_drop_each_column_after_its_last_reader():
+    """A plan is `(slot, outputs, index)`; `_columns` counts the readers
+    itself, so a run holds a few columns at a time, not one per entry."""
+    e = parse(" + ".join(f"(x1*x2^{j} - {j + 1}*x1)" for j in range(1, 201)))
+    slot, outputs, index = plan = _plan((e,), ("x1", "x2"))
+    assert len(slot) == 1202 and outputs == (1201,) and index == {"x1": 0, "x2": 1}
+    rows = np.random.default_rng(7).uniform(0.5, 1.0, size=(2048, 2))
+    tracemalloc.start()
+    try:
+        (column,) = _columns(plan, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Keeping every column would take 1,202 * 2,048 * 8 bytes, about 19 MB.
+    assert peak < 1e6
+    fn = compile_fn(e, ("x1", "x2"))
+    assert [fn(row) for row in rows.tolist()] == column.tolist()
 
 
 def test_column_powers_and_roots_equal_the_scalar_path_on_ties():

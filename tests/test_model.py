@@ -160,6 +160,21 @@ def test_duplicate_bundle_key_rejected(line):
     assert str(err.value).startswith("line 7: ")
 
 
+@pytest.mark.parametrize("kind, section, lines, key", [
+    ("tangent", "sode", ("f1 = -x1", "f1 = x1"), "f1"),
+    ("cotangent", "hamiltonian", ("H = p1^2", "H = p1^2/2"), "H"),
+    ("cotangent", "hamiltonian", ("H = p1^2", "f1 = p1", "f1 = 2*p1"), "f1"),
+])
+def test_duplicate_sode_or_hamiltonian_entry_rejected(kind, section, lines, key):
+    """A repeated entry is an error on its line, never a silent overwrite."""
+    fiber = "p1" if kind == "cotangent" else "v1"
+    text = (f"[bundle]\nkind = {kind}\nbase = x1\nfiber = {fiber}\n\n"
+            f"[{section}]\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ModelError) as err:
+        load_model(text)
+    assert str(err.value) == f"line {6 + len(lines)}: duplicate entry {key}"
+
+
 @pytest.mark.parametrize("kind, base", [("tangent", "x1"), ("jet", "t, x1")])
 def test_loaded_sode_keeps_the_declared_excluded_set(kind, base):
     doc = load_model(f"[bundle]\nkind = {kind}\nbase = {base}\nfiber = v1\n"
