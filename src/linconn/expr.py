@@ -55,15 +55,16 @@ Numeric paths: all numeric work runs one straight-line plan of a tuple of
 expressions, their distinct nodes in evaluation order (`_plan`). `_run`
 interprets it for `evaluate`, and names the fault wherever the other back
 ends meet one. `compile_fn` and `compile_vector` render it as Python
-source for calls at one point at a time (the RK4 core, the scalar
-fallback). `_columns` runs it over numpy columns of many points:
-`+ - * /`, negation, `^` (as `np.float_power`, over the C library's
-`pow`) and `sqrt` as column operations, which round each element as
-Python floats do, and the other functions as `math` calls mapped over
-the column. Any fault in a column hands the points to the scalar path,
-so every back end gives the same values bit for bit. A plan carries no
-liveness: only the column runner frees what it computes, each column
-once its last reader has taken it.
+source for calls at one point at a time (the RK4 core). A sample array
+goes through one runner, `_sample_columns`, which counts each entry's
+readers once and runs the plan over numpy columns of each 2,048-row
+chunk. A chunk whose columns fault is reported as None, and the caller
+decides over the scalar path, `_scalar_rows`: one `compile_vector`
+evaluated row by row. Residual checks run it once per label, so they
+raise the first fault in label order, and a non-finite value is an error
+there; the sampler runs it in stream order, up to the last row it takes,
+and keeps a row whose predicate is inf. So every back end gives the same
+values bit for bit, and only the runner frees what it computes.
 """
 
 from __future__ import annotations
@@ -1009,8 +1010,8 @@ def _plan(exprs: Sequence[Expr], names: Sequence[str]):
     and each quotient `q`'s zero check `(q,)`, in a post-order walk of the
     expressions in sequence (`_plan_kids`). `outputs` is the slot of each
     expression and `index` the coordinate of each name. A variable not in
-    `names` is an EvalError. A plan holds no liveness: `_columns`, the
-    only back end that frees what it computes, counts its own readers.
+    `names` is an EvalError. A plan holds no liveness: `_sample_columns`,
+    the only runner that frees what it computes, counts the readers.
     """
     index = {name: i for i, name in enumerate(names)}
     slot: dict = {}
@@ -1067,24 +1068,29 @@ def _define(source: str, **names):
     return namespace["_f"]
 
 
-def _compile(exprs: Sequence[Expr], names: Sequence[str], vector: bool):
-    """Render the plan of `exprs` as one Python function of a value vector."""
+def _sample_columns(exprs: Sequence[Expr], names: Sequence[str], samples):
+    """Lazily, for each chunk of `_CHUNK` rows of `samples` (one point per
+    row), its slice and the columns `_columns` gives over it. The plan and
+    each entry's readers (one more per output, so an output is never
+    dropped) are counted once; each chunk uses up a copy of the counts,
+    and the last chunk the counts themselves."""
     plan = _plan(exprs, names)
-    slot, _, index = plan
-    # Each coordinate the plan reads is loaded from `v` once, into a local.
-    used = sorted({index[e.name] for e in slot if type(e) is Var})
-    lines, parts = _render(plan, [f"v{i}" for i in range(len(names))], "t")
-    lines = [f"v{i} = v[{i}]" for i in used] + lines
-    body = "(" + "".join(p + ", " for p in parts) + ")" if vector else parts[0]
-    source = ("def _f(v):\n    try:\n"
-              + "".join(f"        {line}\n" for line in lines)
-              + f"        return {body}\n"
-              "    except (ArithmeticError, ValueError) as exc:\n"
-              "        raise _fault(exprs, names, v, str(exc)) from None\n")
-    return _define(source, _fault=_fault, exprs=exprs, names=names)
+    slot, outputs, _ = plan
+    readers = [0] * len(slot)
+    for r in outputs:
+        readers[r] += 1
+    for e in slot:
+        if type(e) is not tuple:
+            for kid in e.children():
+                readers[slot[kid]] += 1
+    for start in range(0, len(samples), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        last = start + _CHUNK >= len(samples)
+        yield rows, _columns(plan, readers if last else readers.copy(),
+                             samples[rows])
 
 
-def _columns(plan, block):
+def _columns(plan, readers: list, block):
     """The plan's outputs as float64 columns over the rows of `block` (one
     point per row), or None where the scalar path must decide.
 
@@ -1101,22 +1107,12 @@ def _columns(plan, block):
     element of a power or root give None. So every column holds finite
     values only, and equals the scalar code row by row.
 
-    Only this back end frees what it computes, since only its values grow
-    with the rows: each call counts every entry's readers and drops a
+    It uses up `readers`, each entry's readers still to come, dropping a
     column once its last reader has taken it.
     """
     import numpy as np
     slot, outputs, index = plan
     rows = len(block)
-    # Each entry's readers still to come: one more for an output, so an
-    # output is never dropped.
-    readers = [0] * len(slot)
-    for r in outputs:
-        readers[r] += 1
-    for e in slot:
-        if type(e) is not tuple:
-            for kid in e.children():
-                readers[slot[kid]] += 1
     vals: list = [None] * len(slot)
     try:
         coords = np.ascontiguousarray(np.asarray(block, dtype=float).T)
@@ -1186,14 +1182,37 @@ def compile_fn(e: Expr, names: Sequence[str]) -> Callable[[Sequence[float]], flo
     `EvalError` naming the subexpression and the point. Only a sum or
     product that overflows is not checked: it comes back as inf or nan.
     """
-    return _compile((e,), names, vector=False)
+    fn = compile_vector((e,), names)
+    return lambda v: fn(v)[0]
 
 
 def compile_vector(exprs: Sequence[Expr],
                    names: Sequence[str]) -> Callable[[Sequence[float]], tuple]:
     """Compile several expressions into one callable returning the tuple of
-    their values, each computed exactly as `compile_fn` would."""
-    return _compile(tuple(exprs), names, vector=True)
+    their values, each as `compile_fn` gives it: their plan rendered as one
+    Python function of a value vector."""
+    exprs = tuple(exprs)
+    plan = _plan(exprs, names)
+    slot, _, index = plan
+    # Each coordinate the plan reads is loaded from `v` once, into a local.
+    used = sorted({index[e.name] for e in slot if type(e) is Var})
+    lines, parts = _render(plan, [f"v{i}" for i in range(len(names))], "t")
+    lines = [f"v{i} = v[{i}]" for i in used] + lines
+    source = ("def _f(v):\n    try:\n"
+              + "".join(f"        {line}\n" for line in lines)
+              + "        return (" + "".join(p + ", " for p in parts) + ")\n"
+              "    except (ArithmeticError, ValueError) as exc:\n"
+              "        raise _fault(exprs, names, v, str(exc)) from None\n")
+    return _define(source, _fault=_fault, exprs=exprs, names=names)
+
+
+def _scalar_rows(exprs: Sequence[Expr], names: Sequence[str],
+                 rows: Sequence[Sequence[float]]):
+    """The scalar path: the value tuples of `exprs` at `rows`, computed as
+    they are taken (a fault raises there, a non-finite value is returned),
+    and `fault(row, reason)`, the EvalError at the row of that index."""
+    values = map(compile_vector(exprs, names), rows)
+    return values, lambda row, reason: _fault(exprs, names, rows[row], reason)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from typing import Callable, Generator, Iterable, Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    _CHUNK, Expr, ExprError, Var, ZERO, _columns, _compile, _fault, _plan, diff,
-    is_zero, random_polynomial, simplify, substitute,
+    Expr, ExprError, Var, ZERO, _sample_columns, _scalar_rows, diff, is_zero,
+    random_polynomial, simplify, substitute,
 )
 from .model import ConnectionModel, ModelError, PointE, SectionModel
 
@@ -440,31 +440,27 @@ def _column_maxima(exprs: Sequence[Expr], names: Sequence[str],
                    samples: np.ndarray):
     """Per expression, its largest absolute value over `samples` and the
     first row that reaches it; None where the scalar path must decide."""
+    maxima = [(0.0, 0)] * len(exprs)
     try:
-        plan = _plan(exprs, names)
+        for rows, columns in _sample_columns(exprs, names, samples):
+            if columns is None:
+                return None
+            for k, column in enumerate(map(np.abs, columns)):
+                where = int(column.argmax())
+                if column[where] > maxima[k][0]:
+                    maxima[k] = (float(column[where]), rows.start + where)
     except ExprError:  # an unbound variable: report it in label order
         return None
-    maxima = [(0.0, 0)] * len(exprs)
-    for start in range(0, len(samples), _CHUNK):
-        columns = _columns(plan, samples[start:start + _CHUNK])
-        if columns is None:
-            return None
-        for k, column in enumerate(columns):
-            column = np.abs(column)
-            where = int(column.argmax())
-            if column[where] > maxima[k][0]:
-                maxima[k] = (float(column[where]), start + where)
     return maxima
 
 
 def _scalar_maximum(label: str, e: Expr, names: Sequence[str],
                     rows: Sequence[Sequence[float]]):
-    fn = _compile((e,), names, vector=False)
-    column = np.abs([fn(vec) for vec in rows])
+    values, fault = _scalar_rows((e,), names, rows)
+    column = np.abs([vals[0] for vals in values])
     finite = np.isfinite(column)
     if not finite.all():
-        raise _fault((e,), names, rows[int(np.argmin(finite))],
-                     f"non-finite value of {label}")
+        raise fault(int(np.argmin(finite)), f"non-finite value of {label}")
     where = int(np.argmax(column)) if len(column) else 0
     return float(column.max(initial=0.0)), where
 

@@ -7,6 +7,7 @@ are declared, never inferred; samplers keep away from them.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -14,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    _CHUNK, Expr, ParseError, _columns, _plan, compile_vector, parse, simplify,
-    to_string, variables,
+    Expr, ParseError, _is_identifier, _sample_columns, _scalar_rows, parse,
+    simplify, to_string, variables,
 )
 
 __all__ = [
@@ -33,6 +34,10 @@ DEFAULT_BOX = (-1.0, 1.0)
 # points) that the benchmark or the tests make. A larger count would only
 # fill memory until the process is killed.
 _MAX_SAMPLES = 2_000_000
+
+# The fewest points the sampler draws at a time, so that a few points
+# still missing do not cost a draw and a plan each.
+_MIN_DRAW = 2048
 
 
 class ModelError(Exception):
@@ -59,6 +64,9 @@ class BundleModel:
         if len(self.base_coords) < 1 or len(self.fiber_coords) < 1:
             raise ModelError("need at least one base and one fiber coordinate")
         names = self.base_coords + self.fiber_coords
+        for name in names:
+            if not (name and _is_identifier(name)):
+                raise ModelError(f"invalid coordinate name {name!r}")
         if len(set(names)) != len(names):
             raise ModelError("coordinate names must be distinct")
         if self.kind in ("tangent", "cotangent") and self.k != self.n:
@@ -512,7 +520,6 @@ def sample_points(m: ConnectionModel, count: int,
         intervals.append((lo, hi))
     lows, highs = np.array(intervals).T
     rng = np.random.default_rng(seed)
-    plan = _plan(m.excluded, bundle.coords)
     limit = 1000 * count
     blocks: list[np.ndarray] = []
     taken = attempts = 0
@@ -520,31 +527,33 @@ def sample_points(m: ConnectionModel, count: int,
         if attempts == limit:
             raise ModelError("could not sample off the excluded set; "
                              "box too close to the singular locus")
-        # One block of the same stream that one draw per coordinate gives.
-        block = rng.uniform(lows, highs,
-                            size=(min(_CHUNK, limit - attempts), len(intervals)))
-        attempts += len(block)
-        blocks.append(_off_excluded(m, plan, block, margin, count - taken))
-        taken += len(blocks[-1])
+        # One block of the same stream that one draw per coordinate gives,
+        # however the draws are split. A block of more than `_MIN_DRAW`
+        # rows has no more rows than points are missing, so none of its
+        # chunks is evaluated in vain.
+        size = min(max(count - taken, _MIN_DRAW), limit - attempts)
+        attempts += size
+        block = rng.uniform(lows, highs, size=(size, len(intervals)))
+        for rows, columns in _sample_columns(m.excluded, bundle.coords, block):
+            blocks.append(_off_excluded(m, block[rows], columns, margin,
+                                        count - taken))
+            taken += len(blocks[-1])
+        del block  # only the rows taken are kept
     return np.concatenate(blocks)
 
 
-def _off_excluded(m: ConnectionModel, plan, block, margin: float, need: int):
-    """The first `need` rows of `block` where no excluded-set predicate is
-    within `margin` of zero. If the plan's columns fault, the compiled
-    predicates decide row by row, so no row after the last one taken is
-    evaluated."""
-    columns = _columns(plan, block)
+def _off_excluded(m: ConnectionModel, chunk, columns, margin: float,
+                  need: int):
+    """The first `need` rows of `chunk` where no excluded-set predicate is
+    within `margin` of zero, from the predicates' `columns` over it. Where
+    those fault (None), the compiled predicates decide row by row, so no
+    row after the last one taken is evaluated."""
     if columns is None:
-        predicates = compile_vector(m.excluded, m.bundle.coords)
-        taken: list[int] = []
-        for row, vals in enumerate(block.tolist()):
-            if len(taken) == need:
-                break
-            if not any(abs(p) < margin for p in predicates(vals)):
-                taken.append(row)
-        return block[taken]
-    near = np.zeros(len(block), dtype=bool)
+        values, _ = _scalar_rows(m.excluded, m.bundle.coords, chunk.tolist())
+        far = (row for row, vals in enumerate(values)
+               if not any(abs(p) < margin for p in vals))
+        return chunk[list(itertools.islice(far, need))]
+    near = np.zeros(len(chunk), dtype=bool)
     for column in columns:
         near |= np.abs(column) < margin
-    return block[~near][:need]
+    return chunk[~near][:need]

@@ -211,6 +211,23 @@ def test_nonfinite_literal_is_a_parse_error(tmp_path):
         assert err.count("error:") == 1 and "number out of range" in err
 
 
+@pytest.mark.parametrize("base, fiber, name", [
+    ("x1", "1", "1"),
+    ("e x1", "v1", "e x1"),
+    ("x1", "v2/", "v2/"),
+    ("x1", "vln(", "vln("),
+])
+def test_coordinate_name_that_is_not_an_identifier_exits_2(tmp_path, base,
+                                                           fiber, name):
+    path = tmp_path / "bad.lc"
+    path.write_text(f"[bundle]\nkind = tangent\nbase = {base}\n"
+                    f"fiber = {fiber}\n\n[sode]\nf1 = -1\n")
+    for argv in (("info", str(path)), ("check", str(path), "--samples", "5")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err == f"error: invalid coordinate name {name!r}\n"
+
+
 @pytest.mark.parametrize("coefficient", [
     "(1/1e-320)*u1",        # a quotient of constants that overflows
     "1e308*u1 + 1e308*u1",  # a sum of constants that overflows

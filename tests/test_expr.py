@@ -1,8 +1,10 @@
+import ast
 import copy
 import math
 import operator
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from linconn.expr import (
     Add, Call, Const, Div, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
-    ONE, ZERO, _P_NEG, _P_POW, _columns, _diff, _fmt_const, _memo, _plan,
-    _postorder, _prec, compile_fn, compile_vector, diff, evaluate, is_zero,
-    parse, simplify, substitute, to_string, variables,
+    ONE, ZERO, _P_NEG, _P_POW, _diff, _fmt_const, _memo, _plan, _postorder,
+    _prec, _sample_columns, compile_fn, compile_vector, diff, evaluate,
+    is_zero, parse, simplify, substitute, to_string, variables,
 )
 
 
@@ -406,6 +408,16 @@ def _rows():
                     max_size=8)
 
 
+def _sampled(exprs, rows):
+    """`exprs` over `rows` through the sample runner, each column joined
+    over the chunks; None where the columns of any chunk fault."""
+    chunks = [columns for _, columns in
+              _sample_columns(exprs, _NAMES, np.asarray(rows, dtype=float))]
+    if None in chunks:
+        return None
+    return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(expressions(), domain_expressions(), power_expressions()),
        _rows())
@@ -416,7 +428,7 @@ def _rows():
 def test_columns_match_compile_fn_or_fall_back(e, rows):
     # Several outputs of one plan, sharing e, plus a signed-zero constant.
     exprs = (e, Neg(e), Const(-0.0))
-    columns = _columns(_plan(exprs, _NAMES), np.array(rows))
+    columns = _sampled(exprs, rows)
     if columns is None:
         return  # the scalar path decides
     for out, column in zip(exprs, columns):
@@ -427,34 +439,41 @@ def test_columns_match_compile_fn_or_fall_back(e, rows):
 
 def test_columns_hand_an_intermediate_overflow_to_the_scalar_path():
     rows = [(0.0, 0.0, 1.5, 0.0)]
-    assert _columns(_plan((_OVERFLOW_THEN_FINITE,), _NAMES), rows) is None
+    assert _sampled((_OVERFLOW_THEN_FINITE,), rows) is None
     assert compile_fn(_OVERFLOW_THEN_FINITE, _NAMES)(rows[0]) == 0.0
     # Non-finite inputs and non-finite constant steps fall back too.
     nan_row = [(float("nan"), 0.0, 0.0, 0.0)]
-    assert _columns(_plan((parse("x1"),), _NAMES), nan_row) is None
+    assert _sampled((parse("x1"),), nan_row) is None
     huge = Mul(Const(1e200), Const(1e200))
-    assert _columns(_plan((Div(ONE, huge),), _NAMES), rows) is None
-    (column,) = _columns(_plan((_SIGNED_ZEROS,), _NAMES), rows)
+    assert _sampled((Div(ONE, huge),), rows) is None
+    (column,) = _sampled((_SIGNED_ZEROS,), rows)
     assert column[0].hex() == compile_fn(_SIGNED_ZEROS, _NAMES)(rows[0]).hex()
 
 
 def test_columns_drop_each_column_after_its_last_reader():
-    """A plan is `(slot, outputs, index)`; `_columns` counts the readers
-    itself, so a run holds a few columns at a time, not one per entry."""
+    """A plan is `(slot, outputs, index)`; `_sample_columns` counts the
+    readers once and each chunk drops a column after its last reader, so a
+    run holds a few columns at a time, not one per entry."""
     e = parse(" + ".join(f"(x1*x2^{j} - {j + 1}*x1)" for j in range(1, 201)))
-    slot, outputs, index = plan = _plan((e,), ("x1", "x2"))
+    slot, outputs, index = _plan((e,), ("x1", "x2"))
     assert len(slot) == 1202 and outputs == (1201,) and index == {"x1": 0, "x2": 1}
-    rows = np.random.default_rng(7).uniform(0.5, 1.0, size=(2048, 2))
+    # Three chunks: each but the last uses up a copy of the counts.
+    rows = np.random.default_rng(7).uniform(0.5, 1.0, size=(6144, 2))
     tracemalloc.start()
     try:
-        (column,) = _columns(plan, rows)
+        chunks = [(where, column) for where, (column,)
+                  in _sample_columns((e,), ("x1", "x2"), rows)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Keeping every column would take 1,202 * 2,048 * 8 bytes, about 19 MB.
+    # Keeping every column of a chunk would take 1,202 * 2,048 * 8 bytes,
+    # about 19 MB.
     assert peak < 1e6
+    assert [where for where, _ in chunks] == \
+        [slice(0, 2048), slice(2048, 4096), slice(4096, 6144)]
     fn = compile_fn(e, ("x1", "x2"))
-    assert [fn(row) for row in rows.tolist()] == column.tolist()
+    assert [fn(row) for row in rows.tolist()] == \
+        np.concatenate([column for _, column in chunks]).tolist()
 
 
 def test_column_powers_and_roots_equal_the_scalar_path_on_ties():
@@ -469,7 +488,7 @@ def test_column_powers_and_roots_equal_the_scalar_path_on_ties():
         "x1^2", "x2^3", "u1^2", "x1^0.5", "x1^-1", "x2^-2", "x1^2.5",
         "x2^(1/3)", "u1^7", "2^x1", "x1^x2", "sqrt(x1)", "sqrt(u2)",
         "u2^2")))
-    columns = _columns(_plan(exprs, _NAMES), rows)
+    columns = _sampled(exprs, rows)
     assert columns is not None
     for e, column in zip(exprs, columns):
         fn = compile_fn(e, _NAMES)
@@ -485,7 +504,7 @@ def test_column_powers_and_roots_equal_the_scalar_path_on_ties():
 ])
 def test_column_power_and_root_faults_go_to_the_scalar_path(text, row):
     rows = np.array([(1.0, 1.0, 1.0, 1.0), row])
-    assert _columns(_plan((parse(text),), _NAMES), rows) is None
+    assert _sampled((parse(text),), rows) is None
 
 
 def test_a_non_finite_column_power_goes_to_the_scalar_path_without_a_flag(monkeypatch):
@@ -495,7 +514,7 @@ def test_a_non_finite_column_power_goes_to_the_scalar_path_without_a_flag(monkey
 
     monkeypatch.setattr(np, "float_power", quiet)
     rows = np.array([(1.0, 1.0, 1.0, 1.0)])
-    assert _columns(_plan((parse("x1^2"),), _NAMES), rows) is None
+    assert _sampled((parse("x1^2"),), rows) is None
 
 
 def _env_points(rng, count=12):
@@ -802,3 +821,35 @@ def test_diff_and_simplify_agree_with_sympy():
                 assert _close(got, want)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Who drives the numeric paths
+# ---------------------------------------------------------------------------
+
+def _expr_imports():
+    """Per linconn module but `expr`, the names it imports from `expr`."""
+    found = {}
+    src = Path(__file__).resolve().parents[1] / "src" / "linconn"
+    for path in src.glob("*.py"):
+        if path.stem == "expr":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("expr", "linconn.expr")):
+                found.setdefault(path.stem, set()).update(
+                    alias.name for alias in node.names)
+    return found
+
+
+def test_only_expr_runs_columns_and_scalar_fallbacks():
+    """Sample arrays go through `_sample_columns` and `_scalar_rows`: no
+    other module chunks rows, runs columns or compiles a fallback itself.
+    The RK4 kernel renders plans of its own."""
+    found = _expr_imports()
+    internal = {"_CHUNK", "_columns", "_compile", "_fault"}
+    assert {stem: names & internal for stem, names in found.items()
+            if names & internal} == {}
+    assert {"_plan", "_render", "_define"} <= found["transport"]
+    runner = {"_sample_columns", "_scalar_rows"}
+    assert runner <= found["geometry"] and runner <= found["model"]

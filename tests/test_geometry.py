@@ -687,3 +687,20 @@ def test_evaluate_components_reports_faults_in_label_order(m4_model):
     big = {"d": parse("u1 + 1/(exp(400*(x1 + 1))*exp(400*(x1 + 1)))")}
     assert evaluate_components(m4_model, big, samples) == \
         _per_point(m4_model, big, samples)[0]
+
+
+def test_faults_in_the_last_chunk_are_reported_in_label_order(m4_model):
+    # 5,000 rows span three column chunks; only the last one (rows 4,096
+    # on) faults: "b" at row 4,200, before "a" at row 4,500.
+    samples = np.random.default_rng(3).uniform(0.5, 1.0, size=(5000, 4))
+    samples[4500, 0] = -0.5
+    samples[4200, 1] = 0.2
+    comps = {"a": parse("ln(x1)"), "b": parse("1/(x2 - 0.2)"),
+             "c": parse("u1")}
+    with pytest.raises(EvalError, match=r"^ln of a non-positive number in "
+                       r"'ln\(x1\)' at x1=-0\.5, "):
+        evaluate_components(m4_model, comps, samples)
+    del comps["a"]
+    with pytest.raises(EvalError, match=r"^division by zero in '1/\(x2 - "
+                       r"0\.2\)' at x1=[0-9.]+, x2=0\.2, "):
+        evaluate_components(m4_model, comps, samples)

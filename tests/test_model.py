@@ -326,6 +326,35 @@ def test_block_sampler_faults_where_scalar_stream_does():
     assert {type(o) for o in outcomes} == {list, tuple}
 
 
+@pytest.mark.parametrize("predicate, count, seed, first", [
+    # ln faults first at draw 2,153, before the 60th point is taken.
+    ("u1^64*ln(x1 + 0.9995)", 60, 4, 2153),
+    # The product overflows first at draw 2,724, and the 200th point taken
+    # comes later, so that draw is kept: inf is not near zero.
+    ("exp(355*x1)*exp(355*x1)*u1^64*1e-270", 200, 0, 2724),
+])
+def test_block_sampler_matches_scalar_stream_past_the_first_block(
+        predicate, count, seed, first):
+    m = _excluding(predicate)
+    predicates = compile_vector(m.excluded, m.bundle.coords)
+    rng = np.random.default_rng(seed)
+    stream = rng.uniform(-1.0, 1.0, size=(first + 1, 2)).tolist()
+    # No draw of the first block, of 2,048 rows, faults or is not finite.
+    assert first >= 2048
+    assert all(np.isfinite(predicates(row)).all() for row in stream[:first])
+    got = _outcome(_drawn_rows, m, count, seed=seed)
+    assert got == _outcome(_scalar_sample, m, count, seed=seed)
+    try:
+        value = predicates(stream[first])
+    except EvalError:
+        assert got[0] is EvalError
+    else:
+        assert not np.isfinite(value).all() and stream[first] in got
+    for other in range(6):
+        assert _outcome(_drawn_rows, m, count, seed=other) == \
+            _outcome(_scalar_sample, m, count, seed=other)
+
+
 def test_sampling_gives_up_off_a_box_inside_the_margin():
     m = _excluding("x1")
     with pytest.raises(ModelError, match="could not sample off the excluded set"):
