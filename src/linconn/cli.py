@@ -5,7 +5,8 @@ Verbs: tensor, check, transport, sode, hj, bianchi, info. Each verb returns
 the result dicts of its JSON document and prints nothing. The sampled
 checks of check, bianchi, sode and hj run only through
 `suites.run_checks`. One table, `_VERBS`, gives each verb's options;
-the parser, the defaults and the refusals are built from it.
+the parser, the defaults and the refusals are built from it. `_NEEDS`
+gives what a verb needs of its arguments and model, refused before work.
 With --json the document is printed: fixed key order, floats with 17
 significant digits, no timestamps. Otherwise `_print_result` renders each
 result dict as text, so a run that fails part-way prints no partial
@@ -100,11 +101,11 @@ def emit_json(doc: dict) -> bytes:
     return (_json_value(doc) + "\n").encode("utf-8")
 
 
-def _document(argv: list, model_text: str, results: list, status: str) -> dict:
+def _document(argv: list, source: str, results: list, status: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "linconn", "version": __version__},
-        "model_digest": hashlib.sha256(model_text.encode("utf-8")).hexdigest(),
+        "model_digest": hashlib.sha256(source.encode("utf-8")).hexdigest(),
         "command": argv,
         "status": status,
         "results": results,
@@ -146,7 +147,7 @@ def _parse_point(text: str | None, m: ConnectionModel, flag: str) -> PointE:
     return PointE(base=base, fiber=fiber)
 
 
-def _parse_exprs(text: str, what: str) -> tuple[Expr, ...]:
+def _parse_exprs(text: str, what: str, count=None) -> tuple[Expr, ...]:
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -156,6 +157,9 @@ def _parse_exprs(text: str, what: str) -> tuple[Expr, ...]:
             out.append(parse(chunk))
         except ParseError as exc:
             raise UsageError(f"cannot parse {what}: {exc}") from exc
+    if count is not None and len(out) != count:
+        raise UsageError(f"{what} has {len(out)} expressions, expected "
+                         f"{count}")
     return tuple(out)
 
 
@@ -172,14 +176,6 @@ def _parse_split(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
             raise UsageError(f"bad split group {chunk!r}") from None
 
     return group(left), group(right)
-
-
-def _require_connection(doc: ModelDocument) -> ConnectionModel:
-    if doc.connection is None:
-        raise UsageError("this model declares no connection (a Hamiltonian "
-                         "section without first integrals); the requested "
-                         "command needs one")
-    return doc.connection
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
@@ -205,26 +201,50 @@ def _parse_directions(text: str, n: int) -> tuple[int, int]:
     return i, j
 
 
-def _metric_entry(value) -> Expr:
-    """One `hj --metric` entry: an expression string or a finite number
-    (JSON `true`, `null`, `NaN`, an overflowing literal or a list is none)."""
-    if isinstance(value, str):
-        return parse(value)
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return parse(str(value))
-    raise UsageError(f"--metric entries must be finite numbers or expression "
-                     f"strings, got {json.dumps(value)}")
+def _parse_metric(text: str) -> list[list[Expr]]:
+    """The rows of an `hj --metric` inverse metric: a JSON list of rows of
+    expression strings and finite numbers (JSON `true`, `null`, `NaN`, an
+    overflowing literal or a list is none)."""
+    def entry(value) -> Expr:
+        if isinstance(value, str):
+            return parse(value)
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return parse(str(value))
+        raise UsageError(f"--metric entries must be finite numbers or "
+                         f"expression strings, got {json.dumps(value)}")
+
+    try:
+        rows = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"bad --metric payload: {exc}") from exc
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)):
+        raise UsageError(f"--metric needs a JSON list of rows such as "
+                         f"[[1,0],[0,1]], got {text!r}")
+    return [[entry(v) for v in row] for row in rows]
 
 
 def _load(args) -> ModelDocument:
-    """Read and parse the model file, keeping its text for the digest of
-    the JSON report."""
-    try:
-        with open(args.model, "r", encoding="utf-8") as handle:
-            args._model_text = handle.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read model file: {exc}") from exc
-    return load_model(args._model_text)
+    """The run's document, once every `_NEEDS` row of its verb holds."""
+    if getattr(args, "metric", None) is not None:
+        ham = _cotangent.geodesic_model(_parse_metric(args.metric))
+        integrals = _parse_exprs(args.integrals, "--integrals") \
+            if args.integrals is not None else None
+        doc = hamiltonian_document(ham.bundle, ham.H, integrals, (),
+                                   f"metric:{args.metric}")
+    elif args.verb == "hj" and not args.model:
+        raise UsageError("hj needs a model file or --metric")
+    else:
+        try:
+            with open(args.model, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeError) as exc:
+            raise UsageError(f"cannot read model file: {exc}") from exc
+        doc = load_model(text)
+    for holds, message in _NEEDS.get(args.verb, ()):
+        if not holds(args, doc):
+            raise UsageError(message.format_map(vars(args)))
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +339,10 @@ def _print_result(result: dict):
 
 
 # ---------------------------------------------------------------------------
-# Verbs: each returns (results, status) and prints nothing
+# Verbs: each takes (args, doc), returns (results, status), prints nothing
 # ---------------------------------------------------------------------------
 
-def _cmd_info(args) -> tuple[list, str]:
-    doc = _load(args)
+def _cmd_info(args, doc: ModelDocument) -> tuple[list, str]:
     bundle = doc.bundle
     info = {
         "type": "info",
@@ -375,32 +394,21 @@ _TENSOR_NAMES = (*_TENSOR_BUILDERS, *_SECTION_BUILDERS, *_FUNCTION_NAMES,
                  "jacobi", "homogenized-gamma")
 
 
-def _cmd_tensor(args) -> tuple[list, str]:
-    doc = _load(args)
-    m = _require_connection(doc)
-    name = args.name
+def _cmd_tensor(args, doc: ModelDocument) -> tuple[list, str]:
+    m, name = doc.connection, args.name
     at = _parse_point(args.at, m, "--at") if args.at is not None else None
     if name in _TENSOR_BUILDERS:
         field = _TENSOR_BUILDERS[name](m)
     elif name == "jacobi":
-        if doc.sode is None:
-            raise UsageError("--name jacobi needs a model with a [sode] section")
         field = _sode.jacobi_endomorphism(doc.sode)
     elif name == "homogenized-gamma":
         m = _affine.homogenize(m).model
         field = _gamma(m, "homogenized_gamma")
     elif name in _SECTION_BUILDERS:
-        if not args.section:
-            raise UsageError(f"--name {name} needs --section")
         section = SectionModel(_parse_exprs(args.section, "--section"))
         field = _SECTION_BUILDERS[name](m, section)
     else:
-        if not args.function:
-            raise UsageError(f"--name {name} needs --function")
-        f, *rest = _parse_exprs(args.function, "--function")
-        if rest:
-            raise UsageError(f"--function has {1 + len(rest)} expressions, "
-                             "expected 1")
+        f, = _parse_exprs(args.function, "--function", 1)
         if name == "dh":
             title, comps = "horizontal_differential", _cotangent.dh(m, f)
             labels = [f"dx^{i+1}" for i in range(m.n)]
@@ -427,25 +435,18 @@ def _checks(args, doc: ModelDocument, suites: Sequence[str],
     return results, "pass" if all(r.passed for r in reports) else "fail"
 
 
-def _cmd_check(args) -> tuple[list, str]:
-    doc = _load(args)
-    _require_connection(doc)
+def _cmd_check(args, doc: ModelDocument) -> tuple[list, str]:
     section = (lambda: SectionModel(_parse_exprs(args.section, "--section"))
                ) if args.section is not None else None
     return _checks(args, doc, [args.suite], section=section)
 
 
-def _cmd_bianchi(args) -> tuple[list, str]:
-    doc = _load(args)
-    _require_connection(doc)
+def _cmd_bianchi(args, doc: ModelDocument) -> tuple[list, str]:
     return _checks(args, doc, ["bianchi", "tension-identities"])
 
 
-def _cmd_transport(args) -> tuple[list, str]:
-    doc = _load(args)
-    m = _require_connection(doc)
-    if args.holonomy is None and not args.field:
-        raise UsageError("transport needs --field (or --holonomy)")
+def _cmd_transport(args, doc: ModelDocument) -> tuple[list, str]:
+    m = doc.connection
     p0 = _parse_point(getattr(args, "from"), m, "--from")
     if args.holonomy is not None:
         i, j = _parse_directions(args.holonomy, m.n)
@@ -461,10 +462,8 @@ def _cmd_transport(args) -> tuple[list, str]:
 
     X = _parse_exprs(args.field, "--field")
     size = m.k + 1 if m.bundle.kind in ("affine", "jet") else m.k
-    if args.fiber is not None:
-        b0 = _parse_floats(args.fiber, "--fiber")
-    else:
-        b0 = tuple(1.0 if idx == 0 else 0.0 for idx in range(size))
+    b0 = _parse_floats(args.fiber, "--fiber") if args.fiber is not None \
+        else tuple(1.0 if idx == 0 else 0.0 for idx in range(size))
     spec = _transport.CurveSpec(start=p0, t_span=args.time, step=args.step,
                                 field=X)
     result = _transport.parallel_transport(m, spec, b0)
@@ -481,8 +480,6 @@ def _cmd_transport(args) -> tuple[list, str]:
         "steps": result.steps,
     }
     if args.oracle:
-        if m.bundle.kind in ("affine", "jet"):
-            raise UsageError("--oracle applies to vector-like models")
         oracle = _transport.transport_oracle(
             m, X, p0, b0, args.time, args.step, fd_eps=args.fd_eps,
             central=args.central)
@@ -492,29 +489,21 @@ def _cmd_transport(args) -> tuple[list, str]:
     return [payload], "ok"
 
 
-def _cmd_sode(args) -> tuple[list, str]:
-    doc = _load(args)
-    if doc.sode is None:
-        raise UsageError("this model has no [sode] section")
-    s = doc.sode
-    m = _require_connection(doc)
-    results: list = []
-    if args.classify and not s.autonomous:
-        raise UsageError("--classify applies to autonomous models")
+def _cmd_sode(args, doc: ModelDocument) -> tuple[list, str]:
+    s, m = doc.sode, doc.connection
     split = _parse_split(args.split) if args.split is not None else None
+    at = _parse_point(args.at, m, "--at") if args.at is not None else None
+    state0 = _parse_floats(args.flow, "--flow") \
+        if args.flow is not None else None
     # --classify and --split check the same seeded sample set, in one pass.
     names = ["sode"] * args.classify + ["decoupling"] * (split is not None)
-    if names:
-        results += _checks(args, doc, names, "classification",
-                           split=split)[0]
+    results = _checks(args, doc, names, "classification",
+                      split=split)[0] if names else []
     if args.jacobi:
-        at = _parse_point(args.at, m, "--at") if args.at is not None else None
         phi = _sode.jacobi_endomorphism(s)
         results.append(_components_result(phi.name, phi.items(), m, at,
                                           phi.signature))
     if args.homogenize:
-        if s.autonomous:
-            raise UsageError("--homogenize applies to non-autonomous models")
         hom = _sode.homogeneous_sode(s)
         results.append({
             "type": "homogeneous_sode",
@@ -522,8 +511,7 @@ def _cmd_sode(args) -> tuple[list, str]:
             "velocities": list(hom.velocity_coords),
             "forces": [to_string(f) for f in hom.forces],
         })
-    if args.flow is not None:
-        state0 = _parse_floats(args.flow, "--flow")
+    if state0 is not None:
         flow = _transport.sode_flow(s, state0, args.time, args.step)
         results.append({
             "type": "flow",
@@ -533,43 +521,14 @@ def _cmd_sode(args) -> tuple[list, str]:
             "final": list(flow.final.base) + list(flow.final.fiber),
             "status": flow.status,
         })
-    if not results:
-        raise UsageError("sode verb needs at least one of --classify, "
-                         "--split, --jacobi, --homogenize, --flow")
     return results, "ok"
 
 
-def _cmd_hj(args) -> tuple[list, str]:
-    if args.metric is not None:
-        try:
-            rows = json.loads(args.metric)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad --metric payload: {exc}") from exc
-        if not (isinstance(rows, list)
-                and all(isinstance(row, list) for row in rows)):
-            raise UsageError(f"--metric needs a JSON list of rows such as "
-                             f"[[1,0],[0,1]], got {args.metric!r}")
-        g_inv = [[_metric_entry(v) for v in row] for row in rows]
-        ham = _cotangent.geodesic_model(g_inv)
-        integrals = _parse_exprs(args.integrals, "--integrals") \
-            if args.integrals is not None else None
-        doc = hamiltonian_document(ham.bundle, ham.H, integrals, (),
-                                   f"metric:{args.metric}")
-        args._model_text = doc.source
-    else:
-        if not args.model:
-            raise UsageError("hj needs a model file or --metric")
-        doc = _load(args)
-        if doc.hamiltonian is None:
-            raise UsageError("hj needs a model with a [hamiltonian] section "
-                             "(or --metric)")
+def _cmd_hj(args, doc: ModelDocument) -> tuple[list, str]:
     names = ["integrable"] * (doc.connection is not None) + \
         ["hamilton-jacobi"] * (args.alpha is not None)
-    results, status = _checks(
-        args, doc, names, alpha=lambda: _parse_exprs(args.alpha, "--alpha"))
-    if not results:
-        raise UsageError("hj needs --alpha and/or a first-integral family")
-    return results, status
+    return _checks(args, doc, names,
+                   alpha=lambda: _parse_exprs(args.alpha, "--alpha"))
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +639,47 @@ _VERBS = {
              modes=[("without --metric", lambda a: a.metric is not None)]))),
 }
 
+_CONNECTION = (lambda a, d: d.connection is not None,
+               "this model declares no connection (a Hamiltonian section "
+               "without first integrals); the requested command needs one")
+# Per verb: what a run needs of its arguments `a` and its model `d`, as
+# ordered (holds(a, d), message) rows; `_load` refuses the first that fails.
+_NEEDS = {
+    "tensor": (
+        _CONNECTION,
+        (lambda a, d: a.name != "jacobi" or d.sode is not None,
+         "--name jacobi needs a model with a [sode] section"),
+        (lambda a, d: a.name not in _SECTION_BUILDERS or a.section,
+         "--name {name} needs --section"),
+        (lambda a, d: a.name not in _FUNCTION_NAMES or a.function,
+         "--name {name} needs --function")),
+    "check": (_CONNECTION,),
+    "bianchi": (_CONNECTION,),
+    "transport": (
+        _CONNECTION,
+        (lambda a, d: a.field or a.holonomy is not None,
+         "transport needs --field (or --holonomy)"),
+        (lambda a, d: a.holonomy is None or d.bundle.n >= 2,
+         "holonomy probes need at least two base directions"),
+        (lambda a, d: not a.oracle or d.bundle.kind in _geometry._VECTOR_LIKE,
+         "--oracle applies to vector-like models")),
+    "sode": (
+        (lambda a, d: d.sode is not None, "this model has no [sode] section"),
+        (lambda a, d: not a.classify or d.sode.autonomous,
+         "--classify applies to autonomous models"),
+        (lambda a, d: not a.homogenize or not d.sode.autonomous,
+         "--homogenize applies to non-autonomous models"),
+        (lambda a, d: a.classify or a.jacobi or a.homogenize
+         or a.split is not None or a.flow is not None,
+         "sode verb needs at least one of --classify, --split, --jacobi, "
+         "--homogenize, --flow")),
+    "hj": (
+        (lambda a, d: d.hamiltonian is not None,
+         "hj needs a model with a [hamiltonian] section (or --metric)"),
+        (lambda a, d: a.alpha is not None or d.connection is not None,
+         "hj needs --alpha and/or a first-integral family")),
+}
+
 
 def _parser(verb: str | None) -> argparse.ArgumentParser:
     """The parser of every verb, with the options of `verb` alone."""
@@ -730,12 +730,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {_missing_value(str(exc), argv)}", file=sys.stderr)
         return 2
-    args._model_text = ""
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _apply_options(args)
-            results, status = _VERBS[args.verb][0](args)
+            doc = _load(args)
+            results, status = _VERBS[args.verb][0](args, doc)
     except (UsageError, ModelError, ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -743,8 +743,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         _memo.clear()
     try:
         if args.json:
-            doc = _document(argv, args._model_text, results, status)
-            text = emit_json(doc).decode("utf-8")
+            text = emit_json(_document(argv, doc.source, results,
+                                       status)).decode("utf-8")
             # In pieces the stream buffers whole: a single larger write
             # that a closing reader cuts short is dropped without an error.
             for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):

@@ -28,8 +28,8 @@ from .geometry import (
     _cyclic_triples, _field_residuals, _suite, _tensor, combine_reports,
     curvature, h_apply,
 )
-from .model import (DEFAULT_BOX, BundleModel, ConnectionModel, ModelError,
-                    sample_points)
+from .model import (DEFAULT_BOX, EXCLUDED_MARGIN, BundleModel,
+                    ConnectionModel, ModelError, sample_points)
 
 __all__ = [
     "HamiltonianModel", "OneFormOnM", "TransversalityError",
@@ -224,7 +224,7 @@ def _zero_on_probes(bundle: BundleModel, exprs: Sequence[Expr],
                     count: int = 25) -> bool:
     """Whether every one of `exprs` is within 1e-12 of zero at the first
     `count` fixed probes in box^d, leaving out each probe where a
-    predicate of `excluded` is within 0.1 of zero, the sampler's margin
+    predicate of `excluded` is within the sampler's `EXCLUDED_MARGIN`
     (no probe left reads as not zero). Probe k has coordinate j at
     lo + (hi - lo)*frac(0.5 + k*exp(1/j)), a Weyl sequence of plain
     floats (1 and the exp(1/j) are independent over the rationals)."""
@@ -235,7 +235,7 @@ def _zero_on_probes(bundle: BundleModel, exprs: Sequence[Expr],
                for j in range(1, len(bundle.coords) + 1)]
               for k in range(1, count + 1))
     kept = [point for point in probes
-            if not any(abs(p(point)) < 0.1 for p in near)]
+            if not any(abs(p(point)) < EXCLUDED_MARGIN for p in near)]
     return bool(kept) and all(abs(fn(point)) <= 1e-12
                               for point in kept for fn in values)
 
@@ -328,9 +328,7 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
     return combine_reports("hamilton_jacobi", subs, tol, samples)
 
 
-def geodesic_model(g_inv: Sequence[Sequence[Expr]],
-                   base_coords: Sequence[str] | None = None,
-                   fiber_coords: Sequence[str] | None = None) -> HamiltonianModel:
+def geodesic_model(g_inv: Sequence[Sequence[Expr]]) -> HamiltonianModel:
     """Quadratic Hamiltonian of an inverse metric:
     H = 1/2 sum_ij g^-1[i][j](x) p_i p_j."""
     n = len(g_inv)
@@ -341,8 +339,8 @@ def geodesic_model(g_inv: Sequence[Sequence[Expr]],
         for j in range(i + 1, n):
             if not is_zero(simplify(rows[i][j] - rows[j][i])):
                 raise ModelError("inverse metric must be symmetric")
-    base = tuple(base_coords) if base_coords else tuple(f"x{i+1}" for i in range(n))
-    fiber = tuple(fiber_coords) if fiber_coords else tuple(f"p{i+1}" for i in range(n))
+    base = tuple(f"x{i+1}" for i in range(n))
+    fiber = tuple(f"p{i+1}" for i in range(n))
     bundle = BundleModel("cotangent", base, fiber)
     half = Const(0.5)
     H: Expr = ZERO

@@ -26,7 +26,8 @@ from .expr import (
     Expr, ExprError, Var, ZERO, _sample_columns, _scalar_rows, diff, is_zero,
     random_polynomial, simplify, substitute,
 )
-from .model import ConnectionModel, ModelError, PointE, SectionModel
+from .model import (ConnectionModel, ModelError, PointE, SectionModel,
+                    validate_section)
 
 __all__ = [
     "TensorField", "VectorFieldOnE", "CheckReport",
@@ -817,8 +818,6 @@ def integral_section_residual(m: ConnectionModel,
                               alpha: SectionModel) -> TensorField:
     """Residual of the integral-section equation [A][i]:
     d(alpha^A)/dx^i + gamma[A][i](x, alpha(x))."""
-    from .model import validate_section
-
     info = validate_section(m, alpha)
     if not info.basic:
         raise ModelError("integral sections must be basic "
@@ -836,8 +835,6 @@ def pullback_connection_coeffs(m: ConnectionModel,
                                alpha: SectionModel) -> TensorField:
     """Linearized coefficients restricted to the graph of a basic section,
     [A][i][B], expressions on the base."""
-    from .model import validate_section
-
     info = validate_section(m, alpha)
     if not info.basic:
         raise ModelError("pullback coefficients require a basic section")

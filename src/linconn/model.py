@@ -30,6 +30,10 @@ KINDS = ("vector", "affine", "tangent", "cotangent", "jet")
 
 DEFAULT_BOX = (-1.0, 1.0)
 
+# A sample point is redrawn where an excluded-set predicate is within this
+# of zero.
+EXCLUDED_MARGIN = 0.1
+
 # The most points one draw may hold: 100 times the largest draw (20,000
 # points) that the benchmark or the tests make. A larger count would only
 # fill memory until the process is killed.
@@ -471,14 +475,12 @@ class SectionInfo:
     basic: bool
 
 
-def validate_section(m: ConnectionModel, s: SectionModel,
-                     extended: bool = False) -> SectionInfo:
+def validate_section(m: ConnectionModel, s: SectionModel) -> SectionInfo:
     """Check component count and variable usage; report whether the section
     is syntactically basic (no fiber coordinate appears)."""
-    expected = m.k + 1 if extended else m.k
-    if len(s.components) != expected:
+    if len(s.components) != m.k:
         raise ModelError(
-            f"section has {len(s.components)} components, expected {expected}")
+            f"section has {len(s.components)} components, expected {m.k}")
     allowed = set(m.bundle.coords)
     fiber = set(m.bundle.fiber_coords)
     basic = True
@@ -496,14 +498,14 @@ def validate_section(m: ConnectionModel, s: SectionModel,
 
 def sample_points(m: ConnectionModel, count: int,
                   box: Mapping[str, tuple[float, float]] | None = None,
-                  seed: int = 0, margin: float = 0.1) -> np.ndarray:
+                  seed: int = 0) -> np.ndarray:
     """Deterministic sample of points avoiding the declared excluded set.
 
     A sample set is one float64 array of shape (count, n + k): one point
     per row, coordinates in `bundle.coords` order. `box` maps coordinate
     names to intervals; unspecified coordinates use [-1, 1]. Points where
-    any excluded-set predicate is within `margin` of zero are rejected and
-    redrawn. At most `_MAX_SAMPLES` points are drawn.
+    any excluded-set predicate is within `EXCLUDED_MARGIN` of zero are
+    rejected and redrawn. At most `_MAX_SAMPLES` points are drawn.
     """
     if count < 1:
         raise ModelError("count must be >= 1")
@@ -535,25 +537,24 @@ def sample_points(m: ConnectionModel, count: int,
         attempts += size
         block = rng.uniform(lows, highs, size=(size, len(intervals)))
         for rows, columns in _sample_columns(m.excluded, bundle.coords, block):
-            blocks.append(_off_excluded(m, block[rows], columns, margin,
+            blocks.append(_off_excluded(m, block[rows], columns,
                                         count - taken))
             taken += len(blocks[-1])
         del block  # only the rows taken are kept
     return np.concatenate(blocks)
 
 
-def _off_excluded(m: ConnectionModel, chunk, columns, margin: float,
-                  need: int):
+def _off_excluded(m: ConnectionModel, chunk, columns, need: int):
     """The first `need` rows of `chunk` where no excluded-set predicate is
-    within `margin` of zero, from the predicates' `columns` over it. Where
+    within `EXCLUDED_MARGIN` of zero, from the predicates' `columns` over it. Where
     those fault (None), the compiled predicates decide row by row, so no
     row after the last one taken is evaluated."""
     if columns is None:
         values, _ = _scalar_rows(m.excluded, m.bundle.coords, chunk.tolist())
         far = (row for row, vals in enumerate(values)
-               if not any(abs(p) < margin for p in vals))
+               if not any(abs(p) < EXCLUDED_MARGIN for p in vals))
         return chunk[list(itertools.islice(far, need))]
     near = np.zeros(len(chunk), dtype=bool)
     for column in columns:
-        near |= np.abs(column) < margin
+        near |= np.abs(column) < EXCLUDED_MARGIN
     return chunk[~near][:need]

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -1167,6 +1168,182 @@ def test_refusals_come_before_the_model_is_read():
                              "1,2", "--time", "2")
     assert (code, out) == (2, "")
     assert err == "error: --time does not apply to --holonomy\n"
+
+
+# A Hamiltonian without first integrals: a model with no connection.
+NO_CONNECTION = ("[bundle]\nkind = cotangent\nbase = x1\nfiber = p1\n\n"
+                 "[hamiltonian]\nH = p1^2/2 + x1^2/2\n")
+NO_CONNECTION_LINE = ("this model declares no connection (a Hamiltonian "
+                      "section without first integrals); the requested "
+                      "command needs one")
+GEODESIC_FIELD_RUN = ("transport", "geodesic_const.lc", "--field", "1,0",
+                      "--from", "x1=0,x2=0,p1=1,p2=1")
+# Per (verb, message) row of `cli._NEEDS`: a run that holds the row, one
+# that does not, and the error line that the second ends in.
+NEEDS = {
+    **{(verb, NO_CONNECTION_LINE): (
+        read, (verb, "no_connection.lc", *rest), NO_CONNECTION_LINE)
+       for verb, read, rest in (
+           ("tensor", ("tensor", "potential_1d.lc", "--name", "curvature"),
+            ("--name", "curvature")),
+           ("check", ("check", "potential_1d.lc", "--samples", "10"), ()),
+           ("bianchi", ("bianchi", "m4.lc", "--samples", "10"), ()),
+           ("transport", GEODESIC_FIELD_RUN, ("--field", "1")))},
+    ("tensor", "--name jacobi needs a model with a [sode] section"): (
+        ("tensor", "oscillator_pair.lc", "--name", "jacobi"),
+        ("tensor", "m4.lc", "--name", "jacobi"),
+        "--name jacobi needs a model with a [sode] section"),
+    ("tensor", "--name {name} needs --section"): (
+        ("tensor", "quadratic.lc", "--name", "integral-residual",
+         "--section", "x1"),
+        ("tensor", "quadratic.lc", "--name", "integral-residual"),
+        "--name integral-residual needs --section"),
+    ("tensor", "--name {name} needs --function"): (
+        ("tensor", "potential_1d.lc", "--name", "hamiltonian-field",
+         "--function", "p1^2"),
+        ("tensor", "potential_1d.lc", "--name", "hamiltonian-field"),
+        "--name hamiltonian-field needs --function"),
+    ("transport", "transport needs --field (or --holonomy)"): (
+        FIELD_RUN, TRANSPORT, "transport needs --field (or --holonomy)"),
+    ("transport", "holonomy probes need at least two base directions"): (
+        HOLONOMY_RUN, ("transport", "linear.lc", "--holonomy", "1,2"),
+        "holonomy probes need at least two base directions"),
+    ("transport", "--oracle applies to vector-like models"): (
+        ORACLE_RUN, ("transport", "affine_quadratic.lc", "--field", "1",
+                     "--oracle"),
+        "--oracle applies to vector-like models"),
+    ("sode", "this model has no [sode] section"): (
+        JACOBI_RUN, ("sode", "m4.lc", "--jacobi"),
+        "this model has no [sode] section"),
+    ("sode", "--classify applies to autonomous models"): (
+        CLASSIFY_RUN, ("sode", "jet_oscillator.lc", "--classify"),
+        "--classify applies to autonomous models"),
+    ("sode", "--homogenize applies to non-autonomous models"): (
+        ("sode", "jet_oscillator.lc", "--homogenize"),
+        ("sode", "oscillator.lc", "--homogenize"),
+        "--homogenize applies to non-autonomous models"),
+    ("sode", "sode verb needs at least one of --classify, --split, --jacobi, "
+             "--homogenize, --flow"): (
+        FLOW_RUN, ("sode", "oscillator_pair.lc"),
+        "sode verb needs at least one of --classify, --split, --jacobi, "
+        "--homogenize, --flow"),
+    ("hj", "hj needs a model with a [hamiltonian] section (or --metric)"): (
+        ("hj", "geodesic_const.lc", "--samples", "10"),
+        ("hj", "m4.lc", "--alpha", "x1"),
+        "hj needs a model with a [hamiltonian] section (or --metric)"),
+    ("hj", "hj needs --alpha and/or a first-integral family"): (
+        ("hj", "no_connection.lc", "--alpha", "x1", "--samples", "10"),
+        ("hj", "no_connection.lc"),
+        "hj needs --alpha and/or a first-integral family"),
+}
+
+
+def _model_argv(argv, tmp_path):
+    """`_shipped(argv)`, with `no_connection.lc` a model of NO_CONNECTION."""
+    path = tmp_path / "no_connection.lc"
+    path.write_text(NO_CONNECTION)
+    shipped = str(MODELS / path.name)
+    return [str(path) if a == shipped else a for a in _shipped(argv)]
+
+
+def test_every_need_of_the_needs_table_has_its_runs():
+    assert set(NEEDS) == {(verb, message)
+                          for verb, rows in cli._NEEDS.items()
+                          for _, message in rows}
+
+
+@pytest.mark.parametrize("key", list(NEEDS),
+                         ids=lambda key: " ".join(key)[:50])
+def test_a_run_is_refused_exactly_where_it_lacks_a_need(key, tmp_path):
+    read, unread, refusal = NEEDS[key]
+    code, out, err = run_cli(*_model_argv(unread, tmp_path))
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+    code, _, err = run_cli(*_model_argv(read, tmp_path), "--json")
+    assert code in (0, 1) and err == "", err
+
+
+@pytest.mark.parametrize("argv", [("hj",), ("hj", ""),
+                                  ("hj", "--alpha", "x1")], ids=" ".join)
+def test_hj_without_a_model_or_metric_is_refused_by_the_loader(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (
+        2, "", "error: hj needs a model file or --metric\n")
+
+
+@pytest.mark.parametrize("directions", ["1,2", "1,1", "2,1", "1"])
+def test_holonomy_on_one_base_direction_names_the_model_not_the_value(
+        directions):
+    code, out, err = run_cli("transport", str(MODELS / "linear.lc"),
+                             "--holonomy", directions)
+    assert (code, out, err) == (
+        2, "", "error: holonomy probes need at least two base directions\n")
+
+
+def test_model_file_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin1.lc"
+    path.write_bytes("[bundle]\nkind = vector\nbase = x\xe9\n"
+                     .encode("latin-1"))
+    code, out, err = run_cli("info", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read model file: 'utf-8' codec ")
+    assert err.count("\n") == 1
+
+
+BEFORE_WORK = (
+    (("transport", "affine_quadratic.lc", "--field", "1", "--oracle"),
+     "--oracle applies to vector-like models"),
+    (("transport", "linear.lc", "--holonomy", "1,2"),
+     "holonomy probes need at least two base directions"),
+    (("sode", "oscillator.lc", "--classify", "--homogenize"),
+     "--homogenize applies to non-autonomous models"),
+    (("sode", "oscillator.lc", "--jacobi", "--homogenize"),
+     "--homogenize applies to non-autonomous models"),
+    (("sode", "oscillator_pair.lc", "--classify", "--jacobi", "--at", "x1"),
+     "bad point component 'x1'; use name=value"),
+    (("sode", "oscillator_pair.lc", "--classify", "--flow", "1,x"),
+     "--flow needs comma-separated numbers, got '1,x'"),
+    (("hj", "--metric", "[[1]]"),
+     "hj needs --alpha and/or a first-integral family"),
+)
+
+
+@pytest.mark.parametrize("argv, line", BEFORE_WORK,
+                         ids=[" ".join(argv) for argv, _ in BEFORE_WORK])
+def test_refusals_come_before_any_work(monkeypatch, argv, line):
+    import linconn.model as model
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+
+    for module, name in ((cli._transport, "parallel_transport"),
+                         (cli._transport, "holonomy_probe"),
+                         (cli._transport, "sode_flow"),
+                         (cli._suites, "run_checks"),
+                         (cli._suites, "sample_points"),
+                         (model, "sample_points"),
+                         (cli._sode, "jacobi_endomorphism"),
+                         (cli._sode, "homogeneous_sode")):
+        monkeypatch.setattr(module, name, work)
+    code, out, err = run_cli(*_shipped(argv))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+def test_handlers_refuse_nothing_and_one_loader_reads_every_model():
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    handlers = [name for name in functions if name.startswith("_cmd_")]
+    assert sorted(handlers) == sorted(f"_cmd_{verb}" for verb in cli._VERBS)
+    for name in handlers:
+        assert not any(isinstance(node, ast.Raise)
+                       for node in ast.walk(functions[name])), name
+    callers = [name for name, function in functions.items()
+               for node in ast.walk(function)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_load"]
+    assert callers == ["run"]
+    assert "_require_connection" not in source
+    assert "_model_text" not in source
 
 
 RANGE_ERRORS = (

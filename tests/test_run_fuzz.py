@@ -14,6 +14,10 @@ Whatever the coefficients and payloads, a run ends with exit code 0, 1 or
 errors, and a report validates against the JSON schema. Every generated option is one
 that its run reads, so no run stops at the refusal of an option.
 
+The text of the shipped model files is fuzzed too: each mutant, a few
+line, character and keyword edits away from a shipped model, ends the
+same way under every verb that reads a model file.
+
 The coefficients are trees of the `tests/test_expr.py` operations over the
 model's coordinates, powers with column exponents and with negative and
 fractional ones among them, with extreme leaves: 1e308 (overflow),
@@ -359,3 +363,62 @@ ASYMMETRIC = ("[bundle]\nkind = cotangent\nbase = x1, x2\nfiber = p1, p2\n\n"
 def test_run_with_option_payloads_never_a_traceback(tmp_path, model,
                                                     samples, strict):
     _assert_run_ends_cleanly(tmp_path, *model, samples, strict)
+
+
+# The text of every shipped model, and pieces of the model-file grammar
+# that a mutation inserts or puts in place of a character or a word.
+SHIPPED = tuple(path.read_text(encoding="utf-8")
+                for path in sorted((REPO / "models").glob("*.lc")))
+GRAMMAR = ("[bundle]", "[connection]", "[sode]", "[hamiltonian]", "kind",
+           "base", "fiber", "exclude", "vector", "affine", "tangent",
+           "cotangent", "jet", "Gamma[1,1]", "Gamma[2,1]", "f1", "f2", "H",
+           "t", "x1", "x2", "u1", "v1", "p1", "=", ",", "[", "]", '"', "#",
+           "\n", " ", "(", ")", "^", "*", "/", "-", "+", "0", "1", "e",
+           "1e308", "ln", "sqrt", "sin")
+WORDS = tuple(piece for piece in GRAMMAR if piece.strip())
+
+
+@st.composite
+def mutants(draw):
+    """A shipped model's text after one to three edits: a line deleted or
+    duplicated; a grammar piece inserted, or put in place of a character
+    or of a word of the grammar; or a character deleted."""
+    text = draw(st.sampled_from(SHIPPED))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        lines = text.splitlines(keepends=True)
+        edit = draw(st.sampled_from(("delete line", "duplicate line",
+                                     "insert", "replace", "delete",
+                                     "word")))
+        words = [word for word in WORDS if word in text]
+        if edit in ("delete line", "duplicate line") and lines:
+            i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            lines[i:i + 1] = [] if edit == "delete line" else [lines[i]] * 2
+            text = "".join(lines)
+        elif edit == "word" and words:
+            word = draw(st.sampled_from(words))
+            text = text.replace(word, draw(st.sampled_from(("", *GRAMMAR))),
+                                1)
+        else:
+            i = draw(st.integers(min_value=0, max_value=len(text)))
+            piece = "" if edit == "delete" else draw(st.sampled_from(GRAMMAR))
+            text = text[:i] + piece + text[i + (edit != "insert"):]
+    return text
+
+
+# A run of each verb that reads a model file without an option payload.
+MUTANT_RUNS = (("info",), ("check",), ("tensor", "--name", "curvature"),
+               ("sode", "--classify"), ("hj",))
+# Coordinate names that are not identifiers once died in `check` with a
+# traceback: the four reproductions are pinned as examples.
+NAMES = "[bundle]\nkind = tangent\nbase = {}\nfiber = {}\n\n[sode]\nf1 = -1\n"
+
+
+@settings(_FUZZ, max_examples=40)
+@given(text=mutants())
+@example(text=NAMES.format("x1", "1"))
+@example(text=NAMES.format("e x1", "v1"))
+@example(text=NAMES.format("x1", "v2/"))
+@example(text=NAMES.format("x1", "vln("))
+def test_mutated_model_text_never_a_traceback(tmp_path, text):
+    for argv in MUTANT_RUNS:
+        _assert_run_ends_cleanly(tmp_path, text, argv, 5)
