@@ -34,7 +34,7 @@ from .expr import (EvalError, Expr, ParseError, _memo, evaluate, is_zero,
                    parse, to_string)
 from .model import (_MAX_SAMPLES, ConnectionModel, ModelDocument,
                     ModelError, PointE, SectionModel, hamiltonian_document,
-                    load_model)
+                    load_model, validate_section)
 from . import affine as _affine
 from . import cotangent as _cotangent
 from . import geometry as _geometry
@@ -436,8 +436,10 @@ def _checks(args, doc: ModelDocument, suites: Sequence[str],
 
 
 def _cmd_check(args, doc: ModelDocument) -> tuple[list, str]:
-    section = (lambda: SectionModel(_parse_exprs(args.section, "--section"))
-               ) if args.section is not None else None
+    section = None
+    if args.section is not None:
+        section = SectionModel(_parse_exprs(args.section, "--section"))
+        validate_section(doc.connection, section)
     return _checks(args, doc, [args.suite], section=section)
 
 
@@ -493,7 +495,7 @@ def _cmd_sode(args, doc: ModelDocument) -> tuple[list, str]:
     s, m = doc.sode, doc.connection
     split = _parse_split(args.split) if args.split is not None else None
     at = _parse_point(args.at, m, "--at") if args.at is not None else None
-    state0 = _parse_floats(args.flow, "--flow") \
+    state0 = s.state(_parse_floats(args.flow, "--flow")) \
         if args.flow is not None else None
     # --classify and --split check the same seeded sample set, in one pass.
     names = ["sode"] * args.classify + ["decoupling"] * (split is not None)
@@ -525,10 +527,11 @@ def _cmd_sode(args, doc: ModelDocument) -> tuple[list, str]:
 
 
 def _cmd_hj(args, doc: ModelDocument) -> tuple[list, str]:
+    alpha = _cotangent.OneFormOnM(_parse_exprs(args.alpha, "--alpha")) \
+        if args.alpha is not None else None
     names = ["integrable"] * (doc.connection is not None) + \
-        ["hamilton-jacobi"] * (args.alpha is not None)
-    return _checks(args, doc, names,
-                   alpha=lambda: _parse_exprs(args.alpha, "--alpha"))
+        ["hamilton-jacobi"] * (alpha is not None)
+    return _checks(args, doc, names, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

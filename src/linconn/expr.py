@@ -15,14 +15,19 @@ Grammar (see docs/grammar.md for the EBNF):
 Precedence: ^  >  unary minus  >  * /  >  + -.
 Supported functions: sin, cos, tan, exp, ln, sqrt.
 
+One token pattern lexes the text: a NUMBER is decimal digits with at most
+one point and an optional exponent, and an IDENT is a word that
+`_is_identifier`, the one rule for names, accepts. `expr` and `term` are
+one left-associative loop over a table of two operator levels.
+
 Depth: the parser is the only recursive code, and it nests as deep as the
 source text does (about 195 parentheses); deeper text is a `ParseError`
-with an offset, and so is a literal that overflows a float. Every walker
-over trees (`variables`, `substitute`, `diff`, `simplify`, the plan
-builder, and `copy` and `pickle` of a node) is one per-node rule run by
-`_postorder`, an explicit-stack post-order traversal that skips nodes
-already done, so a tree of any depth, such as a sum of thousands of
-terms, is walked.
+with an offset, and so is a literal that overflows a float or a number
+with a second point, such as `1.2.3`. Every walker over trees
+(`variables`, `substitute`, `diff`, `simplify`, the plan builder, and
+`copy` and `pickle` of a node) is one per-node rule run by `_postorder`,
+an explicit-stack post-order traversal that skips nodes already done, so
+a tree of any depth, such as a sum of thousands of terms, is walked.
 `to_string` walks top down on a stack of its own, emitting text as it
 goes, so its memory is that of its output.
 `simplify` and `diff` take a sum as one node: its children are the
@@ -70,6 +75,7 @@ values bit for bit, and only the runner frees what it computes.
 from __future__ import annotations
 
 import math
+import re
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
@@ -334,64 +340,33 @@ def _is_identifier(name: str) -> bool:
 # Tokenizer and parser
 # ---------------------------------------------------------------------------
 
-_TOK_NUM, _TOK_IDENT, _TOK_OP, _TOK_LPAREN, _TOK_RPAREN, _TOK_END = range(6)
+# Past optional whitespace: a NUMBER, a run of word characters (an IDENT
+# when `_is_identifier` accepts it), one symbol, or any other character;
+# the groups are numbered by kind.
+_TOKEN = re.compile(r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(\w+)|"
+                    r"([-+*/^()])|(\S))")
+_NUMBER, _NAME, _OTHER = 1, 2, 4
+# Binary operators by level, loosest first; each level is left associative.
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
-def _tokenize(text: str) -> list[tuple[int, str, int]]:
+def _tokenize(text: str) -> list[tuple[int | None, str, int]]:
+    """The (kind, text, offset) tokens of `text`, ending with an end token
+    whose kind is None."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                j2 = j + 1
-                if j2 < n and text[j2] in "+-":
-                    j2 += 1
-                if j2 < n and text[j2].isdigit():
-                    j = j2
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append((_TOK_NUM, text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((_TOK_IDENT, text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^":
-            tokens.append((_TOK_OP, c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append((_TOK_LPAREN, c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append((_TOK_RPAREN, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append((_TOK_END, "", n))
-    return tokens
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        at = match.start(kind)
+        if kind == _OTHER or kind == _NAME and not _is_identifier(match[kind]):
+            raise ParseError(f"unexpected character {text[at]!r}", at)
+        tokens.append((kind, match[kind], at))
+    return tokens + [(None, "", len(text))]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -399,81 +374,63 @@ class _Parser:
         return tok
 
     def parse(self) -> Expr:
-        e = self.expr()
-        kind, value, offset = self.peek()
-        if kind != _TOK_END:
+        e = self.binary()
+        kind, value, offset = self.tokens[self.pos]
+        if kind is not None:
             raise ParseError(f"unexpected trailing input {value!r}", offset,
                              expected="end of input")
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == _TOK_OP and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == _TOK_OP and value in "*/":
-                self.advance()
-                rhs = self.unary()
-                node = Mul(node, rhs) if value == "*" else Div(node, rhs)
-            else:
-                return node
+    def binary(self, level: int = 0) -> Expr:
+        """A left-associative chain of the operators of `_BINARY[level]`,
+        over operands of the levels above it."""
+        last = level + 1 == len(_BINARY)
+        node = self.unary() if last else self.binary(level + 1)
+        ops = _BINARY[level]
+        while (op := self.tokens[self.pos][1]) in ops:
+            self.pos += 1
+            node = ops[op](node, self.unary() if last
+                           else self.binary(level + 1))
+        return node
 
     def unary(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == _TOK_OP and value == "-":
+        if self.tokens[self.pos][1] == "-":
+            # Taken through a call, so that a chain of minus signs too deep
+            # to parse fails at the offset of the first sign not taken.
             self.advance()
             return Neg(self.unary())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == _TOK_OP and value == "^":
-            self.advance()
+        if self.tokens[self.pos][1] == "^":
+            self.pos += 1
             return Pow(base, self.unary())
         return base
 
     def atom(self) -> Expr:
         kind, value, offset = self.advance()
-        if kind == _TOK_NUM:
+        if kind == _NUMBER:
             if not math.isfinite(float(value)):
                 raise ParseError("number out of range", offset)
             return Const(float(value))
-        if kind == _TOK_IDENT:
-            nkind, nvalue, _ = self.peek()
-            if nkind == _TOK_LPAREN:
-                if value not in FUNCTIONS:
-                    raise ParseError(f"unknown function {value!r}", offset,
-                                     expected="one of " + ", ".join(sorted(FUNCTIONS)))
-                self.advance()
-                arg = self.expr()
-                ckind, cvalue, coffset = self.peek()
-                if ckind != _TOK_RPAREN:
-                    raise ParseError(f"unexpected token {cvalue!r}", coffset,
-                                     expected="')'")
-                self.advance()
-                return Call(value, arg)
+        call = kind == _NAME and self.tokens[self.pos][1] == "("
+        if kind == _NAME and not call:
             return Var(value)
-        if kind == _TOK_LPAREN:
-            e = self.expr()
-            ckind, cvalue, coffset = self.peek()
-            if ckind != _TOK_RPAREN:
-                raise ParseError(f"unexpected token {cvalue!r}", coffset,
-                                 expected="')'")
-            self.advance()
-            return e
-        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input",
-                         offset, expected="an expression")
+        if call and value not in FUNCTIONS:
+            raise ParseError(f"unknown function {value!r}", offset,
+                             expected="one of " + ", ".join(sorted(FUNCTIONS)))
+        if value != "(" and not call:
+            raise ParseError(f"unexpected token {value!r}" if value
+                             else "unexpected end of input", offset,
+                             expected="an expression")
+        self.pos += call  # the "(" of a call
+        e = self.binary()
+        _, closing, at = self.advance()
+        if closing != ")":
+            raise ParseError(f"unexpected token {closing!r}", at,
+                             expected="')'")
+        return Call(value, e) if call else e
 
 
 def parse(text: str) -> Expr:
@@ -484,9 +441,11 @@ def parse(text: str) -> Expr:
     try:
         return parser.parse()
     except RecursionError:
-        # Recursive descent nests as deep as the text does.
+        # Recursive descent nests as deep as the text does; the innermost
+        # call may have taken the end token.
+        tokens = parser.tokens
         raise ParseError("expression nested too deeply",
-                         parser.peek()[2]) from None
+                         tokens[min(parser.pos, len(tokens) - 1)][2]) from None
 
 
 # ---------------------------------------------------------------------------

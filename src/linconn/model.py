@@ -207,15 +207,6 @@ _GAMMA_KEY = re.compile(r"^Gamma\[(\d+),(\d+)\]$")
 _FORCE_KEY = re.compile(r"^f(\d+)$")
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    for c in line:
-        if c == "#":
-            break
-        out.append(c)
-    return "".join(out).strip()
-
-
 def _unquote(value: str) -> str:
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
         return value[1:-1]
@@ -227,7 +218,7 @@ def load_model(text: str) -> ModelDocument:
     sections: dict[str, list[tuple[int, str, str]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -71,6 +71,14 @@ class SodeModel:
     def n(self) -> int:
         return len(self.velocity_coords)
 
+    def state(self, values: Sequence[float]) -> tuple[float, ...]:
+        """`values` as a state of `coords`, refused unless it has one
+        component per coordinate."""
+        if len(values) != len(self.coords):
+            raise ModelError(f"state needs {len(self.coords)} components "
+                             f"({', '.join(self.coords)})")
+        return tuple(values)
+
     def field_apply(self, g: Expr) -> Expr:
         """Apply the second-order vector field to a function:
         (d/dt +) v^i d/dx^i + f^i d/dv^i."""

@@ -12,15 +12,15 @@ points joins them. Each suite starts and runs once. One that raises ends
 there and drops the suites after it, and its error is raised once the
 suites before it have finished: the reports and the first error are
 those of a run that evaluates each set on its own, in suite order. So
-the entries that parse the section of `basic`, homogenize an affine
-model or parse the 1-form of `hamilton-jacobi` are generators: that
-work, and its error, is their suite's.
+the entry that homogenizes an affine model is a generator: that work,
+and its error, is its suite's. A suite the run cannot run is refused
+before the draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from . import affine as _affine
 from . import cotangent as _cotangent
 from . import geometry as _geometry
 from . import sode as _sode
-from .expr import ZERO, Expr
+from .expr import ZERO
 from .model import (KINDS, ConnectionModel, ModelDocument, ModelError,
-                    SectionModel, sample_points, validate_section)
+                    SectionModel, sample_points)
 
 __all__ = ["CheckRun", "SUITES", "run_checks"]
 
@@ -49,20 +49,13 @@ class CheckRun:
     count: int
     seed: int
     tol: float
-    section: Callable[[], SectionModel] | None = None
+    section: SectionModel | None = None
     split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    alpha: Callable[[], tuple[Expr, ...]] | None = None
+    alpha: _cotangent.OneFormOnM | None = None
 
     @property
     def m(self) -> ConnectionModel | None:
         return self.doc.connection
-
-
-def _basic(run: CheckRun):
-    section = run.section()
-    validate_section(run.m, section)
-    return (yield from _geometry.check_basic.suite(run.m, section,
-                                                   run.samples, run.tol))
 
 
 def _homogeneous(run: CheckRun):
@@ -73,12 +66,6 @@ def _homogeneous(run: CheckRun):
             _affine.homogenize(run.m), run.count, run.tol, run.seed))
     return (yield from _geometry.check_homogeneous.suite(run.m, run.samples,
                                                          run.tol))
-
-
-def _hamilton_jacobi(run: CheckRun):
-    alpha = _cotangent.OneFormOnM(run.alpha())
-    return (yield from _cotangent.hj_verify.suite(
-        run.doc.hamiltonian, alpha, run.samples, run.tol, run.m))
 
 
 @dataclass(frozen=True)
@@ -92,16 +79,20 @@ class SuiteEntry:
     start: Callable[[CheckRun], _geometry.Suite]
 
 
-# What a suite cannot run without: (whether a run has it, its name).
+# What a suite cannot run without: (whether a run of the model `doc` with
+# the `CheckRun` options has it, its name).
 _NEEDS = {
-    "section": (lambda run: run.section is not None, "--section"),
-    "sode": (lambda run: run.doc.sode is not None and run.doc.sode.autonomous,
-             "an autonomous [sode] model"),
+    "section": (lambda doc, options: options.get("section") is not None,
+                "--section"),
+    "sode": (lambda doc, options: doc.sode is not None and
+             doc.sode.autonomous, "an autonomous [sode] model"),
 }
 
 # In the order `--suite all` runs them.
 SUITES = tuple(SuiteEntry(*entry) for entry in (
-    ("basic", KINDS, "section", _basic),
+    ("basic", KINDS, "section",
+     lambda run: _geometry.check_basic.suite(run.m, run.section, run.samples,
+                                             run.tol)),
     ("homogeneous", _VECTOR_LIKE, None, _homogeneous),
     ("flat", _VECTOR_LIKE, None,
      lambda run: _geometry.flatness_check.suite(run.m, run.samples, run.tol)),
@@ -128,25 +119,30 @@ SUITES = tuple(SuiteEntry(*entry) for entry in (
     ("integrable", (), None,
      lambda run: _cotangent.integrable_report.suite(
          run.doc.hamiltonian, run.m, run.samples, run.tol)),
-    ("hamilton-jacobi", (), None, _hamilton_jacobi),
+    ("hamilton-jacobi", (), None,
+     lambda run: _cotangent.hj_verify.suite(
+         run.doc.hamiltonian, run.alpha, run.samples, run.tol, run.m)),
 ))
 
 
-def _selected(run: CheckRun, names: Sequence[str]) -> list[SuiteEntry]:
-    """The entries of `names`; "all" stands for every suite that applies to
-    the model's kind and has what it needs."""
+def _selected(doc: ModelDocument, names: Sequence[str],
+              options: Mapping[str, object]) -> list[SuiteEntry]:
+    """The entries of `names` on a run of `doc` with `options`; "all"
+    stands for every suite that applies to the model's kind and has what
+    it needs."""
     table = {entry.name: entry for entry in SUITES}
-    kind = run.doc.bundle.kind
+    has = {None: True, **{need: holds(doc, options)
+                          for need, (holds, _) in _NEEDS.items()}}
     out = []
     for name in names:
         if name == "all":
-            out += [entry for entry in SUITES if kind in entry.kinds and
-                    (entry.needs is None or _NEEDS[entry.needs][0](run))]
+            out += [entry for entry in SUITES
+                    if doc.bundle.kind in entry.kinds and has[entry.needs]]
             continue
         if name not in table:
             raise ModelError(f"unknown suite {name!r}")
         entry = table[name]
-        if entry.needs is not None and not _NEEDS[entry.needs][0](run):
+        if not has[entry.needs]:
             raise ModelError(f"--suite {name} needs {_NEEDS[entry.needs][1]}")
         out.append(entry)
     return out
@@ -157,13 +153,14 @@ def run_checks(doc: ModelDocument, names: Sequence[str], count: int,
                ) -> list[_geometry.CheckReport]:
     """The reports of the suites `names` on `count` points drawn with
     `seed` off the model's excluded set, given the `CheckRun` options;
-    the suites refuse a model of the wrong kind with a ModelError."""
+    a suite the run cannot run is refused before the draw, and the suites
+    refuse a model of the wrong kind with a ModelError."""
+    entries = _selected(doc, names, options)
     # A Hamiltonian without first integrals has no connection to draw on.
     m = doc.connection or ConnectionModel(
         doc.bundle, [[ZERO] * doc.bundle.n] * doc.bundle.k, doc.excluded)
     samples = sample_points(m, count, seed=seed)
     run = CheckRun(doc, samples, count, seed, tol, **options)
-    results = _geometry.run_suites([entry.start(run)
-                                    for entry in _selected(run, names)])
+    results = _geometry.run_suites([entry.start(run) for entry in entries])
     return [report for result in results
             for report in (result if isinstance(result, list) else [result])]

@@ -504,9 +504,7 @@ def sode_flow(s, state0: Sequence[float], T: float, step: float) -> FlowResult:
     (plus tdot = 1 through the time coordinate in the non-autonomous
     case, where the state starts with t)."""
     names = s.coords
-    if len(state0) != len(names):
-        raise ModelError(f"state needs {len(names)} components "
-                         f"({', '.join(names)})")
+    state0 = s.state(state0)
     clock = () if s.autonomous else (ONE,)
     rows = clock + tuple(Var(v) for v in s.velocity_coords) + s.forces
     y, steps, status = _rk4(names, rows, state0, T, step, s.excluded)

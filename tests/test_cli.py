@@ -1302,6 +1302,8 @@ BEFORE_WORK = (
      "bad point component 'x1'; use name=value"),
     (("sode", "oscillator_pair.lc", "--classify", "--flow", "1,x"),
      "--flow needs comma-separated numbers, got '1,x'"),
+    (("sode", "oscillator_pair.lc", "--classify", "--flow", "1,2"),
+     "state needs 4 components (x1, x2, v1, v2)"),
     (("hj", "--metric", "[[1]]"),
      "hj needs --alpha and/or a first-integral family"),
 )
@@ -1324,6 +1326,56 @@ def test_refusals_come_before_any_work(monkeypatch, argv, line):
                          (cli._sode, "jacobi_endomorphism"),
                          (cli._sode, "homogeneous_sode")):
         monkeypatch.setattr(module, name, work)
+    code, out, err = run_cli(*_shipped(argv))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+SUITE_REFUSALS = (
+    (("check", "m4.lc", "--suite", "basic", "--samples", "20000"),
+     "--suite basic needs --section"),
+    (("check", "jet_oscillator.lc", "--suite", "sode"),
+     "--suite sode needs an autonomous [sode] model"),
+)
+
+
+@pytest.mark.parametrize("argv, line", SUITE_REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in SUITE_REFUSALS])
+def test_a_suite_the_run_cannot_run_is_refused_before_the_draw(
+        monkeypatch, argv, line):
+    import linconn.model as model
+
+    def draw(*args, **kwargs):
+        raise AssertionError("samples drawn before the refusal")
+
+    for module in (cli._suites, model):
+        monkeypatch.setattr(module, "sample_points", draw)
+    code, out, err = run_cli(*_shipped(argv))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+MALFORMED_NUMBER = "unexpected trailing input '.3' at offset 3 (expected " \
+    "end of input)"
+GAMMA_MODEL = ("[bundle]\nkind = vector\nbase = x1\nfiber = u1\n\n"
+               "[connection]\nGamma[1,1] = {}\n")
+
+
+# An `info` run reads a GAMMA_MODEL whose coefficient is its second item.
+@pytest.mark.parametrize("argv, line", [
+    (("info", "1.2.3*u1"),
+     f"line 7: cannot parse Gamma[1,1]: {MALFORMED_NUMBER}"),
+    (("info", "²"),
+     "line 7: cannot parse Gamma[1,1]: unexpected character '²' at offset 0"),
+    (("transport", "m4.lc", "--field", "1.2.3,1"),
+     f"cannot parse --field: {MALFORMED_NUMBER}"),
+    (("hj", "--metric", '[["1.2.3"]]'), MALFORMED_NUMBER)],
+    ids=["info 1.2.3", "info superscript two", "transport --field",
+         "hj --metric"])
+def test_a_malformed_number_exits_2_with_one_error_line(argv, line,
+                                                        tmp_path):
+    if argv[0] == "info":
+        path = tmp_path / "m.lc"
+        path.write_text(GAMMA_MODEL.format(argv[1]), encoding="utf-8")
+        argv = ("info", str(path))
     code, out, err = run_cli(*_shipped(argv))
     assert (code, out, err) == (2, "", f"error: {line}\n")
 

@@ -143,6 +143,64 @@ def test_parse_maps_deep_nesting_to_a_parse_error():
     assert "nested too deeply" in str(err.value)
 
 
+def test_unclosed_nesting_at_the_depth_limit_is_a_parse_error():
+    """Whatever the depth of the caller's stack, so wherever the limit
+    falls, unclosed parentheses are a ParseError, also when the innermost
+    call has taken the end of the input."""
+    def nested(extra, text):
+        return nested(extra - 1, text) if extra else parse(text)
+
+    for extra in range(5):
+        for n in range(100, 300):
+            with pytest.raises(ParseError):
+                nested(extra, "(" * n)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1.", 1.0), (".5", 0.5), ("1.5e-3", 1.5e-3), ("2E+2", 200.0),
+    ("٣", 3.0)])
+def test_a_number_is_decimal_digits_with_at_most_one_point(text, value):
+    assert parse(text) is Const(value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.2.3", "unexpected trailing input '.3' at offset 3 "
+              "(expected end of input)"),
+    ("x1 + 1..5", "unexpected trailing input '.5' at offset 7 "
+                  "(expected end of input)"),
+    ("²", "unexpected character '²' at offset 0"),
+    ("2²", "unexpected character '²' at offset 1"),
+    ("x1 + .", "unexpected character '.' at offset 5")])
+def test_a_malformed_number_is_a_parse_error(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_a_name_is_what_is_identifier_accepts():
+    assert parse("x² + α_1") is Add(Var("x²"), Var("α_1"))
+
+
+# The grammar's characters, with a point, a digit that is not decimal (²),
+# a decimal digit of another script (٣) and a letter that is not ASCII
+# (α); and some words, so that calls and names come up.
+PARSE_PIECES = (*"0123456789eE+-*/^() _xu.²٣α",
+                "sin", "ln", "x1", "1.5", ".5")
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(st.sampled_from(PARSE_PIECES), max_size=16)
+       .map("".join))
+@example(text="1.2.3")
+@example(text="²")
+@example(text="(1.5.)")
+def test_any_text_parses_or_is_a_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
 def _deep_trees():
     chain = parse("u1*u1" + "*x1" * 5000)
     total = parse(" + ".join(f"{k}*x1*u1" for k in range(1, 1200)))

@@ -374,7 +374,7 @@ GRAMMAR = ("[bundle]", "[connection]", "[sode]", "[hamiltonian]", "kind",
            "cotangent", "jet", "Gamma[1,1]", "Gamma[2,1]", "f1", "f2", "H",
            "t", "x1", "x2", "u1", "v1", "p1", "=", ",", "[", "]", '"', "#",
            "\n", " ", "(", ")", "^", "*", "/", "-", "+", "0", "1", "e",
-           "1e308", "ln", "sqrt", "sin")
+           "1e308", "ln", "sqrt", "sin", ".", "²")
 WORDS = tuple(piece for piece in GRAMMAR if piece.strip())
 
 
@@ -411,6 +411,9 @@ MUTANT_RUNS = (("info",), ("check",), ("tensor", "--name", "curvature"),
 # Coordinate names that are not identifiers once died in `check` with a
 # traceback: the four reproductions are pinned as examples.
 NAMES = "[bundle]\nkind = tangent\nbase = {}\nfiber = {}\n\n[sode]\nf1 = -1\n"
+# So did a number with a second point and a digit that is not decimal.
+GAMMA = ("[bundle]\nkind = vector\nbase = x1\nfiber = u1\n\n[connection]\n"
+         "Gamma[1,1] = {}\n")
 
 
 @settings(_FUZZ, max_examples=40)
@@ -419,6 +422,8 @@ NAMES = "[bundle]\nkind = tangent\nbase = {}\nfiber = {}\n\n[sode]\nf1 = -1\n"
 @example(text=NAMES.format("e x1", "v1"))
 @example(text=NAMES.format("x1", "v2/"))
 @example(text=NAMES.format("x1", "vln("))
+@example(text=GAMMA.format("1.2.3*u1"))
+@example(text=GAMMA.format("²"))
 def test_mutated_model_text_never_a_traceback(tmp_path, text):
     for argv in MUTANT_RUNS:
         _assert_run_ends_cleanly(tmp_path, text, argv, 5)
