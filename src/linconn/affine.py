@@ -24,7 +24,8 @@ from .geometry import (
     combine_reports, h_apply, linear_coeffs,
 )
 from .model import (
-    BundleModel, ConnectionModel, ModelError, SectionModel, sample_points,
+    AFFINE, BundleModel, ConnectionModel, ModelError, SectionModel,
+    require_kind, sample_points,
 )
 
 __all__ = [
@@ -32,15 +33,6 @@ __all__ = [
     "affine_linearization", "affine_covariant_derivative",
     "check_homogenized", "check_affine_structure",
 ]
-
-_AFFINE_KINDS = ("affine", "jet")
-
-
-def _require_affine(m: ConnectionModel, op: str):
-    if m.bundle.kind not in _AFFINE_KINDS:
-        raise ModelError(f"{op} expects an affine or jet model, "
-                         f"got kind={m.bundle.kind}")
-
 
 @dataclass(frozen=True)
 class HomogenizedModel:
@@ -98,7 +90,7 @@ def _homogeneous_extension(stem: str, base: Sequence[str],
 def homogenize(m: ConnectionModel) -> HomogenizedModel:
     """Extend an affine model to the homogeneous model on the enlarged
     bundle: row 0 is zero and row A is z0 * gamma[A][i](x, z/z0)."""
-    _require_affine(m, "homogenize")
+    require_kind(m.bundle, AFFINE, "homogenize")
     bundle = m.bundle
     names, scaled, excluded = _homogeneous_extension(
         "z", bundle.base_coords, bundle.fiber_coords,
@@ -113,7 +105,7 @@ def homogenize(m: ConnectionModel) -> HomogenizedModel:
 def affine_linearization(m: ConnectionModel) -> AffineLinearization:
     """Linearization computed directly on the affine model (not through
     homogenization): the fiber-linear part and its complement."""
-    _require_affine(m, "affine_linearization")
+    require_kind(m.bundle, AFFINE, "affine_linearization")
     lin = _tensor("affine_coeffs_lin", (FIBER_VEC, BASE_COV, FIBER_COV),
                   (m.k, m.n, m.k), _fiber_derivative(m))
 
@@ -139,7 +131,7 @@ def affine_covariant_derivative(m: ConnectionModel, U: VectorFieldOnE,
                                 + sum_B c[A][i][B] sigma^B]
                      + sum_C U^C d(sigma^A)/dy^C
     """
-    _require_affine(m, "affine_covariant_derivative")
+    require_kind(m.bundle, AFFINE, "affine_covariant_derivative")
     comps = sigma.components if isinstance(sigma, SectionModel) else tuple(sigma)
     if len(comps) != m.k + 1:
         raise ModelError(f"extended section needs {m.k + 1} components, "
@@ -194,7 +186,7 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
     (iii) Linearizing the homogenized model and restricting to z0 = 1,
           z = y reproduces the direct affine linearization.
     """
-    _require_affine(m, "check_affine_structure")
+    require_kind(m.bundle, AFFINE, "check_affine_structure")
     from .expr import random_polynomial
 
     rng = np.random.default_rng(seed)

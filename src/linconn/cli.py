@@ -32,9 +32,9 @@ from typing import NamedTuple, Sequence
 from . import __version__
 from .expr import (EvalError, Expr, ParseError, _memo, evaluate, is_zero,
                    parse, to_string)
-from .model import (_MAX_SAMPLES, ConnectionModel, ModelDocument,
-                    ModelError, PointE, SectionModel, hamiltonian_document,
-                    load_model, validate_section)
+from .model import (_MAX_SAMPLES, AFFINE, VECTOR_LIKE, ConnectionModel,
+                    ModelDocument, ModelError, PointE, SectionModel,
+                    hamiltonian_document, load_model, validate_section)
 from . import affine as _affine
 from . import cotangent as _cotangent
 from . import geometry as _geometry
@@ -463,7 +463,7 @@ def _cmd_transport(args, doc: ModelDocument) -> tuple[list, str]:
         }], "ok"
 
     X = _parse_exprs(args.field, "--field")
-    size = m.k + 1 if m.bundle.kind in ("affine", "jet") else m.k
+    size = m.k + 1 if m.bundle.kind in AFFINE else m.k
     b0 = _parse_floats(args.fiber, "--fiber") if args.fiber is not None \
         else tuple(1.0 if idx == 0 else 0.0 for idx in range(size))
     spec = _transport.CurveSpec(start=p0, t_span=args.time, step=args.step,
@@ -493,7 +493,8 @@ def _cmd_transport(args, doc: ModelDocument) -> tuple[list, str]:
 
 def _cmd_sode(args, doc: ModelDocument) -> tuple[list, str]:
     s, m = doc.sode, doc.connection
-    split = _parse_split(args.split) if args.split is not None else None
+    split = s.split(_parse_split(args.split)) if args.split is not None \
+        else None
     at = _parse_point(args.at, m, "--at") if args.at is not None else None
     state0 = s.state(_parse_floats(args.flow, "--flow")) \
         if args.flow is not None else None
@@ -527,7 +528,7 @@ def _cmd_sode(args, doc: ModelDocument) -> tuple[list, str]:
 
 
 def _cmd_hj(args, doc: ModelDocument) -> tuple[list, str]:
-    alpha = _cotangent.OneFormOnM(_parse_exprs(args.alpha, "--alpha")) \
+    alpha = doc.hamiltonian.one_form(_parse_exprs(args.alpha, "--alpha")) \
         if args.alpha is not None else None
     names = ["integrable"] * (doc.connection is not None) + \
         ["hamilton-jacobi"] * (alpha is not None)
@@ -598,7 +599,8 @@ _VERBS = {
     "check": (_cmd_check, "run a diagnostic check suite", (
         _MODEL, _JSON, *_sampling(),
         _opt("--suite", "check suite", "all",
-             choices=["all", *(e.name for e in _suites.SUITES if e.kinds)]),
+             choices=["all", *(e.name for e in _suites.SUITES
+                               if e.all_kinds)]),
         _opt("--section", "section for --suite basic", modes=[
             ("to --suite {suite}", lambda a: a.suite in ("basic", "all"))]))),
     "bianchi": (_cmd_bianchi, "curvature and tension identities",
@@ -664,7 +666,7 @@ _NEEDS = {
          "transport needs --field (or --holonomy)"),
         (lambda a, d: a.holonomy is None or d.bundle.n >= 2,
          "holonomy probes need at least two base directions"),
-        (lambda a, d: not a.oracle or d.bundle.kind in _geometry._VECTOR_LIKE,
+        (lambda a, d: not a.oracle or d.bundle.kind in VECTOR_LIKE,
          "--oracle applies to vector-like models")),
     "sode": (
         (lambda a, d: d.sode is not None, "this model has no [sode] section"),

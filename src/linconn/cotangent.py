@@ -21,15 +21,16 @@ import numpy as np
 
 from .expr import (
     Const, Div, Expr, Var, ZERO, compile_fn, diff, is_zero,
-    random_polynomial, simplify, substitute, variables,
+    random_polynomial, simplify, substitute,
 )
 from .geometry import (
     BASE_COV, CheckReport, Residuals, TensorField, VectorFieldOnE,
     _cyclic_triples, _field_residuals, _suite, _tensor, combine_reports,
     curvature, h_apply,
 )
-from .model import (DEFAULT_BOX, EXCLUDED_MARGIN, BundleModel,
-                    ConnectionModel, ModelError, sample_points)
+from .model import (COTANGENT, DEFAULT_BOX, EXCLUDED_MARGIN, BundleModel,
+                    ConnectionModel, ModelError, require_coords, require_kind,
+                    sample_points)
 
 __all__ = [
     "HamiltonianModel", "OneFormOnM", "TransversalityError",
@@ -59,22 +60,21 @@ class HamiltonianModel:
     first_integrals: tuple[Expr, ...] | None = None
 
     def __post_init__(self):
-        if self.bundle.kind != "cotangent":
-            raise ModelError("HamiltonianModel requires a cotangent bundle")
-        allowed = set(self.bundle.coords)
-        for name, e in self._named():
-            unknown = variables(e) - allowed
-            if unknown:
-                raise ModelError(f"{name} references unknown coordinate(s) "
-                                 f"{sorted(unknown)}")
+        require_kind(self.bundle, COTANGENT, "HamiltonianModel")
+        require_coords("H", (self.H,), self.bundle.coords)
+        require_coords("f{}", self.first_integrals or (), self.bundle.coords)
         if self.first_integrals is not None and \
                 len(self.first_integrals) != self.bundle.n:
             raise ModelError(f"need {self.bundle.n} first integrals")
 
-    def _named(self):
-        yield "H", self.H
-        for i, f in enumerate(self.first_integrals or ()):
-            yield f"f{i + 1}", f
+    def one_form(self, components: Sequence[Expr]) -> OneFormOnM:
+        """`components` as a 1-form on the base, refused unless it has one
+        component per base coordinate and each uses base coordinates
+        only."""
+        if len(components) != self.bundle.n:
+            raise ModelError(f"1-form needs {self.bundle.n} components")
+        require_coords("alpha[{}]", components, self.bundle.base_coords)
+        return OneFormOnM(tuple(components))
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,6 @@ class OneFormOnM:
     """A 1-form on the base, components in base coordinates only."""
 
     components: tuple[Expr, ...]
-
-
-def _require_cotangent(m: ConnectionModel, op: str):
-    if m.bundle.kind != "cotangent":
-        raise ModelError(f"{op} expects a cotangent model, "
-                         f"got kind={m.bundle.kind}")
 
 
 def _g(m: ConnectionModel, i: int, j: int) -> Expr:
@@ -99,7 +93,7 @@ def torsion_form(m: ConnectionModel) -> TensorField:
     """Antisymmetric part of the coefficient matrix, [i][j] =
     (G(i,j) - G(j,i))/2; identically zero iff the connection is
     symmetric (Lagrangian horizontal subbundle)."""
-    _require_cotangent(m, "torsion_form")
+    require_kind(m.bundle, COTANGENT, "torsion_form")
     half = Const(0.5)
 
     def rule(i: int, j: int) -> Expr:
@@ -122,13 +116,13 @@ def is_symmetric(m: ConnectionModel) -> bool:
 
 def dh(m: ConnectionModel, f: Expr) -> tuple[Expr, ...]:
     """Horizontal differential: component i is H_i(f)."""
-    _require_cotangent(m, "dh")
+    require_kind(m.bundle, COTANGENT, "dh")
     return tuple(h_apply(m, f, i) for i in range(m.n))
 
 
 def dv(m: ConnectionModel, f: Expr) -> tuple[Expr, ...]:
     """Vertical differential: component i is df/dp_i."""
-    _require_cotangent(m, "dv")
+    require_kind(m.bundle, COTANGENT, "dv")
     return tuple(diff(f, p) for p in m.bundle.fiber_coords)
 
 
@@ -164,8 +158,7 @@ def poisson(m: ConnectionModel, f: Expr, g: Expr) -> Expr:
 def canonical_poisson(bundle: BundleModel, f: Expr, g: Expr) -> Expr:
     """Connection-independent canonical bracket, the oracle for `poisson`:
     sum_i (df/dx^i dg/dp_i - dg/dx^i df/dp_i)."""
-    if bundle.kind != "cotangent":
-        raise ModelError("canonical_poisson expects a cotangent bundle")
+    require_kind(bundle, COTANGENT, "canonical_poisson")
     out: Expr = ZERO
     for x, p in zip(bundle.base_coords, bundle.fiber_coords):
         out = out + diff(f, x) * diff(g, p) - diff(g, x) * diff(f, p)
@@ -288,13 +281,7 @@ def hj_verify(h: HamiltonianModel, alpha: OneFormOnM,
     Residuals are functions on the base; samples provide the base values.
     """
     bundle = h.bundle
-    if len(alpha.components) != bundle.n:
-        raise ModelError(f"1-form needs {bundle.n} components")
-    for idx, comp in enumerate(alpha.components, start=1):
-        extra = variables(comp) - set(bundle.base_coords)
-        if extra:
-            raise ModelError(f"alpha[{idx}] must be basic; found "
-                             f"coordinate(s) {sorted(extra)}")
+    alpha = h.one_form(alpha.components)
 
     helper = ConnectionModel(bundle, [[ZERO] * bundle.n] * bundle.n) \
         if connection is None else connection
@@ -347,18 +334,14 @@ def geodesic_model(g_inv: Sequence[Sequence[Expr]]) -> HamiltonianModel:
     for i in range(n):
         for j in range(n):
             H = H + half * rows[i][j] * Var(fiber[i]) * Var(fiber[j])
-    for row in rows:
-        for e in row:
-            extra = variables(e) - set(base)
-            if extra:
-                raise ModelError(f"inverse metric entries must be basic; "
-                                 f"found {sorted(extra)}")
+    for i, row in enumerate(rows, start=1):
+        require_coords(f"inverse metric[{i},{{}}]", row, base)
     return HamiltonianModel(bundle=bundle, H=simplify(H))
 
 
 def _cyclic_set(m: ConnectionModel, samples: np.ndarray,
                 tol: float) -> Residuals:
-    _require_cotangent(m, "cyclic_curvature_check")
+    require_kind(m.bundle, COTANGENT, "cyclic_curvature_check")
     R = curvature(m)
     comps: dict[str, Expr] = {}
     for (i, j, l) in _cyclic_triples(m.n):
@@ -392,7 +375,7 @@ def cotangent_checks(m: ConnectionModel, count: int, tol: float,
     fields U, both on four seeded pairs of random polynomials; with a
     first-integral family `h`, its integrable-structure report.
     """
-    _require_cotangent(m, "cotangent_checks")
+    require_kind(m.bundle, COTANGENT, "cotangent_checks")
     pts = sample_points(m, count, seed=seed)
     reports = yield [Residuals("symmetric", m,
                                _field_residuals(torsion_form(m)), pts, tol)]

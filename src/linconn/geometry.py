@@ -26,7 +26,8 @@ from .expr import (
     Expr, ExprError, Var, ZERO, _sample_columns, _scalar_rows, diff, is_zero,
     random_polynomial, simplify, substitute,
 )
-from .model import (ConnectionModel, ModelError, PointE, SectionModel,
+from .model import (VECTOR_LIKE, ConnectionModel, ModelError, PointE,
+                    SectionModel, require_coords, require_kind,
                     validate_section)
 
 __all__ = [
@@ -44,9 +45,6 @@ BASE_VEC = "base-vector"
 BASE_COV = "base-covector"
 FIBER_VEC = "fiber-vector"
 FIBER_COV = "fiber-covector"
-
-_VECTOR_LIKE = ("vector", "tangent", "cotangent")
-
 
 @dataclass(frozen=True)
 class TensorField:
@@ -135,14 +133,6 @@ class CheckReport:
         return out
 
 
-def _require_vector_like(m: ConnectionModel, op: str):
-    if m.bundle.kind not in _VECTOR_LIKE:
-        raise ModelError(
-            f"{op} expects a vector-bundle connection (kind vector, tangent "
-            f"or cotangent); affine and jet models are handled by their own "
-            f"module, got kind={m.bundle.kind}")
-
-
 # ---------------------------------------------------------------------------
 # Frame machinery and tensors
 # ---------------------------------------------------------------------------
@@ -169,7 +159,7 @@ def _fiber_derivative(m: ConnectionModel) -> Callable[[int, int, int], Expr]:
 def linear_coeffs(m: ConnectionModel) -> TensorField:
     """Coefficients of the induced linear connection: the fiber derivative
     of the coefficient matrix, [A][i][B]."""
-    _require_vector_like(m, "linear_coeffs")
+    require_kind(m.bundle, VECTOR_LIKE, "linear_coeffs")
     return _tensor("linear_coeffs", (FIBER_VEC, BASE_COV, FIBER_COV),
                    (m.k, m.n, m.k), _fiber_derivative(m))
 
@@ -181,7 +171,7 @@ def covariant_derivative(m: ConnectionModel, U: VectorFieldOnE,
         sum_i U^i (H_i(sigma^A) + sum_B coeff[A][i][B] sigma^B)
         + sum_B U^B d(sigma^A)/du^B
     """
-    _require_vector_like(m, "covariant_derivative")
+    require_kind(m.bundle, VECTOR_LIKE, "covariant_derivative")
     comps = sigma.components if isinstance(sigma, SectionModel) else tuple(sigma)
     if len(comps) != m.k:
         raise ModelError(f"section has {len(comps)} components, expected {m.k}")
@@ -206,7 +196,7 @@ def covariant_derivative(m: ConnectionModel, U: VectorFieldOnE,
 def tension(m: ConnectionModel) -> TensorField:
     """Tension tensor [A][i]: the failure of degree-1 homogeneity,
     gamma[A][i] - sum_B d(gamma[A][i])/du^B u^B."""
-    _require_vector_like(m, "tension")
+    require_kind(m.bundle, VECTOR_LIKE, "tension")
     lin = linear_coeffs(m)
 
     def rule(A: int, i: int) -> Expr:
@@ -237,7 +227,7 @@ def vh_curvature(m: ConnectionModel) -> TensorField:
     """Vertical-horizontal curvature block of the linear connection,
     [C][i][A][B] = d^2 gamma[C][i] / du^A du^B; symmetric in A, B.
     Vanishing characterizes pullbacks of linear connections."""
-    _require_vector_like(m, "vh_curvature")
+    require_kind(m.bundle, VECTOR_LIKE, "vh_curvature")
     fiber = m.bundle.fiber_coords
     return _tensor(
         "vh_curvature", (FIBER_VEC, BASE_COV, FIBER_COV, FIBER_COV),
@@ -249,7 +239,7 @@ def hh_curvature(m: ConnectionModel) -> TensorField:
     """Horizontal-horizontal curvature block [B][i][j][A]:
     minus the fiber derivative of the nonlinear curvature,
     -d(R[B][i][j])/du^A; antisymmetric in i, j."""
-    _require_vector_like(m, "hh_curvature")
+    require_kind(m.bundle, VECTOR_LIKE, "hh_curvature")
     R = curvature(m)
     fiber = m.bundle.fiber_coords
     return _tensor(
@@ -268,7 +258,7 @@ def hh_curvature_commutator(m: ConnectionModel) -> TensorField:
     with c the linearized coefficients. Used as a cross-check against
     `hh_curvature`.
     """
-    _require_vector_like(m, "hh_curvature_commutator")
+    require_kind(m.bundle, VECTOR_LIKE, "hh_curvature_commutator")
     lin = linear_coeffs(m)
 
     def rule(B: int, i: int, j: int, A: int) -> Expr:
@@ -702,7 +692,7 @@ def bianchi_check(m: ConnectionModel, samples: np.ndarray,
     antisymmetrized horizontal derivative of the VH block.
     Identity 3: symmetry of the vertical derivative of the VH block.
     """
-    _require_vector_like(m, "bianchi_check")
+    require_kind(m.bundle, VECTOR_LIKE, "bianchi_check")
     k, n = m.k, m.n
     fiber = m.bundle.fiber_coords
     lin = linear_coeffs(m)
@@ -772,7 +762,7 @@ def tension_identities_check(m: ConnectionModel, samples: np.ndarray,
         the nonlinear curvature plus the HH block contracted with the
         canonical section.
     """
-    _require_vector_like(m, "tension_identities_check")
+    require_kind(m.bundle, VECTOR_LIKE, "tension_identities_check")
     k, n = m.k, m.n
     fiber = m.bundle.fiber_coords
     lin = linear_coeffs(m)
@@ -818,10 +808,9 @@ def integral_section_residual(m: ConnectionModel,
                               alpha: SectionModel) -> TensorField:
     """Residual of the integral-section equation [A][i]:
     d(alpha^A)/dx^i + gamma[A][i](x, alpha(x))."""
-    info = validate_section(m, alpha)
-    if not info.basic:
-        raise ModelError("integral sections must be basic "
-                         "(components in base coordinates only)")
+    validate_section(m, alpha)
+    require_coords("section component {}", alpha.components,
+                   m.bundle.base_coords)
     bindings = {u: alpha.components[B]
                 for B, u in enumerate(m.bundle.fiber_coords)}
     base = m.bundle.base_coords
@@ -835,9 +824,9 @@ def pullback_connection_coeffs(m: ConnectionModel,
                                alpha: SectionModel) -> TensorField:
     """Linearized coefficients restricted to the graph of a basic section,
     [A][i][B], expressions on the base."""
-    info = validate_section(m, alpha)
-    if not info.basic:
-        raise ModelError("pullback coefficients require a basic section")
+    validate_section(m, alpha)
+    require_coords("section component {}", alpha.components,
+                   m.bundle.base_coords)
     lin = linear_coeffs(m)
     bindings = {u: alpha.components[B]
                 for B, u in enumerate(m.bundle.fiber_coords)}

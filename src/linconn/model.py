@@ -3,6 +3,17 @@
 A model fixes a single coordinate chart: `n` base coordinates, `k` fiber
 coordinates and a k-by-n matrix of coefficient expressions. Singular sets
 are declared, never inferred; samplers keep away from them.
+
+This module owns the three validity rules of a model, and no other module
+repeats them:
+
+- Kinds: the kind groups stand beside `KINDS`, and `require_kind` is the
+  one guard of an operation or section that takes only some kinds.
+- Coordinates: `require_coords` refuses an expression that uses a name
+  outside an allowed set, naming its label and, for a file entry, its
+  line.
+- Indexed entries: `_read_entries` reads the `Gamma[A,i]`, `fN` and `H`
+  lines of `[connection]`, `[sode]` and `[hamiltonian]` alike.
 """
 
 from __future__ import annotations
@@ -20,13 +31,23 @@ from .expr import (
 )
 
 __all__ = [
-    "KINDS", "ModelError", "BundleModel", "ConnectionModel", "PointE",
-    "SectionModel", "ModelDocument", "hamiltonian_document", "load_model",
+    "KINDS", "VECTOR_LIKE", "AFFINE", "SECOND_ORDER", "COTANGENT",
+    "require_kind", "require_coords", "ModelError", "BundleModel",
+    "ConnectionModel", "PointE", "SectionModel", "ModelDocument",
+    "hamiltonian_document", "load_model",
     "dump_model",
     "validate_section", "sample_points", "parse_predicate",
 ]
 
 KINDS = ("vector", "affine", "tangent", "cotangent", "jet")
+# The kinds each construction takes: linearization on the vector-like
+# kinds, homogenization then restriction on the affine ones; a
+# second-order field lives on a tangent or jet chart, a Hamiltonian on a
+# cotangent one.
+VECTOR_LIKE = ("vector", "tangent", "cotangent")
+AFFINE = ("affine", "jet")
+SECOND_ORDER = ("tangent", "jet")
+COTANGENT = ("cotangent",)
 
 DEFAULT_BOX = (-1.0, 1.0)
 
@@ -52,6 +73,27 @@ class ModelError(Exception):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def require_kind(bundle: BundleModel, kinds: Sequence[str], what: str):
+    """Refuse `what` on a bundle whose kind is not one of `kinds`."""
+    if bundle.kind not in kinds:
+        names = ", ".join(kinds[:-1]) + " or " * (len(kinds) > 1) + kinds[-1]
+        raise ModelError(f"{what} expects kind {names}, "
+                         f"got kind={bundle.kind}")
+
+
+def require_coords(label: str, exprs: Sequence[Expr], allowed: Sequence[str],
+                   line: int | None = None):
+    """Refuse the first of `exprs` that uses a name outside `allowed`.
+    `label` names it, with `{}` standing for its 1-based position; `line`
+    is that of its file entry."""
+    for idx, e in enumerate(exprs, start=1):
+        extra = variables(e) - set(allowed)
+        if extra:
+            raise ModelError(f"{label.format(idx)} may use only "
+                             f"{', '.join(allowed)}; found {sorted(extra)}",
+                             line)
 
 
 @dataclass(frozen=True)
@@ -137,21 +179,10 @@ class ConnectionModel:
         if len(rows) != bundle.k or any(len(row) != bundle.n for row in rows):
             raise ModelError(
                 f"coefficient matrix must be {bundle.k}x{bundle.n}")
-        allowed = set(bundle.coords)
-        for A, row in enumerate(rows):
-            for i, entry in enumerate(row):
-                unknown = variables(entry) - allowed
-                if unknown:
-                    raise ModelError(
-                        f"Gamma[{A + 1},{i + 1}] references unknown "
-                        f"coordinate(s) {sorted(unknown)}")
+        for A, row in enumerate(rows, start=1):
+            require_coords(f"Gamma[{A},{{}}]", row, bundle.coords)
+        require_coords("excluded-set predicate", excluded, bundle.coords)
         self.gamma: tuple[tuple[Expr, ...], ...] = tuple(rows)
-        for e in excluded:
-            unknown = variables(e) - allowed
-            if unknown:
-                raise ModelError(
-                    f"excluded-set predicate references unknown "
-                    f"coordinate(s) {sorted(unknown)}")
         # Each predicate once, at its first position.
         self.excluded: tuple[Expr, ...] = tuple(dict.fromkeys(excluded))
 
@@ -203,10 +234,6 @@ def parse_predicate(text: str) -> Expr:
 # Model files
 # ---------------------------------------------------------------------------
 
-_GAMMA_KEY = re.compile(r"^Gamma\[(\d+),(\d+)\]$")
-_FORCE_KEY = re.compile(r"^f(\d+)$")
-
-
 def _unquote(value: str) -> str:
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
         return value[1:-1]
@@ -223,7 +250,7 @@ def load_model(text: str) -> ModelDocument:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            if current not in ("bundle", "connection", "sode", "hamiltonian"):
+            if current != "bundle" and current not in _SECTIONS:
                 raise ModelError(f"unknown section [{current}]", lineno)
             if current in sections:
                 raise ModelError(f"duplicate section [{current}]", lineno)
@@ -240,8 +267,7 @@ def load_model(text: str) -> ModelDocument:
         raise ModelError("missing [bundle] section")
     bundle, excluded = _parse_bundle(sections["bundle"])
 
-    defining = [name for name in ("connection", "sode", "hamiltonian")
-                if name in sections]
+    defining = [name for name in _SECTIONS if name in sections]
     if len(defining) > 1:
         raise ModelError(
             f"sections {defining} both define the connection; use exactly one")
@@ -250,15 +276,28 @@ def load_model(text: str) -> ModelDocument:
             "one of [connection], [sode] or [hamiltonian] is required")
 
     name = defining[0]
+    groups = _read_entries(name, bundle, sections[name])
     if name == "hamiltonian":
-        return hamiltonian_document(
-            bundle, *_parse_hamiltonian(bundle, sections["hamiltonian"]),
-            excluded, text)
+        (H,), integrals = groups
+        return hamiltonian_document(bundle, H, integrals, excluded, text)
     doc = ModelDocument(bundle=bundle, source=text, excluded=excluded)
     if name == "connection":
-        doc.connection = _parse_connection(bundle, excluded, sections["connection"])
+        entries, = groups
+        doc.connection = ConnectionModel(
+            bundle, [entries[A * bundle.n:(A + 1) * bundle.n]
+                     for A in range(bundle.k)], excluded)
     else:
-        doc.sode, doc.connection = _parse_sode(bundle, excluded, sections["sode"])
+        from .sode import SodeModel, sode_connection
+
+        forces, = groups
+        doc.sode = SodeModel(
+            autonomous=bundle.kind == "tangent",
+            base_coords=bundle.base_coords,
+            velocity_coords=bundle.fiber_coords,
+            forces=forces,
+            excluded=excluded,
+        )
+        doc.connection = sode_connection(doc.sode)
     return doc
 
 
@@ -318,112 +357,59 @@ def _parse_bundle(entries) -> tuple[BundleModel, tuple[Expr, ...]]:
     return bundle, excluded
 
 
-def _parse_entry_expr(lineno: int, key: str, value: str) -> Expr:
-    try:
-        return parse(value)
-    except ParseError as exc:
-        raise ModelError(f"cannot parse {key}: {exc}", lineno) from exc
-
-
-def _parse_connection(bundle, excluded, entries) -> ConnectionModel:
-    grid: dict[tuple[int, int], Expr] = {}
+def _read_entries(section: str, bundle: BundleModel, entries
+                  ) -> list[tuple[Expr, ...] | None]:
+    """The entries of a defining section, by its groups of keys (see
+    `_SECTIONS`): the expressions of each group in key order, or None for
+    a group left out. Refused, each on its line: a key the section does not
+    take (an unknown name or an index out of range), a repeated key, an
+    entry that does not parse or uses a name outside the chart. Then the
+    entries missing from the first group, or from a group begun."""
+    kinds, layout = _SECTIONS[section]
+    require_kind(bundle, kinds, f"[{section}]")
+    groups = layout(bundle.k, bundle.n)
+    keys = [key for group in groups for key in group]
+    read: dict[str, Expr] = {}
     for lineno, key, value in entries:
-        match = _GAMMA_KEY.match(key)
-        if not match:
-            raise ModelError(f"unknown connection key {key!r}; "
-                             "expected Gamma[A,i]", lineno)
-        A, i = int(match.group(1)), int(match.group(2))
-        if not (1 <= A <= bundle.k and 1 <= i <= bundle.n):
+        name = _LEADING_ZEROS.sub("", key)
+        if name not in keys:
             raise ModelError(
-                f"Gamma[{A},{i}] out of range for a {bundle.k}x{bundle.n} "
-                "coefficient matrix", lineno)
-        if (A, i) in grid:
-            raise ModelError(f"duplicate entry Gamma[{A},{i}]", lineno)
-        entry = _parse_entry_expr(lineno, key, value)
-        unknown = variables(entry) - set(bundle.coords)
-        if unknown:
-            raise ModelError(
-                f"Gamma[{A},{i}] references unknown coordinate(s) "
-                f"{sorted(unknown)}", lineno)
-        grid[(A, i)] = entry
-    missing = [(A, i) for A in range(1, bundle.k + 1)
-               for i in range(1, bundle.n + 1) if (A, i) not in grid]
+                f"unknown [{section}] key {key!r}; expected " + ", ".join(
+                    group[0] + f"..{group[-1]}" * (len(group) > 1)
+                    for group in groups), lineno)
+        if name in read:
+            raise ModelError(f"duplicate entry {name}", lineno)
+        try:
+            read[name] = parse(value)
+        except ParseError as exc:
+            raise ModelError(f"cannot parse {name}: {exc}", lineno) from exc
+        require_coords(name, (read[name],), bundle.coords, lineno)
+    missing = [key for idx, group in enumerate(groups)
+               if idx == 0 or any(key in read for key in group)
+               for key in group if key not in read]
     if missing:
-        raise ModelError("missing connection entries: " +
-                         ", ".join(f"Gamma[{A},{i}]" for A, i in missing))
-    gamma = [[grid[(A, i)] for i in range(1, bundle.n + 1)]
-             for A in range(1, bundle.k + 1)]
-    return ConnectionModel(bundle, gamma, excluded)
+        raise ModelError(f"missing [{section}] entries: " + ", ".join(missing))
+    return [tuple(read[key] for key in group) if group[0] in read else None
+            for group in groups]
 
 
-def _parse_sode(bundle, excluded, entries):
-    from .sode import SodeModel, sode_connection
-
-    if bundle.kind not in ("tangent", "jet"):
-        raise ModelError(
-            f"[sode] requires kind=tangent or kind=jet, got {bundle.kind}")
-    count = bundle.k
-    forces: dict[int, Expr] = {}
-    for lineno, key, value in entries:
-        match = _FORCE_KEY.match(key)
-        if not match:
-            raise ModelError(f"unknown sode key {key!r}; expected f1..f{count}",
-                             lineno)
-        idx = int(match.group(1))
-        if not (1 <= idx <= count):
-            raise ModelError(f"force index f{idx} out of range 1..{count}",
-                             lineno)
-        if idx in forces:
-            raise ModelError(f"duplicate entry f{idx}", lineno)
-        entry = _parse_entry_expr(lineno, key, value)
-        unknown = variables(entry) - set(bundle.coords)
-        if unknown:
-            raise ModelError(f"f{idx} references unknown coordinate(s) "
-                             f"{sorted(unknown)}", lineno)
-        forces[idx] = entry
-    missing = [i for i in range(1, count + 1) if i not in forces]
-    if missing:
-        raise ModelError("missing forces: " + ", ".join(f"f{i}" for i in missing))
-    sode = SodeModel(
-        autonomous=bundle.kind == "tangent",
-        base_coords=bundle.base_coords,
-        velocity_coords=bundle.fiber_coords,
-        forces=tuple(forces[i] for i in range(1, count + 1)),
-        excluded=excluded,
-    )
-    return sode, sode_connection(sode)
+def _forces(k: int) -> tuple[str, ...]:
+    return tuple(f"f{i}" for i in range(1, k + 1))
 
 
-def _parse_hamiltonian(bundle, entries):
-    if bundle.kind != "cotangent":
-        raise ModelError(
-            f"[hamiltonian] requires kind=cotangent, got {bundle.kind}")
-    H: Expr | None = None
-    integrals: dict[int, Expr] = {}
-    for lineno, key, value in entries:
-        if key == "H":
-            if H is not None:
-                raise ModelError("duplicate entry H", lineno)
-            H = _parse_entry_expr(lineno, key, value)
-            continue
-        match = _FORCE_KEY.match(key)
-        if not match:
-            raise ModelError(f"unknown hamiltonian key {key!r}", lineno)
-        idx = int(match.group(1))
-        if not (1 <= idx <= bundle.n):
-            raise ModelError(f"first-integral index f{idx} out of range", lineno)
-        if idx in integrals:
-            raise ModelError(f"duplicate entry f{idx}", lineno)
-        integrals[idx] = _parse_entry_expr(lineno, key, value)
-    if H is None:
-        raise ModelError("[hamiltonian] requires H")
-    if not integrals:
-        return H, None
-    missing = [i for i in range(1, bundle.n + 1) if i not in integrals]
-    if missing:
-        raise ModelError("incomplete first-integral family; missing " +
-                         ", ".join(f"f{i}" for i in missing))
-    return H, tuple(integrals[i] for i in range(1, bundle.n + 1))
+# Per defining section: the kinds it takes, and its keys for a chart of
+# k fiber and n base coordinates, in groups. The first group is required,
+# each further one is all or none.
+_SECTIONS = {
+    "connection": (KINDS, lambda k, n: (
+        tuple(f"Gamma[{A},{i}]" for A in range(1, k + 1)
+              for i in range(1, n + 1)),)),
+    "sode": (SECOND_ORDER, lambda k, n: (_forces(k),)),
+    "hamiltonian": (COTANGENT, lambda k, n: (("H",), _forces(k))),
+}
+
+# The zeros that lead an index: `Gamma[01,1]` is `Gamma[1,1]`.
+_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
 
 
 def dump_model(doc: ModelDocument) -> str:
@@ -472,18 +458,9 @@ def validate_section(m: ConnectionModel, s: SectionModel) -> SectionInfo:
     if len(s.components) != m.k:
         raise ModelError(
             f"section has {len(s.components)} components, expected {m.k}")
-    allowed = set(m.bundle.coords)
+    require_coords("section component {}", s.components, m.bundle.coords)
     fiber = set(m.bundle.fiber_coords)
-    basic = True
-    for idx, comp in enumerate(s.components):
-        used = variables(comp)
-        unknown = used - allowed
-        if unknown:
-            raise ModelError(
-                f"section component {idx + 1} references unknown "
-                f"coordinate(s) {sorted(unknown)}")
-        if used & fiber:
-            basic = False
+    basic = not any(variables(comp) & fiber for comp in s.components)
     return SectionInfo(basic=basic)
 
 

@@ -14,13 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from .affine import _homogeneous_extension
-from .expr import Const, Expr, Var, ZERO, diff, simplify, variables
+from .expr import Const, Expr, Var, ZERO, diff, simplify
 from .geometry import (
     BASE_COV, FIBER_VEC, CheckReport, Residuals, TensorField, _flat_set,
     _suite, _tensor, combine_reports, dh_field, dv_field, linear_coeffs,
     tension,
 )
-from .model import BundleModel, ConnectionModel, ModelError
+from .model import BundleModel, ConnectionModel, ModelError, require_coords
 
 __all__ = [
     "SodeModel", "sode_connection", "jacobi_endomorphism",
@@ -54,14 +54,8 @@ class SodeModel:
                              "base = (t, x^1..x^m) and one velocity per x")
         if len(self.forces) != expected:
             raise ModelError(f"need {expected} forces, got {len(self.forces)}")
-        allowed = set(self.coords)
-        for idx, e in enumerate((*self.forces, *self.excluded)):
-            unknown = variables(e) - allowed
-            if unknown:
-                name = f"f{idx + 1}" if idx < expected else \
-                    "excluded-set predicate"
-                raise ModelError(f"{name} references unknown "
-                                 f"coordinate(s) {sorted(unknown)}")
+        require_coords("f{}", self.forces, self.coords)
+        require_coords("excluded-set predicate", self.excluded, self.coords)
 
     @property
     def coords(self) -> tuple[str, ...]:
@@ -78,6 +72,18 @@ class SodeModel:
             raise ModelError(f"state needs {len(self.coords)} components "
                              f"({', '.join(self.coords)})")
         return tuple(values)
+
+    def split(self, groups: tuple[Sequence[int], Sequence[int]]
+              ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """`groups` as a split of the indices 1..n, refused unless both
+        sides are nonempty and together they partition 1..n."""
+        first, second = (tuple(int(i) for i in group) for group in groups)
+        if not first or not second:
+            raise ModelError("both sides of the split must be nonempty")
+        if sorted(first + second) != list(range(1, self.n + 1)):
+            raise ModelError(f"split must partition 1..{self.n}, "
+                             f"got {first} | {second}")
+        return first, second
 
     def field_apply(self, g: Expr) -> Expr:
         """Apply the second-order vector field to a function:
@@ -232,12 +238,7 @@ def decoupling_check(s: SodeModel, split: tuple[Sequence[int], Sequence[int]],
     connection and Jacobi blocks mapping the second group into the first
     vanish; they DECOUPLE when the transposed blocks vanish as well.
     """
-    first, second = (tuple(int(i) for i in group) for group in split)
-    if not first or not second:
-        raise ModelError("both sides of the split must be nonempty")
-    indices = sorted(first + second)
-    if indices != list(range(1, s.n + 1)):
-        raise ModelError(f"split must partition 1..{s.n}, got {first} | {second}")
+    first, second = s.split(split)
 
     m = sode_connection(s)
     phi = jacobi_endomorphism(s)

@@ -53,11 +53,11 @@ from typing import Mapping, Sequence
 
 from .expr import (
     Const, EvalError, Expr, Neg, ONE, Var, ZERO, _define, _memo, _plan,
-    _render, compile_vector, diff, evaluate, is_zero, substitute, variables,
+    _render, compile_vector, diff, evaluate, is_zero, substitute,
 )
 from .affine import affine_linearization
 from .geometry import TensorField, _tensor, curvature, linear_coeffs
-from .model import ConnectionModel, ModelError, PointE
+from .model import AFFINE, ConnectionModel, ModelError, PointE, require_coords
 
 __all__ = [
     "CurveSpec", "FlowResult", "TransportResult", "horizontal_flow",
@@ -280,15 +280,14 @@ def _fresh(taken: Sequence[str], stem: str, count: int) -> tuple[str, ...]:
     return names
 
 
-def _base_field(m: ConnectionModel, X: Sequence[Expr]) -> tuple[Expr, ...]:
-    if len(X) != m.n:
-        raise ModelError(f"base vector field needs {m.n} components")
-    for comp in X:
-        extra = variables(comp) - set(m.bundle.base_coords)
-        if extra:
-            raise ModelError(f"base vector field uses non-base coordinate(s) "
-                             f"{sorted(extra)}")
-    return tuple(X)
+def _on_base(m: ConnectionModel, what: str, exprs: Sequence[Expr],
+             allowed: Sequence[str]) -> tuple[Expr, ...]:
+    """`exprs` as the components of a base `what`: one per base
+    direction, each using only the names `allowed`."""
+    if len(exprs) != m.n:
+        raise ModelError(f"{what} needs {m.n} components")
+    require_coords(what + "[{}]", exprs, allowed)
+    return tuple(exprs)
 
 
 def _lift(m: ConnectionModel, xdot: Sequence[Expr]) -> list[list[tuple]]:
@@ -329,7 +328,7 @@ def horizontal_flow(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
     """Integrate the horizontal lift of a base vector field. Along the
     resulting curve the fiber point is parallel for the nonlinear
     connection."""
-    X = _base_field(m, X)
+    X = _on_base(m, "base vector field", X, m.bundle.base_coords)
     rows, lean = _flow_rows(X, _lift(m, X))
     y, steps, status = _rk4(m.bundle.coords, rows, p0.values(m.bundle), T,
                             step, m.excluded, box, lean)
@@ -344,7 +343,7 @@ def _transport_coeffs(m: ConnectionModel) -> TensorField:
     coefficients. Affine and jet bundles transport extended (k+1)-vectors;
     the distinguished component has a zero row, so it stays constant.
     """
-    if m.bundle.kind not in ("affine", "jet"):
+    if m.bundle.kind not in AFFINE:
         return linear_coeffs(m)
     lin = affine_linearization(m)
 
@@ -380,17 +379,14 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
     coords = m.bundle.coords
     b_names = _fresh(coords, "b", size)
     if curve.field is not None:
-        xdot, param = _base_field(m, curve.field), ()
+        xdot = _on_base(m, "base vector field", curve.field,
+                        m.bundle.base_coords)
+        param = ()
     else:
         # Explicit parameterized curve: track the parameter as an extra
         # state slot, named apart from the coordinates, so the velocity
         # expressions see it.
-        if len(curve.curve) != m.n:
-            raise ModelError(f"base curve needs {m.n} components")
-        for comp in curve.curve:
-            if variables(comp) - {"t"}:
-                raise ModelError("base curve components may use only the "
-                                 "parameter t")
+        _on_base(m, "base curve", curve.curve, ("t",))
         param = _fresh(coords, "tau", 1)
         xdot = tuple(substitute(diff(c, "t"), {"t": Var(param[0])})
                      for c in curve.curve)

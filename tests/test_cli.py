@@ -17,6 +17,7 @@ import pytest
 import linconn.cli as cli
 from linconn.cli import emit_json, run
 from linconn.expr import _memo
+from linconn.model import load_model
 
 REPO = Path(__file__).resolve().parents[1]
 MODELS = REPO / "models"
@@ -1306,6 +1307,12 @@ BEFORE_WORK = (
      "state needs 4 components (x1, x2, v1, v2)"),
     (("hj", "--metric", "[[1]]"),
      "hj needs --alpha and/or a first-integral family"),
+    (("hj", "geodesic_const.lc", "--alpha", "1", "--samples", "20000"),
+     "1-form needs 2 components"),
+    (("hj", "geodesic_const.lc", "--alpha", "p1,1", "--samples", "20000"),
+     "alpha[1] may use only x1, x2; found ['p1']"),
+    (("sode", "oscillator_pair.lc", "--split", "1|1", "--samples", "20000"),
+     "split must partition 1..2, got (1,) | (1,)"),
 )
 
 
@@ -1335,6 +1342,14 @@ SUITE_REFUSALS = (
      "--suite basic needs --section"),
     (("check", "jet_oscillator.lc", "--suite", "sode"),
      "--suite sode needs an autonomous [sode] model"),
+    (("check", "affine_quadratic.lc", "--suite", "flat", "--samples",
+      "20000"),
+     "--suite flat expects kind vector, tangent or cotangent, got "
+     "kind=affine"),
+    (("check", "m4.lc", "--suite", "cotangent"),
+     "--suite cotangent expects kind cotangent, got kind=vector"),
+    (("check", "m4.lc", "--suite", "affine"),
+     "--suite affine expects kind affine or jet, got kind=vector"),
 )
 
 
@@ -1351,6 +1366,38 @@ def test_a_suite_the_run_cannot_run_is_refused_before_the_draw(
         monkeypatch.setattr(module, "sample_points", draw)
     code, out, err = run_cli(*_shipped(argv))
     assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+VECTOR_SUITES = ["homogeneous", "flat", "axioms", "bianchi",
+                 "tension-identities"]
+
+
+@pytest.mark.parametrize("name, selected", [
+    ("m4", VECTOR_SUITES),
+    ("oscillator", VECTOR_SUITES + ["sode"]),
+    ("geodesic_const", VECTOR_SUITES + ["cotangent"]),
+    ("affine_quadratic", ["affine"]),
+    ("jet_oscillator", ["affine"]),
+])
+def test_suite_all_selects_by_kind_as_before(name, selected):
+    """`--suite all` runs each suite on the kinds of its `all_kinds`, and
+    `basic` where a section is given."""
+    doc = load_model((MODELS / f"{name}.lc").read_text())
+    assert [e.name for e in cli._suites._selected(doc, ["all"], {})] == \
+        selected
+    assert [e.name for e in cli._suites._selected(
+        doc, ["all"], {"section": object()})] == ["basic"] + selected
+
+
+@pytest.mark.parametrize("name", ["affine_quadratic", "jet_oscillator"])
+def test_homogeneous_named_alone_homogenizes_an_affine_model(name):
+    """The homogeneity suite takes every kind, though `--suite all` runs
+    it on the vector-like ones alone: an affine or jet model is
+    homogenized first."""
+    code, doc, _ = run_json("check", str(MODELS / f"{name}.lc"), "--suite",
+                            "homogeneous", "--samples", "10", "--json")
+    assert code == 0
+    assert [r["name"] for r in doc["results"]] == ["homogeneous"]
 
 
 MALFORMED_NUMBER = "unexpected trailing input '.3' at offset 3 (expected " \

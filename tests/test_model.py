@@ -1,9 +1,11 @@
+import ast
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linconn.expr import EvalError, compile_vector, evaluate, parse
+import linconn.model as model
 from linconn.model import (
     BundleModel, ModelError, PointE, SectionModel,
     dump_model, load_model, sample_points, validate_section,
@@ -173,6 +175,139 @@ def test_duplicate_sode_or_hamiltonian_entry_rejected(kind, section, lines, key)
     with pytest.raises(ModelError) as err:
         load_model(text)
     assert str(err.value) == f"line {6 + len(lines)}: duplicate entry {key}"
+
+
+# Per defining section: its chart, and a complete body whose second line
+# is line 8 of the file.
+SECTIONS = {
+    "connection": ("vector", "u1", ["Gamma[1,1] = u1", "Gamma[1,2] = x1"]),
+    "sode": ("tangent", "v1, v2", ["f1 = -x1", "f2 = -x2"]),
+    "hamiltonian": ("cotangent", "p1, p2",
+                    ["H = p1^2/2 + p2^2/2", "f1 = p1", "f2 = p2"]),
+}
+NO_EXPR = "unexpected end of input at offset 1 (expected an expression)"
+
+
+def _section_text(section: str, second: str | None) -> str:
+    kind, fiber, body = SECTIONS[section]
+    lines = [body[0], *([] if second is None else [second]), *body[2:]]
+    return (f"[bundle]\nkind = {kind}\nbase = x1, x2\nfiber = {fiber}\n\n"
+            f"[{section}]\n" + "\n".join(lines) + "\n")
+
+
+ENTRY_FAULTS = [
+    ("connection", "Gamma[1] = x1", "line 8: unknown [connection] key "
+     "'Gamma[1]'; expected Gamma[1,1]..Gamma[1,2]"),
+    ("connection", "Gamma[2,1] = x1", "line 8: unknown [connection] key "
+     "'Gamma[2,1]'; expected Gamma[1,1]..Gamma[1,2]"),
+    ("connection", "Gamma[01,1] = x1", "line 8: duplicate entry Gamma[1,1]"),
+    ("connection", "Gamma[1,2] = (",
+     f"line 8: cannot parse Gamma[1,2]: {NO_EXPR}"),
+    ("connection", "Gamma[1,2] = y",
+     "line 8: Gamma[1,2] may use only x1, x2, u1; found ['y']"),
+    ("connection", None, "missing [connection] entries: Gamma[1,2]"),
+    ("sode", "g2 = 0", "line 8: unknown [sode] key 'g2'; expected f1..f2"),
+    ("sode", "f3 = 0", "line 8: unknown [sode] key 'f3'; expected f1..f2"),
+    ("sode", "f1 = 0", "line 8: duplicate entry f1"),
+    ("sode", "f2 = (", f"line 8: cannot parse f2: {NO_EXPR}"),
+    ("sode", "f2 = y", "line 8: f2 may use only x1, x2, v1, v2; found ['y']"),
+    ("sode", None, "missing [sode] entries: f2"),
+    ("hamiltonian", "K = p1",
+     "line 8: unknown [hamiltonian] key 'K'; expected H, f1..f2"),
+    ("hamiltonian", "f3 = p1",
+     "line 8: unknown [hamiltonian] key 'f3'; expected H, f1..f2"),
+    ("hamiltonian", "H = p1", "line 8: duplicate entry H"),
+    ("hamiltonian", "f1 = (", f"line 8: cannot parse f1: {NO_EXPR}"),
+    ("hamiltonian", "f1 = y",
+     "line 8: f1 may use only x1, x2, p1, p2; found ['y']"),
+    ("hamiltonian", None, "missing [hamiltonian] entries: f1"),
+]
+
+
+@pytest.mark.parametrize("section, second, message", ENTRY_FAULTS, ids=[
+    f"{section}: {second or 'missing'}" for section, second, _ in
+    ENTRY_FAULTS])
+def test_one_reader_refuses_indexed_entries_alike(section, second, message):
+    """`[connection]`, `[sode]` and `[hamiltonian]` share one entry reader:
+    a key the section does not take, a repeated key (leading zeros of an
+    index read as none), an entry that does not parse or uses a name
+    outside the chart, each on its line, and a missing entry."""
+    with pytest.raises(ModelError) as err:
+        load_model(_section_text(section, second))
+    assert str(err.value) == message
+
+
+def test_hamiltonian_coordinate_fault_names_its_line():
+    """The Hamiltonian itself goes through the same reader, so an unknown
+    name in `H` is refused on its line too."""
+    text = _section_text("hamiltonian", "f1 = p1").replace(
+        "H = p1^2/2", "H = y^2/2")
+    with pytest.raises(ModelError) as err:
+        load_model(text)
+    assert str(err.value) == \
+        "line 7: H may use only x1, x2, p1, p2; found ['y']"
+
+
+def test_a_first_integral_family_is_all_or_none():
+    text = _section_text("hamiltonian", "f1 = p1")
+    assert load_model(text.replace("f1 = p1\nf2 = p2\n", "")).connection \
+        is None
+    with pytest.raises(ModelError) as err:
+        load_model(text.replace("H = p1^2/2 + p2^2/2\n", "").replace(
+            "f2 = p2\n", ""))
+    assert str(err.value) == "missing [hamiltonian] entries: H, f2"
+
+
+@pytest.mark.parametrize("section, kind, message", [
+    ("sode", "vector", "[sode] expects kind tangent or jet, got kind=vector"),
+    ("hamiltonian", "tangent",
+     "[hamiltonian] expects kind cotangent, got kind=tangent"),
+])
+def test_a_section_of_the_wrong_kind_is_refused_before_its_entries(
+        section, kind, message):
+    text = _section_text(section, "bad key = (").replace(
+        f"kind = {SECTIONS[section][0]}", f"kind = {kind}")
+    with pytest.raises(ModelError) as err:
+        load_model(text)
+    assert str(err.value) == message
+
+
+def _is_kind(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "kind"
+
+
+def _literal(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return all(map(_literal, node.elts))
+    return isinstance(node, ast.Constant) and node.value in model.KINDS
+
+
+def test_only_model_holds_kind_groups_and_guards():
+    """Which kinds an operation takes is decided in `model` alone: no other
+    module spells a group of kind names, compares a `.kind` with kind
+    names of its own, or refuses a kind in an `if` of its own (what
+    `require_kind` does)."""
+    found = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        if path.stem == "model":
+            continue
+        tree = ast.parse(path.read_text())
+        compares = {n for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                    and any(map(_is_kind, [n.left, *n.comparators]))}
+        for node in ast.walk(tree):
+            where = f"{path.stem}:{getattr(node, 'lineno', '')}"
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and \
+                    node.elts and _literal(node):
+                found.append(f"{where}: a group of kind names")
+            if node in compares and any(
+                    map(_literal, [node.left, *node.comparators])):
+                found.append(f"{where}: .kind compared with kind names")
+            if isinstance(node, ast.If) and compares & set(
+                    ast.walk(node.test)) and any(
+                    isinstance(n, ast.Raise) for b in node.body
+                    for n in ast.walk(b)):
+                found.append(f"{where}: a kind guard")
+    assert found == []
 
 
 @pytest.mark.parametrize("kind, base", [("tangent", "x1"), ("jet", "t, x1")])
