@@ -4,9 +4,10 @@ Affine bundles have no zero section, so the fiber-derivative trick does
 not apply directly. The connection is first extended to a degree-1
 homogeneous connection on a bundle with one extra fiber coordinate z0
 (the affine fibers sit at z0 = 1), linearized there, and restricted
-back. The restriction has an extra coefficient block, and the dual
-distinguished section is parallel: transported vectors never leak out of
-the affine fiber.
+back. `homogenize` returns that connection; its fiber is z0..zk, or
+_z0.. where the base already uses those names. The restriction has an
+extra coefficient block, and the dual distinguished section is
+parallel: transported vectors never leak out of the affine fiber.
 """
 
 from linconn import (
@@ -20,9 +21,10 @@ b = BundleModel("affine", ("x1",), ("y1",))
 m = ConnectionModel(b, [[parse("y1^2")]])
 
 hom = homogenize(m)
-print("homogeneous extension (fiber z0, z1):")
-for A, row in enumerate(hom.model.gamma):
-    print(f"  row z{A}: {[str(e) for e in row]}")
+z = hom.bundle.fiber_coords
+print(f"homogeneous extension (fiber {', '.join(z)}):")
+for name, row in zip(z, hom.gamma):
+    print(f"  row {name}: {[str(e) for e in row]}")
 
 lin = affine_linearization(m)
 print(f"\ndirect linearization: affine part {lin.coeffs_0[0, 0]}, "

@@ -25,9 +25,8 @@ from .geometry import (
     integral_section_residual, pullback_connection_coeffs,
 )
 from .affine import (
-    HomogenizedModel, AffineLinearization,
-    homogenize, affine_linearization, affine_covariant_derivative,
-    check_homogenized, check_affine_structure,
+    AffineLinearization, homogenize, affine_linearization,
+    affine_covariant_derivative, check_homogenized, check_affine_structure,
 )
 from .sode import (
     SodeModel, sode_connection, jacobi_endomorphism,

@@ -3,7 +3,8 @@
 An affine-bundle connection is extended to the degree-1 homogeneous
 connection on the enlarged vector bundle with one extra fiber coordinate
 z0 (the affine fiber sits at z0 = 1, the model vector bundle at z0 = 0),
-linearized there, and restricted back. The restriction is implemented by
+linearized there, and restricted back; the extended fiber is z0..zk, or
+_z0.. where the base uses those names. The restriction is implemented by
 direct formulas on the affine model; the homogenized model serves as an
 independent oracle. `_homogeneous_extension` builds the extension, and
 `sode.homogeneous_sode`'s degree-2 one, both keeping the excluded set.
@@ -24,33 +25,15 @@ from .geometry import (
     combine_reports, h_apply, linear_coeffs,
 )
 from .model import (
-    AFFINE, BundleModel, ConnectionModel, ModelError, SectionModel,
+    AFFINE, BundleModel, ConnectionModel, ModelError, SectionModel, _fresh,
     require_kind, sample_points,
 )
 
 __all__ = [
-    "HomogenizedModel", "AffineLinearization", "homogenize",
+    "AffineLinearization", "homogenize",
     "affine_linearization", "affine_covariant_derivative",
     "check_homogenized", "check_affine_structure",
 ]
-
-@dataclass(frozen=True)
-class HomogenizedModel:
-    """Homogeneous extension of an affine model on the enlarged bundle.
-
-    Fiber coordinates are z0, z1..zk over the same base; the coefficient
-    for z0 vanishes identically and the remaining rows are the degree-1
-    homogeneous extensions of the affine coefficients. The hyperplane
-    z0 = 0 is excluded, and each excluded predicate p of the origin as
-    p(x, z/z0)."""
-
-    model: ConnectionModel
-    origin: ConnectionModel
-
-    @property
-    def z_coords(self) -> tuple[str, ...]:
-        return self.model.bundle.fiber_coords
-
 
 @dataclass(frozen=True)
 class AffineLinearization:
@@ -70,14 +53,10 @@ def _homogeneous_extension(stem: str, base: Sequence[str],
                            fiber: Sequence[str], exprs: Sequence[Expr],
                            degree: int, excluded: Sequence[Expr]):
     """The degree-`degree` homogeneous extension over the fiber `fiber`:
-    the extended fiber names stem0..stemk, each e of `exprs` as
-    stem0^degree * e(x, stem/stem0), and the excluded set: stem0 = 0,
-    then each predicate p of `excluded` as p(x, stem/stem0)."""
-    names = tuple(f"{stem}{j}" for j in range(len(fiber) + 1))
-    clash = set(names) & set(base)
-    if clash:
-        raise ModelError(f"base coordinates {sorted(clash)} collide with the "
-                         f"extended fiber names {names[0]}..{names[-1]}")
+    the extended fiber names stem0..stemk, named apart from `base`, each e
+    of `exprs` as stem0^degree * e(x, stem/stem0), and the excluded set:
+    stem0 = 0, then each predicate p of `excluded` as p(x, stem/stem0)."""
+    names = _fresh(base, stem, len(fiber) + 1)
     s0 = Var(names[0])
     bindings = {y: Var(name) / s0 for y, name in zip(fiber, names[1:])}
     scale: Expr = s0
@@ -87,19 +66,18 @@ def _homogeneous_extension(stem: str, base: Sequence[str],
     return names, scaled, (s0, *(substitute(p, bindings) for p in excluded))
 
 
-def homogenize(m: ConnectionModel) -> HomogenizedModel:
-    """Extend an affine model to the homogeneous model on the enlarged
-    bundle: row 0 is zero and row A is z0 * gamma[A][i](x, z/z0)."""
+def homogenize(m: ConnectionModel) -> ConnectionModel:
+    """The homogeneous extension of an affine model, fiber z0..zk: row 0
+    is zero, row A is z0 * gamma[A][i](x, z/z0), and it excludes z0 = 0
+    and each excluded predicate p of `m` as p(x, z/z0)."""
     require_kind(m.bundle, AFFINE, "homogenize")
-    bundle = m.bundle
     names, scaled, excluded = _homogeneous_extension(
-        "z", bundle.base_coords, bundle.fiber_coords,
+        "z", m.bundle.base_coords, m.bundle.fiber_coords,
         [e for row in m.gamma for e in row], 1, m.excluded)
     gamma = [[ZERO] * m.n] + [scaled[A * m.n:(A + 1) * m.n]
                               for A in range(m.k)]
-    ext = ConnectionModel(BundleModel("vector", bundle.base_coords, names),
-                          gamma, excluded)
-    return HomogenizedModel(model=ext, origin=m)
+    return ConnectionModel(BundleModel("vector", m.bundle.base_coords, names),
+                           gamma, excluded)
 
 
 def affine_linearization(m: ConnectionModel) -> AffineLinearization:
@@ -159,18 +137,18 @@ def affine_covariant_derivative(m: ConnectionModel, U: VectorFieldOnE,
     return tuple(out)
 
 
-def _homogenized_samples(hom: HomogenizedModel, count: int, seed: int):
-    return sample_points(hom.model, count, box={hom.z_coords[0]: (0.5, 2.0)},
-                         seed=seed)
+def _homogenized_samples(hom: ConnectionModel, count: int, seed: int):
+    z0 = hom.bundle.fiber_coords[0]
+    return sample_points(hom, count, box={z0: (0.5, 2.0)}, seed=seed)
 
 
 @_suite
-def check_homogenized(hom: HomogenizedModel, count: int, tol: float,
+def check_homogenized(hom: ConnectionModel, count: int, tol: float,
                       seed: int = 0) -> CheckReport:
-    """Homogeneity check of the homogeneous extension on `count` seeded
-    points sampled with z0 in [0.5, 2], away from the excluded z0 = 0."""
+    """Homogeneity check of an extension that `homogenize` returns, on
+    `count` seeded points with z0 in [0.5, 2], off the excluded z0 = 0."""
     samples = _homogenized_samples(hom, count, seed)
-    return (yield from check_homogeneous.suite(hom.model, samples, tol))
+    return (yield from check_homogeneous.suite(hom, samples, tol))
 
 
 @_suite
@@ -197,7 +175,6 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
     U = _random_field(m, rng)
     derivative = affine_covariant_derivative(m, U, sigma)
     residual0 = simplify(derivative[0] - U.apply(m, sigma[0]))
-    # Evaluated before `homogenize`, which may refuse the model.
     sub_i, = yield [Residuals("distinguished_section_parallel", m,
                               {"distinguished_component": residual0},
                               samples, tol)]
@@ -209,10 +186,9 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
     # (iii) restriction consistency: evaluate the homogenized linear
     # coefficients at z0 = 1, z = y against the direct formulas.
     direct = affine_linearization(m)
-    ext_lin = linear_coeffs(hom.model)
-    restrict = {"z0": ONE}
-    restrict.update({hom.z_coords[B + 1]: Var(y)
-                     for B, y in enumerate(m.bundle.fiber_coords)})
+    ext_lin = linear_coeffs(hom)
+    restrict = dict(zip(hom.bundle.fiber_coords,
+                        (ONE, *map(Var, m.bundle.fiber_coords))))
     comps_iii: dict[str, Expr] = {}
     for A in range(m.k):
         for i in range(m.n):
@@ -225,7 +201,7 @@ def check_affine_structure(m: ConnectionModel, samples: np.ndarray,
                 comps_iii[f"restriction_lin[{A+1},{i+1},{B+1}]"] = e
 
     *hom_reports, sub_iii = yield [
-        *_homogeneous_sets(hom.model, hom_samples, tol),
+        *_homogeneous_sets(hom, hom_samples, tol),
         Residuals("restriction_consistency", m, comps_iii, samples, tol)]
     sub_ii = _homogeneous_report(hom_reports, tol)
     sub_ii.name = "homogenized_is_homogeneous"

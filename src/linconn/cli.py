@@ -402,7 +402,7 @@ def _cmd_tensor(args, doc: ModelDocument) -> tuple[list, str]:
     elif name == "jacobi":
         field = _sode.jacobi_endomorphism(doc.sode)
     elif name == "homogenized-gamma":
-        m = _affine.homogenize(m).model
+        m = _affine.homogenize(m)
         field = _gamma(m, "homogenized_gamma")
     elif name in _SECTION_BUILDERS:
         section = SectionModel(_parse_exprs(args.section, "--section"))

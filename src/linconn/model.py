@@ -4,7 +4,7 @@ A model fixes a single coordinate chart: `n` base coordinates, `k` fiber
 coordinates and a k-by-n matrix of coefficient expressions. Singular sets
 are declared, never inferred; samplers keep away from them.
 
-This module owns the three validity rules of a model, and no other module
+This module owns four rules of a model's chart, and no other module
 repeats them:
 
 - Kinds: the kind groups stand beside `KINDS`, and `require_kind` is the
@@ -14,6 +14,8 @@ repeats them:
   line.
 - Indexed entries: `_read_entries` reads the `Gamma[A,i]`, `fN` and `H`
   lines of `[connection]`, `[sode]` and `[hamiltonian]` alike.
+- Added names: `_fresh` names the coordinates a construction adds to a
+  chart apart from the chart's own.
 """
 
 from __future__ import annotations
@@ -94,6 +96,15 @@ def require_coords(label: str, exprs: Sequence[Expr], allowed: Sequence[str],
             raise ModelError(f"{label.format(idx)} may use only "
                              f"{', '.join(allowed)}; found {sorted(extra)}",
                              line)
+
+
+def _fresh(taken: Sequence[str], stem: str, count: int) -> tuple[str, ...]:
+    """`count` names stem0, stem1, ... that avoid `taken`, or _stem0, ...
+    and so on: one more leading underscore while any of them is taken."""
+    names = tuple(f"{stem}{j}" for j in range(count))
+    if set(names) & set(taken):
+        return _fresh(taken, "_" + stem, count)
+    return names
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,8 @@ from .expr import (
 )
 from .affine import affine_linearization
 from .geometry import TensorField, _tensor, curvature, linear_coeffs
-from .model import AFFINE, ConnectionModel, ModelError, PointE, require_coords
+from .model import (AFFINE, ConnectionModel, ModelError, PointE, _fresh,
+                    require_coords)
 
 __all__ = [
     "CurveSpec", "FlowResult", "TransportResult", "horizontal_flow",
@@ -272,14 +273,6 @@ def _replay(names: Sequence[str], rhs: Sequence[Expr],
                        f"replays without a fault")
 
 
-def _fresh(taken: Sequence[str], stem: str, count: int) -> tuple[str, ...]:
-    """`count` state-slot names stem0, stem1, ... that avoid `taken`."""
-    names = tuple(f"{stem}{j}" for j in range(count))
-    if set(names) & set(taken):
-        return _fresh(taken, "_" + stem, count)
-    return names
-
-
 def _on_base(m: ConnectionModel, what: str, exprs: Sequence[Expr],
              allowed: Sequence[str]) -> tuple[Expr, ...]:
     """`exprs` as the components of a base `what`: one per base
@@ -368,8 +361,7 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
     the identity on the fiber.
     """
     b0 = tuple(float(v) for v in b0)
-    coeffs = _transport_coeffs(m)
-    size = coeffs.shape[0]
+    size = m.k + 1 if m.bundle.kind in AFFINE else m.k
     if len(b0) != size:
         raise ModelError(f"transported vector needs {size} components, "
                          f"got {len(b0)}")
@@ -390,6 +382,7 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
         param = _fresh(coords, "tau", 1)
         xdot = tuple(substitute(diff(c, "t"), {"t": Var(param[0])})
                      for c in curve.curve)
+    coeffs = _transport_coeffs(m)
     rows, lean = _flow_rows(xdot, _lift(m, xdot) + [
         [(coeffs[A, i, B], xdot[i], Var(b_names[B]))
          for i in range(m.n) for B in range(size)] for A in range(size)])
@@ -447,6 +440,13 @@ def relative_gap(values: Sequence[float], reference: Sequence[float]) -> float:
     return max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(values, reference))
 
 
+def _check_directions(m: ConnectionModel, i: int, j: int):
+    """Refuse base directions i, j outside 0 .. n-1."""
+    if not (0 <= i < m.n and 0 <= j < m.n):
+        raise ModelError(f"holonomy directions must lie in 0..{m.n - 1}, "
+                         f"got {i}, {j}")
+
+
 def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
                    eps: float, step: float | None = None) -> tuple[float, ...]:
     """Transport the fiber point around the coordinate rectangle
@@ -469,6 +469,7 @@ def holonomy_probe(m: ConnectionModel, p0: PointE, i: int, j: int,
                          f"got eps={eps!r}")
     if m.bundle.n < 2:
         raise ModelError("holonomy probes need at least two base directions")
+    _check_directions(m, i, j)
     if i == j:
         raise ModelError("holonomy probe needs two distinct base directions")
     if step is None:
@@ -489,6 +490,7 @@ def holonomy_curvature(m: ConnectionModel, p0: PointE, i: int,
                        j: int) -> tuple[float, ...]:
     """The symbolic curvature components R[A, i, j] at p0, A = 0 .. k-1:
     the limit of `holonomy_probe(m, p0, i, j, eps)` as eps -> 0."""
+    _check_directions(m, i, j)
     R = curvature(m)
     env = p0.env(m.bundle)
     return tuple(0.0 if is_zero(R[A, i, j]) else evaluate(R[A, i, j], env)

@@ -165,9 +165,9 @@ def test_criterion_03_homogeneity_tension():
     worst = 0.0
     for m in affine_models:
         hom = homogenize(m)
-        z0 = hom.model.bundle.fiber_coords[0]
-        pts = sample_points(hom.model, 100, seed=103, box={z0: (0.5, 2.0)})
-        report = check_homogeneous(hom.model, pts, 1e-10)
+        z0 = hom.bundle.fiber_coords[0]
+        pts = sample_points(hom, 100, seed=103, box={z0: (0.5, 2.0)})
+        report = check_homogeneous(hom, pts, 1e-10)
         worst = max(worst, report.max_residual)
         assert report.passed
 
@@ -409,7 +409,7 @@ def test_criterion_12_sode_suite():
     # Non-autonomous/homogeneous consistency.
     s = SodeModel(False, ("t", "x1"), ("v1",), (parse("-x1 - t*v1^2"),))
     left = sode_connection(homogeneous_sode(s))
-    right = homogenize(nonautonomous_connection(s)).model
+    right = homogenize(nonautonomous_connection(s))
     rng = np.random.default_rng(112)
     worst = 0.0
     for _ in range(100):

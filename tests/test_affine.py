@@ -32,12 +32,26 @@ def affine_two():
 
 def test_homogenize_rows(affine_quadratic):
     hom = homogenize(affine_quadratic)
-    assert hom.model.bundle.kind == "vector"
-    assert hom.model.bundle.fiber_coords == ("z0", "z1")
-    assert all(e == ZERO for e in hom.model.gamma[0])
-    fn = compile_fn(hom.model.gamma[1][0], hom.model.bundle.coords)
+    assert hom.bundle.kind == "vector"
+    assert hom.bundle.fiber_coords == ("z0", "z1")
+    assert all(e == ZERO for e in hom.gamma[0])
+    fn = compile_fn(hom.gamma[1][0], hom.bundle.coords)
     # z0 * (z1/z0)^2 == z1^2/z0
     assert fn((0.3, 2.0, 3.0)) == pytest.approx(4.5)
+
+
+def test_homogenize_names_the_fiber_apart_from_the_base():
+    # The base already uses z1: the extended fiber takes _z0, _z1, and the
+    # extension and its checks run as on any other chart.
+    m = ConnectionModel(BundleModel("affine", ("z1",), ("y1",)),
+                        [[parse("y1^2")]])
+    hom = homogenize(m)
+    assert hom.bundle.coords == ("z1", "_z0", "_z1")
+    assert hom.excluded == (Var("_z0"),)
+    fn = compile_fn(hom.gamma[1][0], hom.bundle.coords)
+    assert fn((0.3, 2.0, 3.0)) == pytest.approx(4.5)
+    report = check_affine_structure(m, sample_points(m, 50, seed=4), 1e-9)
+    assert report.passed
 
 
 def test_homogenize_affine_coefficients_linear():
@@ -48,7 +62,7 @@ def test_homogenize_affine_coefficients_linear():
     # tree keeps the z0 * gamma(x, z/z0) shape, so equality is checked on
     # the function values, including the limit toward the z0 = 0 plane
     # (the extension of an affine connection is linear).
-    fn = compile_fn(hom.model.gamma[1][0], hom.model.bundle.coords)
+    fn = compile_fn(hom.gamma[1][0], hom.bundle.coords)
     for x1, z0, z1 in [(0.2, 1e-9, 1.5), (0.7, -1.0, 0.4), (0.3, 0.5, -2.0)]:
         expected = np.sin(x1) * z0 + x1 ** 2 * z1
         assert fn((x1, z0, z1)) == pytest.approx(expected, abs=1e-9)
@@ -58,7 +72,7 @@ def test_homogenize_zero():
     b = BundleModel("affine", ("x1",), ("y1",))
     m = ConnectionModel(b, [[ZERO]])
     hom = homogenize(m)
-    assert all(e == ZERO for row in hom.model.gamma for e in row)
+    assert all(e == ZERO for row in hom.gamma for e in row)
 
 
 def test_homogenize_rejects_vector_models(quadratic_model):
@@ -69,8 +83,8 @@ def test_homogenize_rejects_vector_models(quadratic_model):
 @pytest.mark.parametrize("lam", [-2.0, 0.5, 3.0])
 def test_homogenized_scaling(affine_two, lam, rng):
     hom = homogenize(affine_two)
-    names = hom.model.bundle.coords
-    fns = [compile_fn(e, names) for row in hom.model.gamma for e in row]
+    names = hom.bundle.coords
+    fns = [compile_fn(e, names) for row in hom.gamma for e in row]
     for _ in range(30):
         x = [float(rng.uniform(-1, 1)) for _ in range(2)]
         z = [float(rng.uniform(0.5, 2.0)) for _ in range(3)]
@@ -89,7 +103,7 @@ def _reciprocal_model():
 
 def test_homogenize_keeps_the_excluded_set():
     hom = homogenize(_reciprocal_model())
-    assert hom.model.excluded == (Var("z0"), Var("z1") / Var("z0"))
+    assert hom.excluded == (Var("z0"), Var("z1") / Var("z0"))
 
 
 def test_homogenized_draw_keeps_off_the_excluded_set():
@@ -102,8 +116,8 @@ def test_homogenized_draw_keeps_off_the_excluded_set():
 
 def test_homogenized_tension_vanishes(affine_two):
     hom = homogenize(affine_two)
-    pts = sample_points(hom.model, 100, seed=21, box={"z0": (0.5, 2.0)})
-    report = check_homogeneous(hom.model, pts, 1e-10)
+    pts = sample_points(hom, 100, seed=21, box={"z0": (0.5, 2.0)})
+    report = check_homogeneous(hom, pts, 1e-10)
     assert report.passed
 
 

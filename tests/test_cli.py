@@ -822,6 +822,27 @@ def test_check_homogenized_is_the_affine_homogeneous_suite():
         "--seed", "3")
 
 
+@pytest.mark.parametrize("suite", ["all", "homogeneous"])
+def test_a_base_named_like_the_extension_is_homogenized(tmp_path, suite):
+    path = tmp_path / "z1.lc"
+    path.write_text("[bundle]\nkind = affine\nbase = z1\nfiber = y1\n\n"
+                    "[connection]\nGamma[1,1] = y1^2\n")
+    code, doc, _ = run_json("check", str(path), "--suite", suite,
+                            "--samples", "50", "--json")
+    assert code == 0
+    assert all(result["passed"] for result in doc["results"])
+
+
+def test_sode_homogenize_names_the_velocities_apart_from_the_base(tmp_path):
+    path = tmp_path / "w1.lc"
+    path.write_text("[bundle]\nkind = jet\nbase = t, w1\nfiber = v1\n\n"
+                    "[sode]\nf1 = -w1\n")
+    code, out, err = run_cli("sode", str(path), "--homogenize")
+    assert (code, err) == (0, "")
+    assert out == ("homogeneous extension forces:\n  _w0: 0\n"
+                   "  _w1: _w0*_w0*-w1\n")
+
+
 def test_check_sode_suite():
     code, doc, _ = run_json("check", str(MODELS / "oscillator.lc"),
                             "--suite", "sode", "--samples", "20", "--json")
@@ -1333,6 +1354,31 @@ def test_refusals_come_before_any_work(monkeypatch, argv, line):
                          (cli._sode, "jacobi_endomorphism"),
                          (cli._sode, "homogeneous_sode")):
         monkeypatch.setattr(module, name, work)
+    code, out, err = run_cli(*_shipped(argv))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+TRANSPORT_REFUSALS = (
+    (("transport", "m4.lc", "--field", "u1,1"),
+     "base vector field[1] may use only x1, x2; found ['u1']"),
+    (("transport", "m4.lc", "--field", "1,1", "--fiber", "1,2,3"),
+     "transported vector needs 2 components, got 3"),
+    (("transport", "affine_quadratic.lc", "--field", "1", "--fiber",
+      "1,2,3"),
+     "transported vector needs 2 components, got 3"),
+)
+
+
+@pytest.mark.parametrize("argv, line", TRANSPORT_REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in
+                              TRANSPORT_REFUSALS])
+def test_transport_refuses_its_field_and_vector_before_the_coefficients(
+        monkeypatch, argv, line):
+    def build(*args, **kwargs):
+        raise AssertionError("transport coefficients built before the "
+                             "refusal")
+
+    monkeypatch.setattr(cli._transport, "_transport_coeffs", build)
     code, out, err = run_cli(*_shipped(argv))
     assert (code, out, err) == (2, "", f"error: {line}\n")
 

@@ -511,3 +511,11 @@ def test_bundle_invariants():
         BundleModel("nonsense", ("x1",), ("u1",))
     b = BundleModel("jet", ("t", "x1"), ("v1",))
     assert b.n == 2 and b.k == 1
+
+
+def test_added_names_are_named_apart_from_the_chart():
+    """A construction's names are stem0.., or take one more leading
+    underscore for as long as any of them is taken."""
+    assert model._fresh(("x1", "u1"), "z", 2) == ("z0", "z1")
+    assert model._fresh(("z1", "y1"), "z", 2) == ("_z0", "_z1")
+    assert model._fresh(("z0", "_z1"), "z", 2) == ("__z0", "__z1")

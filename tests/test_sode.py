@@ -106,6 +106,15 @@ def test_homogeneous_sode_forces():
     assert fn((0.0, 0.5, 2.0, 0.3)) == pytest.approx(-2.0)
 
 
+def test_homogeneous_sode_names_the_velocities_apart_from_the_base():
+    s = SodeModel(False, ("t", "w1"), ("v1",), (parse("-w1"),))
+    hs = homogeneous_sode(s)
+    assert hs.velocity_coords == ("_w0", "_w1")
+    fn = compile_fn(hs.forces[1], hs.coords)
+    # (t, w1, _w0, _w1) -> -(_w0)^2 * w1
+    assert fn((0.0, 0.5, 2.0, 0.3)) == pytest.approx(-2.0)
+
+
 def test_one_builder_gives_the_jet_connection():
     s = nonauto("-x1 - t*v1^2")
     m = sode_connection(s)
@@ -145,7 +154,7 @@ def test_homogeneous_sode_matches_homogenized_jet_connection(rng):
     left = sode_connection(homogeneous_sode(s))        # fiber (w0, w1)
     right = homogenize(nonautonomous_connection(s))    # fiber (z0, z1)
     ln = left.bundle.coords
-    rn = right.model.bundle.coords
+    rn = right.bundle.coords
     for _ in range(100):
         t, x = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
         w0 = float(rng.uniform(0.5, 2.0))
@@ -155,7 +164,7 @@ def test_homogeneous_sode_matches_homogenized_jet_connection(rng):
         for A in range(2):
             for i in range(2):
                 lv = eval_or_zero(left.gamma[A][i], lvals)
-                rv = eval_or_zero(right.model.gamma[A][i], rvals)
+                rv = eval_or_zero(right.gamma[A][i], rvals)
                 assert lv == pytest.approx(rv, rel=1e-9, abs=1e-9)
 
 
@@ -166,7 +175,7 @@ def test_jacobi_equals_curvature_contraction_nonautonomous(rng):
     s = nonauto("-x1 - t*v1^2")
     phi = jacobi_endomorphism(s)
     hom = homogenize(nonautonomous_connection(s))
-    R = curvature(hom.model)   # fiber rows (z0, z1); base columns (t, x1)
+    R = curvature(hom)   # fiber rows (z0, z1); base columns (t, x1)
     for _ in range(100):
         t, x, v = (float(rng.uniform(-1, 1)) for _ in range(3))
         env_phi = {"t": t, "x1": x, "v1": v}
@@ -185,8 +194,8 @@ def test_nonautonomous_tension_vanishes(rng):
     hom = homogenize(nonautonomous_connection(s))
     from linconn.geometry import check_homogeneous
 
-    pts = sample_points(hom.model, 60, seed=31, box={"z0": (0.5, 2.0)})
-    assert check_homogeneous(hom.model, pts, 1e-10).passed
+    pts = sample_points(hom, 60, seed=31, box={"z0": (0.5, 2.0)})
+    assert check_homogeneous(hom, pts, 1e-10).passed
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import linconn.model as model
 import linconn.transport as transport
 from linconn.cli import run
 from linconn.expr import (
@@ -304,7 +305,7 @@ def _full_flow(m, X, p0, T, step):
 
 def _full_transport(m, X, p0, b0, T, step):
     coeffs = transport._transport_coeffs(m)
-    b_names = transport._fresh(m.bundle.coords, "b", len(b0))
+    b_names = model._fresh(m.bundle.coords, "b", len(b0))
     y, steps, status = _stage_by_stage(
         m.bundle.coords + b_names, _full_rows(m, X, coeffs, b_names),
         p0.values(m.bundle) + tuple(b0), T, step, m.excluded)
@@ -698,6 +699,16 @@ def test_holonomy_with_negative_eps_converges_to_the_curvature(m4_model):
     defect = holonomy_probe(m4_model, p0, 0, 1, -1e-2)
     assert defect == pytest.approx((1.2, 0.8), rel=3e-2)
     assert defect == holonomy_probe(m4_model, p0, 0, 1, -1e-2, 2e-4)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, 2), (2, 1), (0, -3)])
+def test_holonomy_refuses_directions_outside_the_base(m4_model, i, j):
+    p0 = PointE((0.3, 0.2), (1.0, 1.0))
+    message = rf"holonomy directions must lie in 0\.\.1, got {i}, {j}$"
+    with pytest.raises(ModelError, match=message):
+        holonomy_probe(m4_model, p0, i, j, 1e-2)
+    with pytest.raises(ModelError, match=message):
+        holonomy_curvature(m4_model, p0, i, j)
 
 
 def _holonomy_cli(*extra):
