@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 from . import __version__
 from .expr import (EvalError, Expr, ParseError, _memo, evaluate, is_zero,
                    parse, to_string)
-from .model import (_MAX_SAMPLES, AFFINE, VECTOR_LIKE, ConnectionModel,
+from .model import (_MAX_SAMPLES, VECTOR_LIKE, ConnectionModel,
                     ModelDocument, ModelError, PointE, SectionModel,
                     hamiltonian_document, load_model, validate_section)
 from . import affine as _affine
@@ -463,12 +463,16 @@ def _cmd_transport(args, doc: ModelDocument) -> tuple[list, str]:
         }], "ok"
 
     X = _parse_exprs(args.field, "--field")
-    size = m.k + 1 if m.bundle.kind in AFFINE else m.k
     b0 = _parse_floats(args.fiber, "--fiber") if args.fiber is not None \
-        else tuple(1.0 if idx == 0 else 0.0 for idx in range(size))
+        else tuple(1.0 if idx == 0 else 0.0
+                   for idx in range(_transport._transported_size(m)))
     spec = _transport.CurveSpec(start=p0, t_span=args.time, step=args.step,
                                 field=X)
-    result = _transport.parallel_transport(m, spec, b0)
+    if args.oracle:
+        result, oracle = _transport.transport_and_oracle(
+            m, spec, b0, fd_eps=args.fd_eps, central=args.central)
+    else:
+        result = _transport.parallel_transport(m, spec, b0)
     payload = {
         "type": "transport",
         "from": {"base": list(p0.base), "fiber": list(p0.fiber)},
@@ -482,9 +486,6 @@ def _cmd_transport(args, doc: ModelDocument) -> tuple[list, str]:
         "steps": result.steps,
     }
     if args.oracle:
-        oracle = _transport.transport_oracle(
-            m, X, p0, b0, args.time, args.step, fd_eps=args.fd_eps,
-            central=args.central)
         payload["oracle"] = list(oracle)
         payload["oracle_relative_gap"] = _transport.relative_gap(
             result.final_fiber, oracle)

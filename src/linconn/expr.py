@@ -60,16 +60,18 @@ Numeric paths: all numeric work runs one straight-line plan of a tuple of
 expressions, their distinct nodes in evaluation order (`_plan`). `_run`
 interprets it for `evaluate`, and names the fault wherever the other back
 ends meet one. `compile_fn` and `compile_vector` render it as Python
-source for calls at one point at a time (the RK4 core). A sample array
-goes through one runner, `_sample_columns`, which counts each entry's
-readers once and runs the plan over numpy columns of each 2,048-row
-chunk. A chunk whose columns fault is reported as None, and the caller
-decides over the scalar path, `_scalar_rows`: one `compile_vector`
-evaluated row by row. Residual checks run it once per label, so they
-raise the first fault in label order, and a non-finite value is an error
-there; the sampler runs it in stream order, up to the last row it takes,
-and keeps a row whose predicate is inf. So every back end gives the same
-values bit for bit, and only the runner frees what it computes.
+source for calls at one point at a time (the RK4 core), with each entry
+of one reader written inline into that reader (`_render`). A sample
+array goes through one runner, `_sample_columns`, which counts each
+entry's readers (`_readers`) once and runs the plan over numpy columns
+of each 2,048-row chunk. A chunk whose columns fault is reported as
+None, and the caller decides over the scalar path, `_scalar_rows`: one
+`compile_vector` evaluated row by row. Residual checks run it once per
+label, so they raise the first fault in label order, and a non-finite
+value is an error there; the sampler runs it in stream order, up to the
+last row it takes, and keeps a row whose predicate is inf. So every back
+end gives the same values bit for bit, and only the runner frees what it
+computes.
 """
 
 from __future__ import annotations
@@ -959,6 +961,9 @@ def _substituted(e: Expr, new: Mapping[Expr, Expr], bindings) -> Expr:
 # Rows of samples a column runner takes at a time.
 _CHUNK = 2048
 
+# The deepest nesting of single-reader entries `_render` writes inline.
+_INLINE_DEPTH = 4
+
 
 def _plan(exprs: Sequence[Expr], names: Sequence[str]):
     """One straight-line plan computing `exprs` from a vector of `names`.
@@ -990,15 +995,39 @@ def _plan_kids(e):
     return () if type(e) is tuple else e.children()
 
 
+def _readers(plan) -> list[int]:
+    """Each entry's readers: one per entry that takes it as an operand,
+    and one more per output it is, so an output is never dropped."""
+    slot, outputs, _ = plan
+    readers = [0] * len(slot)
+    for r in outputs:
+        readers[r] += 1
+    for e in slot:
+        if type(e) is not tuple:
+            for kid in e.children():
+                readers[slot[kid]] += 1
+    return readers
+
+
 def _render(plan, inputs: Sequence[str], prefix: str):
     """Render `plan` as straight-line Python: the statements that compute
-    each node entry into the local `{prefix}{slot}`, reading coordinate i
-    as the text `inputs[i]`, and the text of each output. A zero check
-    emits nothing: Python's `/` raises. Every generated function
-    (`compile_fn`, `compile_vector`, the RK4 kernel) is built from these
-    lines, so all of them compute an entry with the same operations."""
+    the entries into locals `{prefix}{slot}`, reading coordinate i as the
+    text `inputs[i]`, and the text of each output. A zero check emits
+    nothing: Python's `/` raises. An entry that is not an output and has
+    exactly one reader is written as a parenthesized expression inside
+    that reader, up to `_INLINE_DEPTH` levels deep; every other entry is
+    a named local. Inlining moves where an entry is computed, never with
+    what: each value is the same operation on the same operands. So a
+    fault can be met at another entry first, but the generated code only
+    says that a fault occurred, and `_fault` names it in plan order.
+    Every generated function (`compile_fn`, `compile_vector`, the RK4
+    kernel) is built from these lines, so all of them compute an entry
+    with the same operations."""
     slot, outputs, index = plan
+    readers = _readers(plan)
+    named = set(outputs)
     text: list = []
+    depth = [0] * len(slot)
     lines = []
     for k, e in enumerate(slot):
         cls = type(e)
@@ -1013,8 +1042,13 @@ def _render(plan, inputs: Sequence[str], prefix: str):
             text.append(f"({e.value!r})" if cls is Const else
                         inputs[index[e.name]] if cls is Var else None)
             continue
-        text.append(f"{prefix}{k}")
-        lines.append(f"{prefix}{k} = {code}")
+        level = 1 + max(depth[slot[kid]] for kid in e.children())
+        if readers[k] == 1 and k not in named and level <= _INLINE_DEPTH:
+            text.append(f"({code})")
+            depth[k] = level
+        else:
+            text.append(f"{prefix}{k}")
+            lines.append(f"{prefix}{k} = {code}")
     return lines, [text[r] for r in outputs]
 
 
@@ -1030,18 +1064,10 @@ def _define(source: str, **names):
 def _sample_columns(exprs: Sequence[Expr], names: Sequence[str], samples):
     """Lazily, for each chunk of `_CHUNK` rows of `samples` (one point per
     row), its slice and the columns `_columns` gives over it. The plan and
-    each entry's readers (one more per output, so an output is never
-    dropped) are counted once; each chunk uses up a copy of the counts,
-    and the last chunk the counts themselves."""
+    each entry's `_readers` are counted once; each chunk uses up a copy of
+    the counts, and the last chunk the counts themselves."""
     plan = _plan(exprs, names)
-    slot, outputs, _ = plan
-    readers = [0] * len(slot)
-    for r in outputs:
-        readers[r] += 1
-    for e in slot:
-        if type(e) is not tuple:
-            for kid in e.children():
-                readers[slot[kid]] += 1
+    readers = _readers(plan)
     for start in range(0, len(samples), _CHUNK):
         rows = slice(start, start + _CHUNK)
         last = start + _CHUNK >= len(samples)

@@ -6,11 +6,12 @@ describes its state layout: the names of the state slots and one
 right-hand-side expression per slot. The core generates the whole
 classical fixed-step RK4 loop as one Python function on plain floats
 (`_kernel`), with the state slots as locals and each stage rendered from
-the same plan as `compile_vector`; reproducibility and a clean
-convergence order beat adaptivity at this scale. A flow returns its end
-state, the number of steps it took and its status, and keeps nothing per
-step. A faulting step is taken once more stage by stage (`_replay`),
-which names the subexpression and the point.
+the same plan as `compile_vector`, single-reader entries inline
+(`expr._render`); reproducibility and a clean convergence order beat
+adaptivity at this scale. A flow returns its end state, the number of
+steps it took and its status, and keeps nothing per step. A faulting
+step is taken once more stage by stage (`_replay`), which names the
+subexpression and the point.
 
 The kernel runs lean rows, which end every flow on the bits, step count,
 status and fault of the full rows. A lift or transport row is a sum
@@ -26,6 +27,16 @@ dropped: x*1.0 == x for every float. `_kernel` folds each row's
 negation into the step. `_replay` explains a fault on the full rows:
 after a skipped nan, a lean row can step on to another fault later in
 the same step.
+
+A transport and its oracle share one run (`transport_and_oracle`): each
+perturbed start fiber of the oracle is one more copy of the fiber in the
+transport's state, renamed apart and moved by the lift alone. A row reads
+only the base and its own slots, so each copy steps as the flow from its
+start would alone. Its lean rows may skip more products of zero, since
+more factors are live in the joint run; in a run that ends `ok` every
+live factor stayed finite, so those products were +-0.0 and the bits are
+those of the separate flows. A run that ends any other way is run again
+as the separate flows, which give the statuses and the messages.
 
 Rules shared by every integration:
 
@@ -62,8 +73,8 @@ from .model import (AFFINE, ConnectionModel, ModelError, PointE, _fresh,
 
 __all__ = [
     "CurveSpec", "FlowResult", "TransportResult", "horizontal_flow",
-    "parallel_transport", "transport_oracle", "relative_gap", "holonomy_probe",
-    "holonomy_curvature", "sode_flow",
+    "parallel_transport", "transport_oracle", "transport_and_oracle",
+    "relative_gap", "holonomy_probe", "holonomy_curvature", "sode_flow",
 ]
 
 
@@ -329,6 +340,12 @@ def horizontal_flow(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
                       steps=steps, status=status)
 
 
+def _transported_size(m: ConnectionModel) -> int:
+    """The length of a transported vector: k + 1 on the affine kinds,
+    whose transport carries the distinguished component, and k otherwise."""
+    return m.k + 1 if m.bundle.kind in AFFINE else m.k
+
+
 def _transport_coeffs(m: ConnectionModel) -> TensorField:
     """Transport coefficients [A][i][B], a tensor of expressions.
 
@@ -347,8 +364,9 @@ def _transport_coeffs(m: ConnectionModel) -> TensorField:
             return lin.coeffs_0[A - 1, i]
         return lin.coeffs_lin[A - 1, i, B - 1]
 
+    size = _transported_size(m)
     return _tensor("transport_coeffs", lin.coeffs_lin.signature,
-                   (m.k + 1, m.n, m.k + 1), rule)
+                   (size, m.n, size), rule)
 
 
 def parallel_transport(m: ConnectionModel, curve: CurveSpec,
@@ -360,13 +378,25 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
     with the nonlinear horizontal flow. Along vertical curves transport is
     the identity on the fiber.
     """
+    return _transport(m, curve, b0, {})[0]
+
+
+def _transport(m: ConnectionModel, curve: CurveSpec, b0: Sequence[float],
+               copies: Mapping[str, Sequence[float]]):
+    """`parallel_transport`, with one more copy of the fiber for each stem
+    and start fiber in `copies`, named from the stem apart from the other
+    slots and carried by the same horizontal lift in the same run. A copy
+    of a run that ends `ok` ends bit for bit where the fiber of
+    `horizontal_flow` from its start does, and each copy is tested
+    against the model's excluded set. Returns the result and the end
+    fiber of each copy."""
     b0 = tuple(float(v) for v in b0)
-    size = m.k + 1 if m.bundle.kind in AFFINE else m.k
+    size = _transported_size(m)
     if len(b0) != size:
         raise ModelError(f"transported vector needs {size} components, "
                          f"got {len(b0)}")
     if curve.vertical:
-        return TransportResult(final=curve.start, final_fiber=b0, steps=0)
+        return TransportResult(final=curve.start, final_fiber=b0, steps=0), ()
 
     coords = m.bundle.coords
     b_names = _fresh(coords, "b", size)
@@ -383,18 +413,70 @@ def parallel_transport(m: ConnectionModel, curve: CurveSpec,
         xdot = tuple(substitute(diff(c, "t"), {"t": Var(param[0])})
                      for c in curve.curve)
     coeffs = _transport_coeffs(m)
-    rows, lean = _flow_rows(xdot, _lift(m, xdot) + [
-        [(coeffs[A, i, B], xdot[i], Var(b_names[B]))
-         for i in range(m.n) for B in range(size)] for A in range(size)])
+    lift = _lift(m, xdot)
+    sums = lift + [[(coeffs[A, i, B], xdot[i], Var(b_names[B]))
+                    for i in range(m.n) for B in range(size)]
+                   for A in range(size)]
+    names = coords + b_names
+    y0 = curve.start.values(m.bundle) + b0
+    excluded = dict.fromkeys(m.excluded)
+    for stem, start in copies.items():
+        copy = _fresh(names + param, stem, m.k)
+        rename = {u: Var(c) for u, c in zip(m.bundle.fiber_coords, copy)}
+        sums += [[tuple(substitute(f, rename) for f in factors)
+                  for factors in row] for row in lift]
+        excluded.update(dict.fromkeys(substitute(e, rename)
+                                      for e in m.excluded))
+        names += copy
+        y0 += tuple(start)
+    rows, lean = _flow_rows(xdot, sums)
     clock = [ONE] * len(param)
-    y, steps, status = _rk4(
-        coords + b_names + param, rows + clock,
-        curve.start.values(m.bundle) + b0 + (0.0,) * len(param),
-        curve.t_span, curve.step, m.excluded, lean=lean + clock)
+    y, steps, status = _rk4(names + param, rows + clock,
+                            y0 + (0.0,) * len(param), curve.t_span,
+                            curve.step, tuple(excluded), lean=lean + clock)
     n = len(coords)
+    ends = [tuple(y[j:j + m.k]) for j in range(n + size, len(names), m.k)]
     return TransportResult(
         final=PointE(base=tuple(y[:m.n]), fiber=tuple(y[m.n:n])),
-        final_fiber=tuple(y[n:n + size]), steps=steps, status=status)
+        final_fiber=tuple(y[n:n + size]), steps=steps, status=status), ends
+
+
+def _perturbed(m: ConnectionModel, p0: PointE, b0: Sequence[float],
+               fd_eps: float, central: bool) -> tuple[tuple[float, ...], ...]:
+    """The start fibers of the oracle's perturbed flows: u + fd_eps*b and,
+    if `central`, u - fd_eps*b. Refuses a step the oracle cannot
+    difference with and a vector of the wrong length."""
+    if not (math.isfinite(fd_eps) and fd_eps > 0.0):
+        raise ModelError(f"fd_eps must be a positive finite number, "
+                         f"got {fd_eps!r}")
+    if central and not math.isfinite(2.0 * fd_eps):
+        raise ModelError(f"fd_eps={fd_eps!r} is too large for central "
+                         f"differences: 2*fd_eps overflows")
+    b0 = [float(v) for v in b0]
+    if len(b0) != m.bundle.k:
+        raise ModelError(f"fiber vector needs {m.bundle.k} components")
+    plus = tuple(u + fd_eps * b for u, b in zip(p0.fiber, b0))
+    minus = tuple(u - fd_eps * b for u, b in zip(p0.fiber, b0))
+    starts = (plus, minus) if central else (plus,)
+    # A perturbation lost in rounding differences a flow with itself, and
+    # the oracle would read 0 whatever the transport is.
+    if any(b0) and p0.fiber in starts:
+        raise ModelError(f"fd_eps={fd_eps!r} is lost in the rounding of the "
+                         f"start fiber: fd_eps*b leaves it unchanged")
+    return starts
+
+
+def _quotients(plus: Sequence[float], other: Sequence[float], fd_eps: float,
+               central: bool) -> tuple[float, ...]:
+    """The oracle's difference quotients of the flow from u + fd_eps*b
+    against that from u - fd_eps*b (`central`) or from u; refused where
+    one overflows."""
+    width = 2.0 * fd_eps if central else fd_eps
+    quotients = tuple((p - q) / width for p, q in zip(plus, other))
+    if not all(map(math.isfinite, quotients)):
+        raise ModelError(f"oracle difference quotient is not finite at "
+                         f"fd_eps={fd_eps!r}")
+    return quotients
 
 
 def transport_oracle(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
@@ -404,19 +486,7 @@ def transport_oracle(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
     derivative of the nonlinear horizontal flow with respect to the fiber
     initial condition, computed by finite differences of two (or three)
     independent flow integrations."""
-    if not (math.isfinite(fd_eps) and fd_eps > 0.0):
-        raise ModelError(f"fd_eps must be a positive finite number, "
-                         f"got {fd_eps!r}")
-    b0 = [float(v) for v in b0]
-    if len(b0) != m.bundle.k:
-        raise ModelError(f"fiber vector needs {m.bundle.k} components")
-    plus = tuple(u + fd_eps * b for u, b in zip(p0.fiber, b0))
-    minus = tuple(u - fd_eps * b for u, b in zip(p0.fiber, b0))
-    # A perturbation lost in rounding differences a flow with itself, and
-    # the oracle would read 0 whatever the transport is.
-    if any(b0) and p0.fiber in ((plus, minus) if central else (plus,)):
-        raise ModelError(f"fd_eps={fd_eps!r} is lost in the rounding of the "
-                         f"start fiber: fd_eps*b leaves it unchanged")
+    starts = _perturbed(m, p0, b0, fd_eps, central)
 
     def flow_fiber(fiber) -> tuple[float, ...]:
         start = PointE(base=p0.base, fiber=tuple(fiber))
@@ -425,12 +495,38 @@ def transport_oracle(m: ConnectionModel, X: Sequence[Expr], p0: PointE,
             raise ModelError(f"oracle flow stopped early: {result.status}")
         return result.final.fiber
 
-    plus = flow_fiber(plus)
-    if central:
-        minus = flow_fiber(minus)
-        return tuple((p - q) / (2.0 * fd_eps) for p, q in zip(plus, minus))
-    base_val = flow_fiber(p0.fiber)
-    return tuple((p - q) / fd_eps for p, q in zip(plus, base_val))
+    plus, other = [flow_fiber(fiber) for fiber in
+                   (starts if central else starts + (p0.fiber,))]
+    return _quotients(plus, other, fd_eps, central)
+
+
+def transport_and_oracle(m: ConnectionModel, curve: CurveSpec,
+                         b0: Sequence[float], fd_eps: float = 1e-5,
+                         central: bool = False
+                         ) -> tuple[TransportResult, tuple[float, ...]]:
+    """`parallel_transport` along the flow of a base field and its
+    `transport_oracle`, as one RK4 run: the transport's slots and a copy
+    of the fiber from each perturbed start. The copies read the lift, not
+    the linearization. The forward oracle differences its copy against
+    the transport's own fiber, which is `horizontal_flow` from the start
+    bit for bit. Only a run that ends `ok` is taken: on a stop or a fault
+    the transport and then the oracle run apart, and raise or return what
+    they do alone. Returns (TransportResult, oracle)."""
+    if curve.field is None:
+        raise ModelError("the transport oracle needs a flow-generated curve")
+    try:
+        starts = _perturbed(m, curve.start, b0, fd_eps, central)
+        result, ends = _transport(m, curve, b0,
+                                  dict(zip(("plus", "minus"), starts)))
+    except ModelError:
+        result = None
+    if result is None or result.status != "ok":
+        result = parallel_transport(m, curve, b0)
+        return result, transport_oracle(m, curve.field, curve.start, b0,
+                                        curve.t_span, curve.step, fd_eps,
+                                        central)
+    other = ends[1] if central else result.final.fiber
+    return result, _quotients(ends[0], other, fd_eps, central)
 
 
 def relative_gap(values: Sequence[float], reference: Sequence[float]) -> float:

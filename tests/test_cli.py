@@ -541,6 +541,47 @@ def test_json_status_fail_marks_exit_1():
     assert doc["status"] == "fail"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_golden_report_is_strict_json(monkeypatch, tmp_path):
+    """Each --json document that tests/test_golden.py pins parses with no
+    NaN or Infinity in it (a refused run, exit 2, prints none)."""
+    import test_golden as golden
+
+    parsed = []
+
+    def strict_run(argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run(argv)
+        print(out.getvalue(), end="")
+        if code != 2:
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
+            parsed.append(argv)
+        return code
+
+    monkeypatch.setattr(golden, "run", strict_run)
+    for n, text in ((2, golden.SYNTHETIC_N2), (3, golden.SYNTHETIC_N3),
+                    (4, golden.SYNTHETIC_N4)):
+        (tmp_path / f"synthetic_n{n}.lc").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for verb, n in {*golden.SYNTHETIC_GOLDEN, ("bianchi", 3)}:
+        golden.stdout_digest(verb, f"synthetic_n{n}.lc", *golden.ARGV[verb])
+    monkeypatch.chdir(REPO)
+    for verb, model in golden.GOLDEN:
+        golden.stdout_digest(verb, f"models/{model}.lc", *golden.ARGV[verb])
+    for argv in (*golden.INTEGRATOR_GOLDEN, *golden.SAMPLED_GOLDEN,
+                 *golden.JACOBI_GOLDEN):
+        golden.stdout_digest(*argv, "--json")
+    for model in golden.TENSOR_GOLDEN:
+        golden.tensor_runs_digest(model, at=False)
+    for model in golden.TENSOR_AT_GOLDEN:
+        golden.tensor_runs_digest(model, at=True)
+    assert len(parsed) > 100
+
+
 def test_float_formatting_17_digits():
     payload = emit_json({"value": 1.0 / 3.0}).decode()
     assert "0.33333333333333331" in payload
@@ -611,6 +652,7 @@ COVERAGE = {
     "transport.horizontal_flow": "transport",
     "transport.parallel_transport": "transport",
     "transport.transport_oracle": "transport",
+    "transport.transport_and_oracle": "transport",
     "transport.relative_gap": "transport",
     "transport.holonomy_probe": "transport",
     "transport.holonomy_curvature": "transport",
@@ -641,8 +683,9 @@ def test_every_public_operation_mapped_to_a_verb():
                      "integrable_report", "hj_verify", "geodesic_model",
                      "cyclic_curvature_check", "cotangent_checks"]),
         (transport, ["horizontal_flow", "parallel_transport",
-                     "transport_oracle", "relative_gap", "holonomy_probe",
-                     "holonomy_curvature", "sode_flow"]),
+                     "transport_oracle", "transport_and_oracle",
+                     "relative_gap", "holonomy_probe", "holonomy_curvature",
+                     "sode_flow"]),
     ]:
         for name in names:
             assert hasattr(module, name), f"missing operation {name}"

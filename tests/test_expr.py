@@ -12,8 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from linconn.expr import (
     Add, Call, Const, Div, EvalError, Mul, Neg, ParseError, Pow, Sub, Var,
-    ONE, ZERO, _P_NEG, _P_POW, _diff, _fmt_const, _memo, _plan, _postorder,
-    _prec, _sample_columns, compile_fn, compile_vector, diff, evaluate,
+    ONE, ZERO, _INLINE_DEPTH, _P_NEG, _P_POW, _diff, _fmt_const, _memo, _plan,
+    _postorder, _prec, _render, _run, _sample_columns, compile_fn,
+    compile_vector, diff, evaluate,
     is_zero, parse, simplify, substitute, to_string, variables,
 )
 
@@ -452,6 +453,54 @@ def test_compile_fn_matches_evaluate(e, e2, points):
         values = [env[n] for n in _NAMES]
         _assert_runs_as_evaluate(lambda: (fn(values),), (e,), env)
         _assert_runs_as_evaluate(lambda: vector(values), exprs, env)
+
+
+def _interpreted(exprs, values):
+    """The float.hex values `_run` gives `exprs` at `values`, or the text
+    of the EvalError that compiled code raises for the first fault `_run`
+    meets."""
+    env = dict(zip(_NAMES, values))
+    try:
+        return [v.hex() for v in _run(_plan(exprs, _NAMES), env)]
+    except EvalError as err:
+        where = ", ".join(f"{n}={v:.6g}" for n, v in env.items())
+        return f"{err} at {where}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(domain_expressions(), power_expressions()),
+                min_size=1, max_size=3),
+       st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                             st.floats(-2.0, 2.0, allow_nan=False))] * 4))
+# sqrt(x2) has two readers and is computed on its own line, ahead of the
+# inlined ln(x1): the code meets the sqrt fault first, and the message
+# names ln(x1), the first fault in plan order.
+@example([parse("ln(x1) + sqrt(x2)*sqrt(x2)")], (-1.0, -1.0, 0.0, 0.0))
+# A chain of single-reader entries deeper than the inlining bound.
+@example([parse("sqrt(ln(exp(sin(cos(sqrt(ln(exp(x1 + 1))))))))")],
+         (0.5, 0.0, 0.0, 0.0))
+def test_inlined_code_runs_as_the_interpreter(exprs, values):
+    """Compiled code, whose single-reader entries are written inline, gives
+    the values of the scalar interpreter bit for bit, and its message."""
+    exprs = (*exprs, Neg(exprs[0]))
+    try:
+        got = [v.hex() for v in compile_vector(exprs, _NAMES)(values)]
+    except EvalError as err:
+        got = str(err)
+    assert got == _interpreted(exprs, values)
+
+
+def test_render_inlines_single_reader_entries_up_to_the_bound():
+    # A chain of ten calls: every entry but the output has one reader, so
+    # the fifth is written inline four levels deep and then named.
+    chain = Var("x1")
+    for _ in range(10):
+        chain = Call("sin", chain)
+    lines, outputs = _render(_plan((chain, chain), ("x1",)), ["v0"], "t")
+    assert lines == ["t5 = _sin((_sin((_sin((_sin((_sin(v0)))))))))",
+                     "t10 = _sin((_sin((_sin((_sin((_sin(t5)))))))))"]
+    assert outputs == ["t10", "t10"]
+    assert _INLINE_DEPTH == 4
 
 
 _SIGNED_ZEROS = Add(Sub(Const(-0.0), Const(0.0)), Sub(Const(0.0), Const(0.0)))

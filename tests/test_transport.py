@@ -14,8 +14,8 @@ import linconn.model as model
 import linconn.transport as transport
 from linconn.cli import run
 from linconn.expr import (
-    Const, EvalError, ONE, Var, ZERO, _memo, compile_vector, evaluate, parse,
-    substitute,
+    Const, EvalError, Mul, Neg, ONE, Var, ZERO, _memo, compile_vector,
+    evaluate, is_zero, parse, substitute,
 )
 from linconn.geometry import curvature
 from linconn.model import (
@@ -25,7 +25,7 @@ from linconn.sode import SodeModel
 from linconn.transport import (
     CurveSpec, FlowResult, TransportResult, _rk4, holonomy_curvature,
     holonomy_probe, horizontal_flow, parallel_transport, relative_gap,
-    sode_flow, transport_oracle,
+    sode_flow, transport_and_oracle, transport_oracle,
 )
 
 from conftest import eval_or_zero
@@ -583,6 +583,134 @@ def test_oracle_refusal_exits_2_with_one_error_line():
         "fd_eps*b leaves it unchanged\n")
 
 
+@pytest.mark.parametrize("fd_eps, central, message", [
+    (1e308, True, "fd_eps=1e+308 is too large for central differences: "
+                  "2*fd_eps overflows"),
+    # u1' = u1^2 carries u1 = 1 to 1000 by t = 0.999, and the quotient
+    # 1000/1e-306 overflows; u1 = 0 stays put.
+    (1e-306, False, "oracle difference quotient is not finite at "
+                    "fd_eps=1e-306"),
+])
+def test_oracle_refuses_a_non_finite_quotient(fd_eps, central, message):
+    m = _line_model("-u1^2")
+    spec = CurveSpec(start=PointE((0.0,), (0.0,)), t_span=0.999, step=1e-3,
+                     field=(ONE,))
+    b0 = (1e306,)
+    for oracle in (
+            lambda: transport_oracle(m, (ONE,), spec.start, b0, 0.999, 1e-3,
+                                     fd_eps, central),
+            lambda: transport_and_oracle(m, spec, b0, fd_eps, central)):
+        with pytest.raises(ModelError) as info:
+            oracle()
+        assert str(info.value) == message
+
+
+def test_non_finite_oracle_exits_2_with_one_error_line():
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["transport", str(MODELS / "m4.lc"), "--field", "1,0",
+                    "--time", "0.01", "--oracle", "--central", "--fd-eps",
+                    "1e308", "--json"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == ("error: fd_eps=1e+308 is too large for central "
+                              "differences: 2*fd_eps overflows\n")
+
+
+# ---------------------------------------------------------------------------
+# The transport and its oracle in one run
+# ---------------------------------------------------------------------------
+
+def _line_model(gamma, excluded=()):
+    return ConnectionModel(BundleModel("vector", ("x1",), ("u1",)),
+                           [[parse(gamma)]],
+                           tuple(parse(e) for e in excluded))
+
+
+def _apart(m, spec, b0, fd_eps, central):
+    """The transport, then its oracle, each in runs of its own."""
+    result = parallel_transport(m, spec, b0)
+    return result, transport_oracle(m, spec.field, spec.start, b0,
+                                    spec.t_span, spec.step, fd_eps, central)
+
+
+def _checked(transport_then_oracle):
+    """The float.hex end of a transport and its oracle, its steps and
+    status; or the text of its ModelError."""
+    try:
+        result, oracle = transport_then_oracle()
+    except ModelError as exc:
+        return str(exc)
+    values = (result.final.base + result.final.fiber + result.final_fiber
+              + tuple(oracle))
+    return [v.hex() for v in values], result.steps, result.status
+
+
+@pytest.mark.parametrize("central", [False, True])
+@pytest.mark.parametrize("name, X, p0, b0, T", [
+    ("m4", ("1", "x1"), PointE((0.1, -0.2), (0.8, 0.6)), (1.0, 0.5), 0.7),
+    ("potential_1d", ("1",), PointE((0.3,), (1.0,)), (1.0,), 0.5),
+    ("linear", ("1",), PointE((0.0,), (1.0,)), (-2.0,), 1.0),
+])
+def test_transport_and_oracle_is_the_two_runs_bit_for_bit(name, X, p0, b0,
+                                                           T, central):
+    m = shipped(name)
+    spec = CurveSpec(start=p0, t_span=T, step=1e-3,
+                     field=tuple(parse(c) for c in X))
+    # The joint run ends ok, so its own result is taken: nothing reruns.
+    with patch.object(transport, "parallel_transport",
+                      side_effect=AssertionError("reran")):
+        joint = _checked(lambda: transport_and_oracle(m, spec, b0, 1e-5,
+                                                      central))
+    assert joint == _checked(lambda: _apart(m, spec, b0, 1e-5, central))
+    assert joint[2] == "ok"
+
+
+@pytest.mark.parametrize("m, p0, T, fd_eps, central, outcome", [
+    # Only the flow from p1 = 0.99 meets the locus p1 = 0 before the end.
+    (shipped("potential_1d"), PointE((0.0,), (1.0,)), 0.995, 1e-2, True,
+     "oracle flow stopped early: excluded:0.991"),
+    # The transport stops at p1 = 0, the flow from p1 = 1.01 runs to the
+    # end, and the oracle's unperturbed flow stops where the transport did.
+    (shipped("potential_1d"), PointE((0.0,), (1.0,)), 1.005, 1e-2, False,
+     "oracle flow stopped early: excluded:1.001"),
+    # -sqrt(u1) is defined at u1 = 0 and its fiber derivative, in the
+    # transported vector's rows, is not; the flows from u1 = 0 and 1e-5
+    # run.
+    (_line_model("-sqrt(u1)"), PointE((0.0,), (0.0,)), 0.1, 1e-5, False,
+     "right-hand side undefined near t=0: division by zero in "
+     "'1/(2*sqrt(u1))' at x1=0, u1=0, b0=1"),
+    # The transport stops at once on u1 = 0.5; the flows from 0.5 +- 1e-5
+    # keep clear of it, so the oracle is returned with the stopped
+    # transport.
+    (_line_model("0", ["u1 - 0.5"]), PointE((0.0,), (0.5,)), 0.1, 1e-5, True,
+     ([v.hex() for v in (0.0, 0.5, 1.0, 0.9999999999982244)], 0,
+      "excluded:0.001")),
+])
+def test_transport_and_oracle_falls_back_to_the_two_runs(m, p0, T, fd_eps,
+                                                         central, outcome):
+    spec = CurveSpec(start=p0, t_span=T, step=1e-3, field=(ONE,))
+    assert _checked(lambda: transport_and_oracle(m, spec, (1.0,), fd_eps,
+                                                 central)) == outcome
+    assert _checked(lambda: _apart(m, spec, (1.0,), fd_eps, central)) == \
+        outcome
+
+
+def test_transport_oracle_run_builds_one_kernel(monkeypatch):
+    builds = []
+    build = transport._kernel
+    monkeypatch.setattr(transport, "_kernel",
+                        lambda *args: builds.append(args) or build(*args))
+    for central in ((), ("--central",)):
+        builds.clear()
+        _memo.clear()
+        with redirect_stdout(io.StringIO()):
+            code = run(["transport", str(MODELS / "m4.lc"), "--field", "1,x1",
+                        "--from", "x1=0.3,x2=0.2,u1=1,u2=1", "--time", "0.1",
+                        "--oracle", *central, "--json"])
+        assert code == 0
+        assert len(builds) == 1
+
+
 # ---------------------------------------------------------------------------
 # Affine transport preserves the distinguished component
 # ---------------------------------------------------------------------------
@@ -755,22 +883,24 @@ def test_one_kernel_per_distinct_flow(m4_model, monkeypatch):
 
 
 def test_m4_transport_kernel_stages_are_lean(m4_model, monkeypatch):
-    # The lift and transport rows of --field 1,x1: 37 entries per stage
+    # The lift and transport rows of --field 1,x1: 37 operations per stage
     # with every product of zero, factor 1.0 and negation kept.
-    sources = []
-    define = transport._define
-    monkeypatch.setattr(transport, "_define", lambda source, **names:
-                        sources.append(source) or define(source, **names))
+    plans = []
+    plan = transport._plan
+    monkeypatch.setattr(transport, "_plan", lambda exprs, names:
+                        plans.append(plan(exprs, names)) or plans[-1])
     _memo.clear()
     spec = CurveSpec(start=PointE((0.3, 0.2), (1.0, 1.0)), t_span=0.01,
                      step=1e-3, field=(ONE, parse("x1")))
     parallel_transport(m4_model, spec, (1.0, 0.0))
-    [source] = sources
-    entries = [line for line in source.splitlines()
-               if line.lstrip().startswith("t1_")]
-    assert len(entries) == 18
-    assert not any(" * (1.0)" in line or "(0.0) * " in line or "= -" in line
-                   for line in entries)
+    # The kernel plans its stage rows, then its excluded-set predicates.
+    slot, _, _ = plans[0]
+    operations = [e for e in slot if type(e) not in (Const, Var, tuple)]
+    assert len(operations) == 18
+    assert not any(type(e) is Neg for e in operations)
+    products = [e for e in operations if type(e) is Mul]
+    assert not any(is_zero(f) or f is ONE
+                   for e in products for f in (e.left, e.right))
 
 
 def test_each_distinct_excluded_predicate_is_tested_once(monkeypatch):
